@@ -438,39 +438,6 @@ func BenchmarkAblationResultSpill(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConvertWorkers compares sequential vs parallel result
-// conversion (§4.6: "this conversion operation happens in parallel").
-func BenchmarkAblationConvertWorkers(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.New(dialect.CloudA())
-			if err := tpch.SetupEngine(eng.NewSession(), benchSF); err != nil {
-				b.Fatal(err)
-			}
-			g, err := hyperq.New(hyperq.Config{
-				Target:         dialect.CloudA(),
-				Driver:         &odbc.LocalDriver{Engine: eng},
-				Catalog:        eng.Catalog().Clone(),
-				ConvertWorkers: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := g.NewLocalSession("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run("SEL * FROM lineitem"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRecursionStrategy compares native recursion (CloudD)
 // against the Figure 7 temp-table emulation (CloudA) for the same query.
 func BenchmarkAblationRecursionStrategy(b *testing.B) {

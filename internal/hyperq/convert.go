@@ -2,7 +2,6 @@ package hyperq
 
 import (
 	"fmt"
-	"sync"
 
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
@@ -11,17 +10,111 @@ import (
 	"hyperq/internal/xtra"
 )
 
-// convertResult implements the Result Converter (§4.6): backend TDF batches
+// convertPlan is the Result Converter (§4.6) compiled for one statement:
+// the frontend column definitions and whether the backend's declared column
+// types already are the frontend's. A batch is converted into one datum slab
+// — or not at all when every cell already is what the frontend expects. A
+// plan never writes to the batch it converts: a batch replayed from a
+// materialized result (odbc.BufferStream) is shared between requests.
+type convertPlan struct {
+	cols []tdp.ColumnDef
+	// identity: every backend column is declared with its frontend type, so
+	// a batch whose cells carry the kinds its columns declare passes through.
+	identity bool
+}
+
+// newConvertPlan compiles the plan for a result the backend describes as
+// backCols and the client was promised as frontCols.
+func newConvertPlan(frontCols []xtra.Col, backCols []tdf.ColumnMeta) (*convertPlan, error) {
+	if len(backCols) != len(frontCols) {
+		return nil, fmt.Errorf("backend returned %d columns, expected %d", len(backCols), len(frontCols))
+	}
+	p := &convertPlan{
+		cols:     make([]tdp.ColumnDef, len(frontCols)),
+		identity: true,
+	}
+	for i, c := range frontCols {
+		p.cols[i] = tdp.ColumnDef{Name: c.Name, Type: c.Type}
+		back := backCols[i].Type
+		if back.Kind != c.Type.Kind || back.Kind == types.KindDecimal && back.Scale != c.Type.Scale {
+			p.identity = false
+		}
+	}
+	return p, nil
+}
+
+// isFront reports whether the cell already is a value of the frontend type.
+func isFront(d *types.Datum, want *types.T) bool {
+	return d.K == want.Kind && (d.Null || want.Kind != types.KindDecimal || int(d.Scale) == want.Scale)
+}
+
+// passthrough reports whether the batch's rows can go to the frontend as
+// they are. The column types only say it is worth looking: an in-process
+// backend's cells are whatever its expressions produced, so each one is
+// checked against the frontend type.
+func (p *convertPlan) passthrough(rows [][]types.Datum) bool {
+	if !p.identity {
+		return false
+	}
+	for _, row := range rows {
+		if len(row) != len(p.cols) {
+			return false
+		}
+		for ci := range row {
+			if !isFront(&row[ci], &p.cols[ci].Type) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// convertBatch returns the batch's rows in the frontend's column types, in
+// order. The result aliases b when nothing needs converting and is one fresh
+// slab otherwise; b itself is never written to.
+func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
+	if len(b.Rows) == 0 {
+		return nil, nil
+	}
+	if p.passthrough(b.Rows) {
+		return b.Rows, nil
+	}
+	ncols := len(p.cols)
+	slab := make([]types.Datum, len(b.Rows)*ncols)
+	out := make([][]types.Datum, len(b.Rows))
+	for ri, row := range b.Rows {
+		if len(row) != ncols {
+			return nil, fmt.Errorf("row arity %d != %d", len(row), ncols)
+		}
+		conv := slab[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
+		out[ri] = conv
+		for ci := range row {
+			d, want := &row[ci], &p.cols[ci].Type
+			switch {
+			case isFront(d, want):
+				conv[ci] = *d
+			case d.Null:
+				conv[ci].K, conv[ci].Null = want.Kind, true
+			default:
+				cast, err := types.Cast(*d, *want)
+				if err != nil {
+					return nil, fmt.Errorf("column %s: %v", p.cols[ci].Name, err)
+				}
+				conv[ci] = cast
+			}
+		}
+	}
+	return out, nil
+}
+
+// convertResult is the buffered Result Converter (§4.6): backend TDF batches
 // are buffered through the Result Store (spilling to disk past the memory
 // budget, since the frontend protocol announces row counts up front) and
-// converted in parallel into the frontend's column types and names.
+// converted into the frontend's column types and names.
 func (s *Session) convertResult(frontCols []xtra.Col, br *cwp.StatementResult) ([]tdp.ColumnDef, [][]types.Datum, error) {
-	if len(br.Cols) != len(frontCols) {
-		return nil, nil, fmt.Errorf("backend returned %d columns, expected %d", len(br.Cols), len(frontCols))
-	}
-	cols := make([]tdp.ColumnDef, len(frontCols))
-	for i, c := range frontCols {
-		cols[i] = tdp.ColumnDef{Name: c.Name, Type: c.Type}
+	plan, err := newConvertPlan(frontCols, br.Cols)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Buffer batches through the Result Store.
 	store := tdf.NewStore(s.g.cfg.ResultBudget)
@@ -39,7 +132,7 @@ func (s *Session) convertResult(frontCols []xtra.Col, br *cwp.StatementResult) (
 	// store just spilled.
 	rows := make([][]types.Datum, 0, store.TotalRows())
 	if err := store.Drain(func(b *tdf.Batch) error {
-		converted, err := s.convertBatch(frontCols, b)
+		converted, err := plan.convertBatch(b)
 		if err != nil {
 			return err
 		}
@@ -48,88 +141,5 @@ func (s *Session) convertResult(frontCols []xtra.Col, br *cwp.StatementResult) (
 	}); err != nil {
 		return nil, nil, err
 	}
-	return cols, rows, nil
-}
-
-// convertBatch converts one batch's rows, splitting the work across the
-// configured number of workers ("each process handles the conversion of a
-// subset of the result rows", §4.6). Order is preserved.
-func (s *Session) convertBatch(frontCols []xtra.Col, b *tdf.Batch) ([][]types.Datum, error) {
-	n := len(b.Rows)
-	if n == 0 {
-		return nil, nil
-	}
-	workers := s.g.cfg.ConvertWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		out := make([][]types.Datum, n)
-		for i, row := range b.Rows {
-			nr, err := convertRow(frontCols, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = nr
-		}
-		return out, nil
-	}
-	out := make([][]types.Datum, n)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				nr, err := convertRow(frontCols, b.Rows[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = nr
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// convertRow coerces one backend row into the frontend column types.
-func convertRow(frontCols []xtra.Col, row []types.Datum) ([]types.Datum, error) {
-	if len(row) != len(frontCols) {
-		return nil, fmt.Errorf("row arity %d != %d", len(row), len(frontCols))
-	}
-	out := make([]types.Datum, len(row))
-	for i, d := range row {
-		want := frontCols[i].Type
-		if d.Null {
-			out[i] = types.NewNull(want.Kind)
-			continue
-		}
-		if d.K == want.Kind && (want.Kind != types.KindDecimal || int(d.Scale) == want.Scale) {
-			out[i] = d
-			continue
-		}
-		cast, err := types.Cast(d, want)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %v", frontCols[i].Name, err)
-		}
-		out[i] = cast
-	}
-	return out, nil
+	return plan.cols, rows, nil
 }

@@ -1,0 +1,347 @@
+package hyperq
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hyperq/internal/dialect"
+	"hyperq/internal/engine"
+	"hyperq/internal/odbc"
+	"hyperq/internal/tdf"
+	"hyperq/internal/types"
+	"hyperq/internal/wire/cwp"
+	"hyperq/internal/wire/tdp"
+	"hyperq/internal/xtra"
+)
+
+// wideFixture is the benchmark batch: n rows of the 13-column shape perf's
+// result_stream returns — qty, price and code are stored in other types than
+// the client was promised, so three cells of every row need a types.Cast —
+// with a tenth of the nullable cells NULL. identity drops the type mismatch.
+func wideFixture(n int, identity bool) ([]xtra.Col, *tdf.Batch) {
+	front := []xtra.Col{
+		{Name: "id", Type: types.Int}, {Name: "big", Type: types.BigInt}, {Name: "qty", Type: types.Int},
+		{Name: "score", Type: types.Float}, {Name: "price", Type: types.Decimal(12, 2)},
+		{Name: "d", Type: types.Date}, {Name: "ts", Type: types.Timestamp}, {Name: "code", Type: types.Char(20)},
+		{Name: "n1", Type: types.VarChar(50)}, {Name: "n2", Type: types.VarChar(50)}, {Name: "n3", Type: types.VarChar(50)},
+		{Name: "n4", Type: types.VarChar(50)}, {Name: "n5", Type: types.VarChar(50)},
+	}
+	b := &tdf.Batch{}
+	for _, c := range front {
+		b.Cols = append(b.Cols, tdf.ColumnMeta{Name: c.Name, Type: c.Type})
+	}
+	if !identity {
+		b.Cols[2].Type, b.Cols[4].Type, b.Cols[7].Type = types.BigInt, types.Decimal(12, 4), types.VarChar(20)
+	}
+	const text = "the quick brown fox jumps over the lazy dog 0123456789"
+	slab := make([]types.Datum, 0, n*len(front))
+	for i := 0; i < n; i++ {
+		row := append(slab[len(slab):], // rows share one slab, as tdf.DecodeBytes lays them out
+			types.NewInt(int64(i)), types.NewBigInt(int64(i)<<33),
+			types.Datum{K: b.Cols[2].Type.Kind, I: int64(i % 977)},
+			types.NewFloat(float64(i)*1.5), types.NewDecimal(int64(i)*10000, b.Cols[4].Type.Scale),
+			types.NewDate(1990+i%40, 1+i%12, 1+i%28), types.NewTimestamp(int64(i)*1e9),
+			types.Datum{K: b.Cols[7].Type.Kind, S: text[:20-i%16*btoi(!identity)]},
+			types.NewString(text[:30+i%20]), types.NewString(text[:30+i%19]), types.NewString(text[:30+i%17]),
+			types.NewString(text[:30+i%13]), types.NewString(text[:30+i%11]))
+		for c := 1; c < len(row); c++ {
+			if (i+c)%10 == 0 {
+				row[c] = types.NewNull(row[c].K)
+			}
+		}
+		slab = slab[:len(slab)+len(row)]
+		b.Rows = append(b.Rows, row[:len(row):len(row)])
+	}
+	return front, b
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func testPlan(t testing.TB, front []xtra.Col, back []tdf.ColumnMeta) *convertPlan {
+	t.Helper()
+	plan, err := newConvertPlan(front, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// convertRowReference is the per-row converter convertPlan replaced, kept as
+// the oracle for the plan's per-cell decisions.
+func convertRowReference(frontCols []xtra.Col, row []types.Datum) ([]types.Datum, error) {
+	if len(row) != len(frontCols) {
+		return nil, fmt.Errorf("row arity %d != %d", len(row), len(frontCols))
+	}
+	out := make([]types.Datum, len(row))
+	for i, d := range row {
+		want := frontCols[i].Type
+		if d.Null {
+			out[i] = types.NewNull(want.Kind)
+			continue
+		}
+		if d.K == want.Kind && (want.Kind != types.KindDecimal || int(d.Scale) == want.Scale) {
+			out[i] = d
+			continue
+		}
+		cast, err := types.Cast(d, want)
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %v", frontCols[i].Name, err)
+		}
+		out[i] = cast
+	}
+	return out, nil
+}
+
+// The plan's output equals the per-row reference cell for cell: on batches
+// that pass through, on batches that are cast, with cells whose kind is not
+// the one their column declares (an in-process backend's).
+func TestConvertBatchMatchesReference(t *testing.T) {
+	check := func(name string, front []xtra.Col, b *tdf.Batch, wantAlias bool) {
+		t.Helper()
+		got, err := testPlan(t, front, b.Cols).convertBatch(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(b.Rows) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(b.Rows))
+		}
+		for ri, row := range b.Rows {
+			want, err := convertRowReference(front, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[ri], want) {
+				t.Fatalf("%s: row %d = %v, want %v", name, ri, got[ri], want)
+			}
+		}
+		if alias := &got[0][0] == &b.Rows[0][0]; alias != wantAlias {
+			t.Errorf("%s: result aliases the batch = %v, want %v", name, alias, wantAlias)
+		}
+	}
+	front, cast := wideFixture(300, false)
+	check("cast", front, cast, false)
+	front, same := wideFixture(300, true)
+	check("identity", front, same, true)
+	// Declared identical, but one cell is an INTEGER in a BIGINT column.
+	front, stray := wideFixture(300, true)
+	stray.Rows[299][1] = types.NewInt(7)
+	check("stray kind", front, stray, false)
+
+	// Errors name the column.
+	front, bad := wideFixture(300, false)
+	bad.Rows[299][2] = types.NewString("not a number")
+	if _, err := testPlan(t, front, bad.Cols).convertBatch(bad); err == nil || !strings.Contains(err.Error(), "column qty") {
+		t.Errorf("cast failure: %v", err)
+	}
+	bad.Rows[0] = bad.Rows[0][:5]
+	if _, err := testPlan(t, front, bad.Cols).convertBatch(bad); err == nil || !strings.Contains(err.Error(), "arity") {
+		t.Errorf("short row: %v", err)
+	}
+	if _, err := newConvertPlan(front[:3], bad.Cols); err == nil {
+		t.Error("column count mismatch accepted")
+	}
+}
+
+// sharedDriver is a backend whose sessions all answer any SELECT from the
+// same materialized result, replayed through odbc.BufferStream — the shape of
+// a canned or cached backend, where a batch outlives the request it serves.
+type sharedDriver struct {
+	results []*cwp.StatementResult
+}
+
+func (d *sharedDriver) Connect() (odbc.Executor, error) { return &sharedExecutor{d}, nil }
+
+type sharedExecutor struct{ d *sharedDriver }
+
+func (e *sharedExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
+	return e.ExecContext(context.Background(), sql)
+}
+
+func (e *sharedExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
+	if strings.HasPrefix(sql, "SELECT") {
+		return e.d.results, nil
+	}
+	return []*cwp.StatementResult{{Command: "OK"}}, nil
+}
+
+func (e *sharedExecutor) ExecStream(ctx context.Context, sql string) (odbc.ResultStream, error) {
+	results, err := e.ExecContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return odbc.BufferStream(results), nil
+}
+
+func (e *sharedExecutor) Close() error { return nil }
+
+// recordingWriter keeps a deep copy of everything a request writes.
+type recordingWriter struct {
+	cols    []tdp.ColumnDef
+	rows    [][]types.Datum
+	ended   []string
+	failure string
+}
+
+func (w *recordingWriter) BeginResultSet(cols []tdp.ColumnDef) error {
+	w.cols = append([]tdp.ColumnDef(nil), cols...)
+	return nil
+}
+
+func (w *recordingWriter) Row(row []types.Datum) error {
+	w.rows = append(w.rows, append([]types.Datum(nil), row...))
+	return nil
+}
+
+func (w *recordingWriter) EndStatement(activity int64, name string) error {
+	w.ended = append(w.ended, fmt.Sprintf("%s %d", name, activity))
+	return nil
+}
+
+func (w *recordingWriter) Failure(code int, msg string) error {
+	w.failure = fmt.Sprintf("%d %s", code, msg)
+	return nil
+}
+
+func cloneBatches(batches []*tdf.Batch) []*tdf.Batch {
+	out := make([]*tdf.Batch, len(batches))
+	for i, b := range batches {
+		c := &tdf.Batch{Cols: append([]tdf.ColumnMeta(nil), b.Cols...)}
+		for _, row := range b.Rows {
+			c.Rows = append(c.Rows, append([]types.Datum(nil), row...))
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// A batch replayed from a materialized result is shared by every request
+// that is answered from it, so conversion must leave it as it found it — on
+// the streamed path and on the buffered one, for cast and for pass-through
+// statements.
+func TestConvertDoesNotMutateSharedBatch(t *testing.T) {
+	eng := engine.New(dialect.CloudA())
+	if _, err := eng.NewSession().ExecSQL(`CREATE TABLE shared_t (
+		id INTEGER, big BIGINT, qty INTEGER, score FLOAT, price DECIMAL(12,2), d DATE, ts TIMESTAMP,
+		code CHAR(20), n1 VARCHAR(50), n2 VARCHAR(50), n3 VARCHAR(50), n4 VARCHAR(50), n5 VARCHAR(50))`); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name             string
+		identity, stream bool
+	}{
+		{"cast/streamed", false, true}, {"cast/buffered", false, false},
+		{"identity/streamed", true, true}, {"identity/buffered", true, false},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			front, b1 := wideFixture(700, mode.identity)
+			_, b2 := wideFixture(40, mode.identity)
+			shared := []*cwp.StatementResult{{Cols: b1.Cols, Batches: []*tdf.Batch{b1, b2}, Command: "SELECT"}}
+			before := cloneBatches(shared[0].Batches)
+			g, err := New(Config{
+				Target:           dialect.CloudA(),
+				Driver:           &sharedDriver{results: shared},
+				Catalog:          eng.Catalog().Clone(),
+				DisableStreaming: !mode.stream,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := g.Logon("app", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var replies [2]recordingWriter
+			for i := range replies {
+				if err := sess.Request("SEL * FROM shared_t", &replies[i]); err != nil {
+					t.Fatal(err)
+				}
+				if replies[i].failure != "" {
+					t.Fatalf("request %d failed: %s", i, replies[i].failure)
+				}
+			}
+			if !reflect.DeepEqual(shared[0].Batches, before) {
+				t.Fatal("conversion changed the shared source batches")
+			}
+			if !reflect.DeepEqual(replies[0], replies[1]) {
+				t.Fatal("the same shared result produced two different responses")
+			}
+			got := replies[0]
+			if len(got.rows) != 740 || len(got.cols) != len(front) || !reflect.DeepEqual(got.ended, []string{"SELECT 740"}) {
+				t.Fatalf("response: %d rows, %d cols, ended %v", len(got.rows), len(got.cols), got.ended)
+			}
+			for ri, row := range append(append([][]types.Datum(nil), b1.Rows...), b2.Rows...) {
+				want, err := convertRowReference(front, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.rows[ri], want) {
+					t.Fatalf("row %d = %v, want %v", ri, got.rows[ri], want)
+				}
+			}
+			if m := g.MetricsSnapshot(); mode.stream != (m.StreamedResults == 2) {
+				t.Errorf("streamed results = %d with streaming %v", m.StreamedResults, mode.stream)
+			}
+		})
+	}
+}
+
+var sinkRows [][]types.Datum
+
+func BenchmarkConvertBatch(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		identity bool
+	}{{"cast3of13", false}, {"identity", true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			front, batch := wideFixture(1024, shape.identity)
+			plan := testPlan(b, front, batch.Cols)
+			b.SetBytes(int64(batch.EncodedSize()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if sinkRows, err = plan.convertBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Converting a batch costs two allocations (the datum slab and the row
+// index) plus whatever types.Cast allocates for the cells it rewrites — here
+// the padded string of each short non-NULL CHAR cell — and none at all when
+// the batch passes through; the converter itself allocates nothing per row.
+func TestConvertAllocsPerBatch(t *testing.T) {
+	perBatch := func(rows int, identity bool) (allocs float64, padded int) {
+		front, batch := wideFixture(rows, identity)
+		plan := testPlan(t, front, batch.Cols)
+		for _, row := range batch.Rows {
+			if !row[7].Null && len(row[7].S) < 20 {
+				padded++
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := plan.convertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}), padded
+	}
+	for _, rows := range []int{64, 1024} {
+		if allocs, _ := perBatch(rows, true); allocs != 0 {
+			t.Errorf("%d identity rows: %.0f allocations, want 0", rows, allocs)
+		}
+		if allocs, padded := perBatch(rows, false); allocs > float64(2+padded) {
+			t.Errorf("%d cast rows: %.0f allocations, want <= 2 + one per padded CHAR (%d)", rows, allocs, padded)
+		}
+	}
+}

@@ -11,7 +11,6 @@ package hyperq
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,16 +51,22 @@ type Config struct {
 	// batches. 0 selects 4.
 	StreamDepth int
 	// ResultMemoryCap is the gateway-wide hard cap on in-flight streamed
-	// result bytes across all sessions. A request whose next batch would
-	// push the gauge past the cap is shed with CodeGatewaySaturated rather
-	// than ballooning gateway memory. 0 selects 256 MiB.
+	// result bytes across all sessions. A request is shed with
+	// CodeGatewaySaturated, rather than ballooning gateway memory, when its
+	// next batch would push the gauge past the cap, or when that batch and
+	// its predecessor in the same request — resident at once — together
+	// exceed the cap. 0 selects 256 MiB.
 	ResultMemoryCap int
 	// DisableStreaming forces every result set through the buffered
 	// TDF-store path (the pre-streaming behaviour) — the reference side of
 	// the streamed-vs-buffered differential tests.
 	DisableStreaming bool
-	// ConvertWorkers is the parallel result-conversion degree (§4.6:
-	// "conversion operation happens in parallel"). 0 selects GOMAXPROCS.
+	// ConvertWorkers is ignored: a batch is converted by the goroutine that
+	// holds it. It was the §4.6 parallel conversion degree, but batches hold
+	// at most 1,024 rows (≤ 0.5 ms to convert, BenchmarkConvertBatch) and no
+	// measured workload gains from splitting one. The field remains so
+	// existing callers compile; ROADMAP item 3 has the condition for bringing
+	// the parallelism back.
 	ConvertWorkers int
 	// Stats, when non-nil, accumulates per-request feature statistics (the
 	// §7.1 instrumentation).
@@ -240,9 +245,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.ResultMemoryCap == 0 {
 		cfg.ResultMemoryCap = 256 << 20
-	}
-	if cfg.ConvertWorkers == 0 {
-		cfg.ConvertWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 4096

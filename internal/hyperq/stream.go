@@ -124,11 +124,13 @@ func (s *Session) streamable(frontCols []xtra.Col) bool {
 }
 
 // streamItem is one unit flowing through the three-stage pipeline. Exactly
-// one of cols / batch / rows / complete / err is meaningful; bytes carries
+// one of cols / front / batch / rows / complete / err is meaningful (the
+// convert stage turns cols into front and batch into rows); bytes carries
 // the accountant reservation attached to a batch until its rows are
 // delivered.
 type streamItem struct {
 	cols     []tdf.ColumnMeta
+	front    []tdp.ColumnDef
 	batch    *tdf.Batch
 	rows     [][]types.Datum
 	bytes    int64
@@ -140,7 +142,7 @@ type streamItem struct {
 }
 
 // execStreamed is the streaming counterpart of execTranslated's
-// execute+convert phase: fetch → parallel convert → frontend write run as a
+// execute+convert phase: fetch → convert → frontend write run as a
 // bounded three-stage pipeline. Backpressure is end-to-end: a slow client
 // stalls the write stage, the bounded channels fill, the fetch stage stops
 // pulling, and the backend's own socket writes block — bounded by the
@@ -206,6 +208,14 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 		// statement completed — is a backend that died mid-request and must
 		// surface as a failure, never as a successful empty result.
 		statementOpen, sawComplete := false, false
+		capBytes := int64(g.cfg.ResultMemoryCap)
+		var prevSize int64 // the request's previous batch, 0 before the first
+		shed := func() {
+			select {
+			case fetched <- streamItem{err: errResultShed}:
+			case <-pctx.Done():
+			}
+		}
 		for {
 			ev, err := st.Next(pctx)
 			if err != nil {
@@ -231,6 +241,15 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 				item = streamItem{complete: true, command: ev.Command, affected: ev.Affected}
 			case cwp.StreamBatch:
 				size := int64(ev.Batch.EncodedSize())
+				// The backend stream's reader was receiving this batch while
+				// its predecessor was being written, so the two were
+				// resident together whether or not the predecessor's
+				// reservation happens to have been released by now: a pair
+				// the cap cannot hold sheds on every run, not on a lost race.
+				if capBytes > 0 && prevSize > 0 && prevSize+size > capBytes {
+					shed()
+					return
+				}
 				// Per-session budget: wait for in-flight bytes to drain
 				// before admitting the next batch. A single batch larger
 				// than the whole budget is admitted while the pipeline is
@@ -244,12 +263,10 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 					}
 				}
 				if !g.acquireResultBytes(size) {
-					select {
-					case fetched <- streamItem{err: errResultShed}:
-					case <-pctx.Done():
-					}
+					shed()
 					return
 				}
+				prevSize = size
 				atomic.AddInt64(&sessInflight, size)
 				atomic.AddInt64(&acquired, size)
 				item = streamItem{batch: ev.Batch, bytes: size}
@@ -264,17 +281,33 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 		}
 	}()
 
-	// Stage 2: convert. One batch at a time in arrival order (so row order
-	// is preserved), each batch split across the §4.6 worker pool inside
-	// convertBatch.
+	// Stage 2: convert. The statement's plan is compiled when its column
+	// metadata arrives; batches are then converted one at a time in arrival
+	// order, so row order is preserved.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(converted)
+		var plan *convertPlan
 		for item := range fetched {
-			if item.batch != nil {
+			switch {
+			case item.cols != nil:
+				var err error
+				if plan, err = newConvertPlan(frontCols, item.cols); err != nil {
+					item = streamItem{err: err, convErr: true}
+				} else {
+					item = streamItem{front: plan.cols}
+				}
+			case item.batch != nil:
 				t := time.Now()
-				rows, err := s.convertBatch(frontCols, item.batch)
+				var rows [][]types.Datum
+				var err error
+				if plan == nil { // rows without a metadata event: the batch describes itself
+					plan, err = newConvertPlan(frontCols, item.batch.Cols)
+				}
+				if err == nil {
+					rows, err = plan.convertBatch(item.batch)
+				}
 				atomic.AddInt64(&convertNs, int64(time.Since(t)))
 				if err != nil {
 					item = streamItem{err: err, bytes: item.bytes, convErr: true}
@@ -314,11 +347,6 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 	var streamErr error
 	convFail := false
 
-	cols := make([]tdp.ColumnDef, len(frontCols))
-	for i, c := range frontCols {
-		cols[i] = tdp.ColumnDef{Name: c.Name, Type: c.Type}
-	}
-
 writeLoop:
 	for item := range converted {
 		switch {
@@ -327,13 +355,8 @@ writeLoop:
 			streamErr = item.err
 			convFail = item.convErr
 			break writeLoop
-		case item.cols != nil:
-			if len(item.cols) != len(frontCols) {
-				streamErr = fmt.Errorf("backend returned %d columns, expected %d", len(item.cols), len(frontCols))
-				convFail = true
-				break writeLoop
-			}
-			if streamErr = fw.begin(cols); streamErr != nil {
+		case item.front != nil:
+			if streamErr = fw.begin(item.front); streamErr != nil {
 				break writeLoop
 			}
 			inResultSet = true

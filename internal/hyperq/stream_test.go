@@ -433,6 +433,68 @@ func TestStreamingResultMemoryCapSheds(t *testing.T) {
 	}
 }
 
+// With a cap that holds several batches the gauge itself does the shedding:
+// a client that stops reading lets the pipeline fill until the next batch
+// no longer fits, and the gauge never exceeds the cap on the way.
+func TestStreamingResultMemoryCapShedsStalledClient(t *testing.T) {
+	target := dialect.CloudA()
+	eng := bigTableEngine(t, target, 40) // 64000 rows ≈ 19.5 MiB: more than the sockets buffer
+	const capBytes = 1 << 20             // three batches
+	st := newStreamStack(t, target, eng, Config{ResultMemoryCap: capBytes}, tdp.Options{})
+
+	c := dialRaw(t, st.addr)
+	defer c.close()
+	c.request("SEL PAD FROM BIG")
+	// Stall until the pipeline has stopped moving: the refusal travels behind
+	// the batches stuck at the blocked frontend write and reaches the client
+	// once it reads on.
+	deadline := time.Now().Add(15 * time.Second)
+	for last, still := int64(-1), 0; still < 20 && st.g.MetricsSnapshot().ResultShed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("request neither shed nor stalled")
+		}
+		time.Sleep(10 * time.Millisecond)
+		if got := st.g.ResultInflightBytes(); got > 0 && got == last {
+			still++
+		} else {
+			last, still = got, 0
+		}
+	}
+	// readReply drains one response and returns its failure code (0: none).
+	readReply := func() (code int) {
+		for {
+			kind, payload, err := c.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch kind {
+			case tdp.MsgFailure:
+				code = int(wire.NewReader(payload).U32())
+			case tdp.MsgEndRequest:
+				return code
+			}
+		}
+	}
+	if code := readReply(); code != tdp.CodeGatewaySaturated {
+		t.Fatalf("failure code = %d, want gateway-saturated failure", code)
+	}
+	m := st.g.MetricsSnapshot()
+	if m.ResultShed != 1 {
+		t.Errorf("result shed = %d, want 1", m.ResultShed)
+	}
+	if m.ResultPeakBytes > capBytes {
+		t.Errorf("in-flight peak %d exceeded the %d cap", m.ResultPeakBytes, capBytes)
+	}
+	if got := st.g.ResultInflightBytes(); got != 0 {
+		t.Errorf("in-flight gauge = %d, want 0", got)
+	}
+	// The session survives shedding.
+	c.request("SEL COUNT(*) FROM BIG")
+	if code := readReply(); code != 0 {
+		t.Fatalf("session did not survive the shed: failure %d", code)
+	}
+}
+
 // proxyBackend forwards TCP between the gateway and the backend, severing
 // each connection with a FIN after cutAfter backend→gateway bytes — a
 // backend process dying mid-result, as the gateway's socket actually sees

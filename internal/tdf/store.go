@@ -2,7 +2,9 @@ package tdf
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -20,9 +22,12 @@ type Store struct {
 	// memBatches holds the in-memory prefix.
 	memBatches []*Batch
 	memBytes   int
-	// spill is the overflow file; nil until first spill.
-	spill     *os.File
-	spillW    *bufio.Writer
+	// spill is the overflow file, a sequence of u32-length-prefixed encoded
+	// batches; nil until first spill.
+	spill  *os.File
+	spillW *bufio.Writer
+	// scratch holds one encoded batch on its way to or from the spill file.
+	scratch   []byte
 	spilled   int // batches written to disk
 	totalRows int
 	sealed    bool
@@ -56,7 +61,13 @@ func (s *Store) Append(b *Batch) error {
 		s.spill = f
 		s.spillW = bufio.NewWriterSize(f, 1<<16)
 	}
-	if err := b.Encode(s.spillW); err != nil {
+	enc, err := b.appendTo(append(s.scratch[:0], 0, 0, 0, 0))
+	if err != nil {
+		return err
+	}
+	s.scratch = enc
+	binary.LittleEndian.PutUint32(enc, uint32(len(enc)-4))
+	if _, err := s.spillW.Write(enc); err != nil {
 		return err
 	}
 	s.spilled++
@@ -114,7 +125,7 @@ func (s *Store) Drain(fn func(*Batch) error) error {
 		}
 		r := bufio.NewReaderSize(s.spill, 1<<16)
 		for i := 0; i < s.spilled; i++ {
-			b, err := Decode(r)
+			b, err := s.readSpilled(r)
 			if err != nil {
 				return fmt.Errorf("tdf: reading spill batch %d: %w", i, err)
 			}
@@ -126,6 +137,23 @@ func (s *Store) Drain(fn func(*Batch) error) error {
 	return nil
 }
 
+// readSpilled reads the next length-prefixed batch of the spill file.
+func (s *Store) readSpilled(r *bufio.Reader) (*Batch, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	_, _ = r.Discard(4) // cannot fail after Peek(4)
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, s.scratch[:n]); err != nil {
+		return nil, err
+	}
+	return DecodeBytes(s.scratch[:n])
+}
+
 // Close releases resources without draining.
 func (s *Store) Close() {
 	s.mu.Lock()
@@ -135,6 +163,7 @@ func (s *Store) Close() {
 
 func (s *Store) cleanupLocked() {
 	s.memBatches = nil
+	s.scratch = nil
 	if s.spill != nil {
 		name := s.spill.Name()
 		_ = s.spill.Close()

@@ -8,6 +8,7 @@
 package tdf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -123,116 +124,125 @@ func (b *Batch) EncodedSize() int {
 // IEEE754 bits for FLOAT, u32-length-prefixed bytes for strings, two 8-byte
 // values for PERIOD.
 func (b *Batch) Encode(w io.Writer) error {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.Cols)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Rows)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	p, err := b.appendTo(nil)
+	if err != nil {
 		return err
 	}
+	_, err = w.Write(p)
+	return err
+}
+
+// appendTo appends the batch's encoding to dst. Rows without columns have no
+// encoding a decoder could bound by its input, so they are refused here as
+// they are in DecodeBytes.
+func (b *Batch) appendTo(dst []byte) ([]byte, error) {
+	if len(b.Cols) == 0 && len(b.Rows) > 0 {
+		return nil, fmt.Errorf("tdf: %d rows without columns", len(b.Rows))
+	}
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, Magic)
+	dst = le.AppendUint32(dst, uint32(len(b.Cols)))
+	dst = le.AppendUint32(dst, uint32(len(b.Rows)))
 	for _, c := range b.Cols {
 		tag, err := kindToTag(c.Type.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		aux := int32(c.Type.Scale)
 		if c.Type.Kind == types.KindPeriod {
 			t2, err := kindToTag(c.Type.Elem)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			aux = int32(t2)
 		}
-		var ch [7]byte
-		ch[0] = tag
-		binary.LittleEndian.PutUint32(ch[1:], uint32(aux))
-		binary.LittleEndian.PutUint16(ch[5:], uint16(len(c.Name)))
-		if _, err := w.Write(ch[:]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, c.Name); err != nil {
-			return err
-		}
+		dst = append(dst, tag)
+		dst = le.AppendUint32(dst, uint32(aux))
+		dst = le.AppendUint16(dst, uint16(len(c.Name)))
+		dst = append(dst, c.Name...)
 	}
 	for _, row := range b.Rows {
 		if len(row) != len(b.Cols) {
-			return fmt.Errorf("tdf: row arity %d != %d", len(row), len(b.Cols))
+			return nil, fmt.Errorf("tdf: row arity %d != %d", len(row), len(b.Cols))
 		}
 		for i, d := range row {
-			if err := encodeDatum(w, b.Cols[i].Type, d); err != nil {
-				return err
+			if d.Null {
+				dst = append(dst, 0)
+				continue
+			}
+			dst = append(dst, 1)
+			switch b.Cols[i].Type.Kind {
+			case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
+				types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
+				dst = le.AppendUint64(dst, uint64(d.I))
+			case types.KindFloat:
+				dst = le.AppendUint64(dst, math.Float64bits(d.F))
+			case types.KindChar, types.KindVarChar, types.KindBytes:
+				dst = le.AppendUint32(dst, uint32(len(d.S)))
+				dst = append(dst, d.S...)
+			case types.KindPeriod:
+				dst = le.AppendUint64(dst, uint64(d.PStart))
+				dst = le.AppendUint64(dst, uint64(d.PEnd))
 			}
 		}
 	}
-	return nil
+	return dst, nil
 }
 
-func encodeDatum(w io.Writer, t types.T, d types.Datum) error {
-	if d.Null {
-		_, err := w.Write([]byte{0})
-		return err
-	}
-	if _, err := w.Write([]byte{1}); err != nil {
-		return err
-	}
-	var buf [16]byte
-	switch t.Kind {
-	case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
-		types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
-		binary.LittleEndian.PutUint64(buf[:8], uint64(d.I))
-		_, err := w.Write(buf[:8])
-		return err
-	case types.KindFloat:
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(d.F))
-		_, err := w.Write(buf[:8])
-		return err
-	case types.KindChar, types.KindVarChar, types.KindBytes:
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(d.S)))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, d.S)
-		return err
-	case types.KindPeriod:
-		binary.LittleEndian.PutUint64(buf[:8], uint64(d.PStart))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(d.PEnd))
-		_, err := w.Write(buf[:16])
-		return err
-	case types.KindNull:
-		return nil
-	}
-	return fmt.Errorf("tdf: cannot encode kind %v", t.Kind)
-}
+var errTruncated = fmt.Errorf("tdf: truncated batch: %w", io.ErrUnexpectedEOF)
 
-// Decode reads one batch.
+// Decode reads r to EOF and decodes the one batch it holds; anything after
+// that batch is an error. To read batches back to back from one reader,
+// frame them (as the spill file does) and hand each frame to DecodeBytes.
 func Decode(r io.Reader) (*Batch, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// A sized reader (bytes.Reader, bytes.Buffer): one read, no regrowth.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
+	return DecodeBytes(buf.Bytes())
+}
+
+// DecodeBytes decodes the batch p holds; p must end where the batch does.
+// The batch does not alias p. Its cost is a handful of allocations however
+// many rows it holds: every row is a window of one []Datum slab and every
+// string cell a substring of one copy of p, so a string cell keeps that copy
+// alive for as long as the cell is referenced.
+//
+// Counts and lengths in p are untrusted: each is checked against the bytes
+// that remain (a cell occupies at least its presence byte) before anything
+// is allocated for it.
+func DecodeBytes(p []byte) (*Batch, error) {
+	le := binary.LittleEndian
+	if len(p) < 12 {
+		return nil, errTruncated
+	}
+	if le.Uint32(p) != Magic {
 		return nil, fmt.Errorf("tdf: bad magic")
 	}
-	ncols := int(binary.LittleEndian.Uint32(hdr[4:]))
-	nrows := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if ncols > 1<<16 || nrows > 1<<30 {
-		return nil, fmt.Errorf("tdf: implausible header (%d cols, %d rows)", ncols, nrows)
+	nc, nr := le.Uint32(p[4:]), le.Uint32(p[8:])
+	off := 12
+	if uint64(nc) > uint64(len(p)-off)/7 {
+		return nil, fmt.Errorf("tdf: %d columns in %d bytes: %w", nc, len(p), errTruncated)
 	}
-	b := &Batch{Cols: make([]ColumnMeta, ncols)}
-	for i := 0; i < ncols; i++ {
-		var ch [7]byte
-		if _, err := io.ReadFull(r, ch[:]); err != nil {
-			return nil, err
+	cols := make([]ColumnMeta, nc)
+	hasText := false
+	for i := range cols {
+		if len(p)-off < 7 {
+			return nil, errTruncated
 		}
-		kind, err := tagToKind(ch[0])
+		kind, err := tagToKind(p[off])
 		if err != nil {
 			return nil, err
 		}
-		aux := int32(binary.LittleEndian.Uint32(ch[1:]))
-		nameLen := int(binary.LittleEndian.Uint16(ch[5:]))
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, err
+		aux := int32(le.Uint32(p[off+1:]))
+		nameLen := int(le.Uint16(p[off+5:]))
+		off += 7
+		if len(p)-off < nameLen {
+			return nil, errTruncated
 		}
 		t := types.T{Kind: kind}
 		switch kind {
@@ -240,76 +250,79 @@ func Decode(r io.Reader) (*Batch, error) {
 			t.Scale = int(aux)
 			t.Precision = 18
 		case types.KindPeriod:
-			ek, err := tagToKind(uint8(aux))
-			if err != nil {
+			if t.Elem, err = tagToKind(uint8(aux)); err != nil {
 				return nil, err
 			}
-			t.Elem = ek
+		case types.KindChar, types.KindVarChar, types.KindBytes:
+			hasText = true
 		}
-		b.Cols[i] = ColumnMeta{Name: string(name), Type: t}
+		cols[i] = ColumnMeta{Name: string(p[off : off+nameLen]), Type: t}
+		off += nameLen
 	}
-	b.Rows = make([][]types.Datum, nrows)
-	for ri := 0; ri < nrows; ri++ {
-		row := make([]types.Datum, ncols)
-		for ci := 0; ci < ncols; ci++ {
-			d, err := decodeDatum(r, b.Cols[ci].Type)
-			if err != nil {
-				return nil, err
+	if nc == 0 && nr != 0 || nc != 0 && uint64(nr) > uint64(len(p)-off)/uint64(nc) {
+		return nil, fmt.Errorf("tdf: %d rows of %d columns in %d bytes: %w", nr, nc, len(p)-off, errTruncated)
+	}
+	ncols, nrows := int(nc), int(nr)
+	var text string // same offsets as p
+	if hasText {
+		text = string(p)
+	}
+	slab := make([]types.Datum, nrows*ncols)
+	rows := make([][]types.Datum, nrows)
+	for ri := range rows {
+		row := slab[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
+		rows[ri] = row
+		for ci := range row {
+			if off >= len(p) {
+				return nil, errTruncated
 			}
-			row[ci] = d
+			t := &cols[ci].Type
+			d := &row[ci]
+			d.K = t.Kind
+			off++
+			if p[off-1] == 0 {
+				d.Null = true
+				continue
+			}
+			switch t.Kind {
+			case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
+				types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
+				if len(p)-off < 8 {
+					return nil, errTruncated
+				}
+				d.I = int64(le.Uint64(p[off:]))
+				d.Scale = int8(t.Scale) // zero except for DECIMAL
+				off += 8
+			case types.KindFloat:
+				if len(p)-off < 8 {
+					return nil, errTruncated
+				}
+				d.F = math.Float64frombits(le.Uint64(p[off:]))
+				off += 8
+			case types.KindChar, types.KindVarChar, types.KindBytes:
+				if len(p)-off < 4 {
+					return nil, errTruncated
+				}
+				n := int(le.Uint32(p[off:]))
+				off += 4
+				if uint64(n) > uint64(len(p)-off) {
+					return nil, fmt.Errorf("tdf: string of %d bytes with %d left: %w", n, len(p)-off, errTruncated)
+				}
+				d.S = text[off : off+n]
+				off += n
+			case types.KindPeriod:
+				if len(p)-off < 16 {
+					return nil, errTruncated
+				}
+				*d = types.NewPeriod(t.Elem, int64(le.Uint64(p[off:])), int64(le.Uint64(p[off+8:])))
+				off += 16
+			case types.KindNull:
+				d.Null = true
+			}
 		}
-		b.Rows[ri] = row
 	}
-	return b, nil
-}
-
-func decodeDatum(r io.Reader, t types.T) (types.Datum, error) {
-	var p [1]byte
-	if _, err := io.ReadFull(r, p[:]); err != nil {
-		return types.Datum{}, err
+	if off != len(p) {
+		return nil, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
 	}
-	if p[0] == 0 {
-		return types.NewNull(t.Kind), nil
-	}
-	var buf [16]byte
-	switch t.Kind {
-	case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
-		types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
-		if _, err := io.ReadFull(r, buf[:8]); err != nil {
-			return types.Datum{}, err
-		}
-		d := types.Datum{K: t.Kind, I: int64(binary.LittleEndian.Uint64(buf[:8]))}
-		if t.Kind == types.KindDecimal {
-			d.Scale = int8(t.Scale)
-		}
-		return d, nil
-	case types.KindFloat:
-		if _, err := io.ReadFull(r, buf[:8]); err != nil {
-			return types.Datum{}, err
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))), nil
-	case types.KindChar, types.KindVarChar, types.KindBytes:
-		if _, err := io.ReadFull(r, buf[:4]); err != nil {
-			return types.Datum{}, err
-		}
-		n := binary.LittleEndian.Uint32(buf[:4])
-		if n > 1<<28 {
-			return types.Datum{}, fmt.Errorf("tdf: implausible string length %d", n)
-		}
-		s := make([]byte, n)
-		if _, err := io.ReadFull(r, s); err != nil {
-			return types.Datum{}, err
-		}
-		return types.Datum{K: t.Kind, S: string(s)}, nil
-	case types.KindPeriod:
-		if _, err := io.ReadFull(r, buf[:16]); err != nil {
-			return types.Datum{}, err
-		}
-		return types.NewPeriod(t.Elem,
-			int64(binary.LittleEndian.Uint64(buf[:8])),
-			int64(binary.LittleEndian.Uint64(buf[8:]))), nil
-	case types.KindNull:
-		return types.NewNull(types.KindNull), nil
-	}
-	return types.Datum{}, fmt.Errorf("tdf: cannot decode kind %v", t.Kind)
+	return &Batch{Cols: cols, Rows: rows}, nil
 }

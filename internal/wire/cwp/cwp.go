@@ -7,9 +7,12 @@
 package cwp
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"time"
@@ -188,6 +191,12 @@ func metaFromCols(cols []xtra.Col) []tdf.ColumnMeta {
 // Client is a CWP connection (the driver the ODBC Server abstraction loads).
 type Client struct {
 	conn net.Conn
+	// in buffers every read of the session: a message's header and payload,
+	// and a run of small messages, cost one read syscall instead of two each.
+	in *bufio.Reader
+	// payload is the backing array readEvent reads each message into; nothing
+	// decoded from a message aliases it. See maxRetainedPayload.
+	payload []byte
 	// broken marks the connection protocol-desynchronized: an abandoned
 	// stream or a partially written request left responses in flight that no
 	// reader will consume. Every subsequent request fails fast.
@@ -226,7 +235,8 @@ func DialContext(ctx context.Context, addr, user, password string) (*Client, err
 		conn.Close()
 		return nil, err
 	}
-	kind, payload, err := wire.ReadMessage(conn)
+	in := bufio.NewReaderSize(conn, 32<<10)
+	kind, payload, err := wire.ReadMessage(in)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -240,7 +250,7 @@ func DialContext(ctx context.Context, addr, user, password string) (*Client, err
 		conn.Close()
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, in: in}, nil
 }
 
 // StatementResult is the outcome of one statement within a request.
@@ -294,43 +304,75 @@ func (c *Client) exec(sql string) ([]*StatementResult, error) {
 	var out []*StatementResult
 	cur := &StatementResult{}
 	for {
-		kind, payload, err := wire.ReadMessage(c.conn)
+		ev, err := c.readEvent()
 		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return out, nil
+			}
 			return nil, err
 		}
-		switch kind {
-		case MsgMeta:
-			cols, err := decodeMeta(payload)
-			if err != nil {
-				return nil, err
-			}
-			cur.Cols = cols
-		case MsgBatch:
-			batch, err := tdf.Decode(bytes.NewReader(payload))
-			if err != nil {
-				return nil, err
-			}
-			cur.Batches = append(cur.Batches, batch)
-		case MsgComplete:
-			r := wire.NewReader(payload)
-			cur.Command = r.String()
-			cur.Affected = r.I64()
+		switch ev.Kind {
+		case StreamMeta:
+			cur.Cols = ev.Cols
+		case StreamBatch:
+			cur.Batches = append(cur.Batches, ev.Batch)
+		case StreamComplete:
+			cur.Command, cur.Affected = ev.Command, ev.Affected
 			out = append(out, cur)
 			cur = &StatementResult{}
-		case MsgError:
-			r := wire.NewReader(payload)
-			code := r.U32()
-			msg := r.String()
-			// Consume the trailing End.
-			if k, _, err := wire.ReadMessage(c.conn); err == nil && k != MsgEnd {
-				return nil, fmt.Errorf("cwp: protocol error after failure")
-			}
-			return nil, &BackendError{Code: int(code), Message: msg}
-		case MsgEnd:
-			return out, nil
-		default:
-			return nil, fmt.Errorf("cwp: unexpected message 0x%02x", kind)
 		}
+	}
+}
+
+// maxRetainedPayload bounds the payload buffer a Client keeps between
+// messages: result batches (a few hundred KB) reuse it, a rare giant message
+// gets a buffer of its own that is dropped after decoding.
+const maxRetainedPayload = 1 << 20
+
+// readEvent reads and decodes the next message of the in-flight request. It
+// is the one reader of both the buffered and the streaming execute. The
+// terminal outcomes are io.EOF at MsgEnd (the request completed, the
+// connection is in sync), a *BackendError (the backend failed the request;
+// its trailing MsgEnd is consumed, the connection is in sync) and anything
+// else (transport or protocol failure: the connection is unusable).
+func (c *Client) readEvent() (StreamEvent, error) {
+	kind, payload, err := wire.ReadMessageInto(c.in, c.payload)
+	if err != nil {
+		// A bare EOF here is the backend dying mid-request (the clean end
+		// of a request is MsgEnd, not a closed socket). io.EOF is the clean-end
+		// sentinel, so it must never leak through as a terminal error or a
+		// killed backend reads as a successful empty result.
+		if errors.Is(err, io.EOF) {
+			err = fmt.Errorf("cwp: connection closed mid-request: %w", io.ErrUnexpectedEOF)
+		}
+		return StreamEvent{}, err
+	}
+	if cap(payload) <= maxRetainedPayload {
+		c.payload = payload
+	}
+	switch kind {
+	case MsgMeta:
+		cols, err := decodeMeta(payload)
+		return StreamEvent{Kind: StreamMeta, Cols: cols}, err
+	case MsgBatch:
+		batch, err := tdf.DecodeBytes(payload)
+		return StreamEvent{Kind: StreamBatch, Batch: batch}, err
+	case MsgComplete:
+		r := wire.NewReader(payload)
+		ev := StreamEvent{Kind: StreamComplete, Command: r.String(), Affected: r.I64()}
+		return ev, r.Err()
+	case MsgError:
+		r := wire.NewReader(payload)
+		be := &BackendError{Code: int(r.U32()), Message: r.String()}
+		// Consume the trailing End so the connection stays in sync.
+		if k, _, err := wire.ReadMessageInto(c.in, c.payload); err != nil || k != MsgEnd {
+			return StreamEvent{}, fmt.Errorf("cwp: protocol error after failure")
+		}
+		return StreamEvent{}, be
+	case MsgEnd:
+		return StreamEvent{}, io.EOF
+	default:
+		return StreamEvent{}, fmt.Errorf("cwp: unexpected message 0x%02x", kind)
 	}
 }
 

@@ -1,0 +1,184 @@
+package cwp
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"testing"
+
+	"hyperq/internal/tdf"
+	"hyperq/internal/types"
+	"hyperq/internal/wire"
+)
+
+// cannedReply is the wire bytes of one statement's result: meta, nbatches
+// batches of rows rows each (13 columns, the shape perf's result_stream
+// returns, a tenth of the nullable cells NULL), complete, end.
+func cannedReply(t testing.TB, nbatches, rows int) []byte {
+	t.Helper()
+	cols := []tdf.ColumnMeta{
+		{Name: "id", Type: types.Int}, {Name: "big", Type: types.BigInt}, {Name: "qty", Type: types.BigInt},
+		{Name: "score", Type: types.Float}, {Name: "price", Type: types.Decimal(12, 4)},
+		{Name: "d", Type: types.Date}, {Name: "ts", Type: types.Timestamp}, {Name: "code", Type: types.VarChar(20)},
+		{Name: "n1", Type: types.VarChar(50)}, {Name: "n2", Type: types.VarChar(50)}, {Name: "n3", Type: types.VarChar(50)},
+		{Name: "n4", Type: types.VarChar(50)}, {Name: "n5", Type: types.VarChar(50)},
+	}
+	const text = "the quick brown fox jumps over the lazy dog 0123456789"
+	batch := &tdf.Batch{Cols: cols}
+	for i := 0; i < rows; i++ {
+		row := []types.Datum{
+			types.NewInt(int64(i)), types.NewBigInt(int64(i) << 33), types.NewBigInt(int64(i % 977)),
+			types.NewFloat(float64(i) * 1.5), types.NewDecimal(int64(i)*10000, 4),
+			types.NewDate(1990+i%40, 1+i%12, 1+i%28), types.NewTimestamp(int64(i) * 1e9), types.NewString(text[:4+i%16]),
+			types.NewString(text[:30+i%20]), types.NewString(text[:30+i%19]), types.NewString(text[:30+i%17]),
+			types.NewString(text[:30+i%13]), types.NewString(text[:30+i%11]),
+		}
+		for c := 1; c < len(row); c++ {
+			if (i+c)%10 == 0 {
+				row[c] = types.NewNull(row[c].K)
+			}
+		}
+		batch.Rows = append(batch.Rows, row)
+	}
+	var enc bytes.Buffer
+	if err := batch.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	var mb wire.Buffer
+	mb.PutU32(uint32(len(cols)))
+	for _, c := range cols {
+		mb.PutString(c.Name)
+		mb.PutU8(uint8(c.Type.Kind))
+		mb.PutU32(uint32(c.Type.Scale))
+		mb.PutU8(uint8(c.Type.Elem))
+	}
+	var cb wire.Buffer
+	cb.PutString("SELECT")
+	cb.PutI64(int64(nbatches * rows))
+	var reply bytes.Buffer
+	put := func(kind byte, payload []byte) {
+		if err := wire.WriteMessage(&reply, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(MsgMeta, mb.Bytes())
+	for i := 0; i < nbatches; i++ {
+		put(MsgBatch, enc.Bytes())
+	}
+	put(MsgComplete, cb.Bytes())
+	put(MsgEnd, nil)
+	return reply.Bytes()
+}
+
+// serveCanned answers every query on every connection with reply.
+func serveCanned(t testing.TB, reply []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				in := bufio.NewReader(conn)
+				if _, _, err := wire.ReadMessage(in); err != nil {
+					return
+				}
+				var ok wire.Buffer
+				ok.PutString("session")
+				if err := wire.WriteMessage(conn, MsgLogonOK, ok.Bytes()); err != nil {
+					return
+				}
+				for {
+					if kind, _, err := wire.ReadMessage(in); err != nil || kind != MsgQuery {
+						return
+					}
+					if _, err := conn.Write(reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// drain runs one streamed request to its end and returns the rows seen.
+func drain(t testing.TB, c *Client) int {
+	t.Helper()
+	ctx := context.Background()
+	st, err := c.ExecStreamContext(ctx, "SELECT * FROM wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rows := 0
+	for {
+		ev, err := st.Next(ctx)
+		if errors.Is(err, io.EOF) {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == StreamBatch {
+			rows += len(ev.Batch.Rows)
+		}
+	}
+}
+
+func BenchmarkStreamDrain(b *testing.B) {
+	const nbatches, rows = 8, 1024
+	reply := cannedReply(b, nbatches, rows)
+	c, err := Dial(serveCanned(b, reply), "bench", "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.SetBytes(int64(len(reply)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := drain(b, c); got != nbatches*rows {
+			b.Fatalf("drained %d rows", got)
+		}
+	}
+}
+
+// Draining a streamed result costs a fixed number of allocations per batch
+// (the decoder's handful; the payload buffer is reused) plus a fixed number
+// per request, the same for 64-row batches as for 1,024-row ones.
+func TestStreamDrainAllocsPerBatch(t *testing.T) {
+	const nbatches = 8
+	perRequest := func(rows int) float64 {
+		c, err := Dial(serveCanned(t, cannedReply(t, nbatches, rows)), "gate", "gate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		drain(t, c) // grow the payload buffer to the batch size
+		return testing.AllocsPerRun(10, func() {
+			if got := drain(t, c); got != nbatches*rows {
+				t.Fatalf("drained %d rows", got)
+			}
+		})
+	}
+	small, large := perRequest(64), perRequest(1024)
+	// Slack of one per batch: how often the reader goroutine blocks on the
+	// event channel, and so allocates a wait record, varies run to run.
+	if large > small+nbatches {
+		t.Errorf("allocations grow with rows: %.0f per request of 64-row batches, %.0f of 1024-row batches", small, large)
+	}
+	if limit := float64(nbatches*24 + 40); large > limit {
+		t.Errorf("%.0f allocations per %d-batch request, want <= %.0f", large, nbatches, limit)
+	}
+}

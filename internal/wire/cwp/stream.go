@@ -1,7 +1,6 @@
 package cwp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -110,64 +109,12 @@ func (c *Client) ExecStreamContext(ctx context.Context, sql string) (*Stream, er
 func (s *Stream) read() {
 	defer close(s.events)
 	for {
-		kind, payload, err := wire.ReadMessage(s.c.conn)
+		ev, err := s.c.readEvent()
 		if err != nil {
-			// A bare EOF here is the backend dying mid-request (the clean end
-			// of a request is MsgEnd, not a closed socket). io.EOF is the
-			// stream's clean-end sentinel, so it must never leak through as a
-			// terminal error or a killed backend reads as a successful empty
-			// result.
-			if errors.Is(err, io.EOF) {
-				err = fmt.Errorf("cwp: connection closed mid-request: %w", io.ErrUnexpectedEOF)
-			}
 			s.send(streamMsg{err: err})
 			return
 		}
-		switch kind {
-		case MsgMeta:
-			cols, err := decodeMeta(payload)
-			if err != nil {
-				s.send(streamMsg{err: err})
-				return
-			}
-			if !s.send(streamMsg{ev: StreamEvent{Kind: StreamMeta, Cols: cols}}) {
-				return
-			}
-		case MsgBatch:
-			batch, err := tdf.Decode(bytes.NewReader(payload))
-			if err != nil {
-				s.send(streamMsg{err: err})
-				return
-			}
-			if !s.send(streamMsg{ev: StreamEvent{Kind: StreamBatch, Batch: batch}}) {
-				return
-			}
-		case MsgComplete:
-			r := wire.NewReader(payload)
-			ev := StreamEvent{Kind: StreamComplete, Command: r.String(), Affected: r.I64()}
-			if err := r.Err(); err != nil {
-				s.send(streamMsg{err: err})
-				return
-			}
-			if !s.send(streamMsg{ev: ev}) {
-				return
-			}
-		case MsgError:
-			r := wire.NewReader(payload)
-			code := r.U32()
-			msg := r.String()
-			// Consume the trailing End so the connection stays in sync.
-			if k, _, err := wire.ReadMessage(s.c.conn); err != nil || k != MsgEnd {
-				s.send(streamMsg{err: fmt.Errorf("cwp: protocol error after failure")})
-				return
-			}
-			s.send(streamMsg{err: &BackendError{Code: int(code), Message: msg}})
-			return
-		case MsgEnd:
-			s.send(streamMsg{err: io.EOF})
-			return
-		default:
-			s.send(streamMsg{err: fmt.Errorf("cwp: unexpected message 0x%02x", kind)})
+		if !s.send(streamMsg{ev: ev}) {
 			return
 		}
 	}
@@ -279,6 +226,9 @@ func (s *Stream) Err() error {
 func decodeMeta(payload []byte) ([]tdf.ColumnMeta, error) {
 	r := wire.NewReader(payload)
 	n := int(r.U32())
+	if n > len(payload)/10 { // a column is at least 10 bytes
+		return nil, fmt.Errorf("cwp: %d columns in a %d-byte meta message", n, len(payload))
+	}
 	cols := make([]tdf.ColumnMeta, n)
 	for i := 0; i < n; i++ {
 		name := r.String()

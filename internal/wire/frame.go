@@ -9,20 +9,38 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxMessageSize bounds a single message payload (64 MiB).
 const MaxMessageSize = 64 << 20
+
+// coalesceLimit is the largest payload WriteMessage copies behind its header
+// so the frame leaves in one Write: on an unbuffered socket two Writes are
+// two syscalls and, with TCP_NODELAY, two segments. Above it the copy costs
+// more than the second Write.
+const coalesceLimit = 4 << 10
 
 // WriteMessage frames and writes one message.
 func WriteMessage(w io.Writer, kind byte, payload []byte) error {
 	if len(payload) > MaxMessageSize {
 		return fmt.Errorf("wire: message of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// One allocation either way: the frame, or a header that escapes through
+	// the interface call.
+	small := len(payload) <= coalesceLimit
+	size := 5
+	if small {
+		size += len(payload)
+	}
+	frame := make([]byte, 5, size)
+	frame[0] = kind
+	binary.BigEndian.PutUint32(frame[1:], uint32(len(payload)))
+	if small {
+		_, err := w.Write(append(frame, payload...))
+		return err
+	}
+	if _, err := w.Write(frame); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -31,19 +49,36 @@ func WriteMessage(w io.Writer, kind byte, payload []byte) error {
 
 // ReadMessage reads one framed message.
 func ReadMessage(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return ReadMessageInto(r, nil)
+}
+
+// headers recycles the 5-byte header scratch of ReadMessageInto: an array
+// handed to Read through the io.Reader interface escapes, and a message
+// should cost no allocation besides its payload.
+var headers = sync.Pool{New: func() any { return new([5]byte) }}
+
+// ReadMessageInto is ReadMessage with the payload read into buf's backing
+// array when it is large enough, for a caller that is done with one payload
+// before it reads the next.
+func ReadMessageInto(r io.Reader, buf []byte) (byte, []byte, error) {
+	hdr := headers.Get().(*[5]byte)
+	_, err := io.ReadFull(r, hdr[:])
+	kind, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
+	headers.Put(hdr)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxMessageSize {
 		return 0, nil, fmt.Errorf("wire: message of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return kind, buf, nil
 }
 
 // Buffer is a helper for building message payloads.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,5 +116,87 @@ func TestMultipleMessagesSequential(t *testing.T) {
 		if err != nil || kind != i || payload[0] != i {
 			t.Fatalf("message %d: %x %v %v", i, kind, payload, err)
 		}
+	}
+}
+
+// countWriter counts the Writes a frame takes.
+type countWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A small frame leaves in one Write (one syscall and one segment on an
+// unbuffered socket); a large payload is not copied to save the second.
+func TestWriteMessageCoalescesSmallFrames(t *testing.T) {
+	for _, tc := range []struct{ size, writes int }{{0, 1}, {64, 1}, {coalesceLimit, 1}, {coalesceLimit + 1, 2}} {
+		var w countWriter
+		payload := bytes.Repeat([]byte{'x'}, tc.size)
+		if err := WriteMessage(&w, 0x16, payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != tc.writes {
+			t.Errorf("%d-byte payload: %d writes, want %d", tc.size, w.writes, tc.writes)
+		}
+		kind, got, err := ReadMessage(&w.Buffer)
+		if err != nil || kind != 0x16 || !bytes.Equal(got, payload) {
+			t.Errorf("%d-byte payload: read back kind %x, %d bytes, %v", tc.size, kind, len(got), err)
+		}
+	}
+}
+
+// Input that ends before a message, or right after its header, is io.EOF
+// (io.ReadFull's report of a read that got nothing — callers that know they
+// are mid-request map it); input that ends inside the header or the payload
+// is io.ErrUnexpectedEOF.
+func TestReadMessageTruncated(t *testing.T) {
+	var full bytes.Buffer
+	_ = WriteMessage(&full, 0x05, []byte("abcdef"))
+	for n := 0; n < full.Len(); n++ {
+		want := io.ErrUnexpectedEOF
+		if n == 0 || n == 5 {
+			want = io.EOF
+		}
+		if _, _, err := ReadMessage(bytes.NewReader(full.Bytes()[:n])); !errors.Is(err, want) {
+			t.Errorf("%d bytes: err = %v, want %v", n, err, want)
+		}
+	}
+}
+
+func TestReadMessageIntoReusesBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	_ = WriteMessage(&buf, 1, []byte("first"))
+	_ = WriteMessage(&buf, 2, []byte("second, longer than the buffer"))
+	scratch := make([]byte, 0, 8)
+	_, p, err := ReadMessageInto(&buf, scratch)
+	if err != nil || string(p) != "first" || &p[0] != &scratch[:1][0] {
+		t.Fatalf("fitting payload not read into the buffer: %q %v", p, err)
+	}
+	_, p, err = ReadMessageInto(&buf, scratch)
+	if err != nil || string(p) != "second, longer than the buffer" {
+		t.Fatalf("larger payload: %q %v", p, err)
+	}
+}
+
+// One message through the framing costs two allocations: the frame written
+// and the payload read; the header scratch is recycled.
+func TestFrameAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte{'x'}, 64)
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		if err := WriteMessage(&buf, 0x16, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadMessage(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per message, want <= 2", allocs)
 	}
 }

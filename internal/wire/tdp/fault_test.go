@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperq/internal/types"
 	"hyperq/internal/wire"
 )
 
@@ -120,5 +121,78 @@ func TestServeSurvivesTransientAccept(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not exit on closed listener")
+	}
+}
+
+// countConn counts the socket writes and the write deadlines armed on it.
+type countConn struct {
+	net.Conn
+	mu                sync.Mutex
+	writes, deadlines int
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *countConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadlines++
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// rowsHandler answers every request with n one-column rows.
+type rowsHandler struct{ n int }
+
+func (h rowsHandler) Logon(user, password string) (SessionHandler, error) { return h, nil }
+func (h rowsHandler) Close()                                              {}
+
+func (h rowsHandler) Request(sql string, w ResponseWriter) error {
+	if err := w.BeginResultSet([]ColumnDef{{Name: "v", Type: types.Int}}); err != nil {
+		return err
+	}
+	for i := 0; i < h.n; i++ {
+		if err := w.Row([]types.Datum{types.NewInt(int64(i))}); err != nil {
+			return err
+		}
+	}
+	return w.EndStatement(int64(h.n), "SELECT")
+}
+
+// The write deadline is armed once for each write that reaches the socket —
+// a few per buffer-full of parcels — not once per parcel.
+func TestWriteDeadlineArmedPerSocketWrite(t *testing.T) {
+	const rows = 20000
+	server, client := net.Pipe()
+	conn := &countConn{Conn: server}
+	ln := &scriptListener{script: []any{conn}}
+	go func() { _ = ServeOptions(ln, rowsHandler{n: rows}, Options{WriteTimeout: time.Minute}) }()
+
+	var b wire.Buffer
+	b.PutString("u")
+	b.PutString("p")
+	if err := wire.WriteMessage(client, MsgLogon, b.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{conn: client}
+	if kind, _, err := wire.ReadMessage(client); err != nil || kind != MsgLogonOK {
+		t.Fatalf("logon: kind=0x%02x err=%v", kind, err)
+	}
+	stmts, err := c.Request("ROWS")
+	if err != nil || len(stmts) != 1 || len(stmts[0].Rows) != rows {
+		t.Fatalf("request: %v, %+v", err, stmts)
+	}
+	client.Close()
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if conn.deadlines != conn.writes {
+		t.Errorf("%d deadlines armed for %d socket writes", conn.deadlines, conn.writes)
+	}
+	if conn.writes == 0 || conn.writes > rows/100 {
+		t.Errorf("%d socket writes for %d rows", conn.writes, rows)
 	}
 }

@@ -10,7 +10,9 @@ package tdp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -42,52 +44,61 @@ type ColumnDef struct {
 
 // --- row encoding -----------------------------------------------------------
 
-// encodeRow lays a row out in IndicData style: a null-indicator bitmap
-// (one bit per column, set = NULL) followed by the field values of the
+// appendRecord appends one MsgRecord frame to dst: the frame header, then
+// the row laid out in IndicData style — a null-indicator bitmap (u32 length,
+// one bit per column, set = NULL) followed by the field values of the
 // non-null columns. DATE values travel in the vendor's internal integer
-// encoding — bit-identical to the original system.
-func encodeRow(cols []ColumnDef, row []types.Datum) ([]byte, error) {
+// encoding — bit-identical to the original system. On error dst is returned
+// as it came.
+func appendRecord(dst []byte, cols []ColumnDef, row []types.Datum) ([]byte, error) {
 	if len(row) != len(cols) {
-		return nil, fmt.Errorf("tdp: row arity %d != %d", len(row), len(cols))
+		return dst, fmt.Errorf("tdp: row arity %d != %d", len(row), len(cols))
 	}
-	bitmap := make([]byte, (len(cols)+7)/8)
-	var b wire.Buffer
-	for i, d := range row {
-		if d.Null {
-			bitmap[i/8] |= 1 << (7 - i%8)
-		}
+	be := binary.BigEndian
+	start := len(dst)
+	nbitmap := (len(cols) + 7) / 8
+	b := append(dst, MsgRecord, 0, 0, 0, 0) // payload length patched below
+	b = be.AppendUint32(b, uint32(nbitmap))
+	bitmap := len(b)
+	for i := 0; i < nbitmap; i++ {
+		b = append(b, 0)
 	}
-	b.PutBytes(bitmap)
-	for i, d := range row {
+	for i := range row {
+		d := &row[i]
 		if d.Null {
+			b[bitmap+i/8] |= 1 << (7 - i%8)
 			continue
 		}
 		switch cols[i].Type.Kind {
 		case types.KindBool:
-			b.PutU8(uint8(d.I))
-		case types.KindInt:
-			b.PutU32(uint32(int32(d.I)))
+			b = append(b, uint8(d.I))
+		case types.KindInt, types.KindTime:
+			b = be.AppendUint32(b, uint32(int32(d.I)))
 		case types.KindBigInt, types.KindTimestamp, types.KindInterval:
-			b.PutI64(d.I)
+			b = be.AppendUint64(b, uint64(d.I))
 		case types.KindDecimal:
-			b.PutI64(d.DecimalScaled(cols[i].Type.Scale))
+			b = be.AppendUint64(b, uint64(d.DecimalScaled(cols[i].Type.Scale)))
 		case types.KindFloat:
-			b.PutU64(math.Float64bits(d.F))
+			b = be.AppendUint64(b, math.Float64bits(d.F))
 		case types.KindDate:
 			// Teradata internal DATE integer: (y-1900)*10000 + m*100 + d.
-			b.PutU32(uint32(int32(types.TeradataDateInt(d))))
-		case types.KindTime:
-			b.PutU32(uint32(int32(d.I)))
+			b = be.AppendUint32(b, uint32(int32(types.TeradataDateInt(*d))))
 		case types.KindChar, types.KindVarChar, types.KindBytes:
-			b.PutString(d.S)
+			b = be.AppendUint32(b, uint32(len(d.S)))
+			b = append(b, d.S...)
 		case types.KindPeriod:
-			b.PutI64(d.PStart)
-			b.PutI64(d.PEnd)
+			b = be.AppendUint64(b, uint64(d.PStart))
+			b = be.AppendUint64(b, uint64(d.PEnd))
 		default:
-			return nil, fmt.Errorf("tdp: cannot encode kind %v", cols[i].Type.Kind)
+			return dst, fmt.Errorf("tdp: cannot encode kind %v", cols[i].Type.Kind)
 		}
 	}
-	return b.Bytes(), nil
+	n := len(b) - start - 5
+	if n > wire.MaxMessageSize {
+		return dst, fmt.Errorf("tdp: record of %d bytes exceeds the message limit", n)
+	}
+	be.PutUint32(b[start+1:], uint32(n))
+	return b, nil
 }
 
 // DecodeRow parses an IndicData row under the given column metadata.
@@ -247,19 +258,13 @@ func serveConn(conn net.Conn, h Handler, opts Options) {
 	// small, and writing each one straight to the socket costs a syscall per
 	// row. The buffer is flushed at statement boundaries and before reading
 	// the next request.
-	out := bufio.NewWriterSize(conn, 32<<10)
-	// arm pushes the write deadline forward before a response write. The
-	// deadline is per-write, not per-request: a client draining a long
-	// result slowly but steadily is fine; only a reader that stalls
-	// completely for WriteTimeout fails the write (with a net timeout
-	// error) and gets evicted.
-	arm := func() error {
-		if opts.WriteTimeout <= 0 {
-			return nil
-		}
-		return conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+	var sock io.Writer = conn
+	if opts.WriteTimeout > 0 {
+		sock = &deadlineWriter{conn: conn, timeout: opts.WriteTimeout}
 	}
-	kind, payload, err := wire.ReadMessage(conn)
+	out := bufio.NewWriterSize(sock, 32<<10)
+	in := bufio.NewReader(conn)
+	kind, payload, err := wire.ReadMessage(in)
 	if err != nil || kind != MsgLogon {
 		return
 	}
@@ -287,7 +292,7 @@ func serveConn(conn net.Conn, h Handler, opts Options) {
 		return
 	}
 	for {
-		kind, payload, err := wire.ReadMessage(conn)
+		kind, payload, err := wire.ReadMessage(in)
 		if err != nil {
 			return
 		}
@@ -295,20 +300,14 @@ func serveConn(conn net.Conn, h Handler, opts Options) {
 		case MsgRunRequest:
 			r := wire.NewReader(payload)
 			sql := r.String()
-			w := &respWriter{out: out, arm: arm}
+			w := &respWriter{out: out}
 			if err := sess.Request(sql, w); err != nil {
 				return
 			}
 			if !w.failed {
-				if err := arm(); err != nil {
-					return
-				}
 				if err := wire.WriteMessage(out, MsgEndRequest, nil); err != nil {
 					return
 				}
-			}
-			if err := arm(); err != nil {
-				return
 			}
 			if err := out.Flush(); err != nil {
 				return
@@ -321,37 +320,56 @@ func serveConn(conn net.Conn, h Handler, opts Options) {
 	}
 }
 
+// deadlineWriter sits beneath the connection's bufio.Writer and pushes the
+// write deadline forward before each write that reaches the socket. The
+// deadline is per socket write, not per request: a client draining a long
+// result slowly but steadily is fine; only a reader that stalls completely
+// for the timeout fails the write (with a net timeout error) and gets
+// evicted.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
+		return 0, err
+	}
+	return d.conn.Write(p)
+}
+
 type respWriter struct {
 	out    *bufio.Writer
-	arm    func() error // refresh the socket write deadline (nil-safe)
 	cols   []ColumnDef
 	failed bool
 }
 
-func (w *respWriter) armWrite() error {
-	if w.arm == nil {
-		return nil
-	}
-	return w.arm()
-}
-
 func (w *respWriter) BeginResultSet(cols []ColumnDef) error {
 	w.cols = cols
-	if err := w.armWrite(); err != nil {
-		return err
-	}
 	return wire.WriteMessage(w.out, MsgStmtInfo, encodeStmtInfo(cols))
 }
 
+// Row encodes the record straight into the buffered writer's free space, so
+// the Write that follows copies nothing and no row costs an allocation. The
+// buffer is flushed first when the record might not fit in what is left of
+// it (need is an upper bound: no field but a string exceeds 16 bytes); only
+// a record larger than the whole buffer is built on the heap.
 func (w *respWriter) Row(row []types.Datum) error {
-	p, err := encodeRow(w.cols, row)
+	need := 9 + (len(row)+7)/8 + 16*len(row)
+	for i := range row {
+		need += len(row[i].S)
+	}
+	if need > w.out.Available() {
+		if err := w.out.Flush(); err != nil {
+			return err
+		}
+	}
+	rec, err := appendRecord(w.out.AvailableBuffer(), w.cols, row)
 	if err != nil {
 		return err
 	}
-	if err := w.armWrite(); err != nil {
-		return err
-	}
-	return wire.WriteMessage(w.out, MsgRecord, p)
+	_, err = w.out.Write(rec)
+	return err
 }
 
 func (w *respWriter) EndStatement(activity int64, name string) error {
@@ -359,9 +377,6 @@ func (w *respWriter) EndStatement(activity int64, name string) error {
 	var b wire.Buffer
 	b.PutI64(activity)
 	b.PutString(name)
-	if err := w.armWrite(); err != nil {
-		return err
-	}
 	if err := wire.WriteMessage(w.out, MsgSuccess, b.Bytes()); err != nil {
 		return err
 	}
@@ -373,9 +388,6 @@ func (w *respWriter) Failure(code int, msg string) error {
 	var b wire.Buffer
 	b.PutU32(uint32(code))
 	b.PutString(msg)
-	if err := w.armWrite(); err != nil {
-		return err
-	}
 	if err := wire.WriteMessage(w.out, MsgFailure, b.Bytes()); err != nil {
 		return err
 	}

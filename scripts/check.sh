@@ -92,6 +92,18 @@ for variant in traced nostats; do
     echo "check.sh: translate alloc gate OK (${variant}): ${allocs} allocs/op <= ${alloc_budget}, ${bytes} B/op <= ${bytes_budget}"
 done
 
+# Result-path allocation gates (DESIGN.md §12): tdf decode, cwp stream drain,
+# result conversion and tdp row encoding must each cost a fixed number of
+# allocations per batch, whatever the batch's row count. Rerun without the
+# race detector, whose runtime changes allocation counts.
+go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestConvertAllocsPerBatch|TestRowAllocsPerBatch' \
+    ./internal/tdf/ ./internal/wire/cwp/ ./internal/hyperq/ ./internal/wire/tdp/
+
+# Decoder fuzz leg: the slab TDF decoder against the per-cell reference
+# decoder kept in internal/tdf/reference_test.go — equal batches or both
+# fail, never a panic, forged headers refused.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/tdf/
+
 # Connection-pool stress: rerun the 100-goroutine multiplex/pin/unpin storm
 # under the race detector with fresh state (no cached result).
 go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/pool/
