@@ -9,6 +9,7 @@ package hyperqbench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -261,53 +262,97 @@ func BenchmarkTranslationCache(b *testing.B) {
 // must not allocate — the literal variants all share one statement shape, so
 // after warm-up every iteration is a recording hit.
 func BenchmarkTracedTranslate(b *testing.B) {
-	const shape = "SEL L_RETURNFLAG, COUNT(*) FROM LINEITEM WHERE L_QUANTITY < %d GROUP BY L_RETURNFLAG"
-	cases := []struct {
-		name           string
-		disableTracing bool
-		disableStats   bool
-	}{
-		{name: "traced"},
-		{name: "untraced", disableTracing: true, disableStats: true},
-		{name: "nostats", disableStats: true},
-	}
-	for _, tc := range cases {
+	for _, tc := range tracedTranslateCases {
 		b.Run(tc.name, func(b *testing.B) {
-			target := dialect.CloudA()
-			eng := engine.New(target)
-			if err := tpch.SetupEngine(eng.NewSession(), benchSF); err != nil {
-				b.Fatal(err)
-			}
-			g, err := hyperq.New(hyperq.Config{
-				Target:                  target,
-				Driver:                  &odbc.LocalDriver{Engine: eng},
-				Catalog:                 eng.Catalog().Clone(),
-				DisableTranslationCache: true, // full pipeline every request
-				DisableTracing:          tc.disableTracing,
-				DisableStatStatements:   tc.disableStats,
-				SLO:                     100 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := g.NewLocalSession("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			for i := 0; i < 8; i++ { // warm up outside the timer
-				if _, err := s.Run(fmt.Sprintf(shape, 10+i%40)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run := tracedTranslateFixture(b, tc.disableTracing, tc.disableStats)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(fmt.Sprintf(shape, 10+i%40)); err != nil {
-					b.Fatal(err)
-				}
+				run(i)
 			}
 		})
+	}
+}
+
+var tracedTranslateCases = []struct {
+	name           string
+	disableTracing bool
+	disableStats   bool
+}{
+	{name: "traced"},
+	{name: "untraced", disableTracing: true, disableStats: true},
+	{name: "nostats", disableStats: true},
+}
+
+// tracedTranslateFixture builds a warmed-up session over a TPC-H gateway with
+// the translation cache off and returns the function sending the i-th
+// literal variant through it.
+func tracedTranslateFixture(tb testing.TB, disableTracing, disableStats bool) func(i int) {
+	tb.Helper()
+	const shape = "SEL L_RETURNFLAG, COUNT(*) FROM LINEITEM WHERE L_QUANTITY < %d GROUP BY L_RETURNFLAG"
+	target := dialect.CloudA()
+	eng := engine.New(target)
+	if err := tpch.SetupEngine(eng.NewSession(), benchSF); err != nil {
+		tb.Fatal(err)
+	}
+	g, err := hyperq.New(hyperq.Config{
+		Target:                  target,
+		Driver:                  &odbc.LocalDriver{Engine: eng},
+		Catalog:                 eng.Catalog().Clone(),
+		DisableTranslationCache: true, // full pipeline every request
+		DisableTracing:          disableTracing,
+		DisableStatStatements:   disableStats,
+		SLO:                     100 * time.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := g.NewLocalSession("bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	run := func(i int) {
+		if _, err := s.Run(fmt.Sprintf(shape, 10+i%40)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm up outside the measurement
+		run(i)
+	}
+	return run
+}
+
+// The translate-path allocation budgets (DESIGN.md §11): one uncached
+// request through the full pipeline — engine execution included — must stay
+// within them with the whole observability stack on ("traced": tracing,
+// the statistics registry, SLO tracking) and with the registry off
+// ("nostats"). That the two fit the same budget is the proof that
+// steady-state recording allocates nothing.
+const (
+	translateAllocsBudget = 1000
+	translateBytesBudget  = 128 << 10
+)
+
+func TestTracedTranslateAllocBudget(t *testing.T) {
+	for _, tc := range tracedTranslateCases {
+		if tc.disableTracing {
+			continue
+		}
+		run := tracedTranslateFixture(t, tc.disableTracing, tc.disableStats)
+		const n = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			run(i)
+		}
+		runtime.ReadMemStats(&m1)
+		allocs, bytes := (m1.Mallocs-m0.Mallocs)/n, (m1.TotalAlloc-m0.TotalAlloc)/n
+		t.Logf("%s: %d allocs/op, %d B/op", tc.name, allocs, bytes)
+		if allocs > translateAllocsBudget || bytes > translateBytesBudget {
+			t.Errorf("%s: %d allocs/op (budget %d), %d B/op (budget %d)",
+				tc.name, allocs, translateAllocsBudget, bytes, translateBytesBudget)
+		}
 	}
 }
 

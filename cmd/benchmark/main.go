@@ -9,43 +9,37 @@
 //	benchmark -run fig8                # Figures 8(a) and 8(b)
 //	benchmark -run fig9a -sf 0.01      # Figure 9(a) single-stream overhead
 //	benchmark -run fig9b -clients 10   # Figure 9(b) concurrent stress test
-//	benchmark -run pool -clients 16 -pool-size 4   # pool concurrency
-//	benchmark -run stream -rows 27000  # streamed vs buffered result path
-//	benchmark -run translate -sf 0.002 # translate-path allocation proof
 //	benchmark -run replay              # shadow-replay harness throughput
+//
+// Gateway cost in isolation from the engine — pool, streaming, translation,
+// cache tiers — is measured by the over-the-wire benchmark in perf/ (see
+// BENCHMARK.json), not here.
 //
 // Flags -sf, -target, -clients, -iterations and -scale tune experiment size;
 // the defaults finish in a few minutes on a laptop.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"hyperq/internal/bench"
 	"hyperq/internal/dialect"
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment: all|fig2|table1|fig8|fig9a|fig9b|compare|pool|stream|translate|replay")
+	run := flag.String("run", "all", "experiment: all|fig2|table1|fig8|fig9a|fig9b|compare|replay")
 	target := flag.String("target", "CloudA", "target profile for Figure 9")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for Figure 9")
 	reps := flag.Int("reps", 1, "Figure 9(a) repetitions of the 22-query stream")
-	clients := flag.Int("clients", 10, "Figure 9(b) and pool concurrent sessions")
-	iterations := flag.Int("iterations", 54, "Figure 9(b) and pool requests per session")
+	clients := flag.Int("clients", 10, "Figure 9(b) concurrent sessions")
+	iterations := flag.Int("iterations", 54, "Figure 9(b) requests per session")
 	scale := flag.Float64("scale", 1.0, "Figure 8 workload scale (1.0 = paper-size workloads)")
-	poolSize := flag.Int("pool-size", 4, "pool experiment: backend connection pool capacity")
-	backendLatency := flag.Duration("backend-latency", 2*time.Millisecond, "pool experiment: injected per-request backend latency")
-	streamRows := flag.Int("rows", 27000, "stream experiment: result rows (~300 B each)")
 	replayStatements := flag.Int("replay-statements", 150, "replay experiment: captured statements per customer workload")
-	resultBudget := flag.Int("result-budget", 1<<20, "stream experiment: per-session in-flight result byte budget")
-	streamDepth := flag.Int("stream-depth", 4, "stream experiment: pipeline stage depth in batches")
-	out := flag.String("out", "", "write the experiment result as JSON to this file (pool, translate)")
+	out := flag.String("out", "", "replay experiment: write the result as JSON to this file (default BENCH_replay.json)")
 	flag.Parse()
 
 	prof, err := dialect.ByName(*target)
@@ -89,52 +83,6 @@ func main() {
 		_, err := bench.Compare(os.Stdout, *sf)
 		return err
 	})
-	runIf("pool", func() error {
-		res, err := bench.PoolBench(os.Stdout, prof, *sf, *clients, *poolSize, *iterations, *backendLatency)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		return nil
-	})
-	runIf("stream", func() error {
-		res, err := bench.StreamBench(os.Stdout, prof, *streamRows, *resultBudget, *streamDepth, 3)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		return nil
-	})
-	if selected == "translate" {
-		// Not part of "all": the three testing.Benchmark passes take a few
-		// minutes and regenerate a checked-in artifact rather than a figure.
-		did = true
-		path := *out
-		if path == "" {
-			path = "BENCH_translate.json"
-		}
-		if _, err := bench.TranslateBench(os.Stdout, prof, *sf, path); err != nil {
-			log.Fatalf("benchmark: translate: %v", err)
-		}
-	}
 	if selected == "replay" {
 		// Not part of "all": regenerates the checked-in shadow-replay
 		// artifact (capture + four replay passes over the customer workloads).

@@ -172,11 +172,11 @@ func main() {
 func logStats(g *hyperq.Gateway, every time.Duration) {
 	for range time.Tick(every) {
 		m := g.MetricsSnapshot()
-		ov := g.OverheadQuantiles(0.5, 0.95)
+		ov := g.Stages().Overhead.Snapshot()
 		req := g.Stages().Request.Snapshot()
 		log.Printf("hyperq: requests=%d statements=%d translate=%s execute=%s convert=%s overhead p50=%.1f%% p95=%.1f%% request p50=%s p95=%s cache hit=%d miss=%d bypass=%d evict=%d retries=%d reconnects=%d replays=%d breaker_open=%d quarantined=%d",
 			m.Requests, m.Statements, m.Translate, m.Execute, m.Convert,
-			100*ov[0], 100*ov[1],
+			100*ov.Quantile(0.5), 100*ov.Quantile(0.95),
 			time.Duration(req.Quantile(0.5)*float64(time.Second)).Round(time.Microsecond),
 			time.Duration(req.Quantile(0.95)*float64(time.Second)).Round(time.Microsecond),
 			m.CacheHits, m.CacheMisses, m.CacheBypass, m.CacheEvict,
@@ -206,4 +206,3 @@ func logStats(g *hyperq.Gateway, every time.Duration) {
 		}
 	}
 }
-

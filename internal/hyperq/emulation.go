@@ -26,7 +26,7 @@ const maxRecursionSteps = 10000
 func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder) ([]*FrontResult, error) {
 	// The emulation span wraps the whole multi-request protocol; the trace's
 	// BackendRequests counter records the resulting fan-out.
-	esp := s.tr.Start("emulate")
+	esp := s.req.tr.Start("emulate")
 	esp.Set("feature", "recursive")
 	defer esp.End()
 	// Registered before the cleanup defer (LIFO) so the work-table teardown
@@ -219,7 +219,7 @@ func selectStarFrom(table string) *sqlast.QueryExpr {
 // execMerge emulates MERGE by decomposition into UPDATE + INSERT (§6),
 // reporting the combined activity count.
 func (s *Session) execMerge(m *sqlast.MergeStmt, rec *feature.Recorder) ([]*FrontResult, error) {
-	esp := s.tr.Start("emulate")
+	esp := s.req.tr.Start("emulate")
 	esp.Set("feature", "merge")
 	defer esp.End()
 	s.enterComposite()

@@ -58,53 +58,6 @@ func TestGatewayResultSpillPath(t *testing.T) {
 	}
 }
 
-// Single-worker conversion must produce identical results to parallel.
-func TestGatewayConversionWorkerEquivalence(t *testing.T) {
-	build := func(workers int) []string {
-		eng := engine.New(dialect.CloudA())
-		be := eng.NewSession()
-		if _, err := be.ExecSQL("CREATE TABLE t (a INT, d DATE)"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := be.ExecSQL("INSERT INTO t VALUES (1, DATE '2020-01-01'), (2, DATE '2021-06-15'), (3, NULL)"); err != nil {
-			t.Fatal(err)
-		}
-		g, err := New(Config{
-			Target:         dialect.CloudA(),
-			Driver:         &odbc.LocalDriver{Engine: eng},
-			Catalog:        eng.Catalog().Clone(),
-			ConvertWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := g.NewLocalSession("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		res, err := s.Run("SEL a, d FROM t ORDER BY a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, row := range res[0].Rows {
-			out = append(out, row[0].String()+"|"+row[1].String())
-		}
-		return out
-	}
-	seq := build(1)
-	par := build(8)
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("row %d differs: %q vs %q", i, seq[i], par[i])
-		}
-	}
-}
-
 // The gateway composes with the scale-out replicated driver (Appendix B.3).
 func TestGatewayWithReplicatedBackend(t *testing.T) {
 	const replicas = 3

@@ -9,7 +9,6 @@
 package hyperq
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -61,13 +60,6 @@ type Config struct {
 	// TDF-store path (the pre-streaming behaviour) — the reference side of
 	// the streamed-vs-buffered differential tests.
 	DisableStreaming bool
-	// ConvertWorkers is ignored: a batch is converted by the goroutine that
-	// holds it. It was the §4.6 parallel conversion degree, but batches hold
-	// at most 1,024 rows (≤ 0.5 ms to convert, BenchmarkConvertBatch) and no
-	// measured workload gains from splitting one. The field remains so
-	// existing callers compile; ROADMAP item 3 has the condition for bringing
-	// the parallelism back.
-	ConvertWorkers int
 	// Stats, when non-nil, accumulates per-request feature statistics (the
 	// §7.1 instrumentation).
 	Stats *feature.Stats
@@ -212,6 +204,7 @@ type Gateway struct {
 	nextTraceID uint64
 	// stages holds the per-stage latency histograms; ring the finished
 	// traces. Both always exist (tracing only gates span allocation).
+	// Session.publish is their only writer.
 	stages *metrics.Stages
 	ring   *trace.Ring
 	// wstats is the per-fingerprint workload-statistics registry; nil when
@@ -410,103 +403,6 @@ func (g *Gateway) PoolStats() (pool.Stats, bool) {
 
 // Traces exposes the finished-trace ring.
 func (g *Gateway) Traces() *trace.Ring { return g.ring }
-
-// OverheadQuantiles reports the requested quantiles of the per-request
-// gateway-overhead fraction — the histogram-backed replacement for the
-// single cumulative Overhead() number.
-func (g *Gateway) OverheadQuantiles(qs ...float64) []float64 {
-	snap := g.stages.Overhead.Snapshot()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = snap.Quantile(q)
-	}
-	return out
-}
-
-// startTrace begins the per-request trace (nil when tracing is disabled).
-func (g *Gateway) startTrace(s *Session, sql string) *trace.Trace {
-	if g.cfg.DisableTracing {
-		return nil
-	}
-	return trace.New(atomic.AddUint64(&g.nextTraceID, 1), s.id, s.user, sql)
-}
-
-// finishTrace stamps the request outcome onto the trace, feeds the request
-// and overhead histograms, publishes the trace to the ring, and appends the
-// query-log line. Runs once per Session.Run, traced or not.
-func (g *Gateway) finishTrace(s *Session, tr *trace.Trace, start time.Time, reqErr error) {
-	atomic.AddInt64(&s.obsRequests, 1)
-	atomic.StoreInt64(&s.lastActive, time.Now().UnixNano())
-	if reqErr != nil {
-		s.lastErr.Store(reqErr.Error())
-	} else {
-		s.lastErr.Store("")
-	}
-	outcome := "ok"
-	code := 0
-	class := ""
-	msg := ""
-	if reqErr != nil {
-		outcome = "error"
-		msg = reqErr.Error()
-		if re, ok := reqErr.(*RequestError); ok {
-			code = re.Code
-		}
-		// A client-write deadline failure surfaces here as the raw front-write
-		// error (the tdp server maps it to CodeClientTooSlow only after Run
-		// returns); attribute it now so statistics see the real code.
-		var fwe *frontWriteError
-		if code == 0 && errors.As(reqErr, &fwe) && fwe.Timeout() {
-			code = tdp.CodeClientTooSlow
-		}
-		class = classifyCode(code)
-	}
-	var total time.Duration
-	if tr != nil {
-		tr.SetStreamed(s.ro.streamed)
-		if s.ro.hash != 0 {
-			tr.SetFingerprint(fingerprint.ShortID(s.ro.hash))
-		}
-		tr.Finish(outcome, code, class, msg)
-		total = tr.Duration()
-	} else {
-		total = time.Since(start)
-	}
-	g.stages.Request.ObserveDuration(total)
-	if g.wstats != nil {
-		o := wstats.Obs{
-			DurNs:    int64(total),
-			StageNs:  s.ro.stageNs,
-			Tier:     s.ro.tier,
-			Failed:   reqErr != nil,
-			ErrCode:  code,
-			RowsOut:  s.ro.rowsOut,
-			BytesOut: s.ro.bytesOut,
-			BytesIn:  int64(len(s.ro.sql)),
-			Streamed: s.ro.streamed,
-			Feats:    s.ro.feats,
-			Trace:    tr,
-		}
-		if tr != nil {
-			o.Retries = int64(tr.CountSpans("retry"))
-			o.Reconnects = int64(tr.CountSpans("reconnect"))
-		}
-		g.wstats.Observe(s.ro.hash, s.ro.sql, &o)
-	}
-	if tr == nil {
-		return
-	}
-	if exec := tr.Stage("execute"); total > 0 && tr.BackendRequests > 0 {
-		overhead := 1 - float64(exec)/float64(total)
-		if overhead < 0 {
-			overhead = 0
-		}
-		g.stages.Overhead.Observe(overhead)
-	}
-	g.ring.Add(tr)
-	// Query-log write failures must not fail the data path.
-	_ = g.cfg.QueryLog.LogTrace(tr)
-}
 
 // classifyCode maps frontend failure codes to the trace error taxonomy.
 func classifyCode(code int) string {

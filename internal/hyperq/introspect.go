@@ -45,12 +45,12 @@ func (g *Gateway) DebugHandler() http.Handler {
 func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// All stage series share one HELP/TYPE header, per the format.
-	for i, stage := range metrics.StageNames {
+	for stage := metrics.Stage(0); stage < metrics.NumStages; stage++ {
 		help := ""
-		if i == 0 {
+		if stage == 0 {
 			help = "Gateway pipeline stage latency."
 		}
-		metrics.WriteHistogram(w, "hyperq_stage_duration_seconds", help, "stage", stage, g.stages.Stage(stage).Snapshot())
+		metrics.WriteHistogram(w, "hyperq_stage_duration_seconds", help, "stage", stage.String(), g.stages.Stage(stage).Snapshot())
 	}
 	metrics.WriteHistogram(w, "hyperq_request_duration_seconds", "Whole-request latency through the gateway.", "", "", g.stages.Request.Snapshot())
 	metrics.WriteHistogram(w, "hyperq_gateway_overhead_ratio", "Per-request fraction of time spent in the gateway (1 - backend/total).", "", "", g.stages.Overhead.Snapshot())

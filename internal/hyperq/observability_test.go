@@ -16,6 +16,7 @@ import (
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/querylog"
 	"hyperq/internal/trace"
@@ -361,6 +362,31 @@ func TestErrorClassRecorded(t *testing.T) {
 	}
 }
 
+// TestParseFailureCountedEverywhere asserts a request that fails to parse is
+// still one request in every sink: the requests counter, the request
+// histogram and the session's /sessions row must agree.
+func TestParseFailureCountedEverywhere(t *testing.T) {
+	g := newObsGateway(t, nil)
+	s, err := g.NewLocalSession("appuser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Run("SELECT FROM WHERE"); err == nil {
+		t.Fatal("expected syntax error")
+	}
+	run(t, s, "SEL COUNT(*) FROM SALES")
+	if n := g.MetricsSnapshot().Requests; n != 2 {
+		t.Errorf("requests counter = %d, want 2", n)
+	}
+	if n := g.Stages().Request.Snapshot().Count; n != 2 {
+		t.Errorf("request histogram count = %d, want 2", n)
+	}
+	if n := g.Sessions()[0].Requests; n != 2 {
+		t.Errorf("/sessions request count = %d, want 2", n)
+	}
+}
+
 // TestResetMetricsClearsObservability asserts ResetMetrics also clears the
 // stage histograms and the trace ring (the -stats satellite contract).
 func TestResetMetricsClearsObservability(t *testing.T) {
@@ -381,7 +407,7 @@ func TestResetMetricsClearsObservability(t *testing.T) {
 	if n := g.Stages().Request.Snapshot().Count; n != 0 {
 		t.Errorf("request histogram count after reset = %d", n)
 	}
-	if n := g.Stages().Stage("parse").Snapshot().Count; n != 0 {
+	if n := g.Stages().Stage(metrics.StageParse).Snapshot().Count; n != 0 {
 		t.Errorf("parse histogram count after reset = %d", n)
 	}
 	if n := len(g.Traces().Recent()); n != 0 {
@@ -419,7 +445,7 @@ func TestTracingDisabled(t *testing.T) {
 	if n := len(g.Traces().Recent()); n != 0 {
 		t.Errorf("traces recorded with tracing disabled: %d", n)
 	}
-	if g.Stages().Stage("parse").Snapshot().Count == 0 {
+	if g.Stages().Stage(metrics.StageParse).Snapshot().Count == 0 {
 		t.Error("histograms must keep recording with tracing disabled")
 	}
 	if g.Stages().Request.Snapshot().Count == 0 {

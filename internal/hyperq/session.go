@@ -14,6 +14,7 @@ import (
 	"hyperq/internal/dialect"
 	"hyperq/internal/feature"
 	"hyperq/internal/fingerprint"
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/pool"
 	"hyperq/internal/parser"
@@ -22,6 +23,7 @@ import (
 	"hyperq/internal/trace"
 	"hyperq/internal/transform"
 	"hyperq/internal/types"
+	"hyperq/internal/wire/cwp"
 	"hyperq/internal/wire/tdp"
 	"hyperq/internal/wstats"
 	"hyperq/internal/xtra"
@@ -66,9 +68,9 @@ type Session struct {
 	// execution (sessions process one request at a time); nil outside a
 	// request.
 	reqCtx context.Context
-	// tr is the current request's trace; nil outside a request or when
-	// tracing is disabled.
-	tr *trace.Trace
+	// req is the current request's record (see record.go), written only by
+	// the session goroutine and published once when the request ends.
+	req request
 	// fw wraps the current request's frontend writer; nil outside a request
 	// or for local (non-wire) sessions. When set, Run emits each unit's
 	// parcels as it completes and streamable statements bypass result
@@ -79,7 +81,8 @@ type Session struct {
 	// disabled there to preserve parcel order across sibling statements.
 	compositeDepth int
 	// Observability counters, read by the /sessions endpoint from other
-	// goroutines (hence atomics / atomic.Values).
+	// goroutines (hence atomics / atomic.Values). The three request totals,
+	// lastActive and lastErr are written by publish; the rest is live state.
 	obsRequests   int64
 	obsStatements int64
 	obsCacheHits  int64
@@ -92,10 +95,6 @@ type Session struct {
 	// /sessions from other goroutines.
 	curFP     uint64
 	midStream int32
-	// ro accumulates the current request's workload-statistics observation
-	// (written only by the session goroutine; folded into the registry by
-	// finishTrace).
-	ro reqObs
 	// replayLog records the backend DDL that established session-scoped
 	// backend state (volatile tables, global-temporary instances, emulation
 	// work tables), in execution order. A reconnecting backend driver
@@ -113,20 +112,6 @@ type Session struct {
 	// request's AST past its Run. Nested parses during a request (macro
 	// bodies, view definitions) deliberately bypass it.
 	psc parser.Scratch
-}
-
-// reqObs is the per-request accumulator behind one wstats observation. It
-// lives by value in the Session and is re-zeroed at each request start, so
-// steady-state recording allocates nothing.
-type reqObs struct {
-	hash     uint64
-	sql      string
-	stageNs  [wstats.NumStages]int64
-	tier     wstats.Tier
-	feats    feature.Set
-	rowsOut  int64
-	bytesOut int64
-	streamed bool
 }
 
 type replayEntry struct {
@@ -248,9 +233,8 @@ func (s *Session) Close() {
 // statements' parcels before the failure parcel; the client discards them
 // (tdp.Client already does).
 func (s *Session) Request(sql string, w tdp.ResponseWriter) error {
-	fw := &frontWriter{s: s, w: w}
-	s.fw = fw
-	results, err := s.Run(sql)
+	s.fw = &frontWriter{s: s, w: w}
+	_, err := s.Run(sql)
 	s.fw = nil
 	if err != nil {
 		var fwe *frontWriteError
@@ -273,25 +257,24 @@ func (s *Session) Request(sql string, w tdp.ResponseWriter) error {
 		}
 		return w.Failure(re.Code, re.Message)
 	}
-	// Run already emitted everything through fw; this pass only covers
-	// results a future path might leave unsent (writeResults skips sent).
-	if werr := fw.writeResults(results); werr != nil {
-		return werr
-	}
+	// Run emitted every result through fw — inside the request, where the
+	// record sees it.
 	return nil
 }
 
-// Run processes a request string and returns per-statement results.
+// Run processes a request string and returns per-statement results. It owns
+// the request's lifetime: the record, the trace and the backend context are
+// set up here, and the record is published here once the request is over.
 func (s *Session) Run(sql string) (out []*FrontResult, err error) {
-	reqStart := time.Now()
-	tr := s.g.startTrace(s, sql)
-	s.tr = tr
+	s.req = request{start: time.Now(), sql: sql}
+	if !s.g.cfg.DisableTracing {
+		s.req.tr = trace.New(atomic.AddUint64(&s.g.nextTraceID, 1), s.id, s.user, sql)
+	}
 	atomic.AddInt32(&s.inFlight, 1)
 	s.lastSQL.Store(sql)
-	s.ro = reqObs{sql: sql}
-	if s.g.wstats != nil || tr != nil {
-		s.ro.hash = fingerprint.TemplateHash(sql)
-		atomic.StoreUint64(&s.curFP, s.ro.hash)
+	if s.g.wstats != nil || s.req.tr != nil {
+		s.req.hash = fingerprint.TemplateHash(sql)
+		atomic.StoreUint64(&s.curFP, s.req.hash)
 	}
 	//hyperqlint:ignore ctxexec Run is the request root: the per-request context is minted here
 	ctx := context.Background()
@@ -299,16 +282,16 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 	if t := s.g.cfg.BackendTimeout; t > 0 {
 		ctx, cancel = context.WithTimeout(ctx, t)
 	}
-	s.reqCtx = trace.NewContext(ctx, tr)
+	s.reqCtx = trace.NewContext(ctx, s.req.tr)
+	rec := &feature.Recorder{}
 	defer func() {
 		s.maybeUnpinBackend()
 		cancel()
 		s.reqCtx = nil
-		s.tr = nil
 		atomic.AddInt32(&s.inFlight, -1)
-		s.g.finishTrace(s, tr, reqStart, err)
+		s.publish(rec.Set(), err)
+		s.req.tr = nil
 	}()
-	rec := &feature.Recorder{}
 	if cached, done, cerr := s.runCachedRaw(sql, rec); done {
 		if cerr == nil && s.fw != nil {
 			if werr := s.fw.writeResults(cached); werr != nil {
@@ -319,17 +302,12 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 	}
 	s.translateCalls = 0
 	s.rawPlan = nil
-	sp := tr.Start("parse")
-	t0 := time.Now()
+	t := s.req.begin(metrics.StageParse)
 	// The previous request's AST is dead by now; rewind the arena and parse
 	// into it.
 	s.psc.Reset()
 	stmts, perr := parser.ParseWith(sql, parser.Teradata, rec, &s.psc)
-	d := time.Since(t0)
-	atomic.AddInt64(&s.g.metrics.translateNs, int64(d))
-	s.g.stages.Observe("parse", d)
-	s.ro.stageNs[wstats.StageParse] += int64(d)
-	sp.End()
+	s.req.end(t)
 	if perr != nil {
 		return nil, failf(tdp.CodeSyntaxError, "%v", perr) // 3706: syntax error
 	}
@@ -343,7 +321,6 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 	for _, unit := range units {
 		results, err := s.execStatement(unit.stmt, rec)
 		if err != nil {
-			s.finishRequest(rec)
 			return nil, err
 		}
 		unitResults := results
@@ -359,15 +336,12 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		// unit's buffered response.
 		if s.fw != nil {
 			if werr := s.fw.writeResults(unitResults); werr != nil {
-				s.finishRequest(rec)
 				return nil, werr
 			}
 		}
-		atomic.AddInt64(&s.g.metrics.statements, 1)
-		atomic.AddInt64(&s.obsStatements, 1)
+		s.req.statements++
 	}
 	s.fillRawEntry(sql, units, rec)
-	s.finishRequest(rec)
 	return out, nil
 }
 
@@ -380,34 +354,21 @@ func (s *Session) runCachedRaw(sql string, rec *feature.Recorder) (out []*FrontR
 	if cache == nil {
 		return nil, false, nil
 	}
-	sp := s.tr.Start("cache")
-	t0 := time.Now()
+	t := s.req.begin(metrics.StageCache)
 	e := cache.get(s.cacheKey("R", sql))
-	d := time.Since(t0)
-	atomic.AddInt64(&s.g.metrics.translateNs, int64(d))
-	s.g.stages.Observe("cache", d)
-	s.ro.stageNs[wstats.StageCache] += int64(d)
 	if e == nil {
-		sp.Set("outcome", "raw-miss")
-		sp.End()
+		s.req.end(t)
+		t.sp.Set("outcome", "raw-miss")
 		return nil, false, nil
 	}
-	sp.Set("outcome", "raw-hit")
-	sp.End()
-	s.tr.SetCache("raw-hit")
-	s.ro.tier = wstats.TierExactHit
-	atomic.AddInt64(&s.g.metrics.cacheHits, 1)
-	atomic.AddInt64(&s.obsCacheHits, 1)
+	s.req.endCache(t, wstats.TierExactHit)
 	rec.Merge(e.feats)
 	out, err = s.execTranslated(e.sql, e.cols, func(string) string { return e.cmd })
-	if err == nil {
-		atomic.AddInt64(&s.g.metrics.statements, 1)
-		atomic.AddInt64(&s.obsStatements, 1)
-	} else {
-		out = nil
+	if err != nil {
+		return nil, true, err
 	}
-	s.finishRequest(rec)
-	return out, true, err
+	s.req.statements++
+	return out, true, nil
 }
 
 // fillRawEntry promotes the just-translated request into the request tier
@@ -448,14 +409,6 @@ func (s *Session) cacheKey(tier, body string) string {
 		"|" + overlay +
 		"|" + s.settingsSig +
 		"|" + body
-}
-
-func (s *Session) finishRequest(rec *feature.Recorder) {
-	atomic.AddInt64(&s.g.metrics.requests, 1)
-	s.ro.feats = rec.Set()
-	if s.g.cfg.Stats != nil {
-		s.g.cfg.Stats.Observe(s.ro.feats)
-	}
 }
 
 // execStatement dispatches one parsed statement: features the target lacks
@@ -559,59 +512,30 @@ func (s *Session) refsSessionObject(tables []string) bool {
 // SQL result means translation eliminated the statement.
 func (s *Session) translateStatement(stmt sqlast.Statement, rec *feature.Recorder) (string, []xtra.Col, error) {
 	s.translateCalls++
-	t0 := time.Now()
-	defer func() {
-		atomic.AddInt64(&s.g.metrics.translateNs, int64(time.Since(t0)))
-	}()
 	cache := s.g.cache
 	if cache == nil || !cacheableKind(stmt) {
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
 	if s.macroParams != nil {
 		// Macro scope: statement text contains :params bound per EXEC.
-		atomic.AddInt64(&s.g.metrics.cacheBypass, 1)
-		s.tr.SetCache("bypass")
-		s.ro.tier = wstats.TierBypass
+		s.req.cacheOutcome(wstats.TierBypass)
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
-	csp := s.tr.Start("cache")
-	tc := time.Now()
+	t := s.req.begin(metrics.StageCache)
 	fp := fingerprint.Statement(stmt)
 	if !fp.Cacheable || s.refsSessionObject(fp.Tables) {
-		atomic.AddInt64(&s.g.metrics.cacheBypass, 1)
-		dc := time.Since(tc)
-		s.g.stages.Observe("cache", dc)
-		s.ro.stageNs[wstats.StageCache] += int64(dc)
-		csp.Set("outcome", "bypass")
-		csp.End()
-		s.tr.SetCache("bypass")
-		s.ro.tier = wstats.TierBypass
+		s.req.endCache(t, wstats.TierBypass)
 		return s.bindTransformSerialize(stmt, rec, false)
 	}
 	key := s.cacheKey("F", fp.Key)
 	if e := cache.get(key); e != nil && (!e.exact || fingerprint.LitSigEqual(e.litsig, fp.Literals)) {
-		atomic.AddInt64(&s.g.metrics.cacheHits, 1)
-		atomic.AddInt64(&s.obsCacheHits, 1)
 		rec.Merge(e.feats)
 		sql := e.tpl.Instantiate(fp.Literals)
-		dc := time.Since(tc)
-		s.g.stages.Observe("cache", dc)
-		s.ro.stageNs[wstats.StageCache] += int64(dc)
-		csp.Set("outcome", "hit")
-		csp.End()
-		s.tr.SetCache("hit")
-		s.ro.tier = wstats.TierFingerprintHit
+		s.req.endCache(t, wstats.TierFingerprintHit)
 		s.noteRawCandidate(sql, e.cols, commandName(stmt, ""), e.feats)
 		return sql, e.cols, nil
 	}
-	atomic.AddInt64(&s.g.metrics.cacheMisses, 1)
-	dc := time.Since(tc)
-	s.g.stages.Observe("cache", dc)
-	s.ro.stageNs[wstats.StageCache] += int64(dc)
-	csp.Set("outcome", "miss")
-	csp.End()
-	s.tr.SetCache("miss")
-	s.ro.tier = wstats.TierMiss
+	s.req.endCache(t, wstats.TierMiss)
 	// Translate with an inner recorder so the cache entry can replay the
 	// statement's features on later hits.
 	inner := &feature.Recorder{}
@@ -624,8 +548,11 @@ func (s *Session) translateStatement(stmt sqlast.Statement, rec *feature.Recorde
 		// Statement eliminated by translation; nothing worth caching.
 		return "", cols, nil
 	}
+	// Filling the cache is cache time too.
+	t = s.req.begin(metrics.StageCache)
 	tpl, complete := fingerprint.ParseTemplate(marked, len(fp.Literals))
 	if !tpl.Valid() {
+		s.req.end(t)
 		// Marker parsing failed (a non-lifted literal contained a NUL
 		// byte): re-serialize without lifting and skip caching.
 		sql, _, err := s.bindTransformSerialize(stmt, &feature.Recorder{}, false)
@@ -644,6 +571,8 @@ func (s *Session) translateStatement(stmt sqlast.Statement, rec *feature.Recorde
 		atomic.AddInt64(&s.g.metrics.cacheEvict, int64(evicted))
 	}
 	sql := tpl.Instantiate(fp.Literals)
+	s.req.end(t)
+	t.sp.Set("outcome", "fill")
 	s.noteRawCandidate(sql, cols, e.cmd, inner.Set())
 	return sql, cols, nil
 }
@@ -663,47 +592,35 @@ func (s *Session) noteRawCandidate(sql string, cols []xtra.Col, cmd string, feat
 // With lift set, serialized output carries literal placeholders
 // (fingerprint markers) instead of the lifted literal values.
 func (s *Session) bindTransformSerialize(stmt sqlast.Statement, rec *feature.Recorder, lift bool) (string, []xtra.Col, error) {
-	spb := s.tr.Start("bind")
-	tb := time.Now()
+	t := s.req.begin(metrics.StageBind)
 	b := binder.New(s, parser.Teradata, rec)
 	if s.macroParams != nil {
 		b.SetParams(s.macroParams)
 	}
 	bound, err := b.Bind(stmt)
-	db := time.Since(tb)
-	s.g.stages.Observe("bind", db)
-	s.ro.stageNs[wstats.StageBind] += int64(db)
-	spb.End()
+	s.req.end(t)
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err) // semantic error
 	}
-	spt := s.tr.Start("transform")
-	tt := time.Now()
+	t = s.req.begin(metrics.StageTransform)
 	ctx := transform.NewContext(nil, rec, b.MaxColumnID())
 	mid, err := transform.BindingStage().Statement(bound, ctx)
-	dt := time.Since(tt)
-	s.g.stages.Observe("transform", dt)
-	s.ro.stageNs[wstats.StageTransform] += int64(dt)
-	if spt != nil {
+	s.req.end(t)
+	if t.sp != nil {
 		for _, id := range ctx.Fired().IDs() {
-			spt.Set("feature", feature.Lookup(id).Name)
+			t.sp.Set("feature", feature.Lookup(id).Name)
 		}
 	}
-	spt.End()
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
 	}
-	sps := s.tr.Start("serialize")
-	ts := time.Now()
+	t = s.req.begin(metrics.StageSerialize)
 	ser := serializer.New(s.g.cfg.Target, rec)
 	if lift {
 		ser.LiftLiterals()
 	}
 	sql, err := ser.Serialize(mid)
-	ds := time.Since(ts)
-	s.g.stages.Observe("serialize", ds)
-	s.ro.stageNs[wstats.StageSerialize] += int64(ds)
-	sps.End()
+	s.req.end(t)
 	if err != nil {
 		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
 	}
@@ -726,29 +643,23 @@ func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(stri
 			return s.execStreamed(se, sql, frontCols, cmd)
 		}
 	}
-	s.tr.AddTranslated(sql)
-	sp := s.tr.Start("execute")
-	sp.Set("sql", sql)
-	t1 := time.Now()
+	s.req.tr.AddTranslated(sql)
+	t := s.req.begin(metrics.StageExecute)
 	backendResults, err := s.be.ExecContext(s.requestCtx(), sql)
-	d := time.Since(t1)
-	atomic.AddInt64(&s.g.metrics.executeNs, int64(d))
-	s.g.stages.Observe("execute", d)
-	s.ro.stageNs[wstats.StageExecute] += int64(d)
-	sp.End()
+	s.req.end(t)
+	t.sp.Set("sql", sql)
 	if err != nil {
 		return nil, mapBackendError(err)
 	}
-	// Result conversion back to the frontend representation.
-	csp := s.tr.Start("convert")
-	t2 := time.Now()
-	defer func() {
-		dc := time.Since(t2)
-		atomic.AddInt64(&s.g.metrics.convertNs, int64(dc))
-		s.g.stages.Observe("convert", dc)
-		s.ro.stageNs[wstats.StageConvert] += int64(dc)
-		csp.End()
-	}()
+	t = s.req.begin(metrics.StageConvert)
+	out, err := s.convertResults(backendResults, frontCols, cmd)
+	s.req.end(t)
+	return out, err
+}
+
+// convertResults converts a buffered backend response back to the frontend
+// representation.
+func (s *Session) convertResults(backendResults []*cwp.StatementResult, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, error) {
 	var out []*FrontResult
 	for _, br := range backendResults {
 		fr := &FrontResult{Activity: br.Affected, Command: cmd(br.Command)}
@@ -764,10 +675,9 @@ func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(stri
 			if err != nil {
 				return nil, failf(tdp.CodeObjectNotFound, "result conversion: %v", err)
 			}
-			atomic.AddInt64(&s.g.metrics.bufferedResults, 1)
-			atomic.AddInt64(&s.g.metrics.bufferedBytes, bb)
-			s.ro.rowsOut += int64(len(rows))
-			s.ro.bytesOut += bb
+			s.req.bufferedResults++
+			s.req.bufferedBytes += bb
+			s.req.rowsOut += int64(len(rows))
 			fr.Cols = cols
 			fr.Rows = rows
 			fr.Activity = int64(len(rows))

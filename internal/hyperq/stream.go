@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
@@ -152,29 +153,15 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 	g := s.g
 	fw := s.fw
 	defer atomic.StoreInt32(&s.midStream, 0)
-	s.tr.AddTranslated(sql)
-	sp := s.tr.Start("execute")
-	sp.Set("sql", sql)
-	sp.Set("streamed", "true")
-	t1 := time.Now()
+	s.req.tr.AddTranslated(sql)
+	t := s.req.begin(metrics.StageExecute)
+	t.sp.Set("sql", sql)
+	t.sp.Set("streamed", "true")
+	// The execute lap covers the whole pipeline wall-clock. The convert stage
+	// runs on its own goroutine and may not touch the record: it accumulates
+	// here, and the sum is folded in once the stages are joined.
 	var convertNs int64
-	defer func() {
-		// The execute span covers the whole pipeline wall-clock; the convert
-		// stage's share is carved out so the Figure 9 split stays honest.
-		dc := time.Duration(atomic.LoadInt64(&convertNs))
-		d := time.Since(t1) - dc
-		if d < 0 {
-			d = 0
-		}
-		atomic.AddInt64(&g.metrics.executeNs, int64(d))
-		g.stages.Observe("execute", d)
-		atomic.AddInt64(&g.metrics.convertNs, int64(dc))
-		g.stages.Observe("convert", dc)
-		csp := s.tr.Start("convert")
-		csp.Set("streamed", "true")
-		csp.EndWithDuration(dc)
-		sp.EndWithDuration(d)
-	}()
+	defer s.req.endSplit(t, metrics.StageConvert, &convertNs)
 
 	pctx, cancel := context.WithCancel(s.requestCtx())
 	defer cancel()
@@ -299,7 +286,7 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 					item = streamItem{front: plan.cols}
 				}
 			case item.batch != nil:
-				t := time.Now()
+				t0 := time.Now()
 				var rows [][]types.Datum
 				var err error
 				if plan == nil { // rows without a metadata event: the batch describes itself
@@ -308,7 +295,7 @@ func (s *Session) execStreamed(se odbc.StreamExecutor, sql string, frontCols []x
 				if err == nil {
 					rows, err = plan.convertBatch(item.batch)
 				}
-				atomic.AddInt64(&convertNs, int64(time.Since(t)))
+				atomic.AddInt64(&convertNs, int64(time.Since(t0)))
 				if err != nil {
 					item = streamItem{err: err, bytes: item.bytes, convErr: true}
 				} else {
@@ -361,8 +348,7 @@ writeLoop:
 			}
 			inResultSet = true
 			rowCount = 0
-			atomic.AddInt64(&g.metrics.streamedResults, 1)
-			s.ro.streamed = true
+			s.req.streamedResults++
 			atomic.StoreInt32(&s.midStream, 1)
 		case item.complete:
 			activity := item.affected
@@ -383,9 +369,8 @@ writeLoop:
 				}
 			}
 			rowCount += int64(len(item.rows))
-			s.ro.rowsOut += int64(len(item.rows))
-			s.ro.bytesOut += item.bytes
-			atomic.AddInt64(&g.metrics.streamedBytes, item.bytes)
+			s.req.rowsOut += int64(len(item.rows))
+			s.req.streamedBytes += item.bytes
 			release(item.bytes)
 		}
 	}

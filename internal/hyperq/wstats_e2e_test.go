@@ -382,3 +382,51 @@ func TestStatementExemplarSurvivesRingChurn(t *testing.T) {
 		t.Errorf("unknown trace id status = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestStreamedStatementStageTimes pins the streamed path's stage accounting:
+// a SELECT served through a real tdp client takes the streaming pipeline,
+// and its /statements entry must still carry execute and convert time, with
+// the stages summing to no more than the request's wall time (the convert
+// stage's share is carved out of the pipeline's execute wall-clock, never
+// counted twice).
+func TestStreamedStatementStageTimes(t *testing.T) {
+	target := dialect.CloudA()
+	eng := bigTableEngine(t, target, 10) // 1000 rows
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{})
+	c, err := tdp.Dial(st.addr, "appuser", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Request("SEL * FROM BIG"); err != nil {
+		t.Fatal(err)
+	}
+	// A session publishes a request before it reads the next one, so once
+	// this answer is back the SELECT's statistics are in the registry.
+	if _, err := c.Request("SEL COUNT(*) FROM SEED"); err != nil {
+		t.Fatal(err)
+	}
+	var big *wstats.Stat
+	sum := st.g.Statements().Snapshot("calls", 0)
+	for i := range sum.Statements {
+		if strings.Contains(sum.Statements[i].Template, "FROM BIG") {
+			big = &sum.Statements[i]
+		}
+	}
+	if big == nil {
+		t.Fatal("BIG shape not tracked")
+	}
+	if big.Streamed != 1 {
+		t.Fatalf("BIG shape streamed = %d, want 1 (the test must take the streaming path)", big.Streamed)
+	}
+	if big.StageNs["execute"] <= 0 || big.StageNs["convert"] <= 0 {
+		t.Errorf("streamed statement lost its execute/convert time: %v", big.StageNs)
+	}
+	var stages int64
+	for _, ns := range big.StageNs {
+		stages += ns
+	}
+	if stages > big.TotalNs {
+		t.Errorf("stage times sum to %d ns, more than the request's %d ns: %v", stages, big.TotalNs, big.StageNs)
+	}
+}

@@ -149,15 +149,33 @@ func (s Snapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// StageNames lists the pipeline stages in execution order. "cache" is the
-// translation-cache lookup; the remaining six are the translate/execute
-// pipeline of the paper's Figure 3.
-var StageNames = []string{"parse", "bind", "transform", "serialize", "cache", "execute", "convert"}
+// Stage identifies one pipeline stage, in execution order, and indexes every
+// per-stage table in the gateway: the histograms below, the per-request
+// record, the per-fingerprint statistics. StageCache is the translation-cache
+// lookup; the other six are the pipeline of the paper's Figure 3.
+type Stage uint8
+
+const (
+	StageParse Stage = iota
+	StageBind
+	StageTransform
+	StageSerialize
+	StageCache
+	StageExecute
+	StageConvert
+	NumStages
+)
+
+// stageNames is the one stage-name table: the "stage" label on /metrics, the
+// span names, and the stageNs keys of /statements and the query log.
+var stageNames = [NumStages]string{"parse", "bind", "transform", "serialize", "cache", "execute", "convert"}
+
+func (st Stage) String() string { return stageNames[st] }
 
 // Stages bundles the gateway's per-stage histograms plus the whole-request
 // latency and per-request overhead-ratio histograms.
 type Stages struct {
-	byName map[string]*Histogram
+	byStage [NumStages]*Histogram
 	// Request observes whole-request wall time (seconds).
 	Request *Histogram
 	// Overhead observes the per-request gateway-overhead fraction
@@ -169,29 +187,21 @@ type Stages struct {
 // NewStages creates the standard stage set.
 func NewStages() *Stages {
 	s := &Stages{
-		byName:   make(map[string]*Histogram, len(StageNames)),
 		Request:  New(DurationBuckets()),
 		Overhead: New(RatioBuckets()),
 	}
-	for _, name := range StageNames {
-		s.byName[name] = New(DurationBuckets())
+	for i := range s.byStage {
+		s.byStage[i] = New(DurationBuckets())
 	}
 	return s
 }
 
-// Observe records one stage duration. Unknown stage names are ignored.
-func (s *Stages) Observe(stage string, d time.Duration) {
-	if h, ok := s.byName[stage]; ok {
-		h.ObserveDuration(d)
-	}
-}
-
-// Stage returns the named stage histogram (nil when unknown).
-func (s *Stages) Stage(name string) *Histogram { return s.byName[name] }
+// Stage returns the stage's histogram.
+func (s *Stages) Stage(stage Stage) *Histogram { return s.byStage[stage] }
 
 // Reset zeroes every histogram.
 func (s *Stages) Reset() {
-	for _, h := range s.byName {
+	for _, h := range s.byStage {
 		h.Reset()
 	}
 	s.Request.Reset()

@@ -100,15 +100,14 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestStagesResetAndObserve(t *testing.T) {
 	st := NewStages()
-	st.Observe("parse", time.Millisecond)
-	st.Observe("no-such-stage", time.Millisecond) // ignored, not a panic
+	st.Stage(StageParse).ObserveDuration(time.Millisecond)
 	st.Request.ObserveDuration(2 * time.Millisecond)
 	st.Overhead.Observe(0.25)
-	if st.Stage("parse").Snapshot().Count != 1 {
+	if st.Stage(StageParse).Snapshot().Count != 1 {
 		t.Fatal("parse observation lost")
 	}
 	st.Reset()
-	if st.Stage("parse").Snapshot().Count != 0 || st.Request.Snapshot().Count != 0 || st.Overhead.Snapshot().Count != 0 {
+	if st.Stage(StageParse).Snapshot().Count != 0 || st.Request.Snapshot().Count != 0 || st.Overhead.Snapshot().Count != 0 {
 		t.Fatal("reset did not clear histograms")
 	}
 }

@@ -393,35 +393,53 @@ func (e *resilientExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
 }
 
 func (e *resilientExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	d := e.d
-	d.init()
-	ctx, cancel := d.reqContext(ctx)
+	e.d.init()
+	ctx, cancel := e.d.reqContext(ctx)
 	defer cancel()
+	var res []*cwp.StatementResult
+	err := e.retry(ctx, sql, "exec", func() (err error) {
+		res, err = e.inner.ExecContext(ctx, sql)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// retry is the one request loop behind ExecContext and ExecStream: it makes
+// sure a session exists (reconnecting, with session-state replay, when the
+// last one died), runs attempt on it, and decides from the failure class
+// whether another attempt is allowed. A nil error from attempt means the
+// request is answered (for a stream: its first event arrived). op labels the
+// retry events in the trace.
+func (e *resilientExecutor) retry(ctx context.Context, sql, op string, attempt func() error) error {
+	d := e.d
 	readOnly := isReadOnly(sql)
-	for attempt := 0; ; attempt++ {
+	for n := 0; ; n++ {
 		if e.inner == nil {
 			if err := e.reconnect(ctx); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		res, err := e.inner.ExecContext(ctx, sql)
+		err := attempt()
 		if err == nil {
 			d.brk.Success()
-			return res, nil
+			return nil
 		}
 		if !ConnectionError(err) {
 			// The backend answered: the connection is healthy.
 			d.brk.Success()
-			if !Transient(err) || attempt >= d.maxRetries() {
-				return nil, err
+			if !Transient(err) || n >= d.maxRetries() {
+				return err
 			}
 			// Retryable abort (deadlock class): the backend rolled the
 			// statement back, so re-executing is safe even for writes.
 			d.Metrics.addRetry()
-			trace.FromContext(ctx).Event("retry", "op", "exec", "class", "retryable-abort", "attempt", strconv.Itoa(attempt+1))
-			d.backoff(ctx, attempt+1)
+			trace.FromContext(ctx).Event("retry", "op", op, "class", "retryable-abort", "attempt", strconv.Itoa(n+1))
+			d.backoff(ctx, n+1)
 			if ctx.Err() != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -432,14 +450,14 @@ func (e *resilientExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp
 		if !readOnly {
 			// The request was already on the wire and is not idempotent:
 			// the backend may have applied it. Never retry.
-			return nil, fmt.Errorf("%w (%v)", ErrMaybeApplied, err)
+			return fmt.Errorf("%w (%v)", ErrMaybeApplied, err)
 		}
-		if attempt >= d.maxRetries() || ctx.Err() != nil {
-			return nil, err
+		if n >= d.maxRetries() || ctx.Err() != nil {
+			return err
 		}
 		d.Metrics.addRetry()
-		trace.FromContext(ctx).Event("retry", "op", "exec", "class", "connection-lost", "attempt", strconv.Itoa(attempt+1))
-		d.backoff(ctx, attempt+1)
+		trace.FromContext(ctx).Event("retry", "op", op, "class", "connection-lost", "attempt", strconv.Itoa(n+1))
+		d.backoff(ctx, n+1)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
-	"hyperq/internal/trace"
 	"hyperq/internal/wire/cwp"
 )
 
@@ -21,69 +19,38 @@ import (
 // failures are NEVER retried: they surface to the caller, the dead
 // connection is discarded, and the breaker records the connection failure.
 func (e *resilientExecutor) ExecStream(ctx context.Context, sql string) (ResultStream, error) {
-	d := e.d
-	d.init()
+	e.d.init()
 	// The cancel is owned by the returned stream (released in Close); a
 	// deferred cancel here would kill the stream before it is consumed.
-	rctx, cancel := d.reqContext(ctx)
-	readOnly := isReadOnly(sql)
-	for attempt := 0; ; attempt++ {
-		if e.inner == nil {
-			if err := e.reconnect(rctx); err != nil {
-				cancel()
-				return nil, err
-			}
-		}
+	rctx, cancel := e.d.reqContext(ctx)
+	var rs *resilientStream
+	err := e.retry(rctx, sql, "exec-stream", func() error {
 		st, err := OpenStream(rctx, e.inner, sql)
-		if err == nil {
-			// Peek the first event so pre-result failures (backend rejected
-			// the request, connection died before any data) keep buffered
-			// retry semantics.
-			ev, perr := st.Next(rctx)
-			if perr == nil {
-				d.brk.Success()
-				return &resilientStream{e: e, inner: st, cancel: cancel, peeked: &ev, real: realStream(st)}, nil
-			}
+		if err != nil {
+			return err
+		}
+		// Peek the first event so pre-result failures (backend rejected the
+		// request, connection died before any data) keep buffered retry
+		// semantics.
+		ev, err := st.Next(rctx)
+		switch {
+		case err == nil:
+			rs = &resilientStream{e: e, inner: st, cancel: cancel, peeked: &ev, real: realStream(st)}
+			return nil
+		case errors.Is(err, io.EOF):
+			// Empty request (no statements): clean immediate end.
 			_ = st.Close()
-			if errors.Is(perr, io.EOF) {
-				// Empty request (no statements): clean immediate end.
-				d.brk.Success()
-				return &resilientStream{e: e, cancel: cancel, done: true, err: io.EOF}, nil
-			}
-			err = perr
+			rs = &resilientStream{e: e, cancel: cancel, done: true, err: io.EOF}
+			return nil
 		}
-		if !ConnectionError(err) {
-			// The backend answered: the connection is healthy.
-			d.brk.Success()
-			if !Transient(err) || attempt >= d.maxRetries() {
-				cancel()
-				return nil, err
-			}
-			d.Metrics.addRetry()
-			trace.FromContext(rctx).Event("retry", "op", "exec-stream", "class", "retryable-abort", "attempt", strconv.Itoa(attempt+1))
-			d.backoff(rctx, attempt+1)
-			if rctx.Err() != nil {
-				cancel()
-				return nil, err
-			}
-			continue
-		}
-		// Connection-level failure before any event: the session is unusable.
-		d.brk.Failure()
-		_ = e.inner.Close()
-		e.inner = nil
-		if !readOnly {
-			cancel()
-			return nil, fmt.Errorf("%w (%v)", ErrMaybeApplied, err)
-		}
-		if attempt >= d.maxRetries() || rctx.Err() != nil {
-			cancel()
-			return nil, err
-		}
-		d.Metrics.addRetry()
-		trace.FromContext(rctx).Event("retry", "op", "exec-stream", "class", "connection-lost", "attempt", strconv.Itoa(attempt+1))
-		d.backoff(rctx, attempt+1)
+		_ = st.Close()
+		return err
+	})
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	return rs, nil
 }
 
 // realStream reports whether st is backed by a live connection (as opposed

@@ -106,16 +106,27 @@ func New(id, session uint64, user, sql string) *Trace {
 // Start opens a child span of the innermost open span and returns it. End it
 // with Span.End. Safe on a nil trace (returns nil).
 func (t *Trace) Start(name string) *Span {
+	sp, _ := t.StartTimed(name)
+	return sp
+}
+
+// StartTimed is Start for a caller that times the stage itself: it also
+// returns the instant the span opened at, read once the span is in the tree,
+// so the caller's stopwatch shares the span's clock read and does not count
+// the span's own set-up. On a nil trace it only reads the clock.
+func (t *Trace) StartTimed(name string) (*Span, time.Time) {
 	if t == nil {
-		return nil
+		return nil, time.Now()
 	}
+	sp := &Span{Name: name, tr: t}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp := &Span{Name: name, StartNs: time.Since(t.start).Nanoseconds(), tr: t}
 	parent := t.stack[len(t.stack)-1]
 	parent.Children = append(parent.Children, sp)
 	t.stack = append(t.stack, sp)
-	return sp
+	now := time.Now()
+	sp.StartNs = now.Sub(t.start).Nanoseconds()
+	return sp, now
 }
 
 // Event records an instantaneous child span (Duration 0) under the innermost
@@ -289,16 +300,6 @@ func (t *Trace) Duration() time.Duration {
 		return 0
 	}
 	return time.Duration(t.DurNs)
-}
-
-// Stage returns the accumulated duration of the named stage.
-func (t *Trace) Stage(name string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return time.Duration(t.StageNs[name])
 }
 
 // FindSpan returns the first span with the given name in depth-first order,

@@ -79,7 +79,7 @@ func TestNilSafety(t *testing.T) {
 	tr.AddTranslated("sql")
 	tr.SetCache("hit")
 	tr.Finish("ok", 0, "", "")
-	if tr.Duration() != 0 || tr.Stage("x") != 0 || tr.FindSpan("x") != nil {
+	if tr.Duration() != 0 || tr.FindSpan("x") != nil {
 		t.Fatal("nil trace accessors should be zero")
 	}
 	ctx := NewContext(context.Background(), tr)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hyperq/internal/feature"
+	"hyperq/internal/metrics"
 )
 
 // Stat is one statement shape's accumulated statistics, JSON-shaped for the
@@ -121,7 +122,7 @@ func (e *entry) stat(sloNs int64, objective float64) Stat {
 			if s.StageNs == nil {
 				s.StageNs = make(map[string]int64)
 			}
-			s.StageNs[stageNames[i]] = n
+			s.StageNs[metrics.Stage(i).String()] = n
 		}
 	}
 	for i := range e.tiers {

@@ -37,20 +37,6 @@ import (
 	"hyperq/internal/wire/tdp"
 )
 
-// Pipeline stage indices of Obs.StageNs, in metrics.StageNames order.
-const (
-	StageParse = iota
-	StageBind
-	StageTransform
-	StageSerialize
-	StageCache
-	StageExecute
-	StageConvert
-	NumStages
-)
-
-var stageNames = [NumStages]string{"parse", "bind", "transform", "serialize", "cache", "execute", "convert"}
-
 // Tier is a request's translation-cache outcome.
 type Tier uint8
 
@@ -102,8 +88,8 @@ func errSlot(code int) int {
 type Obs struct {
 	// DurNs is the whole-request wall time.
 	DurNs int64
-	// StageNs is the per-stage time split (Stage* indices).
-	StageNs [NumStages]int64
+	// StageNs is the per-stage time split, indexed by metrics.Stage.
+	StageNs [metrics.NumStages]int64
 	// Tier is the translation-cache outcome.
 	Tier Tier
 	// Failed marks a request that returned an error; ErrCode its frontend
@@ -150,7 +136,7 @@ type entry struct {
 	errByCode [numErrSlots]int64
 	totalNs   int64
 	lat       metrics.Compact
-	stageNs   [NumStages]int64
+	stageNs   [metrics.NumStages]int64
 	tiers     [numTiers]int64
 	rowsOut   int64
 	bytesOut  int64

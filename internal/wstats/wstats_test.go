@@ -9,6 +9,7 @@ import (
 
 	"hyperq/internal/feature"
 	"hyperq/internal/fingerprint"
+	"hyperq/internal/metrics"
 	"hyperq/internal/trace"
 	"hyperq/internal/wire/tdp"
 )
@@ -75,8 +76,8 @@ func TestObserveAccumulatesPerShape(t *testing.T) {
 		Reconnects: 1,
 		Feats:      feats,
 	}
-	o.StageNs[StageParse] = 100
-	o.StageNs[StageExecute] = 900
+	o.StageNs[metrics.StageParse] = 100
+	o.StageNs[metrics.StageExecute] = 900
 	r.Observe(hash, sql, o)
 	r.Observe(hash, sql, &Obs{DurNs: int64(1 * time.Millisecond), Tier: TierExactHit})
 	r.Observe(hash, sql, &Obs{
@@ -531,7 +532,7 @@ func TestSteadyStateRecordingAllocationFree(t *testing.T) {
 	var fs feature.Set
 	fs.Add(feature.Qualify)
 	o := &Obs{DurNs: int64(time.Millisecond), Tier: TierFingerprintHit, RowsOut: 3, BytesOut: 120, Feats: fs}
-	o.StageNs[StageParse] = 50
+	o.StageNs[metrics.StageParse] = 50
 	r.Observe(hash, sql, o) // admission: allowed to allocate
 
 	if avg := testing.AllocsPerRun(1000, func() {
