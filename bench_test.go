@@ -446,43 +446,6 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationResultSpill compares the buffered result path with an
-// in-memory Result Store against one that spills every batch to disk
-// (§4.6: "the Result Converter spills the buffered results into disk").
-func BenchmarkAblationResultSpill(b *testing.B) {
-	for _, budget := range []struct {
-		name  string
-		bytes int
-	}{{"memory", 64 << 20}, {"spill", 1}} {
-		b.Run(budget.name, func(b *testing.B) {
-			eng := engine.New(dialect.CloudA())
-			if err := tpch.SetupEngine(eng.NewSession(), benchSF); err != nil {
-				b.Fatal(err)
-			}
-			g, err := hyperq.New(hyperq.Config{
-				Target:       dialect.CloudA(),
-				Driver:       &odbc.LocalDriver{Engine: eng},
-				Catalog:      eng.Catalog().Clone(),
-				ResultBudget: budget.bytes,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := g.NewLocalSession("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run("SEL l_orderkey, l_extendedprice FROM lineitem"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRecursionStrategy compares native recursion (CloudD)
 // against the Figure 7 temp-table emulation (CloudA) for the same query.
 func BenchmarkAblationRecursionStrategy(b *testing.B) {

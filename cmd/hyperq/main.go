@@ -47,11 +47,9 @@ func main() {
 	poolMaxWaiters := flag.Int("pool-max-waiters", 0, "max sessions queued for a pool connection before rejecting with 3134 (0 = 4x pool size, negative = unbounded)")
 	poolAcquireTimeout := flag.Duration("pool-acquire-timeout", 0, "max wait for a pool connection before failing with 3134 (0 = default 5s, negative = unbounded)")
 	poolMaxLifetime := flag.Duration("pool-max-lifetime", 0, "recycle pool connections older than this (0 = never)")
-	resultBudget := flag.Int("result-budget", 0, "per-session result memory budget in bytes; streamed results keep at most this many bytes in flight, buffered results spill past it (0 = default 64 MiB)")
+	resultBudget := flag.Int("result-budget", 0, "per-session result memory budget in bytes: a streamed result keeps at most this many bytes in flight between backend fetch and client delivery (0 = default 64 MiB)")
 	resultMemoryCap := flag.Int("result-memory-cap", 0, "gateway-wide in-flight result memory hard cap in bytes; requests past it are shed with 3134 (0 = default 256 MiB, negative = unbounded)")
-	streamDepth := flag.Int("stream-depth", 0, "per-session streaming pipeline depth in batches per stage (0 = default 4)")
 	clientWriteTimeout := flag.Duration("client-write-timeout", 30*time.Second, "evict sessions whose client stalls a result write longer than this (0 = never)")
-	noStreaming := flag.Bool("no-streaming", false, "disable the streaming result path; materialize every result through the TDF store")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /traces, /traces/slow, /sessions, /statements, /pool on this HTTP address (empty = off)")
 	slowQueryMs := flag.Int("slow-query-ms", 200, "slow-query threshold for /traces/slow retention (0 = disable)")
 	traceRing := flag.Int("trace-ring", 256, "recent-trace ring capacity")
@@ -136,8 +134,6 @@ func main() {
 		Pool:                    backendPool,
 		ResultBudget:            *resultBudget,
 		ResultMemoryCap:         *resultMemoryCap,
-		StreamDepth:             *streamDepth,
-		DisableStreaming:        *noStreaming,
 		DisableStatStatements:   !*statStatements,
 		StatStatementsMax:       *statStatementsMax,
 		SLO:                     time.Duration(*sloMs) * time.Millisecond,

@@ -1,7 +1,11 @@
 package hyperq
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"time"
 
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
@@ -107,39 +111,109 @@ func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
 	return out, nil
 }
 
-// convertResult is the buffered Result Converter (§4.6): backend TDF batches
-// are buffered through the Result Store (spilling to disk past the memory
-// budget, since the frontend protocol announces row counts up front) and
-// converted into the frontend's column types and names.
-func (s *Session) convertResult(frontCols []xtra.Col, br *cwp.StatementResult) ([]tdp.ColumnDef, [][]types.Datum, error) {
-	plan, err := newConvertPlan(frontCols, br.Cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Buffer batches through the Result Store.
-	store := tdf.NewStore(s.g.cfg.ResultBudget)
-	defer store.Close()
-	for _, b := range br.Batches {
-		if err := store.Append(b); err != nil {
-			return nil, nil, err
+// resultSink takes one backend request's converted results statement by
+// statement: begin opens a result set, end closes the statement (with or
+// without one).
+type resultSink interface {
+	begin(cols []tdp.ColumnDef) error
+	rows(rows [][]types.Datum) error
+	end(activity int64, command string) error
+}
+
+// collector is the resultSink that materializes results as FrontResults:
+// local sessions, DML/DDL, everything inside a composite.
+type collector struct {
+	out []*FrontResult
+	cur FrontResult // the statement being delivered
+}
+
+func (c *collector) begin(cols []tdp.ColumnDef) error {
+	c.cur.Cols = cols
+	return nil
+}
+
+func (c *collector) rows(rows [][]types.Datum) error {
+	c.cur.Rows = append(c.cur.Rows, rows...)
+	return nil
+}
+
+func (c *collector) end(activity int64, command string) error {
+	fr := c.cur
+	fr.Activity, fr.Command = activity, command
+	c.out, c.cur = append(c.out, &fr), FrontResult{}
+	return nil
+}
+
+// eventSource is what deliver reads: an odbc.ResultStream, or the fetch stage
+// in front of one.
+type eventSource interface {
+	Next(ctx context.Context) (cwp.StreamEvent, error)
+}
+
+// deliver is the gateway's one result path: it drains one backend request's
+// event stream into sink, compiling each result set's convertPlan from its
+// metadata, converting batch by batch and counting rows; cmd maps the backend
+// command tag to the frontend activity name. A stream may only end after the
+// Complete of every statement it opened — a producer that stops short
+// (deadline, cancel, backend death) is an error here, never a short result.
+// It returns the result sets opened and the time spent converting. Conversion
+// failures come back as *RequestError; sink and producer failures as they are.
+func (s *Session) deliver(ctx context.Context, src eventSource, frontCols []xtra.Col, cmd func(string) string, sink resultSink) (sets int64, convert time.Duration, _ error) {
+	var plan *convertPlan // non-nil while a result set is open
+	var rowCount int64
+	completed := false
+	open := func(backCols []tdf.ColumnMeta) (err error) {
+		if frontCols == nil {
+			return failf(tdp.CodeObjectNotFound, "unexpected result set from backend")
 		}
+		if plan, err = newConvertPlan(frontCols, backCols); err != nil {
+			return failf(tdp.CodeObjectNotFound, "result conversion: %v", err)
+		}
+		if err = sink.begin(plan.cols); err == nil {
+			sets++
+			rowCount = 0
+		}
+		return err
 	}
-	if err := store.Seal(); err != nil {
-		return nil, nil, err
-	}
-	// Convert inside the drain callback so only one batch is resident at a
-	// time — collecting the batches first would re-materialize everything the
-	// store just spilled.
-	rows := make([][]types.Datum, 0, store.TotalRows())
-	if err := store.Drain(func(b *tdf.Batch) error {
-		converted, err := plan.convertBatch(b)
+	for {
+		ev, err := src.Next(ctx)
 		if err != nil {
-			return err
+			if errors.Is(err, io.EOF) {
+				if completed && plan == nil {
+					return sets, convert, nil
+				}
+				err = fmt.Errorf("backend stream ended without statement completion: %w", io.ErrUnexpectedEOF)
+			}
+			return sets, convert, err
 		}
-		rows = append(rows, converted...)
-		return nil
-	}); err != nil {
-		return nil, nil, err
+		switch ev.Kind {
+		case cwp.StreamMeta:
+			err = open(ev.Cols)
+		case cwp.StreamBatch:
+			if plan == nil { // rows without a metadata event: the batch describes itself
+				if err = open(ev.Batch.Cols); err != nil {
+					break
+				}
+			}
+			t0 := time.Now()
+			rows, cerr := plan.convertBatch(ev.Batch)
+			convert += time.Since(t0)
+			if cerr != nil {
+				err = failf(tdp.CodeObjectNotFound, "result conversion: %v", cerr)
+			} else if err = sink.rows(rows); err == nil {
+				rowCount += int64(len(rows))
+				s.req.rowsOut += int64(len(rows))
+			}
+		case cwp.StreamComplete:
+			activity := ev.Affected
+			if plan != nil {
+				activity = rowCount
+			}
+			err = sink.end(activity, cmd(ev.Command))
+			plan, completed = nil, true
+		}
+		if err != nil {
+			return sets, convert, err
+		}
 	}
-	return plan.cols, rows, nil
 }

@@ -2,7 +2,9 @@ package hyperq
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -289,6 +291,159 @@ func TestConvertDoesNotMutateSharedBatch(t *testing.T) {
 			}
 			if m := g.MetricsSnapshot(); mode.stream != (m.StreamedResults == 2) {
 				t.Errorf("streamed results = %d with streaming %v", m.StreamedResults, mode.stream)
+			}
+		})
+	}
+}
+
+// resultRecorder is a tdp.ResponseWriter that keeps what it is sent in the
+// collector's own shape, one FrontResult per EndStatement.
+type resultRecorder struct {
+	out []*FrontResult
+	cur *FrontResult
+}
+
+func (w *resultRecorder) BeginResultSet(cols []tdp.ColumnDef) error {
+	w.cur = &FrontResult{Cols: cols}
+	return nil
+}
+
+func (w *resultRecorder) Row(row []types.Datum) error {
+	w.cur.Rows = append(w.cur.Rows, row)
+	return nil
+}
+
+func (w *resultRecorder) EndStatement(activity int64, name string) error {
+	if w.cur == nil {
+		w.cur = &FrontResult{}
+	}
+	w.cur.Activity, w.cur.Command = activity, name
+	w.out, w.cur = append(w.out, w.cur), nil
+	return nil
+}
+
+func (w *resultRecorder) Failure(int, string) error { return nil }
+
+// eventStream replays hand-written events, for sequences odbc.BufferStream
+// cannot produce.
+type eventStream []cwp.StreamEvent
+
+func (e *eventStream) Next(context.Context) (cwp.StreamEvent, error) {
+	if len(*e) == 0 {
+		return cwp.StreamEvent{}, io.EOF
+	}
+	ev := (*e)[0]
+	*e = (*e)[1:]
+	return ev, nil
+}
+
+func (e *eventStream) Close() error { return nil }
+
+// The statement-level twin of TestStreamingMatchesBufferedWireTranscripts:
+// deliver hands both sinks the same (columns, rows, activity, command)
+// sequence and fails both with the same error, whatever the backend sent.
+func TestDeliverSinkEquivalence(t *testing.T) {
+	g, err := New(Config{Target: dialect.CloudA(), Driver: &odbc.LocalDriver{Engine: engine.New(dialect.CloudA())}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := g.NewLocalSession("sinks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	front, b1 := wideFixture(40, false)
+	_, b2 := wideFixture(7, false)
+	_, bad := wideFixture(5, false)
+	bad.Rows[3][2] = types.NewString("not a number")
+	resultSet := func(batches ...*tdf.Batch) *cwp.StatementResult {
+		return &cwp.StatementResult{Cols: b1.Cols, Batches: batches, Command: "SELECT"}
+	}
+	buffered := func(results ...*cwp.StatementResult) func() odbc.ResultStream {
+		return func() odbc.ResultStream { return odbc.BufferStream(results) }
+	}
+	events := func(evs ...cwp.StreamEvent) func() odbc.ResultStream {
+		return func() odbc.ResultStream { e := eventStream(evs); return &e }
+	}
+	for _, tc := range []struct {
+		name     string
+		front    []xtra.Col
+		stream   func() odbc.ResultStream
+		want     []int64 // per delivered statement: its row count, or -affected for a row-less one
+		wantSets int64
+		wantCode int   // *RequestError code; 0: none
+		wantErr  error // producer error deliver passes through unmapped
+	}{
+		{name: "multi-statement", front: front,
+			stream: buffered(resultSet(b1, b2), &cwp.StatementResult{Command: "INSERT", Affected: 3}, resultSet(b2)),
+			want:   []int64{47, -3, 7}, wantSets: 2},
+		{name: "row-less statement", stream: buffered(&cwp.StatementResult{Command: "UPDATE", Affected: 9}),
+			want: []int64{-9}},
+		{name: "empty result set", front: front, stream: buffered(resultSet()), want: []int64{0}, wantSets: 1},
+		{name: "batch without meta", front: front,
+			stream: events(cwp.StreamEvent{Kind: cwp.StreamBatch, Batch: b2},
+				cwp.StreamEvent{Kind: cwp.StreamComplete, Command: "SELECT"}),
+			want: []int64{7}, wantSets: 1},
+		{name: "unexpected result set", stream: buffered(resultSet(b1)), wantCode: tdp.CodeObjectNotFound},
+		{name: "column count mismatch", front: front[:3], stream: buffered(resultSet(b1)), wantCode: tdp.CodeObjectNotFound},
+		{name: "conversion failure mid-result", front: front, stream: buffered(resultSet(b1, bad, b2)),
+			wantSets: 1, wantCode: tdp.CodeObjectNotFound},
+		{name: "ends inside a statement", front: front,
+			stream:   events(cwp.StreamEvent{Kind: cwp.StreamMeta, Cols: b1.Cols}, cwp.StreamEvent{Kind: cwp.StreamBatch, Batch: b1}),
+			wantSets: 1, wantErr: io.ErrUnexpectedEOF},
+		{name: "ends before any statement", stream: events(), wantErr: io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := func(backend string) string { return "FE " + backend }
+			var c collector
+			var w resultRecorder
+			cSets, _, cErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &c)
+			wSets, _, wErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &frontWriter{w: &w})
+			if cSets != tc.wantSets || wSets != tc.wantSets {
+				t.Errorf("result sets: collector %d, wire %d, want %d", cSets, wSets, tc.wantSets)
+			}
+			for sink, err := range map[string]error{"collector": cErr, "wire": wErr} {
+				var re *RequestError
+				switch {
+				case tc.wantCode != 0:
+					if !errors.As(err, &re) || re.Code != tc.wantCode {
+						t.Errorf("%s: err = %v, want code %d", sink, err, tc.wantCode)
+					}
+				case tc.wantErr != nil:
+					if !errors.Is(err, tc.wantErr) || errors.As(err, &re) {
+						t.Errorf("%s: err = %v, want unmapped %v", sink, err, tc.wantErr)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", sink, err)
+				}
+			}
+			if fmt.Sprint(cErr) != fmt.Sprint(wErr) {
+				t.Errorf("errors differ: collector %v, wire %v", cErr, wErr)
+			}
+			// What the wire saw before a failure, the collector holds too (its
+			// caller drops it); compare completed statements and the open one.
+			open := &c.cur
+			if reflect.DeepEqual(c.cur, FrontResult{}) {
+				open = nil
+			}
+			if !reflect.DeepEqual(c.out, w.out) || !reflect.DeepEqual(open, w.cur) {
+				t.Fatalf("sinks diverged:\ncollector %+v (open %+v)\nwire      %+v (open %+v)", c.out, open, w.out, w.cur)
+			}
+			if len(c.out) != len(tc.want) {
+				t.Fatalf("%d statements delivered, want %d", len(c.out), len(tc.want))
+			}
+			for i, fr := range c.out {
+				if !strings.HasPrefix(fr.Command, "FE ") {
+					t.Errorf("statement %d: command %q did not go through cmd", i, fr.Command)
+				}
+				if want := tc.want[i]; want < 0 {
+					if fr.Cols != nil || fr.Activity != -want {
+						t.Errorf("statement %d: row-less statement has columns %v, activity %d; want %d", i, fr.Cols, fr.Activity, -want)
+					}
+				} else if len(fr.Cols) != len(front) || int64(len(fr.Rows)) != want || fr.Activity != want {
+					t.Errorf("statement %d: %d cols, %d rows, activity %d; want %d rows", i, len(fr.Cols), len(fr.Rows), fr.Activity, want)
+				}
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package hyperq
 
 import (
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -11,52 +10,6 @@ import (
 	"hyperq/internal/odbc"
 	"hyperq/internal/wire/cwp"
 )
-
-// The buffered result path with a 1-byte budget forces every batch through
-// the spill file; data must come back intact and ordered.
-func TestGatewayResultSpillPath(t *testing.T) {
-	target := dialect.CloudA()
-	eng := engine.New(target)
-	be := eng.NewSession()
-	if _, err := be.ExecSQL("CREATE TABLE wide (a INT, b VARCHAR(40))"); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO wide VALUES (0, 'row-0')")
-	for i := 1; i < 5000; i++ {
-		fmt.Fprintf(&sb, ",(%d,'row-%d')", i, i)
-	}
-	if _, err := be.ExecSQL(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(Config{
-		Target:       target,
-		Driver:       &odbc.LocalDriver{Engine: eng},
-		Catalog:      eng.Catalog().Clone(),
-		ResultBudget: 1, // spill everything
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := g.NewLocalSession("spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res, err := s.Run("SEL a, b FROM wide ORDER BY a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res[0].Rows
-	if len(rows) != 5000 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i, row := range rows {
-		if row[0].I != int64(i) || row[1].S != fmt.Sprintf("row-%d", i) {
-			t.Fatalf("row %d corrupted after spill: %v", i, row)
-		}
-	}
-}
 
 // The gateway composes with the scale-out replicated driver (Appendix B.3).
 func TestGatewayWithReplicatedBackend(t *testing.T) {

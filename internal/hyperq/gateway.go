@@ -39,16 +39,11 @@ type Config struct {
 	// discovery/transfer (§4); in this reproduction the catalog is either
 	// populated through gateway DDL or imported from the backend at startup.
 	Catalog *catalog.Catalog
-	// ResultBudget is the Result Store's in-memory byte budget before
-	// buffered results spill to disk (§4.6), and the per-session in-flight
-	// byte budget of the streaming result pipeline: a session's fetch stage
-	// stops pulling from the backend while more than this many bytes sit
-	// between fetch and frontend delivery. 0 selects 64 MiB.
+	// ResultBudget is the per-session in-flight byte budget of a streamed
+	// result (the §4.6 memory bound): a session's fetch stage stops pulling
+	// from the backend while more than this many bytes sit between fetch and
+	// frontend delivery. 0 selects 64 MiB.
 	ResultBudget int
-	// StreamDepth bounds the per-session streaming pipeline: each stage
-	// boundary (fetch→convert, convert→write) holds at most this many
-	// batches. 0 selects 4.
-	StreamDepth int
 	// ResultMemoryCap is the gateway-wide hard cap on in-flight streamed
 	// result bytes across all sessions. A request is shed with
 	// CodeGatewaySaturated, rather than ballooning gateway memory, when its
@@ -56,9 +51,9 @@ type Config struct {
 	// its predecessor in the same request — resident at once — together
 	// exceed the cap. 0 selects 256 MiB.
 	ResultMemoryCap int
-	// DisableStreaming forces every result set through the buffered
-	// TDF-store path (the pre-streaming behaviour) — the reference side of
-	// the streamed-vs-buffered differential tests.
+	// DisableStreaming sends every result set to the collecting sink, so a
+	// wire session's results are materialized before they are written — the
+	// reference side of the streamed-vs-buffered differential tests.
 	DisableStreaming bool
 	// Stats, when non-nil, accumulates per-request feature statistics (the
 	// §7.1 instrumentation).
@@ -159,15 +154,15 @@ type MetricsSnapshot struct {
 	Replays            int64
 	BreakerOpen        int64
 	ReplicaQuarantined int64
-	// Streaming-result counters: result sets streamed through the bounded
-	// pipeline, result sets buffered through the TDF store, sessions evicted
+	// Result-path counters: result sets streamed straight to the wire, result
+	// sets collected into FrontResults first, sessions evicted
 	// for stalling past the client write deadline, mid-stream backend
 	// failures surfaced to clients (never retried), and requests shed at the
 	// gateway-wide result memory cap.
 	StreamedResults int64
 	BufferedResults int64
 	// StreamedBytes/BufferedBytes count result payload bytes delivered
-	// through each path (TDF wire encoding).
+	// to each sink (TDF wire encoding).
 	StreamedBytes     int64
 	BufferedBytes     int64
 	ClientsEvicted    int64
@@ -232,9 +227,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.ResultBudget == 0 {
 		cfg.ResultBudget = 64 << 20
-	}
-	if cfg.StreamDepth == 0 {
-		cfg.StreamDepth = 4
 	}
 	if cfg.ResultMemoryCap == 0 {
 		cfg.ResultMemoryCap = 256 << 20
@@ -542,10 +534,6 @@ type FrontResult struct {
 	Rows     [][]types.Datum
 	Activity int64
 	Command  string
-	// sent marks a result whose parcels already went to the client (the
-	// streaming path writes rows as they arrive and returns a row-less
-	// marker); emitters must skip it instead of re-sending.
-	sent bool
 }
 
 // RequestError carries the frontend failure code.

@@ -72,9 +72,9 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"hyperq_breaker_open_total", "Circuit-breaker open transitions.", m.BreakerOpen},
 		{"hyperq_replicas_quarantined_total", "Replicas quarantined from reads.", m.ReplicaQuarantined},
 		{"hyperq_results_streamed_total", "Result sets delivered through the streaming pipeline.", m.StreamedResults},
-		{"hyperq_results_buffered_total", "Result sets materialized through the TDF-store path.", m.BufferedResults},
+		{"hyperq_results_buffered_total", "Result sets materialized by the collecting sink.", m.BufferedResults},
 		{"hyperq_result_streamed_bytes_total", "Result payload bytes delivered through the streaming pipeline.", m.StreamedBytes},
-		{"hyperq_result_buffered_bytes_total", "Result payload bytes materialized through the TDF-store path.", m.BufferedBytes},
+		{"hyperq_result_buffered_bytes_total", "Result payload bytes materialized by the collecting sink.", m.BufferedBytes},
 		{"hyperq_clients_evicted_total", "Sessions evicted for stalling past the client write deadline.", m.ClientsEvicted},
 		{"hyperq_midstream_failures_total", "Requests failed after rows had already reached the client.", m.MidstreamFailures},
 		{"hyperq_results_shed_total", "Requests shed at the gateway result-memory cap.", m.ResultShed},

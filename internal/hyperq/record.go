@@ -68,17 +68,15 @@ func (r *request) end(l lap) {
 	l.sp.EndWithDuration(d)
 }
 
-// endSplit closes a lap that another stage ran inside concurrently — the
-// streaming pipeline's execute lap, with *innerNs the time its convert stage
-// accumulated on its own goroutine. That share is carved out of the lap and
-// booked to inner, so stage times stay additive (the Figure 9 split).
-func (r *request) endSplit(l lap, inner metrics.Stage, innerNs *int64) {
+// endSplit closes a lap that another stage ran inside — the execute lap, with
+// innerD the time deliver spent converting between backend reads. That share
+// is carved out of the lap and booked to inner, so stage times stay additive
+// (the Figure 9 split).
+func (r *request) endSplit(l lap, inner metrics.Stage, innerD time.Duration) {
 	isp, now := r.tr.StartTimed(inner.String())
-	innerD := time.Duration(atomic.LoadInt64(innerNs))
 	d := max(now.Sub(l.t0)-innerD, 0)
 	r.stageNs[l.stage] += int64(d)
 	r.stageNs[inner] += int64(innerD)
-	isp.Set("streamed", "true")
 	isp.EndWithDuration(innerD)
 	l.sp.EndWithDuration(d)
 }

@@ -23,7 +23,6 @@ import (
 	"hyperq/internal/trace"
 	"hyperq/internal/transform"
 	"hyperq/internal/types"
-	"hyperq/internal/wire/cwp"
 	"hyperq/internal/wire/tdp"
 	"hyperq/internal/wstats"
 	"hyperq/internal/xtra"
@@ -233,7 +232,7 @@ func (s *Session) Close() {
 // statements' parcels before the failure parcel; the client discards them
 // (tdp.Client already does).
 func (s *Session) Request(sql string, w tdp.ResponseWriter) error {
-	s.fw = &frontWriter{s: s, w: w}
+	s.fw = &frontWriter{w: w}
 	_, err := s.Run(sql)
 	s.fw = nil
 	if err != nil {
@@ -257,8 +256,6 @@ func (s *Session) Request(sql string, w tdp.ResponseWriter) error {
 		}
 		return w.Failure(re.Code, re.Message)
 	}
-	// Run emitted every result through fw — inside the request, where the
-	// record sees it.
 	return nil
 }
 
@@ -631,60 +628,58 @@ func (s *Session) bindTransformSerialize(stmt sqlast.Statement, rec *feature.Rec
 	return sql, frontCols, nil
 }
 
-// execTranslated executes translated SQL on the backend and converts the
-// results to the frontend representation. cmd maps the backend command tag
-// to the frontend activity name. Result-set statements with a frontend
-// attached take the streaming pipeline (bounded memory, backpressure to the
-// backend); everything else — and everything inside emulation composites —
-// keeps the materializing TDF-store path.
+// execTranslated executes translated SQL on the backend and delivers its
+// results in the frontend representation. cmd maps the backend command tag
+// to the frontend activity name. There is one result path (deliver) and two
+// sinks: a result-set statement with a frontend attached goes straight to the
+// wire through the fetch stage (bounded memory, backpressure to the backend)
+// and returns no FrontResult; everything else is collected.
 func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, error) {
-	if s.streamable(frontCols) {
-		if se, ok := s.be.(odbc.StreamExecutor); ok {
-			return s.execStreamed(se, sql, frontCols, cmd)
-		}
-	}
 	s.req.tr.AddTranslated(sql)
 	t := s.req.begin(metrics.StageExecute)
-	backendResults, err := s.be.ExecContext(s.requestCtx(), sql)
-	s.req.end(t)
-	t.sp.Set("sql", sql)
-	if err != nil {
-		return nil, mapBackendError(err)
+	var out []*FrontResult
+	var convert time.Duration
+	var err error
+	se, streamed := s.wireExecutor(frontCols)
+	if streamed {
+		convert, err = s.streamToWire(se, sql, frontCols, cmd)
+	} else {
+		out, convert, err = s.collect(sql, frontCols, cmd)
 	}
-	t = s.req.begin(metrics.StageConvert)
-	out, err := s.convertResults(backendResults, frontCols, cmd)
-	s.req.end(t)
+	s.req.endSplit(t, metrics.StageConvert, convert)
+	t.sp.Set("sql", sql)
+	if streamed {
+		t.sp.Set("streamed", "true")
+	}
 	return out, err
 }
 
-// convertResults converts a buffered backend response back to the frontend
-// representation.
-func (s *Session) convertResults(backendResults []*cwp.StatementResult, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, error) {
-	var out []*FrontResult
-	for _, br := range backendResults {
-		fr := &FrontResult{Activity: br.Affected, Command: cmd(br.Command)}
-		if br.Cols != nil {
-			if frontCols == nil {
-				return nil, failf(tdp.CodeObjectNotFound, "unexpected result set from backend")
-			}
-			var bb int64
-			for _, b := range br.Batches {
-				bb += int64(b.EncodedSize())
-			}
-			cols, rows, err := s.convertResult(frontCols, br)
-			if err != nil {
-				return nil, failf(tdp.CodeObjectNotFound, "result conversion: %v", err)
-			}
-			s.req.bufferedResults++
-			s.req.bufferedBytes += bb
-			s.req.rowsOut += int64(len(rows))
-			fr.Cols = cols
-			fr.Rows = rows
-			fr.Activity = int64(len(rows))
-		}
-		out = append(out, fr)
+// collect runs one backend request to completion and materializes its
+// results. It executes through ExecContext, not ExecStream: nothing has
+// reached a client, so the resilient layer's whole-request retry matrix keeps
+// applying, whereas a stream is never retried after its first event.
+func (s *Session) collect(sql string, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, time.Duration, error) {
+	ctx := s.requestCtx()
+	results, err := s.be.ExecContext(ctx, sql)
+	if err != nil {
+		return nil, 0, mapBackendError(err)
 	}
-	return out, nil
+	var c collector
+	sets, convert, err := s.deliver(ctx, odbc.BufferStream(results), frontCols, cmd, &c)
+	if err != nil {
+		var re *RequestError
+		if !errors.As(err, &re) {
+			err = mapBackendError(err)
+		}
+		return nil, convert, err
+	}
+	s.req.bufferedResults += sets
+	for _, r := range results {
+		for _, b := range r.Batches {
+			s.req.bufferedBytes += int64(b.EncodedSize())
+		}
+	}
+	return c.out, convert, nil
 }
 
 // mapBackendError converts backend/driver failures into the frontend codes

@@ -348,6 +348,62 @@ func TestStreamingMidStreamBackendDeathFailsCleanly(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
+// A request deadline that fires while the client is still reading its result
+// is an interrupted result, not a short one: the rows already sent are
+// followed by one 3610 failure — never by a bare end of request — the gauge
+// drains, and the session serves its next request.
+func TestStreamingDeadlineMidStreamFailsCleanly(t *testing.T) {
+	target := dialect.CloudA()
+	eng := bigTableEngine(t, target, 40) // 64000 rows ≈ 19.5 MiB
+	st := newStreamStack(t, target, eng,
+		Config{BackendTimeout: 500 * time.Millisecond, ResultBudget: 512 << 10}, tdp.Options{})
+
+	c := dialRaw(t, st.addr)
+	defer c.close()
+	// Warm the session (backend connect) so the deadline is spent on the result.
+	transcript(t, c, "SEL COUNT(*) FROM BIG")
+	c.request("SEL PAD FROM BIG")
+	var rows, failure, ended int
+	for done := false; !done; {
+		kind, payload, err := c.read()
+		if err != nil {
+			t.Fatalf("read after %d rows: %v", rows, err)
+		}
+		switch kind {
+		case tdp.MsgRecord:
+			// A steady but slow reader: draining the result takes longer than
+			// the deadline allows, and the fetch stage spends that time
+			// blocked behind the frontend write.
+			if rows++; rows%256 == 0 {
+				time.Sleep(3 * time.Millisecond)
+			}
+		case tdp.MsgSuccess:
+			ended++
+		case tdp.MsgFailure:
+			failure = int(wire.NewReader(payload).U32())
+		case tdp.MsgEndRequest:
+			done = true
+		}
+	}
+	if rows == 0 || rows >= 64000 || ended != 0 {
+		t.Fatalf("%d rows, %d statements ended, failure %d — the deadline did not fire mid-result", rows, ended, failure)
+	}
+	if failure != tdp.CodeResultInterrupted {
+		t.Fatalf("failure code = %d after %d of 64000 rows, want %d (result interrupted)", failure, rows, tdp.CodeResultInterrupted)
+	}
+	if m := st.g.MetricsSnapshot(); m.MidstreamFailures != 1 {
+		t.Errorf("midstream failures = %d, want 1", m.MidstreamFailures)
+	}
+	if got := st.g.ResultInflightBytes(); got != 0 {
+		t.Errorf("in-flight gauge = %d, want 0", got)
+	}
+	for _, p := range transcript(t, c, "SEL COUNT(*) FROM BIG") {
+		if p.kind == tdp.MsgFailure {
+			t.Fatalf("session did not survive the interrupted result: failure %d", wire.NewReader(p.payload).U32())
+		}
+	}
+}
+
 // A client that vanishes mid-result tears the whole pipeline down — backend
 // stream, pipeline stages, accountant reservations, server session — with
 // nothing leaked.

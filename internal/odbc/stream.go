@@ -44,8 +44,8 @@ func OpenStream(ctx context.Context, ex Executor, sql string) (ResultStream, err
 
 // BufferStream adapts materialized statement results to the ResultStream
 // interface, replaying them as the event sequence a native stream would
-// have produced. It is the adapter behind OpenStream's fallback and the
-// faultdriver's stream shim.
+// have produced. It is the adapter behind OpenStream's fallback, the
+// faultdriver's stream shim and the gateway's collected results.
 func BufferStream(results []*cwp.StatementResult) ResultStream {
 	return &bufferedStream{results: results}
 }

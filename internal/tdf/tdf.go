@@ -2,9 +2,7 @@
 // data representation result batches are packaged in between the ODBC
 // Server and the Result Converter. TDF is "an extensible binary format that
 // is able [to] handle arbitrarily large nested data"; batches are retrieved
-// on demand and, when the original database disallows streaming, buffered in
-// a Result Store that spills to disk once a memory budget is exceeded
-// (§4.6).
+// on demand, and the gateway bounds how many are resident at once (§4.6).
 package tdf
 
 import (
@@ -97,8 +95,8 @@ type Batch struct {
 	Rows [][]types.Datum
 }
 
-// EncodedSize estimates the wire size of the batch (used for memory
-// accounting in the Result Store).
+// EncodedSize estimates the wire size of the batch (used for result memory
+// accounting).
 func (b *Batch) EncodedSize() int {
 	size := 16
 	for _, c := range b.Cols {
@@ -193,7 +191,7 @@ var errTruncated = fmt.Errorf("tdf: truncated batch: %w", io.ErrUnexpectedEOF)
 
 // Decode reads r to EOF and decodes the one batch it holds; anything after
 // that batch is an error. To read batches back to back from one reader,
-// frame them (as the spill file does) and hand each frame to DecodeBytes.
+// frame them and hand each frame to DecodeBytes.
 func Decode(r io.Reader) (*Batch, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {

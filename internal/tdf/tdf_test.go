@@ -3,7 +3,6 @@ package tdf
 import (
 	"bytes"
 	"math"
-	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -125,118 +124,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestStoreInMemory(t *testing.T) {
-	s := NewStore(1 << 20)
-	for i := 0; i < 3; i++ {
-		if err := s.Append(sampleBatch()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.TotalRows() != 6 {
-		t.Fatalf("rows = %d", s.TotalRows())
-	}
-	if s.Spilled() != 0 {
-		t.Fatal("unexpected spill")
-	}
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	if err := s.Drain(func(b *Batch) error { n += len(b.Rows); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("drained %d rows", n)
-	}
-}
-
-func TestStoreSpillsToDisk(t *testing.T) {
-	s := NewStore(0) // spill everything
-	defer s.Close()
-	const batches = 10
-	for i := 0; i < batches; i++ {
-		if err := s.Append(sampleBatch()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Spilled() != batches {
-		t.Fatalf("spilled = %d", s.Spilled())
-	}
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	var rows int
-	var firstDecimal string
-	if err := s.Drain(func(b *Batch) error {
-		rows += len(b.Rows)
-		if firstDecimal == "" {
-			firstDecimal = b.Rows[0][2].String()
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rows != batches*2 {
-		t.Fatalf("drained %d rows", rows)
-	}
-	if firstDecimal != "123.45" {
-		t.Fatalf("spilled decimal = %s", firstDecimal)
-	}
-}
-
-func TestStoreMixedMemoryAndSpill(t *testing.T) {
-	one := sampleBatch().EncodedSize()
-	s := NewStore(one + one/2) // one batch fits, the rest spill
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		if err := s.Append(sampleBatch()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Spilled() != 4 {
-		t.Fatalf("spilled = %d", s.Spilled())
-	}
-	_ = s.Seal()
-	var rows int
-	if err := s.Drain(func(b *Batch) error { rows += len(b.Rows); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if rows != 10 {
-		t.Fatalf("rows = %d", rows)
-	}
-}
-
-func TestStoreLifecycleErrors(t *testing.T) {
-	s := NewStore(1024)
-	if err := s.Drain(func(*Batch) error { return nil }); err == nil {
-		t.Error("drain before seal accepted")
-	}
-	_ = s.Seal()
-	if err := s.Append(sampleBatch()); err == nil {
-		t.Error("append after seal accepted")
-	}
-	if err := s.Seal(); err != nil {
-		t.Error("double seal should be idempotent")
-	}
-}
-
-func TestStoreSpillFileRemoved(t *testing.T) {
-	s := NewStore(0)
-	_ = s.Append(sampleBatch())
-	name := s.spill.Name()
-	_ = s.Seal()
-	_ = s.Drain(func(*Batch) error { return nil })
-	if _, err := osStat(name); err == nil {
-		t.Error("spill file not removed after drain")
-	}
-}
-
-// osStat indirection for the spill-file existence check.
-var osStat = func(name string) (any, error) {
-	fi, err := osStatReal(name)
-	return fi, err
-}
-
 func TestBatchEncodedSizePositive(t *testing.T) {
 	if sampleBatch().EncodedSize() <= 0 {
 		t.Error("EncodedSize must be positive")
@@ -265,5 +152,3 @@ func TestColumnMetaEquality(t *testing.T) {
 		t.Error("meta not comparable")
 	}
 }
-
-func osStatReal(name string) (os.FileInfo, error) { return os.Stat(name) }

@@ -91,9 +91,9 @@ go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/p
 
 # Streaming acceptance: rerun the mid-stream fault suite and the streaming
 # e2e acceptance tests (backpressure bound, slow-client eviction, mid-stream
-# backend death, disconnect teardown, streamed-vs-buffered transcripts) under
-# the race detector with fresh state.
-go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure' ./internal/odbc/ ./internal/hyperq/
+# backend death, mid-stream deadline, disconnect teardown, streamed-vs-buffered
+# transcripts) under the race detector with fresh state.
+go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure' ./internal/odbc/ ./internal/hyperq/
 
 # Shadow-replay soak: capture a few hundred statements from both customer
 # workloads through a live wire gateway, replay them at 10x against two
