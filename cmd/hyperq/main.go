@@ -50,7 +50,7 @@ func main() {
 	resultBudget := flag.Int("result-budget", 0, "per-session result memory budget in bytes: a streamed result keeps at most this many bytes in flight between backend fetch and client delivery (0 = default 64 MiB)")
 	resultMemoryCap := flag.Int("result-memory-cap", 0, "gateway-wide in-flight result memory hard cap in bytes; requests past it are shed with 3134 (0 = default 256 MiB, negative = unbounded)")
 	clientWriteTimeout := flag.Duration("client-write-timeout", 30*time.Second, "evict sessions whose client stalls a result write longer than this (0 = never)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /traces, /traces/slow, /sessions, /statements, /pool on this HTTP address (empty = off)")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /traces, /traces/slow, /sessions, /statements, /pool, /debug/pprof/ on this HTTP address (empty = off)")
 	slowQueryMs := flag.Int("slow-query-ms", 200, "slow-query threshold for /traces/slow retention (0 = disable)")
 	traceRing := flag.Int("trace-ring", 256, "recent-trace ring capacity")
 	queryLogPath := flag.String("query-log", "", "append one JSON line per request to this file (empty = off)")

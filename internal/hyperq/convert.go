@@ -16,10 +16,12 @@ import (
 
 // convertPlan is the Result Converter (§4.6) compiled for one statement:
 // the frontend column definitions and whether the backend's declared column
-// types already are the frontend's. A batch is converted into one datum slab
-// — or not at all when every cell already is what the frontend expects. A
-// plan never writes to the batch it converts: a batch replayed from a
-// materialized result (odbc.BufferStream) is shared between requests.
+// types already are the frontend's. A batch is not converted at all when
+// every cell already is what the frontend expects; otherwise an owned batch
+// (tdf.Batch.Owned: decoded off the wire for this request) is converted where
+// it lies and a shared one — a hand-built batch replayed from a materialized
+// result (odbc.BufferStream) serves any number of requests — into one fresh
+// datum slab, never written to.
 type convertPlan struct {
 	cols []tdp.ColumnDef
 	// identity: every backend column is declared with its frontend type, so
@@ -74,8 +76,9 @@ func (p *convertPlan) passthrough(rows [][]types.Datum) bool {
 }
 
 // convertBatch returns the batch's rows in the frontend's column types, in
-// order. The result aliases b when nothing needs converting and is one fresh
-// slab otherwise; b itself is never written to.
+// order. The result aliases b when nothing needs converting or b is owned —
+// the cells that need a cast are then overwritten in b — and is one fresh slab
+// otherwise.
 func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
 	if len(b.Rows) == 0 {
 		return nil, nil
@@ -84,21 +87,31 @@ func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
 		return b.Rows, nil
 	}
 	ncols := len(p.cols)
-	slab := make([]types.Datum, len(b.Rows)*ncols)
-	out := make([][]types.Datum, len(b.Rows))
+	inPlace := b.Owned()
+	out := b.Rows
+	var slab []types.Datum
+	if !inPlace {
+		slab = make([]types.Datum, len(b.Rows)*ncols)
+		out = make([][]types.Datum, len(b.Rows))
+	}
 	for ri, row := range b.Rows {
 		if len(row) != ncols {
 			return nil, fmt.Errorf("row arity %d != %d", len(row), ncols)
 		}
-		conv := slab[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
-		out[ri] = conv
+		conv := row
+		if !inPlace {
+			conv = slab[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
+			out[ri] = conv
+		}
 		for ci := range row {
 			d, want := &row[ci], &p.cols[ci].Type
 			switch {
 			case isFront(d, want):
-				conv[ci] = *d
+				if !inPlace {
+					conv[ci] = *d
+				}
 			case d.Null:
-				conv[ci].K, conv[ci].Null = want.Kind, true
+				conv[ci] = types.Datum{K: want.Kind, Null: true}
 			default:
 				cast, err := types.Cast(*d, *want)
 				if err != nil {

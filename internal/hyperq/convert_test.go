@@ -1,16 +1,19 @@
 package hyperq
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
+	"hyperq/internal/israce"
 	"hyperq/internal/odbc"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
@@ -149,6 +152,75 @@ func TestConvertBatchMatchesReference(t *testing.T) {
 	}
 	if _, err := newConvertPlan(front[:3], bad.Cols); err == nil {
 		t.Error("column count mismatch accepted")
+	}
+}
+
+func encoded(t testing.TB, b *tdf.Batch) []byte {
+	t.Helper()
+	var enc bytes.Buffer
+	if err := b.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
+}
+
+// decoded returns b as the cwp client would have produced it: encoded, then
+// decoded off the wire, so the copy is owned by the caller.
+func decoded(t testing.TB, b *tdf.Batch) *tdf.Batch {
+	t.Helper()
+	owned, err := tdf.DecodeBytes(encoded(t, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !owned.Owned() || b.Owned() {
+		t.Fatalf("owned: decoded %v, hand-built %v", owned.Owned(), b.Owned())
+	}
+	return owned
+}
+
+// An owned batch is converted where it lies: the same rows the reference
+// produces from the hand-built original, in the batch's own memory, with no
+// slab allocated — and the size the accountant books for it stays the wire
+// size, whatever the padded CHAR cells now hold.
+func TestConvertOwnedInPlaceMatchesReference(t *testing.T) {
+	front, orig := wideFixture(1024, false)
+	b := decoded(t, orig)
+	plan := testPlan(t, front, b.Cols)
+	size, first := b.EncodedSize(), &b.Rows[0][0]
+	if size != orig.EncodedSize() {
+		t.Fatalf("decoded batch reports %d bytes, the batch it was encoded from %d", size, orig.EncodedSize())
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	got, err := plan.convertBatch(b)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The padded CHAR values are all that may be allocated: 1,024 strings of
+	// 20 bytes, a small fraction of the 850 KB a slab of this batch takes.
+	if grew, slab := m1.TotalAlloc-m0.TotalAlloc, uint64(len(b.Rows)*len(front))*uint64(reflect.TypeOf(types.Datum{}).Size()); grew > slab/8 {
+		t.Errorf("converting in place allocated %d bytes; a slab is %d", grew, slab)
+	}
+	if len(got) != len(orig.Rows) || &got[0][0] != first || &b.Rows[0][0] != first {
+		t.Fatalf("%d rows, in the batch's memory: %v", len(got), &got[0][0] == first)
+	}
+	for ri, row := range orig.Rows {
+		want, err := convertRowReference(front, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[ri], want) {
+			t.Fatalf("row %d = %v, want %v", ri, got[ri], want)
+		}
+	}
+	if b.EncodedSize() != size {
+		t.Errorf("EncodedSize %d after converting in place, %d off the wire", b.EncodedSize(), size)
+	}
+	// Converted cells are frontend cells: a second pass finds nothing to do.
+	again, err := plan.convertBatch(b)
+	if err != nil || !reflect.DeepEqual(again, got) {
+		t.Fatalf("second pass changed the rows (err %v)", err)
 	}
 }
 
@@ -451,31 +523,43 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 
 var sinkRows [][]types.Datum
 
+// BenchmarkConvertBatch/owned is the streamed path's unit of work: a batch
+// decoded off the wire, its three mismatched columns cast in place, released.
+// The decode is inside the timer (an owned batch converts only once), so
+// compare it with BenchmarkDecode/released, not with the shared shapes.
 func BenchmarkConvertBatch(b *testing.B) {
 	for _, shape := range []struct {
-		name     string
-		identity bool
-	}{{"cast3of13", false}, {"identity", true}} {
+		name            string
+		identity, owned bool
+	}{{"cast3of13", false, false}, {"identity", true, false}, {"owned", false, true}} {
 		b.Run(shape.name, func(b *testing.B) {
 			front, batch := wideFixture(1024, shape.identity)
 			plan := testPlan(b, front, batch.Cols)
+			enc := encoded(b, batch)
 			b.SetBytes(int64(batch.EncodedSize()))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
+				if shape.owned {
+					if batch, err = tdf.DecodeBytes(enc); err != nil {
+						b.Fatal(err)
+					}
+				}
 				if sinkRows, err = plan.convertBatch(batch); err != nil {
 					b.Fatal(err)
 				}
+				batch.Release()
 			}
 		})
 	}
 }
 
-// Converting a batch costs two allocations (the datum slab and the row
+// Converting a shared batch costs two allocations (the datum slab and the row
 // index) plus whatever types.Cast allocates for the cells it rewrites — here
 // the padded string of each short non-NULL CHAR cell — and none at all when
-// the batch passes through; the converter itself allocates nothing per row.
+// the batch passes through; converting an owned batch costs the padded
+// strings and nothing else. The converter itself allocates nothing per row.
 func TestConvertAllocsPerBatch(t *testing.T) {
 	perBatch := func(rows int, identity bool) (allocs float64, padded int) {
 		front, batch := wideFixture(rows, identity)
@@ -491,12 +575,41 @@ func TestConvertAllocsPerBatch(t *testing.T) {
 			}
 		}), padded
 	}
+	// An owned batch converts once, so each run decodes its own and gives it
+	// back; what the decode costs is measured separately and taken off.
+	ownedPerBatch := func(rows int) float64 {
+		front, batch := wideFixture(rows, false)
+		plan := testPlan(t, front, batch.Cols)
+		enc := encoded(t, batch)
+		run := func(convert bool) float64 {
+			return testing.AllocsPerRun(20, func() {
+				b, err := tdf.DecodeBytes(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if convert {
+					if _, err := plan.convertBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				b.Release()
+			})
+		}
+		return run(true) - run(false)
+	}
 	for _, rows := range []int{64, 1024} {
 		if allocs, _ := perBatch(rows, true); allocs != 0 {
 			t.Errorf("%d identity rows: %.0f allocations, want 0", rows, allocs)
 		}
-		if allocs, padded := perBatch(rows, false); allocs > float64(2+padded) {
+		allocs, padded := perBatch(rows, false)
+		if allocs > float64(2+padded) {
 			t.Errorf("%d cast rows: %.0f allocations, want <= 2 + one per padded CHAR (%d)", rows, allocs, padded)
+		}
+		if israce.Enabled {
+			continue // sync.Pool drops Puts at random under the race detector
+		}
+		if allocs := ownedPerBatch(rows); allocs != float64(padded) {
+			t.Errorf("%d owned rows: %.0f allocations, want one per padded CHAR (%d) and no slab", rows, allocs, padded)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/pprof"
+	runtimemetrics "runtime/metrics"
 	"strconv"
 
 	"hyperq/internal/metrics"
@@ -14,7 +16,8 @@ import (
 //
 //	/metrics      Prometheus text format: per-stage latency histograms,
 //	              whole-request latency, gateway-overhead ratio, the
-//	              cumulative counters of MetricsSnapshot, and the top-N
+//	              cumulative counters of MetricsSnapshot, the Go runtime's
+//	              heap, GC and goroutine gauges, and the top-N
 //	              per-fingerprint statement series (stable fp label,
 //	              cardinality-bounded)
 //	/traces       recent finished traces (JSON, newest first); ?id= fetches
@@ -27,6 +30,8 @@ import (
 //	              ?view=features for the live Figure 8 breakdown
 //	/pool         backend connection pool state (404 when no pool is
 //	              configured): gauges, counters, wait-time distribution
+//	/debug/pprof/ the net/http/pprof profiles of the gateway process (CPU,
+//	              heap, allocs, goroutine, block, mutex, trace)
 //
 // Mount it on a loopback or otherwise access-controlled listener: traces,
 // the session table, and statement templates contain SQL text (statement
@@ -39,7 +44,44 @@ func (g *Gateway) DebugHandler() http.Handler {
 	mux.HandleFunc("/sessions", g.serveSessions)
 	mux.HandleFunc("/statements", g.serveStatements)
 	mux.HandleFunc("/pool", g.servePool)
+	// pprof.Index serves every named profile under its prefix; the four below
+	// are handlers of their own.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeRuntimeMetrics renders what the Go runtime says the process is doing
+// with its memory and its CPU: how much heap the last collection found live,
+// how many collections there have been, how many goroutines exist, and what
+// share of the CPU time the process consumed since it started went to the
+// collector.
+func writeRuntimeMetrics(w io.Writer) {
+	// A runtime without the metric reports KindBad; it renders as zero.
+	read := func(name string) float64 {
+		s := []runtimemetrics.Sample{{Name: name}}
+		runtimemetrics.Read(s)
+		switch s[0].Value.Kind() {
+		case runtimemetrics.KindUint64:
+			return float64(s[0].Value.Uint64())
+		case runtimemetrics.KindFloat64:
+			return s[0].Value.Float64()
+		}
+		return 0
+	}
+	metrics.WriteCounter(w, "hyperq_go_heap_live_bytes", "Heap bytes the last garbage collection found live.", "gauge", int64(read("/gc/heap/live:bytes")))
+	metrics.WriteCounter(w, "hyperq_go_gc_cycles_total", "Completed garbage collection cycles.", "counter", int64(read("/gc/cycles/total:gc-cycles")))
+	metrics.WriteCounter(w, "hyperq_go_goroutines", "Live goroutines.", "gauge", int64(read("/sched/goroutines:goroutines")))
+	fraction := 0.0
+	if busy := read("/cpu/classes/total:cpu-seconds") - read("/cpu/classes/idle:cpu-seconds"); busy > 0 {
+		fraction = read("/cpu/classes/gc/total:cpu-seconds") / busy
+	}
+	const name = "hyperq_go_gc_cpu_fraction"
+	metrics.WriteHeader(w, name, "Share of the CPU time the process has consumed that went to the garbage collector (runtime estimate, since start).", "gauge")
+	metrics.WriteLabeledValue(w, name, "", "", fraction)
 }
 
 func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -89,6 +131,7 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	metrics.WriteCounter(w, "hyperq_result_inflight_bytes", "Result bytes fetched from the backend and not yet delivered to clients.", "gauge", m.ResultInflightBytes)
 	metrics.WriteCounter(w, "hyperq_result_inflight_peak_bytes", "High-water mark of in-flight result bytes.", "gauge", m.ResultPeakBytes)
 
+	writeRuntimeMetrics(w)
 	g.writeStatementMetrics(w)
 
 	if ps, ok := g.PoolStats(); ok {

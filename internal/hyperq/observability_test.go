@@ -154,6 +154,22 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if n := metricValue(t, body, "hyperq_sessions_active"); n != 1 {
 		t.Errorf("sessions_active = %v, want 1", n)
 	}
+	// The runtime's own gauges: the process has goroutines; the collector may
+	// not have run yet, so what it reports only has to be there.
+	if n := metricValue(t, body, "hyperq_go_goroutines"); n <= 0 {
+		t.Errorf("hyperq_go_goroutines = %v, want > 0", n)
+	}
+	metricValue(t, body, "hyperq_go_heap_live_bytes")
+	metricValue(t, body, "hyperq_go_gc_cycles_total")
+	if f := metricValue(t, body, "hyperq_go_gc_cpu_fraction"); f < 0 || f > 1 {
+		t.Errorf("hyperq_go_gc_cpu_fraction = %v, want a share", f)
+	}
+	// pprof rides on the same mux: the index lists the profiles, a named one
+	// is served through it.
+	if !strings.Contains(httpGet(t, srv.URL+"/debug/pprof/"), "goroutine") ||
+		!strings.Contains(httpGet(t, srv.URL+"/debug/pprof/goroutine?debug=1"), "goroutine profile:") {
+		t.Error("/debug/pprof/ does not serve the goroutine profile")
+	}
 
 	// /traces/slow: the 1ns threshold retains every statement with its full
 	// span tree and the rewritten SQL-B text.

@@ -134,16 +134,19 @@ type fedEvent struct {
 // fills, the fetch stage stops pulling, and the backend's own socket writes
 // block — bounded by the budgets rather than the result size. A batch's
 // reservation is held until deliver comes back for the next event: until its
-// rows are with the frontend writer (kernel socket buffer included).
+// rows are with the frontend writer (kernel socket buffer included) — which is
+// also when the batch's memory goes back to the decoder (tdf.Batch.Release):
+// the rows deliver was handed are dead once it asks for the next event.
 type resultFeed struct {
 	g        *Gateway
 	events   chan fedEvent
 	released chan struct{} // nudges the fetch stage waiting on the session budget
 	// inflight is this session's accounted bytes between fetch and delivery.
 	inflight atomic.Int64
-	// held is the reservation of the batch the consumer is working on;
+	// held is the batch the consumer is working on, with its reservation;
 	// delivered totals the reservations it came back from.
-	held, delivered int64
+	held      fedEvent
+	delivered int64
 }
 
 func (f *resultFeed) fetch(ctx context.Context, st odbc.ResultStream) {
@@ -199,16 +202,19 @@ func (f *resultFeed) admit(ctx context.Context, size, prevSize int64) error {
 	return nil
 }
 
-// Next hands the previous batch's bytes back to both budgets, nudges the
-// fetch stage, and returns the next event. ctx is the one the feed was started
-// with: a fetch stage that went quiet without a terminal event was stopped by
-// it, and that is the error.
+// Next hands the previous batch's bytes back to both budgets and its memory
+// back to the decoder, nudges the fetch stage, and returns the next event. It
+// is the repository's one Release call: the collector keeps the rows it is
+// handed, and a batch that never got here is left to the garbage collector.
+// ctx is the one the feed was started with: a fetch stage that went quiet
+// without a terminal event was stopped by it, and that is the error.
 func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
-	if n := f.held; n > 0 {
-		f.held = 0
+	if b, n := f.held.ev.Batch, f.held.bytes; b != nil {
+		f.held = fedEvent{}
 		f.delivered += n
 		f.inflight.Add(-n)
 		f.g.releaseResultBytes(n)
+		b.Release()
 		select {
 		case f.released <- struct{}{}:
 		default:
@@ -218,7 +224,7 @@ func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
 	if !ok {
 		return cwp.StreamEvent{}, ctx.Err()
 	}
-	f.held = item.bytes
+	f.held = item
 	return item.ev, item.err
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,7 +166,7 @@ func TestStreamingBackpressureBoundsResultMemory(t *testing.T) {
 		t.Skip("large streamed result")
 	}
 	target := dialect.CloudA()
-	const budget = 768 << 10 // ~2.5 TDF batches of BIG rows
+	const budget = 768 << 10             // ~2.5 TDF batches of BIG rows
 	eng := bigTableEngine(t, target, 30) // 27000 rows × ~305 B ≈ 8.2 MiB ≥ 10× budget
 	st := newStreamStack(t, target, eng, Config{ResultBudget: budget}, tdp.Options{})
 
@@ -758,5 +759,135 @@ func TestStreamingMatchesBufferedWireTranscripts(t *testing.T) {
 	}
 	if n := bufferedStack.g.MetricsSnapshot().StreamedResults; n != 0 {
 		t.Fatalf("buffered side streamed %d results despite DisableStreaming", n)
+	}
+}
+
+// capture is transcript for goroutines that are not the test's: it returns
+// the failure instead of calling t.Fatal.
+func capture(c *rawConn, sql string) ([]parcel, error) {
+	var b wire.Buffer
+	b.PutString(sql)
+	if err := wire.WriteMessage(c.c, tdp.MsgRunRequest, b.Bytes()); err != nil {
+		return nil, err
+	}
+	var out []parcel
+	for {
+		kind, payload, err := c.read()
+		if err != nil {
+			return nil, fmt.Errorf("after %d parcels: %w", len(out), err)
+		}
+		out = append(out, parcel{kind: kind, payload: append([]byte(nil), payload...)})
+		if kind == tdp.MsgEndRequest {
+			return out, nil
+		}
+	}
+}
+
+// Decode memory is recycled across every session of the process, so the
+// ownership rules are only as good as their behaviour under concurrency: four
+// sessions stream different multi-batch results — each batch cast in place
+// (the backend stores QTY, PRICE and CODE in other types than the client was
+// promised) and released when its rows are written — while a fifth runs a
+// macro whose multi-batch SELECT is collected and must keep its rows. Every
+// response is byte-compared with the one a DisableStreaming gateway gave for
+// the same request: a batch released before its rows were written, or handed
+// to two sessions, shows up as another query's rows.
+func TestStreamingConcurrentSessionsMatchBuffered(t *testing.T) {
+	target := dialect.CloudA()
+	const seedN = 18 // 18³ = 5832 rows, 1458 per G: two batches per streamed result
+	backend, front := engine.New(target), engine.New(target)
+	be := backend.NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE SEED (I INTEGER)",
+		"CREATE TABLE WIDE (ID INTEGER, G INTEGER, QTY BIGINT, PRICE DECIMAL(12,4), CODE VARCHAR(20), PAD VARCHAR(200))",
+	} {
+		if _, err := be.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < seedN; i++ {
+		if _, err := be.ExecSQL(fmt.Sprintf("INSERT INTO SEED VALUES (%d)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := be.ExecSQL(fmt.Sprintf(`INSERT INTO WIDE
+		SELECT a.I*%d + b.I*%d + c.I, c.I MOD 4, (a.I*%d + b.I*%d + c.I) * 7, CAST(a.I*%d + b.I*%d + c.I AS DECIMAL(12,4)) / 8,
+			CASE WHEN b.I = 3 THEN NULL ELSE 'code-' || CAST(a.I*%d + b.I AS VARCHAR(10)) END, '%s'
+		FROM SEED a, SEED b, SEED c`,
+		seedN*seedN, seedN, seedN*seedN, seedN, seedN*seedN, seedN, seedN, bigRowPad[:150])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := front.NewSession().ExecSQL(
+		"CREATE TABLE WIDE (ID INTEGER, G INTEGER, QTY INTEGER, PRICE DECIMAL(12,2), CODE CHAR(20), PAD VARCHAR(200))"); err != nil {
+		t.Fatal(err)
+	}
+	beAddr := serveBackend(t, backend)
+	streamed := newStreamStackVia(t, target, front, beAddr, Config{}, tdp.Options{})
+	buffered := newStreamStackVia(t, target, front, beAddr, Config{DisableStreaming: true}, tdp.Options{})
+
+	const macro = "CREATE MACRO wide_head AS (SEL * FROM WIDE WHERE ID < 2500 ORDER BY ID;)"
+	queries := []string{"EXEC wide_head"} // the collected one; the rest stream
+	for g := 0; g < 4; g++ {
+		queries = append(queries, fmt.Sprintf("SEL * FROM WIDE WHERE G = %d ORDER BY ID", g))
+	}
+	ref := dialRaw(t, buffered.addr)
+	defer ref.close()
+	transcript(t, ref, macro)
+	want := make([][]parcel, len(queries))
+	for i, sql := range queries {
+		want[i] = transcript(t, ref, sql)
+		records := 0
+		for _, p := range want[i] {
+			if p.kind == tdp.MsgFailure {
+				t.Fatalf("reference %q failed: %s", sql, p.payload)
+			}
+			if p.kind == tdp.MsgRecord {
+				records++
+			}
+		}
+		if records <= 1024 {
+			t.Fatalf("reference %q: %d rows, want more than one batch", sql, records)
+		}
+	}
+
+	conns := make([]*rawConn, len(queries))
+	for i := range conns {
+		conns[i] = dialRaw(t, streamed.addr)
+		defer conns[i].close()
+	}
+	transcript(t, conns[0], macro)
+	const rounds = 4
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				got, err := capture(conns[i], queries[i])
+				if err != nil {
+					t.Errorf("%q round %d: %v", queries[i], round, err)
+					return
+				}
+				if len(got) != len(want[i]) {
+					t.Errorf("%q round %d: %d parcels, want %d", queries[i], round, len(got), len(want[i]))
+					return
+				}
+				for pi := range got {
+					if got[pi].kind != want[i][pi].kind || !bytes.Equal(got[pi].payload, want[i][pi].payload) {
+						t.Errorf("%q round %d: parcel %d diverged:\nstreamed 0x%02x %x\nbuffered 0x%02x %x",
+							queries[i], round, pi, got[pi].kind, got[pi].payload, want[i][pi].kind, want[i][pi].payload)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	m := streamed.g.MetricsSnapshot()
+	if m.StreamedResults != 4*rounds || m.BufferedResults < rounds {
+		t.Errorf("streamed %d results and collected %d, want %d and at least %d", m.StreamedResults, m.BufferedResults, 4*rounds, rounds)
+	}
+	if got := streamed.g.ResultInflightBytes(); got != 0 {
+		t.Errorf("in-flight gauge = %d after every request ended", got)
 	}
 }

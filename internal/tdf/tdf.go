@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"hyperq/internal/types"
 )
@@ -90,24 +91,75 @@ type ColumnMeta struct {
 }
 
 // Batch is one unit of result data: schema plus rows.
+//
+// A batch built by hand (a literal, an engine result, a canned reply) is
+// shared: any number of readers may hold it and nobody may write to it. A
+// batch DecodeBytes produced is owned by whoever holds it: its rows sit in
+// recycled memory the holder may overwrite and, once nothing reads the rows
+// any more, hand back with Release.
 type Batch struct {
 	Cols []ColumnMeta
 	Rows [][]types.Datum
+
+	// mem is the pooled memory Rows is laid out in: set by DecodeBytes,
+	// cleared by Release, nil on every shared batch.
+	mem *slab
+	// size is EncodedSize as DecodeBytes counted it; 0 on a shared batch.
+	size int
+}
+
+// slab is the memory of one decoded batch: the cells of every row and the
+// row index over them.
+type slab struct {
+	cells []types.Datum
+	rows  [][]types.Datum
+}
+
+// slabs recycles decode memory between batches. A slab comes back with the
+// previous batch's cells still in it (strings included, which keeps that
+// batch's text alive until the cells are overwritten or the pool is
+// collected): DecodeBytes stores every cell it hands out.
+var slabs = sync.Pool{New: func() any { return new(slab) }}
+
+// Owned reports whether the holder may write to the batch's rows and release
+// them: true only for a batch DecodeBytes produced that was not released.
+func (b *Batch) Owned() bool { return b.mem != nil }
+
+// Release hands an owned batch's row memory back for the next decode and
+// leaves the batch without rows, so a reader that comes late finds none
+// rather than another batch's. Rows must not be referenced by anyone when it
+// is called. It does nothing on a shared batch or a second time.
+func (b *Batch) Release() {
+	if b.mem == nil {
+		return
+	}
+	m := b.mem
+	b.mem, b.Rows = nil, nil
+	slabs.Put(m)
 }
 
 // EncodedSize estimates the wire size of the batch (used for result memory
-// accounting).
+// accounting). A decoded batch answers with what the decoder counted off the
+// wire, whatever was done to its cells since.
 func (b *Batch) EncodedSize() int {
-	size := 16
-	for _, c := range b.Cols {
-		size += 8 + len(c.Name)
+	if b.size != 0 {
+		return b.size
 	}
+	size := headerSize(b.Cols)
 	for _, row := range b.Rows {
 		size += 4 + len(row) // presence bytes
 		for _, d := range row {
 			size += 9
 			size += len(d.S)
 		}
+	}
+	return size
+}
+
+func headerSize(cols []ColumnMeta) int {
+	size := 16
+	for _, c := range cols {
+		size += 8 + len(c.Name)
 	}
 	return size
 }
@@ -205,10 +257,12 @@ func Decode(r io.Reader) (*Batch, error) {
 }
 
 // DecodeBytes decodes the batch p holds; p must end where the batch does.
-// The batch does not alias p. Its cost is a handful of allocations however
-// many rows it holds: every row is a window of one []Datum slab and every
-// string cell a substring of one copy of p, so a string cell keeps that copy
-// alive for as long as the cell is referenced.
+// The batch does not alias p and is owned by the caller (see Batch). Its cost
+// is a handful of allocations however many rows it holds: every row is a
+// window of one []Datum slab — recycled from a released batch when there is
+// one, so a consumer that releases what it decodes allocates no slab at all —
+// and every string cell a substring of one copy of p, so a string cell keeps
+// that copy alive for as long as the cell is referenced.
 //
 // Counts and lengths in p are untrusted: each is checked against the bytes
 // that remain (a cell occupies at least its presence byte) before anything
@@ -260,67 +314,88 @@ func DecodeBytes(p []byte) (*Batch, error) {
 	if nc == 0 && nr != 0 || nc != 0 && uint64(nr) > uint64(len(p)-off)/uint64(nc) {
 		return nil, fmt.Errorf("tdf: %d rows of %d columns in %d bytes: %w", nr, nc, len(p)-off, errTruncated)
 	}
-	ncols, nrows := int(nc), int(nr)
+	m := slabs.Get().(*slab)
+	size, err := m.decodeRows(p, off, cols, int(nr), hasText)
+	if err != nil {
+		slabs.Put(m)
+		return nil, err
+	}
+	return &Batch{Cols: cols, Rows: m.rows, mem: m, size: size}, nil
+}
+
+// decodeRows decodes the nrows rows that start at p[off:] and must end where
+// p does into the slab, growing it when it is too small, and returns the
+// batch's EncodedSize. The slab's previous contents are arbitrary: every cell
+// and every row header handed out is stored whole.
+func (m *slab) decodeRows(p []byte, off int, cols []ColumnMeta, nrows int, hasText bool) (int, error) {
+	le := binary.LittleEndian
+	ncols := len(cols)
 	var text string // same offsets as p
 	if hasText {
 		text = string(p)
 	}
-	slab := make([]types.Datum, nrows*ncols)
-	rows := make([][]types.Datum, nrows)
-	for ri := range rows {
-		row := slab[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
-		rows[ri] = row
+	if cap(m.cells) < nrows*ncols {
+		m.cells = make([]types.Datum, nrows*ncols)
+	}
+	if cap(m.rows) < nrows {
+		m.rows = make([][]types.Datum, nrows)
+	}
+	m.cells, m.rows = m.cells[:nrows*ncols], m.rows[:nrows]
+	size := headerSize(cols) + nrows*(4+ncols+9*ncols)
+	for ri := range m.rows {
+		row := m.cells[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
+		m.rows[ri] = row
 		for ci := range row {
 			if off >= len(p) {
-				return nil, errTruncated
+				return 0, errTruncated
 			}
 			t := &cols[ci].Type
 			d := &row[ci]
-			d.K = t.Kind
 			off++
 			if p[off-1] == 0 {
-				d.Null = true
+				*d = types.Datum{K: t.Kind, Null: true}
 				continue
 			}
 			switch t.Kind {
 			case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
 				types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
 				if len(p)-off < 8 {
-					return nil, errTruncated
+					return 0, errTruncated
 				}
-				d.I = int64(le.Uint64(p[off:]))
-				d.Scale = int8(t.Scale) // zero except for DECIMAL
+				// Scale is zero except for DECIMAL.
+				*d = types.Datum{K: t.Kind, I: int64(le.Uint64(p[off:])), Scale: int8(t.Scale)}
 				off += 8
 			case types.KindFloat:
 				if len(p)-off < 8 {
-					return nil, errTruncated
+					return 0, errTruncated
 				}
-				d.F = math.Float64frombits(le.Uint64(p[off:]))
+				*d = types.Datum{K: t.Kind, F: math.Float64frombits(le.Uint64(p[off:]))}
 				off += 8
 			case types.KindChar, types.KindVarChar, types.KindBytes:
 				if len(p)-off < 4 {
-					return nil, errTruncated
+					return 0, errTruncated
 				}
 				n := int(le.Uint32(p[off:]))
 				off += 4
 				if uint64(n) > uint64(len(p)-off) {
-					return nil, fmt.Errorf("tdf: string of %d bytes with %d left: %w", n, len(p)-off, errTruncated)
+					return 0, fmt.Errorf("tdf: string of %d bytes with %d left: %w", n, len(p)-off, errTruncated)
 				}
-				d.S = text[off : off+n]
+				*d = types.Datum{K: t.Kind, S: text[off : off+n]}
 				off += n
+				size += n
 			case types.KindPeriod:
 				if len(p)-off < 16 {
-					return nil, errTruncated
+					return 0, errTruncated
 				}
 				*d = types.NewPeriod(t.Elem, int64(le.Uint64(p[off:])), int64(le.Uint64(p[off+8:])))
 				off += 16
 			case types.KindNull:
-				d.Null = true
+				*d = types.Datum{K: t.Kind, Null: true}
 			}
 		}
 	}
 	if off != len(p) {
-		return nil, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
+		return 0, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
 	}
-	return &Batch{Cols: cols, Rows: rows}, nil
+	return size, nil
 }

@@ -237,6 +237,18 @@ func Neg(d Datum) (Datum, error) {
 	return Datum{}, fmt.Errorf("types: cannot negate %s", d.K)
 }
 
+// spaces is the run CHAR padding is cut from: one allocation per padded
+// value (the concatenation) whatever the toolchain's strings.Repeat does.
+const spaces = "                                                                "
+
+// padRight returns s followed by n spaces.
+func padRight(s string, n int) string {
+	if n <= len(spaces) {
+		return s + spaces[:n]
+	}
+	return s + strings.Repeat(" ", n)
+}
+
 // Cast converts d to the target type with SQL CAST semantics.
 func Cast(d Datum, to T) (Datum, error) {
 	if d.Null {
@@ -287,7 +299,7 @@ func Cast(d Datum, to T) (Datum, error) {
 			s = s[:to.Length]
 		}
 		if to.Kind == KindChar && to.Length > 0 && len(s) < to.Length {
-			s += strings.Repeat(" ", to.Length-len(s))
+			s = padRight(s, to.Length-len(s))
 		}
 		return Datum{K: to.Kind, S: s}, nil
 	case KindDate:

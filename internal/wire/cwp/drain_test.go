@@ -9,6 +9,7 @@ import (
 	"net"
 	"testing"
 
+	"hyperq/internal/israce"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
 	"hyperq/internal/wire"
@@ -112,7 +113,8 @@ func serveCanned(t testing.TB, reply []byte) string {
 	return ln.Addr().String()
 }
 
-// drain runs one streamed request to its end and returns the rows seen.
+// drain runs one streamed request to its end, giving each batch back once it
+// is counted as the gateway's feed does, and returns the rows seen.
 func drain(t testing.TB, c *Client) int {
 	t.Helper()
 	ctx := context.Background()
@@ -132,6 +134,7 @@ func drain(t testing.TB, c *Client) int {
 		}
 		if ev.Kind == StreamBatch {
 			rows += len(ev.Batch.Rows)
+			ev.Batch.Release()
 		}
 	}
 }
@@ -154,10 +157,15 @@ func BenchmarkStreamDrain(b *testing.B) {
 	}
 }
 
-// Draining a streamed result costs a fixed number of allocations per batch
-// (the decoder's handful; the payload buffer is reused) plus a fixed number
-// per request, the same for 64-row batches as for 1,024-row ones.
+// Draining a streamed result whose batches are released as they are consumed
+// costs the decoder's warm count per batch (15 for these columns: the batch,
+// its column slice and names, the text copy — no datum slab; the payload
+// buffer is reused) plus a fixed number per request, the same for 64-row
+// batches as for 1,024-row ones.
 func TestStreamDrainAllocsPerBatch(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
 	const nbatches = 8
 	perRequest := func(rows int) float64 {
 		c, err := Dial(serveCanned(t, cannedReply(t, nbatches, rows)), "gate", "gate")
@@ -178,7 +186,7 @@ func TestStreamDrainAllocsPerBatch(t *testing.T) {
 	if large > small+nbatches {
 		t.Errorf("allocations grow with rows: %.0f per request of 64-row batches, %.0f of 1024-row batches", small, large)
 	}
-	if limit := float64(nbatches*24 + 40); large > limit {
+	if limit := float64(nbatches*15 + 24 + nbatches); large > limit {
 		t.Errorf("%.0f allocations per %d-batch request, want <= %.0f", large, nbatches, limit)
 	}
 }

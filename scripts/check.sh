@@ -76,8 +76,11 @@ go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
 
 # Result path (DESIGN.md §12): tdf decode, cwp stream drain, result
 # conversion and tdp row encoding must each cost a fixed number of
-# allocations per batch, whatever the batch's row count.
-go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestConvertAllocsPerBatch|TestRowAllocsPerBatch' \
+# allocations per batch, whatever the batch's row count — and, for a consumer
+# that releases what it decodes, no datum slab at all. The ownership tests
+# rerun here too: under the race detector sync.Pool drops Puts at random, so
+# the gates skip themselves there and the recycled-memory tests retry.
+go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestConvertAllocsPerBatch|TestRowAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk|TestConvertOwnedInPlaceMatchesReference' \
     ./internal/tdf/ ./internal/wire/cwp/ ./internal/hyperq/ ./internal/wire/tdp/
 
 # Decoder fuzz leg: the slab TDF decoder against the per-cell reference
@@ -94,6 +97,13 @@ go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/p
 # backend death, mid-stream deadline, disconnect teardown, streamed-vs-buffered
 # transcripts) under the race detector with fresh state.
 go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure' ./internal/odbc/ ./internal/hyperq/
+
+# Batch ownership under concurrency (DESIGN.md §12): four sessions stream
+# multi-batch results that are cast in place and released while a fifth
+# collects, every response byte-compared with the DisableStreaming reference —
+# ten times, because a batch released too early or handed out twice only shows
+# when the scheduler lines the sessions up.
+go test -race -count=10 -timeout 300s -run 'TestStreamingConcurrentSessionsMatchBuffered' ./internal/hyperq/
 
 # Shadow-replay soak: capture a few hundred statements from both customer
 # workloads through a live wire gateway, replay them at 10x against two

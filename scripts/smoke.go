@@ -148,6 +148,21 @@ func run(bin string) error {
 			return err
 		}
 	}
+	// The runtime gauges exist (a young process may not have collected yet, so
+	// only the series, not their values), and pprof answers on the same port.
+	for _, series := range []string{"hyperq_go_heap_live_bytes", "hyperq_go_gc_cycles_total", "hyperq_go_gc_cpu_fraction", "hyperq_go_goroutines"} {
+		if !strings.Contains(metrics, "\n"+series+" ") {
+			return fmt.Errorf("series %s missing from /metrics", series)
+		}
+	}
+	pprofResp, err := http.Get("http://" + debugAddr + "/debug/pprof/cmdline")
+	if err != nil {
+		return fmt.Errorf("/debug/pprof/cmdline: %w", err)
+	}
+	pprofResp.Body.Close()
+	if pprofResp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/debug/pprof/cmdline: status %d", pprofResp.StatusCode)
+	}
 
 	return runPooled(bin, backendAddr)
 }
