@@ -46,18 +46,15 @@ func main() {
 	poolMinIdle := flag.Int("pool-min-idle", 0, "connections the pool keeps pre-dialed and warm")
 	poolMaxWaiters := flag.Int("pool-max-waiters", 0, "max sessions queued for a pool connection before rejecting with 3134 (0 = 4x pool size, negative = unbounded)")
 	poolAcquireTimeout := flag.Duration("pool-acquire-timeout", 0, "max wait for a pool connection before failing with 3134 (0 = default 5s, negative = unbounded)")
-	poolMaxLifetime := flag.Duration("pool-max-lifetime", 0, "recycle pool connections older than this (0 = never)")
 	resultBudget := flag.Int("result-budget", 0, "per-session result memory budget in bytes: a streamed result keeps at most this many bytes in flight between backend fetch and client delivery (0 = default 64 MiB)")
 	resultMemoryCap := flag.Int("result-memory-cap", 0, "gateway-wide in-flight result memory hard cap in bytes; requests past it are shed with 3134 (0 = default 256 MiB, negative = unbounded)")
 	clientWriteTimeout := flag.Duration("client-write-timeout", 30*time.Second, "evict sessions whose client stalls a result write longer than this (0 = never)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /traces, /traces/slow, /sessions, /statements, /pool, /debug/pprof/ on this HTTP address (empty = off)")
 	slowQueryMs := flag.Int("slow-query-ms", 200, "slow-query threshold for /traces/slow retention (0 = disable)")
-	traceRing := flag.Int("trace-ring", 256, "recent-trace ring capacity")
 	queryLogPath := flag.String("query-log", "", "append one JSON line per request to this file (empty = off)")
 	queryLogRedact := flag.Bool("query-log-redact", false, "redact literal values in query-log SQL text")
 	queryLogCapture := flag.Bool("query-log-capture", false, "record replay capture detail in the query log: per-session sequence numbers, inter-statement timing, and (with -query-log-redact) the pre-redaction SQL; capture logs contain literal values")
 	statStatements := flag.Bool("stat-statements", true, "track per-fingerprint workload statistics (/statements)")
-	statStatementsMax := flag.Int("stat-statements-max", 0, "statement shapes tracked before folding into _other (0 = default 1024)")
 	sloMs := flag.Int("slo-ms", 0, "per-request latency SLO in milliseconds; slower requests count as breaches (0 = off)")
 	sloObjective := flag.Float64("slo-objective", 0.99, "target fraction of requests meeting the SLO (error budget = 1-objective)")
 	flag.Parse()
@@ -95,7 +92,6 @@ func main() {
 			MinIdle:        *poolMinIdle,
 			MaxWaiters:     *poolMaxWaiters,
 			AcquireTimeout: *poolAcquireTimeout,
-			MaxLifetime:    *poolMaxLifetime,
 		})
 		if err != nil {
 			log.Fatalf("hyperq: %v", err)
@@ -129,13 +125,11 @@ func main() {
 		BackendTimeout:          *backendTimeout,
 		Resilience:              resilience,
 		SlowQuery:               slowQuery,
-		TraceRingSize:           *traceRing,
 		QueryLog:                qlog,
 		Pool:                    backendPool,
 		ResultBudget:            *resultBudget,
 		ResultMemoryCap:         *resultMemoryCap,
 		DisableStatStatements:   !*statStatements,
-		StatStatementsMax:       *statStatementsMax,
 		SLO:                     time.Duration(*sloMs) * time.Millisecond,
 		SLOObjective:            *sloObjective,
 	})

@@ -225,8 +225,9 @@ func TestConvertOwnedInPlaceMatchesReference(t *testing.T) {
 }
 
 // sharedDriver is a backend whose sessions all answer any SELECT from the
-// same materialized result, replayed through odbc.BufferStream — the shape of
-// a canned or cached backend, where a batch outlives the request it serves.
+// same materialized result, streamed through odbc.Streaming's buffered
+// adapter — the shape of a canned or cached backend, where a batch outlives
+// the request it serves.
 type sharedDriver struct {
 	results []*cwp.StatementResult
 }
@@ -235,23 +236,11 @@ func (d *sharedDriver) Connect() (odbc.Executor, error) { return &sharedExecutor
 
 type sharedExecutor struct{ d *sharedDriver }
 
-func (e *sharedExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.ExecContext(context.Background(), sql)
-}
-
 func (e *sharedExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
 	if strings.HasPrefix(sql, "SELECT") {
 		return e.d.results, nil
 	}
 	return []*cwp.StatementResult{{Command: "OK"}}, nil
-}
-
-func (e *sharedExecutor) ExecStream(ctx context.Context, sql string) (odbc.ResultStream, error) {
-	results, err := e.ExecContext(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	return odbc.BufferStream(results), nil
 }
 
 func (e *sharedExecutor) Close() error { return nil }

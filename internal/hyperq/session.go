@@ -35,7 +35,7 @@ import (
 // session settings, macro parameters during EXEC).
 type Session struct {
 	g  *Gateway
-	be odbc.Executor
+	be odbc.StreamExecutor
 
 	user     string
 	settings map[string]string
@@ -123,7 +123,7 @@ type replayEntry struct {
 func newSession(g *Gateway, be odbc.Executor, user string) *Session {
 	s := &Session{
 		g:          g,
-		be:         be,
+		be:         odbc.Streaming(be),
 		user:       user,
 		settings:   map[string]string{"CHARSET": "ASCII", "DATEFORM": "integerdate"},
 		sessionCat: catalog.New(),
@@ -131,7 +131,7 @@ func newSession(g *Gateway, be odbc.Executor, user string) *Session {
 		logonAt:    time.Now(),
 	}
 	s.settingsSig = settingsSignature(s.settings)
-	if ra, ok := be.(odbc.ReconnectAware); ok {
+	if ra, ok := s.be.(odbc.ReconnectAware); ok {
 		ra.OnReconnect(s.replaySessionState)
 	}
 	g.registerSession(s)
@@ -640,9 +640,9 @@ func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(stri
 	var out []*FrontResult
 	var convert time.Duration
 	var err error
-	se, streamed := s.wireExecutor(frontCols)
+	streamed := s.streamsToWire(frontCols)
 	if streamed {
-		convert, err = s.streamToWire(se, sql, frontCols, cmd)
+		convert, err = s.streamToWire(sql, frontCols, cmd)
 	} else {
 		out, convert, err = s.collect(sql, frontCols, cmd)
 	}

@@ -100,17 +100,14 @@ var errResultShed = errors.New("gateway result memory cap exceeded")
 func (s *Session) enterComposite() { s.compositeDepth++ }
 func (s *Session) leaveComposite() { s.compositeDepth-- }
 
-// wireExecutor selects the sink per statement: straight to the wire only when
-// a frontend is attached, the statement is top-level (not inside an emulation
-// composite), it produces a result set (frontCols non-nil — DML/DDL activity
-// counts are synthesized gateway-side), streaming is not disabled, and the
-// backend executor can stream; everything else is collected.
-func (s *Session) wireExecutor(frontCols []xtra.Col) (odbc.StreamExecutor, bool) {
-	if s.fw == nil || s.compositeDepth > 0 || s.g.cfg.DisableStreaming || frontCols == nil {
-		return nil, false
-	}
-	se, ok := s.be.(odbc.StreamExecutor)
-	return se, ok
+// streamsToWire selects the sink per statement from its shape alone: straight
+// to the wire only when a frontend is attached, the statement is top-level
+// (not inside an emulation composite), it produces a result set (frontCols
+// non-nil — DML/DDL activity counts are synthesized gateway-side) and
+// streaming is not disabled; everything else is collected. Every backend
+// session streams (odbc.Streaming), so the backend has no say.
+func (s *Session) streamsToWire(frontCols []xtra.Col) bool {
+	return s.fw != nil && s.compositeDepth == 0 && !s.g.cfg.DisableStreaming && frontCols != nil
 }
 
 // feedDepth is how many events the fetch stage may run ahead of the session
@@ -244,10 +241,10 @@ func (f *resultFeed) close() {
 // stream → fetch stage → deliver on this goroutine, next to the frontend
 // write. It returns the time spent converting and the failure in its frontend
 // form.
-func (s *Session) streamToWire(se odbc.StreamExecutor, sql string, frontCols []xtra.Col, cmd func(string) string) (time.Duration, error) {
+func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string) string) (time.Duration, error) {
 	ctx, cancel := context.WithCancel(s.requestCtx())
 	defer cancel()
-	st, err := se.ExecStream(ctx, sql)
+	st, err := s.be.ExecStream(ctx, sql)
 	if err != nil {
 		return 0, mapBackendError(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -889,5 +890,135 @@ func TestStreamingConcurrentSessionsMatchBuffered(t *testing.T) {
 	}
 	if got := streamed.g.ResultInflightBytes(); got != 0 {
 		t.Errorf("in-flight gauge = %d after every request ended", got)
+	}
+}
+
+// A replicated backend streams like any other: its executor is a native
+// StreamExecutor, so a top-level SELECT through a wire gateway over
+// ReplicatedDriver takes the wire sink — load-balancing and compare mode
+// alike — and sends the bytes the DisableStreaming reference sends, while
+// compare mode still attributes each divergence to the statement that
+// produced it.
+func TestStreamingReplicatedMatchesBuffered(t *testing.T) {
+	target := dialect.CloudA()
+	const seedN = 14 // 14³ = 2744 rows: the full scan spans three batches
+	queries := []struct {
+		sql   string
+		drift int // divergences compare mode records against the perturbed replica
+	}{
+		{"SEL ID, V FROM T WHERE ID < 5 ORDER BY ID", 0},
+		{"SEL ID, V FROM T WHERE ID = 7", 1},
+		{"SEL * FROM T ORDER BY ID", 1},
+		{"SEL COUNT(*) FROM T", 0},
+	}
+	for _, compare := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compare=%v", compare), func(t *testing.T) {
+			addrs := make([]string, 2)
+			var front *engine.Engine
+			for i := range addrs {
+				eng := engine.New(target)
+				be := eng.NewSession()
+				for _, sql := range []string{"CREATE TABLE SEED (I INTEGER)", "CREATE TABLE T (ID INTEGER, V VARCHAR(20))"} {
+					if _, err := be.ExecSQL(sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for j := 0; j < seedN; j++ {
+					if _, err := be.ExecSQL(fmt.Sprintf("INSERT INTO SEED VALUES (%d)", j)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := be.ExecSQL(fmt.Sprintf(`INSERT INTO T
+					SELECT a.I*%d + b.I*%d + c.I, 'v-' || CAST(a.I*%d + b.I*%d + c.I AS VARCHAR(10))
+					FROM SEED a, SEED b, SEED c`, seedN*seedN, seedN, seedN*seedN, seedN)); err != nil {
+					t.Fatal(err)
+				}
+				if compare && i == 1 {
+					// The migration candidate drifted on one cell.
+					if _, err := be.ExecSQL("UPDATE T SET V = 'drift' WHERE ID = 7"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				addrs[i] = serveBackend(t, eng)
+				if i == 0 {
+					front = eng
+				}
+			}
+			side := func(disable bool) (*Gateway, *rawConn) {
+				drivers := make([]odbc.Driver, len(addrs))
+				for i, a := range addrs {
+					drivers[i] = &odbc.NetworkDriver{Addr: a, User: "gw", Password: "pw"}
+				}
+				g, err := New(Config{
+					Target:           target,
+					Driver:           &odbc.ReplicatedDriver{Replicas: drivers, CompareReads: compare},
+					Catalog:          front.Catalog().Clone(),
+					DisableStreaming: disable,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ln.Close() })
+				go func() { _ = tdp.ServeOptions(ln, g, tdp.Options{}) }()
+				c := dialRaw(t, ln.Addr().String())
+				t.Cleanup(c.close)
+				return g, c
+			}
+			streamed, sc := side(false)
+			buffered, bc := side(true)
+			// The gateway's one session, from the test goroutine: the executor
+			// serves a request at a time, so draining between requests
+			// attributes every record to its statement.
+			divergences := func(g *Gateway) int {
+				g.sessMu.Lock()
+				defer g.sessMu.Unlock()
+				if len(g.sessions) != 1 {
+					t.Fatalf("%d sessions, want 1", len(g.sessions))
+				}
+				for _, s := range g.sessions {
+					return len(s.TakeDivergences())
+				}
+				return 0
+			}
+
+			for _, q := range queries {
+				a, b := transcript(t, sc, q.sql), transcript(t, bc, q.sql)
+				if len(a) != len(b) {
+					t.Fatalf("parcel count diverged on %q: streamed %d, buffered %d", q.sql, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].kind == tdp.MsgFailure {
+						t.Fatalf("%q failed: %s", q.sql, a[i].payload)
+					}
+					if a[i].kind != b[i].kind || !bytes.Equal(a[i].payload, b[i].payload) {
+						t.Fatalf("parcel %d diverged on %q:\nstreamed 0x%02x %x\nbuffered 0x%02x %x",
+							i, q.sql, a[i].kind, a[i].payload, b[i].kind, b[i].payload)
+					}
+				}
+				want := 0
+				if compare {
+					want = q.drift
+				}
+				if got := divergences(streamed); got != want {
+					t.Fatalf("streamed side drained %d divergences after %q, want %d", got, q.sql, want)
+				}
+				if got := divergences(buffered); got != want {
+					t.Fatalf("buffered side drained %d divergences after %q, want %d", got, q.sql, want)
+				}
+			}
+
+			rec := httptest.NewRecorder()
+			streamed.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if line := fmt.Sprintf("hyperq_results_streamed_total %d\n", len(queries)); !strings.Contains(rec.Body.String(), line) {
+				t.Fatalf("streaming side's /metrics lacks %q: a replicated SELECT took the collector", line)
+			}
+			if n := buffered.MetricsSnapshot().StreamedResults; n != 0 {
+				t.Fatalf("buffered side streamed %d results despite DisableStreaming", n)
+			}
+		})
 	}
 }

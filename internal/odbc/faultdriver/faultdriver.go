@@ -195,7 +195,7 @@ func (d *Driver) ConnectContext(ctx context.Context) (odbc.Executor, error) {
 // Executor is one faultable backend session.
 type Executor struct {
 	d     *Driver
-	inner odbc.Executor
+	inner odbc.StreamExecutor
 
 	mu        sync.Mutex
 	execs     int
@@ -213,54 +213,38 @@ func (e *Executor) drop() {
 	}
 }
 
-func (e *Executor) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.ExecContext(context.Background(), sql)
-}
-
+// ExecContext implements odbc.Executor: the pre-result faults, then the
+// inner executor.
 func (e *Executor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	d := e.d
-	d.mu.Lock()
-	d.execs++
-	var queued error
-	if len(d.execErrs) > 0 {
-		queued = d.execErrs[0]
-		d.execErrs = d.execErrs[1:]
+	if err := e.preResult(ctx, nil); err != nil {
+		return nil, err
 	}
-	latency := d.latency
-	d.mu.Unlock()
-	if latency > 0 {
-		t := time.NewTimer(latency)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if queued != nil {
-		return nil, queued
-	}
-	e.mu.Lock()
-	if !e.dropped && e.dropAfter > 0 && e.execs >= e.dropAfter {
-		e.dropped = true
-		e.mu.Unlock()
-		_ = e.inner.Close()
-		return nil, Dropped()
-	}
-	if e.dropped {
-		e.mu.Unlock()
-		return nil, Dropped()
-	}
-	e.execs++
-	e.mu.Unlock()
 	return e.inner.ExecContext(ctx, sql)
 }
 
 // ExecStream implements odbc.StreamExecutor: the pre-result faults behave
-// exactly like ExecContext (queued errors, latency, drops consume the same
-// scripts and counters), then the returned stream applies the mid-result
+// exactly like ExecContext, then the returned stream applies the mid-result
 // faults armed on the driver.
 func (e *Executor) ExecStream(ctx context.Context, sql string) (odbc.ResultStream, error) {
+	fs := &faultStream{e: e}
+	if err := e.preResult(ctx, fs); err != nil {
+		return nil, err
+	}
+	inner, err := e.inner.ExecStream(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	fs.inner = inner
+	return fs, nil
+}
+
+// preResult is the one fault step before any result, shared by both request
+// methods so they consume the same scripts and counters: it counts the
+// attempt, takes the next queued exec error, waits out the injected latency
+// and fires an armed connection drop. A stream request passes its stream (fs
+// non-nil), which takes the driver's stream faults in the same critical
+// section — ExecContext never consumes them.
+func (e *Executor) preResult(ctx context.Context, fs *faultStream) error {
 	d := e.d
 	d.mu.Lock()
 	d.execs++
@@ -270,12 +254,13 @@ func (e *Executor) ExecStream(ctx context.Context, sql string) (odbc.ResultStrea
 		d.execErrs = d.execErrs[1:]
 	}
 	latency := d.latency
-	dropBatches := d.dropAfterBatches
-	var fault *streamFault
-	if len(d.streamErrs) > 0 {
-		f := d.streamErrs[0]
-		d.streamErrs = d.streamErrs[1:]
-		fault = &f
+	if fs != nil {
+		fs.dropAfter = d.dropAfterBatches
+		if len(d.streamErrs) > 0 {
+			f := d.streamErrs[0]
+			d.streamErrs = d.streamErrs[1:]
+			fs.fault = &f
+		}
 	}
 	d.mu.Unlock()
 	if latency > 0 {
@@ -284,30 +269,26 @@ func (e *Executor) ExecStream(ctx context.Context, sql string) (odbc.ResultStrea
 		select {
 		case <-t.C:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if queued != nil {
-		return nil, queued
+		return queued
 	}
 	e.mu.Lock()
 	if !e.dropped && e.dropAfter > 0 && e.execs >= e.dropAfter {
 		e.dropped = true
 		e.mu.Unlock()
 		_ = e.inner.Close()
-		return nil, Dropped()
+		return Dropped()
 	}
 	if e.dropped {
 		e.mu.Unlock()
-		return nil, Dropped()
+		return Dropped()
 	}
 	e.execs++
 	e.mu.Unlock()
-	inner, err := odbc.OpenStream(ctx, e.inner, sql)
-	if err != nil {
-		return nil, err
-	}
-	return &faultStream{e: e, inner: inner, dropAfter: dropBatches, fault: fault}, nil
+	return nil
 }
 
 // faultStream counts delivered batches and fires the armed mid-result

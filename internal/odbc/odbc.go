@@ -22,10 +22,9 @@ import (
 // TDF batches. Executors are not safe for concurrent use; the gateway pairs
 // each frontend session with its own executor.
 type Executor interface {
-	// Exec runs a (possibly multi-statement) SQL request.
-	Exec(sql string) ([]*cwp.StatementResult, error)
-	// ExecContext is Exec bounded by the context's deadline: a stalled or
-	// dead backend surfaces as a timeout instead of hanging the session.
+	// ExecContext runs a (possibly multi-statement) SQL request to completion,
+	// bounded by the context's deadline: a stalled or dead backend surfaces
+	// as a timeout instead of hanging the session.
 	ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error)
 	// Close releases the backend session.
 	Close() error
@@ -44,14 +43,23 @@ type ContextDriver interface {
 }
 
 // ConnectContext connects via d, honouring ctx when the driver supports it.
-func ConnectContext(ctx context.Context, d Driver) (Executor, error) {
+// The session comes back as a StreamExecutor (see Streaming), so whether it
+// streams natively is settled here, once, and never again per request.
+func ConnectContext(ctx context.Context, d Driver) (StreamExecutor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var ex Executor
+	var err error
 	if cd, ok := d.(ContextDriver); ok {
-		return cd.ConnectContext(ctx)
+		ex, err = cd.ConnectContext(ctx)
+	} else {
+		ex, err = d.Connect()
 	}
-	return d.Connect()
+	if err != nil {
+		return nil, err
+	}
+	return Streaming(ex), nil
 }
 
 // ReconnectAware is implemented by executors that can transparently replace
@@ -89,7 +97,6 @@ type netExecutor struct {
 	c *cwp.Client
 }
 
-func (e *netExecutor) Exec(sql string) ([]*cwp.StatementResult, error) { return e.c.Exec(sql) }
 func (e *netExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
 	return e.c.ExecContext(ctx, sql)
 }
@@ -114,20 +121,14 @@ type localExecutor struct {
 	s *engine.Session
 }
 
-func (e *localExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.exec(sql)
-}
-
+// ExecContext executes eagerly: the engine has no incremental API, so the
+// session streams through Streaming's buffered adapter.
 func (e *localExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
 	// In-process execution cannot be interrupted mid-statement; honour the
 	// deadline at the request boundary.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.exec(sql)
-}
-
-func (e *localExecutor) exec(sql string) ([]*cwp.StatementResult, error) {
 	results, err := e.s.ExecSQL(sql)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package odbc
 
 import (
+	"context"
 	"net"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestDriversEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("driver %d: %v", i, err)
 		}
-		results, err := ex.Exec("SELECT a, b FROM t ORDER BY a; SELECT COUNT(*) FROM t;")
+		results, err := ex.ExecContext(context.Background(), "SELECT a, b FROM t ORDER BY a; SELECT COUNT(*) FROM t;")
 		if err != nil {
 			t.Fatalf("driver %d: %v", i, err)
 		}
@@ -70,7 +71,7 @@ func TestLocalDriverBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	results, err := ex.Exec("SELECT a FROM t")
+	results, err := ex.ExecContext(context.Background(), "SELECT a FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestLocalDriverErrors(t *testing.T) {
 	eng := loadedEngine(t)
 	ex, _ := (&LocalDriver{Engine: eng}).Connect()
 	defer ex.Close()
-	if _, err := ex.Exec("SELECT nope FROM t"); err == nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT nope FROM t"); err == nil {
 		t.Error("error not propagated")
 	}
 }

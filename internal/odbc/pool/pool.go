@@ -109,7 +109,7 @@ type Pool struct {
 
 // conn is one pooled backend connection.
 type conn struct {
-	ex        odbc.Executor
+	ex        odbc.StreamExecutor
 	createdAt time.Time
 	idleSince time.Time
 }

@@ -55,8 +55,14 @@ type fakeExec struct {
 	restore func(odbc.Executor) error
 }
 
-func (e *fakeExec) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.ExecContext(context.Background(), sql)
+// ExecStream makes the fake a native streamer, so pooled connections hold
+// it as itself and its ReconnectAware hook stays reachable.
+func (e *fakeExec) ExecStream(ctx context.Context, sql string) (odbc.ResultStream, error) {
+	results, err := e.ExecContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return odbc.BufferStream(results), nil
 }
 
 func (e *fakeExec) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
@@ -129,7 +135,7 @@ func TestStatementLeaseReuse(t *testing.T) {
 	p, d := newTestPool(t, Config{Size: 4})
 	for i := 0; i < 2; i++ {
 		sc := p.Session()
-		if _, err := sc.Exec("SEL 1"); err != nil {
+		if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 			t.Fatal(err)
 		}
 		if err := sc.Close(); err != nil {
@@ -162,7 +168,7 @@ func TestPoolBoundsBackendConnections(t *testing.T) {
 			sc := p.Session()
 			defer sc.Close()
 			for j := 0; j < 5; j++ {
-				if _, err := sc.Exec("SEL 1"); err != nil {
+				if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 					t.Errorf("exec: %v", err)
 					return
 				}
@@ -295,13 +301,13 @@ func TestMaxLifetimeRecycle(t *testing.T) {
 	p, d := newTestPool(t, Config{Size: 2, MaxLifetime: time.Minute, now: clock})
 	sc := p.Session()
 	defer sc.Close()
-	if _, err := sc.Exec("SEL 1"); err != nil {
+	if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 		t.Fatal(err)
 	}
 	advance(2 * time.Minute)
 	// The parked connection is past its lifetime: the next lease discards it
 	// and dials fresh.
-	if _, err := sc.Exec("SEL 1"); err != nil {
+	if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 		t.Fatal(err)
 	}
 	dials, closes := d.counts()
@@ -474,7 +480,7 @@ func TestPinUnpin(t *testing.T) {
 	}
 	var ids []int
 	for i := 0; i < 3; i++ {
-		if _, err := sc.Exec("SEL 1"); err != nil {
+		if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, sc.pinConn.ex.(*fakeExec).id)
@@ -518,7 +524,7 @@ func TestPinInstallsReconnectHook(t *testing.T) {
 		t.Error("restore hook survived release: would replay another session's state")
 	}
 	// A plain statement lease never carries the hook.
-	if _, err := sc.Exec("SEL 1"); err != nil {
+	if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 		t.Fatal(err)
 	}
 	if ex.restoreHook() != nil {
@@ -548,7 +554,7 @@ func TestCloseDestroysPinnedConnection(t *testing.T) {
 	// The slot is free: a new session acquires without waiting.
 	sc2 := p.Session()
 	defer sc2.Close()
-	if _, err := sc2.Exec("SEL 1"); err != nil {
+	if _, err := sc2.ExecContext(context.Background(), "SEL 1"); err != nil {
 		t.Fatalf("exec after dirty close: %v", err)
 	}
 }
@@ -626,14 +632,14 @@ func TestPoolStressRace(t *testing.T) {
 						t.Errorf("pin: %v", err)
 						return
 					}
-					if _, err := sc.Exec("SEL 1"); err != nil {
+					if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 						t.Errorf("pinned exec: %v", err)
 						return
 					}
 					atomic.AddInt64(&execs, 1)
 					sc.Unpin()
 				default: // statement-level lease
-					if _, err := sc.Exec("SEL 1"); err != nil {
+					if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 						t.Errorf("exec: %v", err)
 						return
 					}

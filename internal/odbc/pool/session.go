@@ -39,30 +39,18 @@ var (
 	_ odbc.ReconnectAware = (*SessionConn)(nil)
 )
 
-// Exec runs the request with no deadline.
-func (sc *SessionConn) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return sc.ExecContext(context.Background(), sql)
-}
-
 // ExecContext runs the request on the pinned connection if one is held,
 // otherwise under a statement-level lease: acquire (queueing behind other
 // sessions when the pool is full), execute, release. A connection whose
 // transport failed is discarded rather than returned, so a broken backend
 // session never reaches another frontend session.
 func (sc *SessionConn) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return nil, ErrClosed
-	}
-	pinned := sc.pinConn
-	sc.mu.Unlock()
-	if pinned != nil {
-		return pinned.ex.ExecContext(ctx, sql)
-	}
-	c, err := sc.p.acquire(ctx)
+	c, pinned, err := sc.connection(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if pinned {
+		return c.ex.ExecContext(ctx, sql)
 	}
 	// Pessimistic release: anything that escapes before the clean
 	// classification below (including a panic in the executor) discards the
@@ -72,6 +60,25 @@ func (sc *SessionConn) ExecContext(ctx context.Context, sql string) ([]*cwp.Stat
 	results, err := c.ex.ExecContext(ctx, sql)
 	broken = err != nil && odbc.ConnectionError(err)
 	return results, err
+}
+
+// connection is the preamble both request methods share: the pinned connection
+// when one is held (pinned true: session-owned, the pin/unpin lifecycle
+// decides when it goes back), otherwise a fresh statement-level lease the
+// caller must release.
+func (sc *SessionConn) connection(ctx context.Context) (c *conn, pinned bool, err error) {
+	sc.mu.Lock()
+	if sc.closed {
+		sc.mu.Unlock()
+		return nil, false, ErrClosed
+	}
+	c = sc.pinConn
+	sc.mu.Unlock()
+	if c != nil {
+		return c, true, nil
+	}
+	c, err = sc.p.acquire(ctx)
+	return c, false, err
 }
 
 // Pin dedicates one backend connection to this session until Unpin or

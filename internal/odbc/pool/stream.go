@@ -21,23 +21,14 @@ var _ odbc.StreamExecutor = (*SessionConn)(nil)
 // transport-broken stream's connection is destroyed, so a desynchronized
 // backend session can never reach another frontend session.
 func (sc *SessionConn) ExecStream(ctx context.Context, sql string) (odbc.ResultStream, error) {
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return nil, ErrClosed
-	}
-	pinned := sc.pinConn
-	sc.mu.Unlock()
-	if pinned != nil {
-		// Pinned connections are session-owned: no lease bookkeeping, the
-		// pin/unpin lifecycle decides when the connection goes back.
-		return odbc.OpenStream(ctx, pinned.ex, sql)
-	}
-	c, err := sc.p.acquire(ctx)
+	c, pinned, err := sc.connection(ctx)
 	if err != nil {
 		return nil, err
 	}
-	st, err := odbc.OpenStream(ctx, c.ex, sql)
+	st, err := c.ex.ExecStream(ctx, sql)
+	if pinned {
+		return st, err
+	}
 	if err != nil {
 		sc.p.release(c, odbc.ConnectionError(err))
 		return nil, err

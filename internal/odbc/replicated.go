@@ -78,6 +78,7 @@ func (d *ReplicatedDriver) ConnectContext(ctx context.Context) (Executor, error)
 var (
 	_ Driver           = (*ReplicatedDriver)(nil)
 	_ ContextDriver    = (*ReplicatedDriver)(nil)
+	_ StreamExecutor   = (*replicatedExecutor)(nil)
 	_ DivergenceSource = (*replicatedExecutor)(nil)
 )
 
@@ -144,10 +145,6 @@ func isReadOnly(sql string) bool {
 	return true
 }
 
-func (e *replicatedExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.ExecContext(context.Background(), sql)
-}
-
 func (e *replicatedExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
 	e.mu.Lock()
 	div := e.divergent
@@ -162,6 +159,15 @@ func (e *replicatedExecutor) ExecContext(ctx context.Context, sql string) ([]*cw
 		return e.execRead(ctx, sql)
 	}
 	return e.execWrite(ctx, sql)
+}
+
+// ExecStream streams ExecContext's answer. A compare-mode read and a write
+// fan-out need every replica's complete answer before one is returned, so the
+// results are materialized by construction; implementing the method here
+// rather than leaving it to Streaming's adapter keeps the executor itself —
+// a DivergenceSource — in the session's hands.
+func (e *replicatedExecutor) ExecStream(ctx context.Context, sql string) (ResultStream, error) {
+	return bufferedExecutor{e}.ExecStream(ctx, sql)
 }
 
 func (e *replicatedExecutor) isDown(i int) bool {

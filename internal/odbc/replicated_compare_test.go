@@ -1,6 +1,7 @@
 package odbc_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -46,10 +47,10 @@ func TestCompareReadsCleanReplicasReportNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Exec("SELECT x FROM r ORDER BY x"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT x FROM r ORDER BY x"); err != nil {
 		t.Fatal(err)
 	}
 	if divs := takeDivs(t, ex); len(divs) != 0 {
@@ -64,7 +65,7 @@ func TestCompareReadsPinpointsDifferingCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 	takeDivs(t, ex)
@@ -72,7 +73,7 @@ func TestCompareReadsPinpointsDifferingCell(t *testing.T) {
 	if _, err := engines[1].NewSession().ExecSQL("UPDATE r SET x = 99 WHERE x = 2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Exec("SELECT x FROM r ORDER BY x")
+	res, err := ex.ExecContext(context.Background(), "SELECT x FROM r ORDER BY x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestCompareReadsPinpointsDifferingCell(t *testing.T) {
 		t.Fatalf("missing fingerprint/sql: %+v", dv)
 	}
 	// Divergences report; they must not poison the session.
-	if _, err := ex.Exec("SELECT COUNT(*) FROM r"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM r"); err != nil {
 		t.Fatalf("session poisoned after read divergence: %v", err)
 	}
 }
@@ -111,13 +112,13 @@ func TestCompareReadsRowCountAndErrorDivergences(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1), (2)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engines[1].NewSession().ExecSQL("DELETE FROM r WHERE x = 2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Exec("SELECT x FROM r"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT x FROM r"); err != nil {
 		t.Fatal(err)
 	}
 	divs := takeDivs(t, ex)
@@ -132,7 +133,7 @@ func TestCompareReadsRowCountAndErrorDivergences(t *testing.T) {
 	if _, err := engines[0].NewSession().ExecSQL("CREATE TABLE only0 (y INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Exec("SELECT y FROM only0"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT y FROM only0"); err != nil {
 		t.Fatal(err)
 	}
 	divs = takeDivs(t, ex)
@@ -148,7 +149,7 @@ func TestCompareWritesDiffAffectedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 	takeDivs(t, ex)
@@ -156,7 +157,7 @@ func TestCompareWritesDiffAffectedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fanned-out UPDATE touches 3 rows on replica 0 but 2 on replica 1.
-	if _, err := ex.Exec("UPDATE r SET x = x + 10"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "UPDATE r SET x = x + 10"); err != nil {
 		t.Fatal(err)
 	}
 	divs := takeDivs(t, ex)
@@ -180,7 +181,7 @@ func TestPartialWriteCarriesDivergenceDetail(t *testing.T) {
 	// Replica 1 rejects the next exec with a non-connection SQL error: the
 	// write lands on replica 0 only.
 	fd.QueueExecErrors(errors.New("disk quota exceeded"))
-	_, err = ex.Exec("INSERT INTO r (x) VALUES (1)")
+	_, err = ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1)")
 	if !errors.Is(err, odbc.ErrReplicaDivergent) {
 		t.Fatalf("want ErrReplicaDivergent, got %v", err)
 	}
@@ -209,14 +210,14 @@ func TestCompareReadsBaselineDeathPromotesNextReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (5)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (5)"); err != nil {
 		t.Fatal(err)
 	}
 	takeDivs(t, ex)
 	// Kill the baseline replica's session: the read must fail over to
 	// replica 1 as the new baseline and still compare against replica 2.
 	fd0.DropActiveSessions()
-	res, err := ex.Exec("SELECT x FROM r")
+	res, err := ex.ExecContext(context.Background(), "SELECT x FROM r")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestReplicatedReadQuarantineFailover(t *testing.T) {
 	// Kill replica 0's backend session mid-flight.
 	fds[0].DropActiveSessions()
 	for i := 0; i < 6; i++ {
-		res, err := ex.Exec("SELECT COUNT(*) FROM rt")
+		res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 		if err != nil {
 			t.Fatalf("read %d after replica loss: %v", i, err)
 		}
@@ -61,7 +61,7 @@ func TestReplicatedReadQuarantineFailover(t *testing.T) {
 		t.Errorf("ReplicaQuarantined = %d, want 1", met.ReplicaQuarantined())
 	}
 	// Writes keep working, fanned out to the surviving replicas only.
-	if _, err := ex.Exec("INSERT INTO rt VALUES (4)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO rt VALUES (4)"); err != nil {
 		t.Fatalf("write after replica loss: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestReplicatedReadSQLErrorNoFailover(t *testing.T) {
 	}
 	defer ex.Close()
 	before := fds[0].Execs() + fds[1].Execs()
-	if _, err := ex.Exec("SELECT nope FROM rt"); err == nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT nope FROM rt"); err == nil {
 		t.Fatal("SQL error not surfaced")
 	}
 	if got := fds[0].Execs() + fds[1].Execs() - before; got != 1 {
@@ -97,7 +97,7 @@ func TestReplicatedPartialWriteMarksDivergent(t *testing.T) {
 	// Replica 1 rejects the write with a permanent backend error while
 	// replica 0 applies it.
 	fds[1].QueueExecErrors(&cwp.BackendError{Code: 2644, Message: "no more room in database"})
-	_, err = ex.Exec("INSERT INTO rt VALUES (4)")
+	_, err = ex.ExecContext(context.Background(), "INSERT INTO rt VALUES (4)")
 	if !errors.Is(err, odbc.ErrReplicaDivergent) {
 		t.Fatalf("partial write: err = %v, want ErrReplicaDivergent", err)
 	}
@@ -105,7 +105,7 @@ func TestReplicatedPartialWriteMarksDivergent(t *testing.T) {
 		t.Fatalf("test premise broken: replica contents did not diverge (%d == %d)", a, b)
 	}
 	// Poisoned: even a plain read now refuses.
-	if _, err := ex.Exec("SELECT COUNT(*) FROM rt"); !errors.Is(err, odbc.ErrReplicaDivergent) {
+	if _, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt"); !errors.Is(err, odbc.ErrReplicaDivergent) {
 		t.Fatalf("read after divergence: err = %v, want ErrReplicaDivergent", err)
 	}
 }
@@ -116,7 +116,6 @@ type closeFailExec struct {
 	fail   bool
 }
 
-func (e *closeFailExec) Exec(string) ([]*cwp.StatementResult, error) { return nil, nil }
 func (e *closeFailExec) ExecContext(context.Context, string) ([]*cwp.StatementResult, error) {
 	return nil, nil
 }
@@ -167,7 +166,7 @@ func TestReplicatedAllReplicasDown(t *testing.T) {
 	defer ex.Close()
 	fds[0].DropActiveSessions()
 	fds[1].DropActiveSessions()
-	_, err = ex.Exec("SELECT COUNT(*) FROM rt")
+	_, err = ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	if err == nil || !strings.Contains(err.Error(), "all replicas unavailable") {
 		t.Fatalf("err = %v, want all-replicas-unavailable", err)
 	}

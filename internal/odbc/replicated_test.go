@@ -1,6 +1,7 @@
 package odbc
 
 import (
+	"context"
 	"testing"
 
 	"hyperq/internal/dialect"
@@ -30,7 +31,7 @@ func TestReplicatedWritesFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1), (2)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
 	for i, eng := range engines {
@@ -48,13 +49,13 @@ func TestReplicatedReadsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (7)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (7)"); err != nil {
 		t.Fatal(err)
 	}
 	// Every read must return the same data regardless of which replica
 	// serves it.
 	for i := 0; i < 9; i++ {
-		results, err := ex.Exec("SELECT COUNT(*) FROM r")
+		results, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM r")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestReplicatedMixedRequestIsWrite(t *testing.T) {
 	ex, _ := d.Connect()
 	defer ex.Close()
 	// A multi-statement request containing DML fans out entirely.
-	if _, err := ex.Exec("INSERT INTO r (x) VALUES (1); SELECT COUNT(*) FROM r;"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (1); SELECT COUNT(*) FROM r;"); err != nil {
 		t.Fatal(err)
 	}
 	for i, eng := range engines {

@@ -310,7 +310,7 @@ var (
 
 type resilientExecutor struct {
 	d     *ResilientDriver
-	inner Executor
+	inner StreamExecutor
 	// restore rebuilds session state on replacement connections.
 	restore func(Executor) error
 	// everConnected distinguishes the initial connect (no replay, not a
@@ -386,10 +386,6 @@ func (e *resilientExecutor) reconnect(ctx context.Context) error {
 		return nil
 	}
 	return lastErr
-}
-
-func (e *resilientExecutor) Exec(sql string) ([]*cwp.StatementResult, error) {
-	return e.ExecContext(context.Background(), sql)
 }
 
 func (e *resilientExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {

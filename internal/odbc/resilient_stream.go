@@ -25,7 +25,7 @@ func (e *resilientExecutor) ExecStream(ctx context.Context, sql string) (ResultS
 	rctx, cancel := e.d.reqContext(ctx)
 	var rs *resilientStream
 	err := e.retry(rctx, sql, "exec-stream", func() error {
-		st, err := OpenStream(rctx, e.inner, sql)
+		st, err := e.inner.ExecStream(rctx, sql)
 		if err != nil {
 			return err
 		}
@@ -54,7 +54,7 @@ func (e *resilientExecutor) ExecStream(ctx context.Context, sql string) (ResultS
 }
 
 // realStream reports whether st is backed by a live connection (as opposed
-// to the slice-backed buffered fallback, which has no connection to poison).
+// to a slice-backed buffered stream, which has no connection to poison).
 func realStream(st ResultStream) bool {
 	_, buffered := st.(*bufferedStream)
 	return !buffered

@@ -59,7 +59,7 @@ func TestResilientConnectRetriesTransient(t *testing.T) {
 	if got := met.Retries(); got != 2 {
 		t.Errorf("Retries = %d, want 2", got)
 	}
-	res, err := ex.Exec("SELECT COUNT(*) FROM rt")
+	res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestResilientReconnectReplaysAndRetriesRead(t *testing.T) {
 	ra.OnReconnect(func(repl odbc.Executor) error {
 		replayed++
 		// Stand-in for session state: visible through the replacement session.
-		_, err := repl.Exec("INSERT INTO rt VALUES (42)")
+		_, err := repl.ExecContext(context.Background(), "INSERT INTO rt VALUES (42)")
 		return err
 	})
-	if _, err := ex.Exec("SELECT COUNT(*) FROM rt"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt"); err != nil {
 		t.Fatal(err)
 	}
 	fd.DropActiveSessions()
-	res, err := ex.Exec("SELECT COUNT(*) FROM rt")
+	res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	if err != nil {
 		t.Fatalf("read after backend bounce: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestResilientWriteNotRetriedAfterDrop(t *testing.T) {
 	defer ex.Close()
 	fd.DropActiveSessions()
 	before := fd.Execs()
-	_, err = ex.Exec("INSERT INTO rt VALUES (99)")
+	_, err = ex.ExecContext(context.Background(), "INSERT INTO rt VALUES (99)")
 	if !errors.Is(err, odbc.ErrMaybeApplied) {
 		t.Fatalf("write after drop: err = %v, want ErrMaybeApplied", err)
 	}
@@ -142,7 +142,7 @@ func TestResilientWriteNotRetriedAfterDrop(t *testing.T) {
 		t.Errorf("exec attempts = %d, want exactly 1 (never retried)", got)
 	}
 	// The session heals on the next request.
-	res, err := ex.Exec("SELECT COUNT(*) FROM rt")
+	res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestResilientTransientBackendAbortRetried(t *testing.T) {
 	}
 	defer ex.Close()
 	fd.QueueExecErrors(&cwp.BackendError{Code: 2631, Message: "transaction aborted, retry"})
-	if _, err := ex.Exec("INSERT INTO rt VALUES (7)"); err != nil {
+	if _, err := ex.ExecContext(context.Background(), "INSERT INTO rt VALUES (7)"); err != nil {
 		t.Fatalf("write after transient abort: %v", err)
 	}
-	res, err := ex.Exec("SELECT COUNT(*) FROM rt")
+	res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestResilientSQLErrorNotRetried(t *testing.T) {
 	}
 	defer ex.Close()
 	before := fd.Execs()
-	_, err = ex.Exec("SELECT nope FROM rt")
+	_, err = ex.ExecContext(context.Background(), "SELECT nope FROM rt")
 	if err == nil {
 		t.Fatal("SQL error not surfaced")
 	}
@@ -250,7 +250,7 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("probe against healed backend: %v", err)
 	}
 	defer ex.Close()
-	if res, err := ex.Exec("SELECT COUNT(*) FROM rt"); err != nil || res[0].Rows()[0][0].I != 3 {
+	if res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt"); err != nil || res[0].Rows()[0][0].I != 3 {
 		t.Fatalf("exec after recovery: res=%v err=%v", res, err)
 	}
 }
@@ -267,7 +267,7 @@ func TestResilientDeadlineBoundsStalledBackend(t *testing.T) {
 	defer ex.Close()
 	fd.SetLatency(5 * time.Second)
 	start := time.Now()
-	_, err = ex.Exec("SELECT COUNT(*) FROM rt")
+	_, err = ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt")
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("stalled backend request succeeded")
@@ -280,7 +280,7 @@ func TestResilientDeadlineBoundsStalledBackend(t *testing.T) {
 	}
 	// The next request (with the stall cleared) reconnects and succeeds.
 	fd.SetLatency(0)
-	if res, err := ex.Exec("SELECT COUNT(*) FROM rt"); err != nil || res[0].Rows()[0][0].I != 3 {
+	if res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt"); err != nil || res[0].Rows()[0][0].I != 3 {
 		t.Fatalf("exec after stall cleared: res=%v err=%v", res, err)
 	}
 }

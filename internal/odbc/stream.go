@@ -21,31 +21,53 @@ type ResultStream interface {
 
 // StreamExecutor is an Executor that can additionally yield results
 // incrementally, so a slow consumer exerts backpressure on the backend
-// instead of forcing full materialization.
+// instead of forcing full materialization. Its two request methods are the
+// two operations every backend session offers: ExecStream, and ExecContext —
+// collect, the unit a retrying layer re-runs whole because nothing has been
+// handed out yet.
 type StreamExecutor interface {
 	Executor
 	ExecStream(ctx context.Context, sql string) (ResultStream, error)
 }
 
-// OpenStream opens a result stream via ex, falling back to buffered
-// execution behind a slice-backed stream when the executor has no native
-// streaming support. The fallback preserves the streaming contract exactly
-// (event order, io.EOF terminal) but not its memory profile.
-func OpenStream(ctx context.Context, ex Executor, sql string) (ResultStream, error) {
+// Streaming returns ex as a StreamExecutor. An executor that streams natively
+// comes back as itself, so optional interfaces (ReconnectAware,
+// DivergenceSource, a pool's pinning) still pass type assertions on the
+// result; any other is wrapped in an adapter whose ExecStream replays
+// ExecContext's materialized results. The adapter preserves the streaming
+// contract exactly (event order, io.EOF terminal) but not its memory profile,
+// and it hides every optional interface — so an executor that has one must
+// stream natively. ConnectContext applies Streaming to every session it
+// opens, so whether a session streams is decided once, at connect, rather
+// than per request.
+func Streaming(ex Executor) StreamExecutor {
 	if se, ok := ex.(StreamExecutor); ok {
-		return se.ExecStream(ctx, sql)
+		return se
 	}
-	results, err := ex.ExecContext(ctx, sql)
+	return bufferedExecutor{ex}
+}
+
+// bufferedExecutor is Streaming's adapter: ExecStream runs the request to
+// completion and replays the results as a stream.
+type bufferedExecutor struct{ Executor }
+
+func (e bufferedExecutor) ExecStream(ctx context.Context, sql string) (ResultStream, error) {
+	results, err := e.ExecContext(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
 	return BufferStream(results), nil
 }
 
+// OpenStream opens a result stream via ex: Streaming(ex).ExecStream.
+func OpenStream(ctx context.Context, ex Executor, sql string) (ResultStream, error) {
+	return Streaming(ex).ExecStream(ctx, sql)
+}
+
 // BufferStream adapts materialized statement results to the ResultStream
 // interface, replaying them as the event sequence a native stream would
-// have produced. It is the adapter behind OpenStream's fallback, the
-// faultdriver's stream shim and the gateway's collected results.
+// have produced. It is the stream behind Streaming's adapter, the replicated
+// executor's ExecStream and the gateway's collected results.
 func BufferStream(results []*cwp.StatementResult) ResultStream {
 	return &bufferedStream{results: results}
 }
@@ -96,18 +118,7 @@ func (e *netExecutor) ExecStream(ctx context.Context, sql string) (ResultStream,
 	return e.c.ExecStreamContext(ctx, sql)
 }
 
-// ExecStream on the in-process driver executes eagerly (the engine has no
-// incremental API) and replays the materialized result as a stream.
-func (e *localExecutor) ExecStream(ctx context.Context, sql string) (ResultStream, error) {
-	results, err := e.ExecContext(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	return BufferStream(results), nil
-}
-
 var (
 	_ StreamExecutor = (*netExecutor)(nil)
-	_ StreamExecutor = (*localExecutor)(nil)
 	_ ResultStream   = (*cwp.Stream)(nil)
 )

@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
+	"reflect"
 	"testing"
 
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/faultdriver"
+	"hyperq/internal/odbc/pool"
+	"hyperq/internal/tdf"
+	"hyperq/internal/types"
 	"hyperq/internal/wire/cwp"
 )
 
@@ -253,5 +258,149 @@ func TestResilientStreamAbandonDiscardsConnection(t *testing.T) {
 	}
 	if fd.Connects() != 2 {
 		t.Errorf("connects = %d, want 2 (abandoned stream discarded the connection)", fd.Connects())
+	}
+}
+
+// Streaming settles stream capability once, at connect. Every executor type
+// in the repository that streams natively must come back as the same value,
+// so the optional interfaces the gateway asserts on its session executor
+// (reconnect replay, divergence draining, pool pinning) keep holding, and
+// ConnectContext must hand out exactly what Streaming does.
+func TestStreamingKeepsNativeExecutors(t *testing.T) {
+	eng := resilienceEngine(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = cwp.Serve(ln, eng) }()
+	local := &odbc.LocalDriver{Engine: eng, User: "u"}
+	p, err := pool.New(pool.Config{Driver: local, Size: 1, MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	type pinner interface {
+		Pin(context.Context) error
+		Unpin()
+	}
+	cases := []struct {
+		name                               string
+		d                                  odbc.Driver
+		native, reconnect, divergence, pin bool
+	}{
+		{name: "net", d: &odbc.NetworkDriver{Addr: ln.Addr().String(), User: "u", Password: "p"}, native: true},
+		{name: "local", d: local},
+		{name: "resilient", d: &odbc.ResilientDriver{Inner: local}, native: true, reconnect: true},
+		{name: "replicated", d: &odbc.ReplicatedDriver{Replicas: []odbc.Driver{local, local}}, native: true, divergence: true},
+		{name: "replicated-compare", d: &odbc.ReplicatedDriver{Replicas: []odbc.Driver{local, local}, CompareReads: true}, native: true, divergence: true},
+		{name: "pool", d: p, native: true, reconnect: true, pin: true},
+		{name: "faultdriver", d: faultdriver.New(local), native: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := c.d.Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			se := odbc.Streaming(raw)
+			if same := odbc.Executor(se) == raw; same != c.native {
+				t.Fatalf("Streaming returned the executor itself = %v, want %v", same, c.native)
+			}
+			_, ra := se.(odbc.ReconnectAware)
+			_, ds := se.(odbc.DivergenceSource)
+			_, pn := se.(pinner)
+			if ra != c.reconnect || ds != c.divergence || pn != c.pin {
+				t.Fatalf("ReconnectAware/DivergenceSource/pinner = %v/%v/%v, want %v/%v/%v",
+					ra, ds, pn, c.reconnect, c.divergence, c.pin)
+			}
+
+			viaConnect, err := odbc.ConnectContext(context.Background(), c.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer viaConnect.Close()
+			if got, want := reflect.TypeOf(viaConnect), reflect.TypeOf(se); got != want {
+				t.Fatalf("ConnectContext returned %v, Streaming %v", got, want)
+			}
+			st, err := viaConnect.ExecStream(context.Background(), "SELECT x FROM rt ORDER BY x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			evs, serr := drainStream(t, st)
+			if serr != io.EOF || countRows(evs) != 3 {
+				t.Fatalf("stream: %d rows, terminal %v; want 3 rows, io.EOF", countRows(evs), serr)
+			}
+		})
+	}
+}
+
+// collectOnly has the shape of an executor that cannot stream (a recording
+// or canned test backend): ExecContext and Close, nothing else.
+type collectOnly struct {
+	results []*cwp.StatementResult
+	err     error
+	calls   int
+}
+
+func (e *collectOnly) ExecContext(context.Context, string) ([]*cwp.StatementResult, error) {
+	e.calls++
+	return e.results, e.err
+}
+
+func (e *collectOnly) Close() error { return nil }
+
+// Streaming's adapter must replay ExecContext's answer event for event —
+// metadata, every batch (the same batch values, in order), each statement's
+// completion — and fail ExecStream itself when ExecContext fails.
+func TestStreamingAdapterReplaysExecContext(t *testing.T) {
+	cols := []tdf.ColumnMeta{{Name: "x", Type: types.Int}}
+	b1 := &tdf.Batch{Cols: cols, Rows: [][]types.Datum{{types.NewInt(1)}, {types.NewInt(2)}}}
+	b2 := &tdf.Batch{Cols: cols, Rows: [][]types.Datum{{types.NewInt(3)}}}
+	empty := &tdf.Batch{Cols: cols}
+	ex := &collectOnly{results: []*cwp.StatementResult{
+		{Cols: cols, Batches: []*tdf.Batch{b1, b2}, Command: "SELECT"},
+		{Command: "INSERT", Affected: 4},
+		{Cols: cols, Batches: []*tdf.Batch{empty}, Command: "SELECT"},
+	}}
+	want := []cwp.StreamEvent{
+		{Kind: cwp.StreamMeta, Cols: cols},
+		{Kind: cwp.StreamBatch, Batch: b1},
+		{Kind: cwp.StreamBatch, Batch: b2},
+		{Kind: cwp.StreamComplete, Command: "SELECT"},
+		{Kind: cwp.StreamComplete, Command: "INSERT", Affected: 4},
+		{Kind: cwp.StreamMeta, Cols: cols},
+		{Kind: cwp.StreamBatch, Batch: empty},
+		{Kind: cwp.StreamComplete, Command: "SELECT"},
+	}
+	se := odbc.Streaming(ex)
+	st, err := se.ExecStream(context.Background(), "SELECT x FROM t; INSERT INTO t VALUES (4); SELECT x FROM t WHERE 1=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	evs, serr := drainStream(t, st)
+	if serr != io.EOF {
+		t.Fatalf("terminal = %v, want io.EOF", serr)
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(evs), len(want), evs)
+	}
+	for i := range want {
+		if evs[i].Batch != want[i].Batch || !reflect.DeepEqual(evs[i], want[i]) {
+			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+	if ex.calls != 1 {
+		t.Fatalf("ExecContext ran %d times, want 1", ex.calls)
+	}
+
+	boom := errors.New("backend rejected the request")
+	ex.err = boom
+	if _, err := se.ExecStream(context.Background(), "SELECT x FROM t"); !errors.Is(err, boom) {
+		t.Fatalf("ExecStream error = %v, want ExecContext's", err)
 	}
 }

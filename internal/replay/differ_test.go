@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -263,7 +264,7 @@ func TestDifferAcrossCloudTargets(t *testing.T) {
 				"SELECT a, b FROM m ORDER BY a",
 				"SELECT COUNT(*), SUM(c) FROM m",
 			} {
-				if _, err := ex.Exec(q); err != nil {
+				if _, err := ex.ExecContext(context.Background(), q); err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
 				if divs := ds.TakeDivergences(); len(divs) != 0 {
@@ -274,7 +275,7 @@ func TestDifferAcrossCloudTargets(t *testing.T) {
 			if _, err := engines[1].NewSession().ExecSQL("UPDATE m SET c = 20.26 WHERE a = 2"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ex.Exec("SELECT a, c FROM m ORDER BY a"); err != nil {
+			if _, err := ex.ExecContext(context.Background(), "SELECT a, c FROM m ORDER BY a"); err != nil {
 				t.Fatal(err)
 			}
 			divs := ds.TakeDivergences()

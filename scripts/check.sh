@@ -65,6 +65,8 @@ if [[ "${CHECK_SHORT:-0}" == "1" ]]; then
     exit 0
 fi
 
+# The plain run covers every package, internal/odbc/faultdriver's own tests
+# included: they pin the one pre-result fault step both request methods share.
 go test -race -timeout 120s ./...
 
 # Allocation gates, rerun without the race detector (its runtime changes
@@ -95,8 +97,9 @@ go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/p
 # Streaming acceptance: rerun the mid-stream fault suite and the streaming
 # e2e acceptance tests (backpressure bound, slow-client eviction, mid-stream
 # backend death, mid-stream deadline, disconnect teardown, streamed-vs-buffered
-# transcripts) under the race detector with fresh state.
-go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure' ./internal/odbc/ ./internal/hyperq/
+# transcripts, a replicated backend streamed in both modes) under the race
+# detector with fresh state.
+go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure|TestStreamingReplicatedMatchesBuffered' ./internal/odbc/ ./internal/hyperq/
 
 # Batch ownership under concurrency (DESIGN.md §12): four sessions stream
 # multi-batch results that are cast in place and released while a fifth
