@@ -123,66 +123,91 @@ type fedEvent struct {
 	err   error // terminal: whatever the backend stream ended with, io.EOF included
 }
 
-// resultFeed is the fetch stage of a streamed statement: a goroutine pulls
-// events off the backend stream, reserves result memory per batch against the
-// per-session budget and the gateway-wide accountant, and hands them to the
-// session goroutine through one bounded channel. Backpressure is end-to-end: a
-// slow client stalls the session goroutine's frontend write, the channel
-// fills, the fetch stage stops pulling, and the backend's own socket writes
-// block — bounded by the budgets rather than the result size. A batch's
-// reservation is held until deliver comes back for the next event: until its
-// rows are with the frontend writer (kernel socket buffer included) — which is
-// also when the batch's memory goes back to the decoder (tdf.Batch.Release):
-// the rows deliver was handed are dead once it asks for the next event.
+// resultFeed is the fetch stage of a streamed statement: it pulls events off
+// the backend stream and reserves result memory per batch against the
+// per-session budget and the gateway-wide accountant. Until the stream yields
+// its second batch the session goroutine pulls for itself — a one-batch
+// answer, every small request's, never costs a goroutine or a hand-off. From
+// the second batch on a fetch goroutine pulls the rest and hands it over
+// through one bounded channel, so reading the next batch overlaps converting
+// and writing the current one. Backpressure is end-to-end: a slow client
+// stalls the session goroutine's frontend write, the channel fills, the fetch
+// stage stops pulling, and the backend's own socket writes block — bounded by
+// the budgets rather than the result size. A batch's reservation is held until
+// deliver comes back for the next event: until its rows are with the frontend
+// writer (kernel socket buffer included) — which is also when the batch's
+// memory goes back to the decoder (tdf.Batch.Release): the rows deliver was
+// handed are dead once it asks for the next event.
 type resultFeed struct {
-	g        *Gateway
+	g  *Gateway
+	st odbc.ResultStream
+	// events and released exist once the fetch goroutine runs; released
+	// nudges it while it waits on the session budget.
 	events   chan fedEvent
-	released chan struct{} // nudges the fetch stage waiting on the session budget
+	released chan struct{}
 	// inflight is this session's accounted bytes between fetch and delivery.
 	inflight atomic.Int64
+	// prevSize is the last batch pulled, 0 before the first, and batches
+	// counts them: whoever pulls owns both, the session goroutine until the
+	// fetch goroutine starts.
+	prevSize int64
+	batches  int
 	// held is the batch the consumer is working on, with its reservation;
 	// delivered totals the reservations it came back from.
 	held      fedEvent
 	delivered int64
 }
 
-func (f *resultFeed) fetch(ctx context.Context, st odbc.ResultStream) {
-	var prevSize int64 // the request's previous batch, 0 before the first
-	for {
-		ev, err := st.Next(ctx)
-		item := fedEvent{ev: ev, err: err}
-		if err == nil && ev.Batch != nil {
-			size := int64(ev.Batch.EncodedSize())
-			if err := f.admit(ctx, size, prevSize); err != nil {
-				item = fedEvent{err: err}
-			} else if !f.g.acquireResultBytes(size) {
-				item = fedEvent{err: errResultShed}
-			} else {
-				f.inflight.Add(size)
-				item.bytes, prevSize = size, size
+// pull reads the next backend event and reserves a batch's memory.
+func (f *resultFeed) pull(ctx context.Context) fedEvent {
+	ev, err := f.st.Next(ctx)
+	item := fedEvent{ev: ev, err: err}
+	if err == nil && ev.Batch != nil {
+		size := int64(ev.Batch.EncodedSize())
+		if err := f.admit(ctx, size); err != nil {
+			item = fedEvent{err: err}
+		} else if !f.g.acquireResultBytes(size) {
+			item = fedEvent{err: errResultShed}
+		} else {
+			f.inflight.Add(size)
+			item.bytes, f.prevSize = size, size
+		}
+		f.batches++
+	}
+	return item
+}
+
+// start hands the rest of the stream to the fetch goroutine.
+func (f *resultFeed) start(ctx context.Context) {
+	f.events = make(chan fedEvent, feedDepth)
+	f.released = make(chan struct{}, 1)
+	go func() {
+		defer close(f.events)
+		for {
+			item := f.pull(ctx)
+			select {
+			case f.events <- item:
+			case <-ctx.Done():
+				return
+			}
+			if item.err != nil {
+				return
 			}
 		}
-		select {
-		case f.events <- item:
-		case <-ctx.Done():
-			return
-		}
-		if item.err != nil {
-			return
-		}
-	}
+	}()
 }
 
 // admit holds a batch of size bytes that follows one of prevSize until the
 // session's budget has room for it: nil when the accountant may be asked,
 // errResultShed when the cap can never hold the pair, ctx's error when ctx
-// ends first.
-func (f *resultFeed) admit(ctx context.Context, size, prevSize int64) error {
+// ends first. The session goroutine's pulls never wait: it has handed back
+// the batch it held before it pulls the next.
+func (f *resultFeed) admit(ctx context.Context, size int64) error {
 	// The backend stream's reader was receiving this batch while its
 	// predecessor was being written, so the two were resident together whether
 	// or not the predecessor's reservation happens to have been released by
 	// now: a pair the cap cannot hold sheds on every run, not on a lost race.
-	if capBytes := int64(f.g.cfg.ResultMemoryCap); capBytes > 0 && prevSize > 0 && prevSize+size > capBytes {
+	if capBytes := int64(f.g.cfg.ResultMemoryCap); capBytes > 0 && f.prevSize > 0 && f.prevSize+size > capBytes {
 		return errResultShed
 	}
 	// Per-session budget: wait for in-flight bytes to drain before admitting
@@ -200,11 +225,13 @@ func (f *resultFeed) admit(ctx context.Context, size, prevSize int64) error {
 }
 
 // Next hands the previous batch's bytes back to both budgets and its memory
-// back to the decoder, nudges the fetch stage, and returns the next event. It
-// is the repository's one Release call: the collector keeps the rows it is
-// handed, and a batch that never got here is left to the garbage collector.
-// ctx is the one the feed was started with: a fetch stage that went quiet
-// without a terminal event was stopped by it, and that is the error.
+// back to the decoder, nudges the fetch stage, and returns the next event:
+// pulled here up to the stream's second batch, which starts the fetch
+// goroutine, and taken from it after that. It is the repository's one Release
+// call: the collector keeps the rows it is handed, and a batch that never got
+// here is left to the garbage collector. Every call passes the same ctx, the
+// streamed statement's: a fetch goroutine that went quiet without a terminal
+// event was stopped by it, and that is the error.
 func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
 	if b, n := f.held.ev.Batch, f.held.bytes; b != nil {
 		f.held = fedEvent{}
@@ -217,20 +244,30 @@ func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
 		default:
 		}
 	}
-	item, ok := <-f.events
-	if !ok {
-		return cwp.StreamEvent{}, ctx.Err()
+	var item fedEvent
+	if f.events == nil {
+		item = f.pull(ctx)
+		if item.err == nil && item.ev.Batch != nil && f.batches == 2 {
+			f.start(ctx)
+		}
+	} else {
+		var ok bool
+		if item, ok = <-f.events; !ok {
+			return cwp.StreamEvent{}, ctx.Err()
+		}
 	}
 	f.held = item
 	return item.ev, item.err
 }
 
-// close joins the fetch goroutine — the caller has cancelled its context, so
-// the channel it closes on exit drains at once — and returns every
-// reservation still attached to undelivered batches: in exactly one place, so
-// neither error paths nor cancellation can leak gauge bytes.
+// close joins the fetch goroutine, if one started — the caller has cancelled
+// its context, so the channel it closes on exit drains at once — and returns
+// every reservation still attached to undelivered batches: in exactly one
+// place, so neither error paths nor cancellation can leak gauge bytes.
 func (f *resultFeed) close() {
-	for range f.events {
+	if f.events != nil {
+		for range f.events {
+		}
 	}
 	if leak := f.inflight.Load(); leak > 0 {
 		f.g.releaseResultBytes(leak)
@@ -252,11 +289,7 @@ func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string
 	atomic.StoreInt32(&s.midStream, 1)
 	defer atomic.StoreInt32(&s.midStream, 0)
 
-	feed := &resultFeed{g: s.g, events: make(chan fedEvent, feedDepth), released: make(chan struct{}, 1)}
-	go func() {
-		defer close(feed.events)
-		feed.fetch(ctx, st)
-	}()
+	feed := &resultFeed{g: s.g, st: st}
 	sets, convert, err := s.deliver(ctx, feed, frontCols, cmd, s.fw)
 	cancel()
 	feed.close()

@@ -57,8 +57,10 @@ type Config struct {
 	// fails immediately with ErrSaturated. 0 selects 4×Size; negative
 	// removes the cap.
 	MaxWaiters int
-	// AcquireTimeout bounds each acquire that arrives without an earlier
-	// context deadline. 0 selects 5s; negative leaves acquires unbounded.
+	// AcquireTimeout bounds how long an acquire that arrives without an
+	// earlier context deadline may dial or queue; an idle connection is
+	// handed out without arming it. 0 selects 5s; negative leaves acquires
+	// unbounded.
 	AcquireTimeout time.Duration
 	// MaxLifetime recycles connections older than this (credential
 	// rotation, backend-side session caps, load rebalancing). 0 disables.
@@ -203,16 +205,12 @@ var (
 
 // acquire leases one backend connection, dialing up to Size connections and
 // queueing FIFO behind them when the pool is full. The returned connection
-// is owned by the caller until release.
+// is owned by the caller until release. AcquireTimeout bounds only the paths
+// that wait, dialing and queueing: handing out an idle connection arms no
+// timer.
 func (p *Pool) acquire(ctx context.Context) (*conn, error) {
-	if p.cfg.AcquireTimeout > 0 {
-		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > p.cfg.AcquireTimeout {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.cfg.AcquireTimeout)
-			defer cancel()
-		}
-	}
 	atomic.AddInt64(&p.acquires, 1)
+	var cancel context.CancelFunc // non-nil once ctx is bounded for waiting
 	waited := false
 	var waitStart time.Time
 	var wsp *trace.Span
@@ -220,6 +218,9 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 		if waited {
 			p.waitHist.ObserveDuration(time.Since(waitStart))
 			wsp.End()
+		}
+		if cancel != nil {
+			cancel()
 		}
 	}()
 	for {
@@ -253,6 +254,9 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 			p.numOpen++ // reserve the slot before dialing
 			p.mu.Unlock()
 			closeAll(expired)
+			if cancel == nil {
+				ctx, cancel = p.waitContext(ctx)
+			}
 			c, err := p.dial(ctx)
 			if err != nil {
 				return nil, err
@@ -273,6 +277,9 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 		p.waiters = append(p.waiters, w)
 		p.mu.Unlock()
 		closeAll(expired)
+		if cancel == nil {
+			ctx, cancel = p.waitContext(ctx)
+		}
 		if !waited {
 			waited = true
 			waitStart = time.Now()
@@ -313,6 +320,17 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 			return nil, fmt.Errorf("%w (%v, pool size %d)", ErrAcquireTimeout, ctx.Err(), p.size)
 		}
 	}
+}
+
+// waitContext bounds ctx by AcquireTimeout unless ctx's own deadline is
+// sooner.
+func (p *Pool) waitContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if t := p.cfg.AcquireTimeout; t > 0 {
+		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > t {
+			return context.WithTimeout(ctx, t)
+		}
+	}
+	return ctx, func() {}
 }
 
 // dial opens one backend connection for a reserved slot, un-reserving on

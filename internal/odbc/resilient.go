@@ -408,10 +408,11 @@ func (e *resilientExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp
 // last one died), runs attempt on it, and decides from the failure class
 // whether another attempt is allowed. A nil error from attempt means the
 // request is answered (for a stream: its first event arrived). op labels the
-// retry events in the trace.
+// retry events in the trace. The request is classified (isReadOnly parses it)
+// only when a connection failure asks whether it may run again, at most once.
 func (e *resilientExecutor) retry(ctx context.Context, sql, op string, attempt func() error) error {
 	d := e.d
-	readOnly := isReadOnly(sql)
+	readOnly := false
 	for n := 0; ; n++ {
 		if e.inner == nil {
 			if err := e.reconnect(ctx); err != nil {
@@ -443,6 +444,7 @@ func (e *resilientExecutor) retry(ctx context.Context, sql, op string, attempt f
 		d.brk.Failure()
 		_ = e.inner.Close()
 		e.inner = nil
+		readOnly = readOnly || isReadOnly(sql) // a write returns below: parsed at most once
 		if !readOnly {
 			// The request was already on the wire and is not idempotent:
 			// the backend may have applied it. Never retry.

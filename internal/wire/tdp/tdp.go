@@ -265,8 +265,10 @@ func serveConn(conn net.Conn, h Handler, opts Options) {
 	}()
 	// All response parcels go through one buffered writer: row parcels are
 	// small, and writing each one straight to the socket costs a syscall per
-	// row. The buffer is flushed at statement boundaries and before reading
-	// the next request.
+	// row. The buffer is flushed when a row would not fit in it, after a
+	// failure parcel, and once the request is over, before reading the next
+	// one: a small answer, however many statements it has, is one socket
+	// write.
 	var sock io.Writer = conn
 	if opts.WriteTimeout > 0 {
 		sock = &deadlineWriter{conn: conn, timeout: opts.WriteTimeout}
@@ -381,15 +383,14 @@ func (w *respWriter) Row(row []types.Datum) error {
 	return err
 }
 
+// EndStatement leaves its parcel in the buffer: serveConn flushes once the
+// request is over, so a statement boundary costs no socket write of its own.
 func (w *respWriter) EndStatement(activity int64, name string) error {
 	w.cols = nil
 	var b wire.Buffer
 	b.PutI64(activity)
 	b.PutString(name)
-	if err := wire.WriteMessage(w.out, MsgSuccess, b.Bytes()); err != nil {
-		return err
-	}
-	return w.out.Flush()
+	return wire.WriteMessage(w.out, MsgSuccess, b.Bytes())
 }
 
 func (w *respWriter) Failure(code int, msg string) error {

@@ -3,6 +3,7 @@ package tdp
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"hyperq/internal/types"
@@ -125,6 +126,18 @@ func (s *echoSession) Request(sql string, w ResponseWriter) error {
 			}
 		}
 		return w.EndStatement(3, "SELECT")
+	case "BIG": // bigRows rows of bigCell bytes each: several buffers' worth
+		cols := []ColumnDef{{Name: "s", Type: types.VarChar(bigCell)}}
+		if err := w.BeginResultSet(cols); err != nil {
+			return err
+		}
+		cell := []types.Datum{types.NewString(strings.Repeat("x", bigCell))}
+		for i := 0; i < bigRows; i++ {
+			if err := w.Row(cell); err != nil {
+				return err
+			}
+		}
+		return w.EndStatement(bigRows, "SELECT")
 	case "FAIL":
 		return w.Failure(3807, "object does not exist")
 	case "MULTI":

@@ -85,6 +85,13 @@ go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
 go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestConvertAllocsPerBatch|TestRowAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk|TestConvertOwnedInPlaceMatchesReference' \
     ./internal/tdf/ ./internal/wire/cwp/ ./internal/hyperq/ ./internal/wire/tdp/
 
+# Small-request path (DESIGN.md §7, §9): a request that succeeds costs the
+# resilient layer the same allocations whatever its SQL text (it is classified
+# read-only only after a connection failure), and an uncontended pool lease
+# arms no acquire timer. Both gates skip under the race detector.
+go test -count=1 -run 'TestResilientSuccessAllocsIndependentOfSQL|TestUncontendedLeaseAllocatesNothing' \
+    ./internal/odbc/ ./internal/odbc/pool/
+
 # Decoder fuzz leg: the slab TDF decoder against the per-cell reference
 # decoder kept in internal/tdf/reference_test.go — equal batches or both
 # fail, never a panic, forged headers refused.
@@ -103,10 +110,12 @@ go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBack
 
 # Batch ownership under concurrency (DESIGN.md §12): four sessions stream
 # multi-batch results that are cast in place and released while a fifth
-# collects, every response byte-compared with the DisableStreaming reference —
+# collects, every response byte-compared with the DisableStreaming reference;
+# and the fetch stage's hand-over from the session goroutine to the fetch
+# goroutine at a stream's second batch, with cancellation at every event —
 # ten times, because a batch released too early or handed out twice only shows
 # when the scheduler lines the sessions up.
-go test -race -count=10 -timeout 300s -run 'TestStreamingConcurrentSessionsMatchBuffered' ./internal/hyperq/
+go test -race -count=10 -timeout 300s -run 'TestStreamingConcurrentSessionsMatchBuffered|TestResultFeed' ./internal/hyperq/
 
 # Shadow-replay soak: capture a few hundred statements from both customer
 # workloads through a live wire gateway, replay them at 10x against two
