@@ -30,7 +30,7 @@ func Fig2(w io.Writer) {
 	fmt.Fprintf(w, "Figure 2: Support for select Teradata features across %d modeled cloud databases\n", len(targets))
 	fmt.Fprintf(w, "%-28s %10s   %s\n", "Feature", "Support", "Targets")
 	feats := append([]dialect.Capability(nil), dialect.Figure2Features...)
-	sort.Slice(feats, func(i, j int) bool { return pct[feats[i]] > pct[feats[j]] })
+	sort.SliceStable(feats, func(i, j int) bool { return pct[feats[i]] > pct[feats[j]] })
 	for _, f := range feats {
 		var who []string
 		for _, t := range targets {
