@@ -14,6 +14,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"strings"
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7707", "address to serve the backend wire protocol on")
-	profile := flag.String("profile", "CloudA", "capability profile to model (CloudA|CloudB|CloudC|CloudD|Teradata)")
+	profile := flag.String("profile", "CloudA", "capability profile to model ("+strings.Join(dialect.Names(), "|")+")")
 	tpchSF := flag.Float64("tpch", 0, "preload TPC-H data at this scale factor (0 = none)")
 	schema := flag.String("schema", "", "SQL file (ANSI dialect) executed at startup")
 	flag.Parse()

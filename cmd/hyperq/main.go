@@ -17,6 +17,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"hyperq/internal/catalog"
@@ -32,7 +33,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7706", "address to serve the frontend wire protocol on")
 	backend := flag.String("backend", "localhost:7707", "backend (cloudsrv) address")
-	target := flag.String("target", "CloudA", "target capability profile (CloudA|CloudB|CloudC|CloudD)")
+	target := flag.String("target", "CloudA", "target capability profile ("+strings.Join(dialect.Names(), "|")+")")
 	schema := flag.String("schema", "", "Teradata-dialect DDL file imported into the gateway catalog")
 	user := flag.String("backend-user", "hyperq", "user for backend sessions")
 	pass := flag.String("backend-password", "hyperq", "password for backend sessions")

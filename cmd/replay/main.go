@@ -36,7 +36,7 @@ import (
 )
 
 func main() {
-	target := flag.String("target", "CloudA", "target capability profile both backends speak (CloudA|CloudB|CloudC|CloudD)")
+	target := flag.String("target", "CloudA", "target capability profile both backends speak ("+strings.Join(dialect.Names(), "|")+")")
 	baseline := flag.String("baseline", "", "trusted backend (cloudsrv) address; its answers are ground truth")
 	candidate := flag.String("candidate", "", "candidate backend address under validation")
 	user := flag.String("backend-user", "hyperq", "user for backend sessions")

@@ -1,15 +1,13 @@
 package dialect
 
 import (
+	"strings"
 	"testing"
 )
 
 func TestTeradataSupportsEverything(t *testing.T) {
 	p := TeradataProfile()
-	if !p.IsSource {
-		t.Error("Teradata must be the source profile")
-	}
-	for _, c := range All() {
+	for c := Capability(0); c < numCapabilities; c++ {
 		if !p.Supports(c) {
 			t.Errorf("source profile missing %s", c)
 		}
@@ -53,20 +51,26 @@ func TestNoCloudTargetIsFullySource(t *testing.T) {
 		if missing < 3 {
 			t.Errorf("%s is missing only %d features", p.Name, missing)
 		}
-		if p.IsSource {
-			t.Errorf("%s marked as source", p.Name)
-		}
 	}
 }
 
 func TestByName(t *testing.T) {
-	for _, n := range []string{"Teradata", "CloudA", "CloudB", "CloudC", "CloudD", "cloudd"} {
-		if _, err := ByName(n); err != nil {
+	for _, n := range []string{"Teradata", "CloudA", "CloudB", "CloudC", "CloudD", "cloudd", "CLOUDA", "teradata"} {
+		p, err := ByName(n)
+		if err != nil {
 			t.Errorf("ByName(%q): %v", n, err)
+		} else if !strings.EqualFold(p.Name, n) {
+			t.Errorf("ByName(%q) = %s", n, p.Name)
 		}
 	}
-	if _, err := ByName("OracleXE"); err == nil {
-		t.Error("unknown profile accepted")
+	_, err := ByName("OracleXE")
+	if err == nil {
+		t.Fatal("unknown profile accepted")
+	}
+	for _, n := range Names() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("unknown-name error %q does not list %s", err, n)
+		}
 	}
 }
 
@@ -80,19 +84,30 @@ func TestFuncNameMapping(t *testing.T) {
 	}
 }
 
-func TestCapabilitiesSorted(t *testing.T) {
-	caps := CloudD().Capabilities()
-	for i := 1; i < len(caps); i++ {
-		if caps[i-1] >= caps[i] {
-			t.Fatalf("capabilities not sorted: %v", caps)
+func TestCapabilityStrings(t *testing.T) {
+	for c := Capability(0); c < numCapabilities; c++ {
+		if c.String() == "" || c.String()[0] == 'C' && len(c.String()) > 10 && c.String()[:10] == "Capability" {
+			t.Errorf("capability %d lacks a name", c)
 		}
 	}
 }
 
-func TestCapabilityStrings(t *testing.T) {
-	for _, c := range All() {
-		if c.String() == "" || c.String()[0] == 'C' && len(c.String()) > 10 && c.String()[:10] == "Capability" {
-			t.Errorf("capability %d lacks a name", c)
+func TestRowsAreCopies(t *testing.T) {
+	p, _ := ByName("CloudA")
+	p.Caps, p.MonthArith = 0, DateAddMonth
+	if a := CloudA(); a.Caps == 0 || a.MonthArith != AddMonthsFunc {
+		t.Errorf("mutating a returned profile changed the table: %+v", a)
+	}
+}
+
+func TestProfileLiteral(t *testing.T) {
+	p := &Profile{Name: "X", Caps: CapsOf(CapRecursive, CapSetTables)}
+	for c := Capability(0); c < numCapabilities; c++ {
+		if want := c == CapRecursive || c == CapSetTables; p.Supports(c) != want {
+			t.Errorf("Supports(%s) = %v, want %v", c, !want, want)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Supports(CapRecursive) }); n != 0 {
+		t.Errorf("Supports allocates %v times", n)
 	}
 }
