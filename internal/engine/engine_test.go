@@ -298,6 +298,9 @@ func TestGroupingSetsCapability(t *testing.T) {
 	mustExec(t, s, "INSERT INTO sal VALUES ('e','x',1), ('e','y',2), ('w','x',4)")
 	r := mustQuery(t, s, "SELECT region, SUM(amt) FROM sal GROUP BY ROLLUP(region) ORDER BY 2")
 	expectRows(t, r, "e|3", "w|4", "NULL|7")
+	// A key named by several explicit sets stays set in each of them.
+	r = mustQuery(t, s, "SELECT region, prod, SUM(amt) FROM sal GROUP BY GROUPING SETS ((region, prod), (region), ()) ORDER BY 3, 1, 2")
+	expectRows(t, r, "e|x|1", "e|y|2", "e|NULL|3", "w|NULL|4", "w|x|4", "NULL|NULL|7")
 	// CloudA does not.
 	e2 := New(dialect.CloudA())
 	s2 := e2.NewSession()

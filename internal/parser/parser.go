@@ -2,6 +2,8 @@ package parser
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"hyperq/internal/feature"
@@ -729,7 +731,9 @@ func (p *Parser) parseGroupBy(core *sqlast.SelectCore) error {
 			return err
 		}
 		// Each set is a parenthesized list of expressions; collect the
-		// union of expressions as GroupBy and indexes per set.
+		// union of expressions as GroupBy and indexes per set. An
+		// expression named by several sets is one GroupBy entry, so a set
+		// that names it leaves it non-NULL in the output.
 		var sets [][]int
 		for {
 			if err := p.expectOp("("); err != nil {
@@ -742,8 +746,12 @@ func (p *Parser) parseGroupBy(core *sqlast.SelectCore) error {
 					return err
 				}
 				for _, e := range exprs {
-					idxs = append(idxs, len(core.GroupBy))
-					core.GroupBy = append(core.GroupBy, e)
+					i := slices.IndexFunc(core.GroupBy, func(g sqlast.Expr) bool { return reflect.DeepEqual(g, e) })
+					if i < 0 {
+						i = len(core.GroupBy)
+						core.GroupBy = append(core.GroupBy, e)
+					}
+					idxs = append(idxs, i)
 				}
 			}
 			if err := p.expectOp(")"); err != nil {

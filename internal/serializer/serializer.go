@@ -492,13 +492,9 @@ func (w *writer) foldWindow(o *xtra.Window) (*block, error) {
 func (w *writer) overClause(o *xtra.Window) (string, error) {
 	var parts []string
 	if len(o.PartitionBy) > 0 {
-		var es []string
-		for _, p := range o.PartitionBy {
-			e, err := w.scalar(p)
-			if err != nil {
-				return "", err
-			}
-			es = append(es, e)
+		es, err := w.scalars(o.PartitionBy)
+		if err != nil {
+			return "", err
 		}
 		parts = append(parts, "PARTITION BY "+strings.Join(es, ", "))
 	}

@@ -339,28 +339,18 @@ func TestSerializedSQLIsANSIParseable(t *testing.T) {
 }
 
 func TestVectorSurvivesForCapableEngine(t *testing.T) {
-	// The source profile keeps the vector construct; the serialized text
-	// must then contain the quantified row comparison... which no modeled
-	// target accepts — ensure the serializer reports it instead of emitting
-	// silently wrong SQL.
-	sess := setupEngine(t, dialect.TeradataProfile())
-	rec := &feature.Recorder{}
-	stmt, err := parser.ParseOne(
-		"SEL * FROM SALES WHERE (AMOUNT, AMOUNT) > ANY (SEL GROSS, NET FROM SALES_HISTORY)",
-		parser.Teradata, rec)
-	if err != nil {
-		t.Fatal(err)
+	// A target with CapVectorSubquery gets no rewrite: the quantified
+	// vector comparison is written as a row comparison, and the target's
+	// engine answers it like the EXISTS rewrite does on CloudA.
+	const q = "SEL AMOUNT FROM SALES WHERE (AMOUNT, AMOUNT * 0.85) > ANY (SEL GROSS, NET FROM SALES_HISTORY) ORDER BY 1"
+	target := dialect.TeradataProfile()
+	sql := translate(t, setupEngine(t, target), q, target)
+	if !strings.Contains(sql, "((t1.AMOUNT, (t1.AMOUNT * 0.85)) > ANY (SELECT ") {
+		t.Errorf("vector comparison not written natively:\n%s", sql)
 	}
-	b := binder.New(sess, parser.Teradata, rec)
-	bound, err := b.Bind(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Teradata profile supports vectors, so no rewrite fires — and the
-	// emitter has no SQL spelling for it.
-	if _, err := New(dialect.TeradataProfile(), rec).Serialize(bound); err == nil {
-		t.Error("expected serializer error for un-rewritten vector comparison")
-	}
+	want := []string{"100.00", "250.00", "250.00"}
+	expect(t, roundTrip(t, q, target), want...)
+	expect(t, roundTrip(t, q, dialect.CloudA()), want...)
 }
 
 func TestNoOpSerializesEmpty(t *testing.T) {
