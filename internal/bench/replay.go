@@ -92,7 +92,7 @@ func captureWorkloads(target *dialect.Profile, perWorkload int) ([]querylog.Stre
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "capture.log")
-	w, err := querylog.OpenOptions(path, querylog.Options{Redact: true, Capture: true})
+	w, err := querylog.Open(path, querylog.Options{Redact: true, Capture: true})
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,10 @@ type translationCache struct {
 
 const cacheShards = 16
 
+// cacheBytes bounds a gateway's translation cache by retained bytes (the
+// entry bound is Config.CacheEntries).
+const cacheBytes = 32 << 20
+
 type cacheShard struct {
 	mu    sync.Mutex
 	lru   *list.List // front = most recently used; values are *cacheEntry

@@ -18,7 +18,7 @@ func mkSessionTrace(session uint64, sql string, start time.Time) *trace.Trace {
 
 func TestCaptureSeqDeltaAndSQL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "query.log")
-	w, err := OpenOptions(path, Options{Redact: true, Capture: true})
+	w, err := Open(path, Options{Redact: true, Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCaptureSeqDeltaAndSQL(t *testing.T) {
 
 func TestCaptureWithoutRedactionOmitsDuplicateSQL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "query.log")
-	w, err := OpenOptions(path, Options{Capture: true})
+	w, err := Open(path, Options{Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCaptureWithoutRedactionOmitsDuplicateSQL(t *testing.T) {
 func TestReadFilesStitchesRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "query.log")
-	w, err := OpenOptions(path, Options{Capture: true})
+	w, err := Open(path, Options{Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,12 +112,7 @@ type Options struct {
 }
 
 // Open creates (or appends to) the log at path.
-func Open(path string, redact bool) (*Writer, error) {
-	return OpenOptions(path, Options{Redact: redact})
-}
-
-// OpenOptions creates (or appends to) the log at path with full options.
-func OpenOptions(path string, o Options) (*Writer, error) {
+func Open(path string, o Options) (*Writer, error) {
 	w := &Writer{path: path, redact: o.Redact, capture: o.Capture}
 	if o.Capture {
 		w.sessions = make(map[uint64]*captureState)

@@ -74,7 +74,7 @@ func readLines(t *testing.T, path string) []Entry {
 
 func TestWriterAppendAndRedact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "query.log")
-	w, err := Open(path, true)
+	w, err := Open(path, Options{Redact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCacheTierNormalization(t *testing.T) {
 func TestWriterRotationSafe(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "query.log")
-	w, err := Open(path, false)
+	w, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func captureLive(t *testing.T, perWorkload int) (string, int) {
 	setup.Close()
 
 	path := filepath.Join(t.TempDir(), "capture.log")
-	w, err := querylog.OpenOptions(path, querylog.Options{Redact: true, Capture: true})
+	w, err := querylog.Open(path, querylog.Options{Redact: true, Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,8 +126,10 @@ go test -race -count=10 -timeout 300s -run 'TestStreamingConcurrentSessionsMatch
 # with fresh state.
 HYPERQ_REPLAY_SOAK=150 go test -race -count=1 -timeout 300s -run 'TestShadowReplayEndToEnd' ./internal/replay/
 
-# End-to-end smoke: boot cloudsrv + hyperq (with the introspection endpoint),
-# run a statement through bteq, and assert /metrics shows pipeline activity.
+# End-to-end smoke: boot cloudsrv + hyperq (with the introspection endpoint,
+# a replay-capture query log and an SLO), run three requests through bteq, and
+# assert /metrics shows pipeline and SLO activity and the log one sequenced
+# line per request.
 # A second phase restarts the gateway with -pool-size 2 and oversubscribes it
 # with 8 concurrent bteq clients exercising volatile-table pinning.
 go build -o "$tmpdir" ./cmd/...
