@@ -50,11 +50,13 @@ func TestBinaryCleanOnRepo(t *testing.T) {
 }
 
 // TestVetToolCatchesInjected proves the go vet integration end to end: a
-// scratch module carries one violation per data-flow analyzer, and
-// `go vet -vettool=hyperqlint` must fail naming each of them. This guards
-// the unitchecker protocol plumbing (handshake, export-data importing,
-// diagnostics exit code), not just the analyzers — a regression that made
-// the vettool silently pass everything would show up here and nowhere else.
+// scratch module carries one violation per analyzer plus one suppressed
+// violation, and `go vet -vettool=hyperqlint` must fail naming each analyzer
+// exactly once and staying silent on the suppressed line. This guards the
+// unitchecker protocol plumbing (handshake, export-data importing,
+// suppression, diagnostics exit code), not just the analyzers — a regression
+// that made the vettool silently pass everything would show up here and
+// nowhere else.
 func TestVetToolCatchesInjected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs go vet; skipped in -short mode")
@@ -117,15 +119,28 @@ func (e *Entry) ReplaySQL() string {
 	return e.SQL
 }
 `)
-	// One violation per data-flow analyzer.
+	// Stub span API matching spanend's trace.Span by package and type name.
+	write("trace/trace.go", `package trace
+
+type Trace struct{}
+
+func (t *Trace) Start(name string) *Span { return &Span{} }
+
+type Span struct{}
+
+func (sp *Span) End() {}
+`)
 	write("use/use.go", `package use
 
 import (
 	"io"
 	"log"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"probe/querylog"
+	"probe/trace"
 )
 
 func CompareSentinel(err error) bool {
@@ -141,6 +156,57 @@ func Read(s *stats) int64 { return s.n } // atomicfield: plain read
 func LogRaw(e *querylog.Entry) {
 	log.Printf("replaying %s", e.ReplaySQL()) // sqltaint: unsanitized sink
 }
+
+func Traced(tr *trace.Trace, bail bool) {
+	sp := tr.Start("exec")
+	if bail {
+		return // spanend: sp unended on this path
+	}
+	sp.End()
+}
+
+var mu sync.Mutex
+
+func Nap() {
+	mu.Lock()
+	time.Sleep(time.Millisecond) // lockio: sleeping under mu
+	mu.Unlock()
+}
+
+func Unavailable() int {
+	return 3120 // frontcode: bare tdp.CodeBackendUnavailable
+}
+`)
+	// The directive is spelled in two halves so that scripts/check.sh's
+	// suppression count, which greps the source, does not count the probe.
+	write("use/quiet.go", `package use
+
+import "io"
+
+func QuietSentinel(err error) bool {
+	`+"//hyperqlint"+`:ignore errsentinel the probe's suppressed violation
+	return err == io.EOF
+}
+`)
+	// ctxexec and wireerr patrol only request-path and wire-layer packages.
+	write("internal/odbc/odbc.go", `package odbc
+
+import "context"
+
+func Detached() context.Context {
+	return context.Background() // ctxexec: drops the request context
+}
+`)
+	write("internal/wire/frame.go", `package wire
+
+import (
+	"encoding/binary"
+	"io"
+)
+
+func PutLen(w io.Writer, n uint32) {
+	binary.Write(w, binary.BigEndian, n) // wireerr: error dropped
+}
 `)
 
 	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
@@ -150,10 +216,16 @@ func LogRaw(e *querylog.Entry) {
 	if err == nil {
 		t.Fatalf("go vet -vettool passed on a module with injected violations:\n%s", out)
 	}
-	for _, analyzer := range []string{"[leakpair]", "[errsentinel]", "[atomicfield]", "[sqltaint]"} {
-		if !strings.Contains(string(out), analyzer) {
-			t.Errorf("go vet output does not name %s:\n%s", analyzer, out)
+	for _, analyzer := range []string{
+		"spanend", "lockio", "frontcode", "ctxexec", "wireerr",
+		"leakpair", "errsentinel", "atomicfield", "sqltaint",
+	} {
+		if n := strings.Count(string(out), "["+analyzer+"]"); n != 1 {
+			t.Errorf("go vet output names [%s] %d times, want 1:\n%s", analyzer, n, out)
 		}
+	}
+	if strings.Contains(string(out), "quiet.go") {
+		t.Errorf("go vet reported the suppressed violation:\n%s", out)
 	}
 }
 
