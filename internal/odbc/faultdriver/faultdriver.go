@@ -44,7 +44,6 @@ type Driver struct {
 	execErrs       []error // queue consumed by exec attempts
 	sessions       []*Executor
 
-	batchLatency     time.Duration // delay before each streamed batch delivery
 	dropAfterBatches int           // streams opened from now on drop after this many batches
 	streamErrs       []streamFault // queue consumed by stream opens
 }
@@ -111,14 +110,6 @@ func (d *Driver) QueueExecErrors(errs ...error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.execErrs = append(d.execErrs, errs...)
-}
-
-// SetBatchLatency injects a fixed delay before each streamed batch is
-// delivered (slow-backend streaming tests). 0 disables.
-func (d *Driver) SetBatchLatency(l time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.batchLatency = l
 }
 
 // DropAfterBatches arms streams opened from now on to drop the session's
@@ -334,19 +325,6 @@ func (s *faultStream) Next(ctx context.Context) (cwp.StreamEvent, error) {
 		return ev, err
 	}
 	if ev.Kind == cwp.StreamBatch {
-		s.e.d.mu.Lock()
-		lat := s.e.d.batchLatency
-		s.e.d.mu.Unlock()
-		if lat > 0 {
-			t := time.NewTimer(lat)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				s.err = ctx.Err()
-				return cwp.StreamEvent{}, s.err
-			}
-		}
 		s.batches++
 		if s.dropAfter > 0 && s.batches >= s.dropAfter {
 			s.pendingDrop = true

@@ -129,7 +129,6 @@ type Scratch struct {
 	bins   slab[sqlast.BinExpr]
 	consts slab[sqlast.Const]
 	ids    slab[sqlast.Ident]
-	funcs  slab[sqlast.FuncCall]
 }
 
 // Reset rewinds the arena at a request boundary. The AST produced by the
@@ -143,7 +142,6 @@ func (sc *Scratch) Reset() {
 	sc.bins.reset()
 	sc.consts.reset()
 	sc.ids.reset()
-	sc.funcs.reset()
 }
 
 // Node constructors: slab-allocated with a scratch, fresh otherwise. Each
@@ -176,14 +174,4 @@ func (p *Parser) newIdent(parts []string) *sqlast.Ident {
 	id := p.sc.ids.get()
 	*id = sqlast.Ident{Parts: parts}
 	return id
-}
-
-func (p *Parser) newFuncCall(v sqlast.FuncCall) *sqlast.FuncCall {
-	if p.sc == nil {
-		f := v
-		return &f
-	}
-	f := p.sc.funcs.get()
-	*f = v
-	return f
 }

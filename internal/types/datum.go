@@ -96,10 +96,7 @@ func NewPeriod(elem Kind, start, end int64) Datum {
 // PeriodElem returns the element kind of a PERIOD datum.
 func (d Datum) PeriodElem() Kind { return Kind(d.I) }
 
-// IsNull reports whether the datum is SQL NULL.
-func (d Datum) IsNull() bool { return d.Null }
-
-// Bool returns the boolean value. Callers must check IsNull first.
+// Bool returns the boolean value. Callers must check Null first.
 func (d Datum) Bool() bool { return !d.Null && d.I != 0 }
 
 // AsFloat converts any numeric datum to float64.

@@ -7,8 +7,6 @@
 package xtra
 
 import (
-	"fmt"
-
 	"hyperq/internal/types"
 )
 
@@ -474,8 +472,4 @@ func MakeOr(preds ...Scalar) Scalar {
 		return args[0]
 	}
 	return &BoolExpr{Op: BoolOr, Args: args}
-}
-
-func colTypeString(c Col) string {
-	return fmt.Sprintf("%s:%s#%d", c.Name, c.Type, c.ID)
 }
