@@ -1,26 +1,17 @@
 // Command hyperqlint runs the project's custom static analyzers (package
-// internal/lint) over Go packages.
-//
-// Standalone:
-//
-//	hyperqlint ./...                 # analyze packages (tests included)
-//	hyperqlint -only spanend,lockio ./internal/odbc/...
-//	hyperqlint -list                 # describe the analyzers
-//
-// As a go vet tool (the unitchecker protocol — go vet hands each
-// compilation unit to the tool as a JSON .cfg file with pre-built export
-// data for its imports):
+// internal/lint) as a go vet tool:
 //
 //	go vet -vettool=$(which hyperqlint) ./...
 //
-// Exit status: 0 clean, 1 diagnostics found (standalone), 2 diagnostics
-// found (vettool protocol) or internal error.
+// go vet loads and type-checks each compilation unit (test files included),
+// hands it to the tool as a JSON .cfg file with pre-built export data for
+// its imports, and caches the result. Exit status: 0 clean, 2 diagnostics
+// found, internal error, or any invocation other than the vet protocol's.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -30,20 +21,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"hyperq/internal/lint"
 	"hyperq/internal/lint/analysis"
-	"hyperq/internal/lint/loader"
 )
 
 func main() {
-	// The vettool handshake arrives before normal flag parsing: go vet
-	// probes with -V=full (version for build caching) and -flags (the
-	// tool's analyzer flags, none here), then invokes with a single
-	// <unit>.cfg argument per compilation unit.
+	// go vet probes with -V=full (version for build caching) and -flags
+	// (the tool's analyzer flags, none here), then invokes the tool with a
+	// single <unit>.cfg argument per compilation unit.
 	if len(os.Args) == 2 {
 		switch {
 		case os.Args[1] == "-V=full":
@@ -56,264 +43,14 @@ func main() {
 			os.Exit(runVettool(os.Args[1]))
 		}
 	}
-	os.Exit(runStandalone(os.Args[1:]))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which hyperqlint) ./...")
+	os.Exit(2)
 }
 
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("hyperqlint", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	cacheFlag := fs.String("cache", "", `lint result cache directory ("off" disables; default $TMPDIR/hyperqlint-cache)`)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: hyperqlint [-only a,b] [-cache dir|off] [-list] [packages]\n")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		analyzers = lint.ByName(strings.Split(*only, ","))
-		if len(analyzers) == 0 {
-			fmt.Fprintf(os.Stderr, "hyperqlint: no analyzers match -only=%s\n", *only)
-			return 2
-		}
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	start := time.Now()
-	l := &loader.Loader{}
-	cache := openCache(*cacheFlag, analyzers)
-	targets, err := l.List(patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hyperqlint: %v\n", err)
-		return 2
-	}
-
-	// Partition targets into cache hits (replay stored diagnostics) and
-	// misses (type-check and analyze). The cache key covers the target's own
-	// sources and its whole dependency closure, so a change anywhere that
-	// could alter analysis results invalidates the entry.
-	type result struct {
-		path  string
-		diags []cachedDiag
-	}
-	var results []result
-	var missPaths []string
-	missKeys := make(map[string]string)
-	for _, t := range targets {
-		key, kerr := cache.key(l, t)
-		if kerr == nil {
-			if diags, ok := cache.get(key); ok {
-				results = append(results, result{t.ImportPath, diags})
-				continue
-			}
-		}
-		missPaths = append(missPaths, t.ImportPath)
-		if kerr == nil {
-			missKeys[t.ImportPath] = key
-		}
-	}
-	analyzed := len(missPaths)
-	cached := len(results)
-
-	if len(missPaths) > 0 {
-		pkgs, err := l.Load(missPaths...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hyperqlint: %v\n", err)
-			return 2
-		}
-		// A target's diagnostics span all its units (plain or test-augmented
-		// plus the external-test unit); merge them under the base path.
-		perTarget := make(map[string][]cachedDiag)
-		for _, p := range missPaths {
-			perTarget[p] = []cachedDiag{}
-		}
-		for _, pkg := range pkgs {
-			diags, err := analysis.Run(pkg, analyzers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hyperqlint: %v\n", err)
-				return 2
-			}
-			base := strings.TrimSuffix(pkg.PkgPath, "_test")
-			for _, d := range diags {
-				perTarget[base] = append(perTarget[base], cachedDiag{
-					Position: d.Position.String(), Message: d.Message, Analyzer: d.Analyzer.Name,
-				})
-			}
-		}
-		for path, diags := range perTarget {
-			results = append(results, result{path, diags})
-			if key, ok := missKeys[path]; ok {
-				cache.put(key, path, diags)
-			}
-		}
-	}
-
-	sort.Slice(results, func(i, j int) bool { return results[i].path < results[j].path })
-	found := 0
-	for _, r := range results {
-		for _, d := range r.diags {
-			fmt.Printf("%s: %s [%s]\n", d.Position, d.Message, d.Analyzer)
-			found++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "hyperqlint: %d packages (%d analyzed, %d cached) in %.1fs\n",
-		len(targets), analyzed, cached, time.Since(start).Seconds())
-	if found > 0 {
-		return 1
-	}
-	return 0
-}
-
-// cachedDiag is one stored diagnostic: everything needed to replay it
-// byte-for-byte without re-analyzing.
-type cachedDiag struct {
-	Position string `json:"position"`
-	Message  string `json:"message"`
-	Analyzer string `json:"analyzer"`
-}
-
-// lintCache memoizes per-package lint results under a directory, keyed by
-// the content hashes of every input: the tool binary, the analyzer set, and
-// the package's sources plus its transitive dependency sources. nil (from
-// -cache=off) disables all methods.
-type lintCache struct {
-	dir    string
-	toolID string
-	suite  string
-	// fileHash memoizes per-file content hashes within one run: dependency
-	// closures overlap heavily across targets.
-	fileHash map[string]string
-}
-
-// openCache prepares the cache directory, returning nil (caching disabled)
-// when the flag says off or the directory cannot be created.
-func openCache(flagVal string, analyzers []*analysis.Analyzer) *lintCache {
-	if flagVal == "off" {
-		return nil
-	}
-	dir := flagVal
-	if dir == "" {
-		dir = filepath.Join(os.TempDir(), "hyperqlint-cache")
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil
-	}
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	return &lintCache{dir: dir, toolID: toolID(), suite: strings.Join(names, ","), fileHash: make(map[string]string)}
-}
-
-// key fingerprints one target: tool, analyzer suite, and the content hash
-// of the target's own files (tests included) plus every dependency source.
-func (c *lintCache) key(l *loader.Loader, t loader.Target) (string, error) {
-	if c == nil {
-		return "", fmt.Errorf("cache disabled")
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "tool %s\nsuite %s\nunit %s\n", c.toolID, c.suite, t.ImportPath)
-	hashFiles := func(dir string, names []string) error {
-		for _, name := range names {
-			path := filepath.Join(dir, name)
-			fh, err := c.hashFile(path)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(h, "file %s %s\n", path, fh)
-		}
-		return nil
-	}
-	if err := hashFiles(t.Dir, t.GoFiles); err != nil {
-		return "", err
-	}
-	if err := hashFiles(t.Dir, t.TestGoFiles); err != nil {
-		return "", err
-	}
-	if err := hashFiles(t.Dir, t.XTestGoFiles); err != nil {
-		return "", err
-	}
-	for _, dep := range t.Deps {
-		dir, files, ok := l.Meta(dep)
-		if !ok {
-			// Unresolvable dependency metadata: refuse to fingerprint rather
-			// than cache on partial inputs.
-			return "", fmt.Errorf("no metadata for dependency %s", dep)
-		}
-		if err := hashFiles(dir, files); err != nil {
-			return "", err
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-func (c *lintCache) hashFile(path string) (string, error) {
-	if fh, ok := c.fileHash[path]; ok {
-		return fh, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	fh := fmt.Sprintf("%x", sum[:16])
-	c.fileHash[path] = fh
-	return fh, nil
-}
-
-// cacheEntry is the stored JSON per key.
-type cacheEntry struct {
-	ImportPath  string       `json:"import_path"`
-	Diagnostics []cachedDiag `json:"diagnostics"`
-}
-
-func (c *lintCache) get(key string) ([]cachedDiag, bool) {
-	if c == nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(c.dir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, false
-	}
-	if e.Diagnostics == nil {
-		e.Diagnostics = []cachedDiag{}
-	}
-	return e.Diagnostics, true
-}
-
-// put stores diagnostics for a key; failures are ignored (caching is an
-// optimization, never a correctness dependency).
-func (c *lintCache) put(key, importPath string, diags []cachedDiag) {
-	if c == nil {
-		return
-	}
-	data, err := json.Marshal(cacheEntry{ImportPath: importPath, Diagnostics: diags})
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(c.dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(c.dir, key+".json"))
-}
-
-// toolID identifies this build of the tool (same hash as -V=full prints).
-func toolID() string {
+// printVersion implements -V=full: the output keys go vet's build cache, so
+// it must change whenever the tool's behavior might. Hashing our own
+// executable is the standard trick.
+func printVersion() {
 	h := sha256.New()
 	if exe, err := os.Executable(); err == nil {
 		if f, err := os.Open(exe); err == nil {
@@ -321,14 +58,7 @@ func toolID() string {
 			f.Close()
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
-}
-
-// printVersion implements -V=full: the output keys go vet's build cache, so
-// it must change whenever the tool's behavior might. Hashing our own
-// executable is the standard trick.
-func printVersion() {
-	fmt.Printf("hyperqlint version %s\n", toolID())
+	fmt.Printf("hyperqlint version %x\n", h.Sum(nil)[:12])
 }
 
 // vetConfig mirrors the JSON unit description cmd/go writes for vet tools.

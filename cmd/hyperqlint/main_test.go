@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,28 +10,22 @@ import (
 	"testing"
 )
 
-// TestBinaryCleanOnRepo builds the hyperqlint binary and runs it over the
-// repository, asserting the standalone entry point exits 0 on a clean
-// tree — the same invocation scripts/check.sh uses.
+// TestBinaryCleanOnRepo runs `go vet -vettool=hyperqlint ./...` at the
+// module root — the invocation scripts/check.sh uses — and demands a clean
+// bill: the invariants the suite encodes hold on the shipped tree (tests
+// included), with every deviation carrying an audited //hyperqlint:ignore
+// reason. It also pins the vet handshake and the usage refusal.
 func TestBinaryCleanOnRepo(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the binary over the whole repo; skipped in -short mode")
+		t.Skip("builds the binary and runs go vet over the whole repo; skipped in -short mode")
 	}
 	modRoot := moduleRoot(t)
-	bin := filepath.Join(t.TempDir(), "hyperqlint")
-	build := exec.Command("go", "build", "-o", bin, "hyperq/cmd/hyperqlint")
-	build.Dir = modRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building hyperqlint: %v\n%s", err, out)
-	}
+	bin := buildLint(t, modRoot)
 
-	run := exec.Command(bin, "./...")
-	run.Dir = modRoot
-	var buf bytes.Buffer
-	run.Stdout = &buf
-	run.Stderr = &buf
-	if err := run.Run(); err != nil {
-		t.Fatalf("hyperqlint ./... failed: %v\n%s", err, buf.String())
+	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	vet.Dir = modRoot
+	if out, err := vet.CombinedOutput(); err != nil || len(bytes.TrimSpace(out)) > 0 {
+		t.Fatalf("go vet -vettool=hyperqlint ./...: %v\n%s", err, out)
 	}
 
 	// The vettool handshake must answer the go vet probes.
@@ -47,6 +42,19 @@ func TestBinaryCleanOnRepo(t *testing.T) {
 			t.Fatalf("hyperqlint -flags = %q", out)
 		}
 	}
+
+	// Anything else is refused with the one usage line and exit 2.
+	for _, args := range [][]string{nil, {"./..."}, {"-list"}} {
+		cmd := exec.Command(bin, args...)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hyperqlint %v: err = %v, want exit status 2", args, err)
+		}
+		if want := "usage: go vet -vettool=$(which hyperqlint) ./...\n"; string(out) != want {
+			t.Errorf("hyperqlint %v printed %q, want %q", args, out, want)
+		}
+	}
 }
 
 // TestVetToolCatchesInjected proves the go vet integration end to end: a
@@ -61,13 +69,7 @@ func TestVetToolCatchesInjected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs go vet; skipped in -short mode")
 	}
-	modRoot := moduleRoot(t)
-	bin := filepath.Join(t.TempDir(), "hyperqlint")
-	build := exec.Command("go", "build", "-o", bin, "hyperq/cmd/hyperqlint")
-	build.Dir = modRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building hyperqlint: %v\n%s", err, out)
-	}
+	bin := buildLint(t, moduleRoot(t))
 
 	probe := t.TempDir()
 	write := func(rel, content string) {
@@ -227,6 +229,18 @@ func PutLen(w io.Writer, n uint32) {
 	if strings.Contains(string(out), "quiet.go") {
 		t.Errorf("go vet reported the suppressed violation:\n%s", out)
 	}
+}
+
+// buildLint builds the hyperqlint binary into a test temp directory.
+func buildLint(t *testing.T, modRoot string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hyperqlint")
+	build := exec.Command("go", "build", "-o", bin, "hyperq/cmd/hyperqlint")
+	build.Dir = modRoot
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building hyperqlint: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func moduleRoot(t *testing.T) string {

@@ -65,13 +65,3 @@ func TestSQLTaint(t *testing.T) {
 func TestCtxExecOutOfScope(t *testing.T) {
 	analysistest.Run(t, fixtureRoot(t), CtxExec, "cwp")
 }
-
-func TestByName(t *testing.T) {
-	got := ByName([]string{"spanend", "wireerr"})
-	if len(got) != 2 || got[0] != SpanEnd || got[1] != WireErr {
-		t.Fatalf("ByName = %v", got)
-	}
-	if len(ByName([]string{"nosuch"})) != 0 {
-		t.Fatal("ByName resolved an unknown analyzer")
-	}
-}

@@ -6,8 +6,8 @@
 // mutex, drifting frontend failure codes, dropped deadlines, silently
 // desynchronized wire framing).
 //
-// The suite runs standalone via cmd/hyperqlint, through `go vet -vettool`,
-// and inside scripts/check.sh; DESIGN.md §10 documents the invariant behind
+// The suite runs as cmd/hyperqlint under `go vet -vettool`, which
+// scripts/check.sh invokes; DESIGN.md §10 documents the invariant behind
 // each analyzer. Suppressions use
 //
 //	//hyperqlint:ignore <analyzer> <reason>
@@ -35,19 +35,6 @@ func All() []*analysis.Analyzer {
 		AtomicField,
 		SQLTaint,
 	}
-}
-
-// ByName resolves a subset of analyzers by name.
-func ByName(names []string) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, n := range names {
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }
 
 // funcBody is one function's body with its declared name ("" for literals).

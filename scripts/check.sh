@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Repo-wide verification: static analysis (go vet + the hyperqlint suite),
-# a full build, and the test suite under the race detector. CI and
-# pre-commit entry point.
+# Repo-wide verification: static analysis (go vet, then go vet with the
+# hyperqlint suite as its vet tool), a full build, and the test suite under
+# the race detector. CI and pre-commit entry point.
 #
-# CHECK_SHORT=1 runs only the fast static stage (vet + hyperqlint + build),
-# skipping the race suite, the pool stress rerun, and the end-to-end smoke —
-# quick enough for a pre-commit hook.
+# CHECK_SHORT=1 runs only the static stage (both vet passes, the suppression
+# budget and the build), skipping the race suite, the pool stress rerun, and
+# the end-to-end smoke — quick enough for a pre-commit hook.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,12 +17,11 @@ go vet ./...
 # hyperqlint: the project-specific analyzers (span lifecycle, lock-vs-I/O,
 # frontend code registry, context propagation, wire error handling, plus the
 # data-flow suite: resource leaks, SQL taint, sentinel comparisons, atomics
-# discipline — see DESIGN.md §10 and §15). Any diagnostic fails the build.
-# Results are cached under $TMPDIR/hyperqlint-cache keyed by file-content
-# hashes; the timing line shows the analyzed/cached split (a warm run over
-# an unchanged tree replays in well under a second).
+# discipline — see DESIGN.md §10 and §15), run by go vet over every package
+# and its tests. Any diagnostic fails the build. go vet keeps the results in
+# the Go build cache, so an unchanged package is not analyzed again.
 go build -o "$tmpdir/hyperqlint" ./cmd/hyperqlint
-"$tmpdir/hyperqlint" ./...
+go vet -vettool="$tmpdir/hyperqlint" ./...
 
 # Suppression budget: every //hyperqlint:ignore is an audited deviation, and
 # their number may only shrink unless scripts/lint_budget.txt is raised in
