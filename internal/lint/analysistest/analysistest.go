@@ -33,15 +33,11 @@ import (
 func Run(t *testing.T, fixtureRoot string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	l := &fixtureLoader{root: fixtureRoot, fset: token.NewFileSet(), built: make(map[string]*fixturePkg)}
-	var pkgs []*fixturePkg
 	for _, path := range paths {
 		pkg, err := l.load(path)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	for _, pkg := range pkgs {
 		diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.path, err)
