@@ -141,10 +141,13 @@ type fedEvent struct {
 type resultFeed struct {
 	g  *Gateway
 	st odbc.ResultStream
-	// events and released exist once the fetch goroutine runs; released
-	// nudges it while it waits on the session budget.
+	// events, released and cancel exist once the fetch goroutine runs;
+	// released nudges it while it waits on the session budget, cancel stops
+	// it — and, through the context it pulls with, unblocks a backend read it
+	// is parked in.
 	events   chan fedEvent
 	released chan struct{}
+	cancel   context.CancelFunc
 	// inflight is this session's accounted bytes between fetch and delivery.
 	inflight atomic.Int64
 	// prevSize is the last batch pulled, 0 before the first, and batches
@@ -177,8 +180,10 @@ func (f *resultFeed) pull(ctx context.Context) fedEvent {
 	return item
 }
 
-// start hands the rest of the stream to the fetch goroutine.
+// start hands the rest of the stream to the fetch goroutine, which pulls
+// under a context of its own: close cancels it.
 func (f *resultFeed) start(ctx context.Context) {
+	ctx, f.cancel = context.WithCancel(ctx)
 	f.events = make(chan fedEvent, feedDepth)
 	f.released = make(chan struct{}, 1)
 	go func() {
@@ -260,12 +265,14 @@ func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
 	return item.ev, item.err
 }
 
-// close joins the fetch goroutine, if one started — the caller has cancelled
-// its context, so the channel it closes on exit drains at once — and returns
-// every reservation still attached to undelivered batches: in exactly one
-// place, so neither error paths nor cancellation can leak gauge bytes.
+// close stops and joins the fetch goroutine, if one started — cancelling its
+// context unblocks any backend read or budget wait, so the channel it closes
+// on exit drains at once — and returns every reservation still attached to
+// undelivered batches: in exactly one place, so neither error paths nor
+// cancellation can leak gauge bytes.
 func (f *resultFeed) close() {
 	if f.events != nil {
+		f.cancel()
 		for range f.events {
 		}
 	}
@@ -279,8 +286,7 @@ func (f *resultFeed) close() {
 // write. It returns the time spent converting and the failure in its frontend
 // form.
 func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string) string) (time.Duration, error) {
-	ctx, cancel := context.WithCancel(s.requestCtx())
-	defer cancel()
+	ctx := s.requestCtx()
 	st, err := s.be.ExecStream(ctx, sql)
 	if err != nil {
 		return 0, mapBackendError(err)
@@ -291,7 +297,6 @@ func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string
 
 	feed := &resultFeed{g: s.g, st: st}
 	sets, convert, err := s.deliver(ctx, feed, frontCols, cmd, s.fw)
-	cancel()
 	feed.close()
 	s.req.streamedResults += sets
 	s.req.streamedBytes += feed.delivered

@@ -70,8 +70,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Position, d.Message, d.Analyzer.Name)
 }
 
-// Unit is the package shape the driver consumes; satisfied by
-// loader.Package without importing it (no dependency cycle).
+// Unit is the package shape Run consumes: one type-checked package. The
+// go vet tool's compilation unit (cmd/hyperqlint) and the fixture packages of
+// internal/lint/analysistest implement it.
 type Unit interface {
 	Syntax() []*ast.File
 	TypesPkg() *types.Package
