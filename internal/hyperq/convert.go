@@ -15,18 +15,25 @@ import (
 )
 
 // convertPlan is the Result Converter (§4.6) compiled for one statement:
-// the frontend column definitions and whether the backend's declared column
-// types already are the frontend's. A batch is not converted at all when
-// every cell already is what the frontend expects; otherwise an owned batch
-// (tdf.Batch.Owned: decoded off the wire for this request) is converted where
-// it lies and a shared one — a hand-built batch replayed from a materialized
-// result (odbc.BufferStream) serves any number of requests — into one fresh
-// datum slab, never written to.
+// the frontend column definitions, whether the backend's declared column
+// types already are the frontend's, and — when every column pair is one the
+// transcoder handles — one tdp.FieldOp per column. A raw batch (tdf.Batch.Raw:
+// read off the wire for this request) goes to a sink that writes records
+// straight from its TDF bytes with those ops. Every other batch is converted
+// as Datums: not at all when every cell already is what the frontend expects;
+// otherwise an owned batch (tdf.Batch.Owned: decoded off the wire for this
+// request) where it lies and a shared one — a hand-built batch replayed from a
+// materialized result (odbc.BufferStream) serves any number of requests —
+// into one fresh datum slab, never written to.
 type convertPlan struct {
 	cols []tdp.ColumnDef
 	// identity: every backend column is declared with its frontend type, so
 	// a batch whose cells carry the kinds its columns declare passes through.
 	identity bool
+	// back is the backend columns ops was compiled for; ops is nil when a
+	// column needs a cast.
+	back []tdf.ColumnMeta
+	ops  []tdp.FieldOp
 }
 
 // newConvertPlan compiles the plan for a result the backend describes as
@@ -38,6 +45,8 @@ func newConvertPlan(frontCols []xtra.Col, backCols []tdf.ColumnMeta) (*convertPl
 	p := &convertPlan{
 		cols:     make([]tdp.ColumnDef, len(frontCols)),
 		identity: true,
+		back:     backCols,
+		ops:      make([]tdp.FieldOp, len(frontCols)),
 	}
 	for i, c := range frontCols {
 		p.cols[i] = tdp.ColumnDef{Name: c.Name, Type: c.Type}
@@ -45,8 +54,57 @@ func newConvertPlan(frontCols []xtra.Col, backCols []tdf.ColumnMeta) (*convertPl
 		if back.Kind != c.Type.Kind || back.Kind == types.KindDecimal && back.Scale != c.Type.Scale {
 			p.identity = false
 		}
+		op, ok := fieldOp(back, c.Type)
+		if !ok {
+			p.ops = nil
+		} else if p.ops != nil {
+			p.ops[i] = op
+		}
 	}
 	return p, nil
+}
+
+// fieldOp classifies a column the backend sends as back and the frontend
+// expects as front, for the transcoder: the op that writes the field
+// convertBatch and appendRecord would write for a cell of back, or ok false
+// when only a types.Cast can say (the column's class is cast).
+//   - splice: the same kind (at the same scale, for DECIMAL). Strings are
+//     copied as they are: isFront never pads a CHAR cell.
+//   - rewidth: INTEGER and BIGINT either way (Cast keeps the value, the field
+//     keeps its low 32 bits for INTEGER), and DECIMAL at another scale
+//     (DecimalScaled's multiply or truncating divide). Scales are the ones a
+//     decoded cell carries (Datum.Scale is 8 bits); only 0–18 are rewidthed.
+//   - pad: VARCHAR sent as CHAR(n), cut and blank-padded as Cast does.
+func fieldOp(back, front types.T) (tdp.FieldOp, bool) {
+	cellScale := int(int8(back.Scale))
+	integer := func(k types.Kind) bool { return k == types.KindInt || k == types.KindBigInt }
+	switch {
+	case back.Kind == front.Kind && (back.Kind != types.KindDecimal || cellScale == front.Scale):
+		return tdp.Splice(front.Kind)
+	case integer(back.Kind) && integer(front.Kind):
+		return tdp.Splice(front.Kind)
+	case back.Kind == types.KindDecimal && front.Kind == types.KindDecimal &&
+		cellScale >= 0 && cellScale <= 18 && front.Scale >= 0 && front.Scale <= 18:
+		return tdp.Rescale(cellScale, front.Scale), true
+	case back.Kind == types.KindVarChar && front.Kind == types.KindChar:
+		return tdp.Pad(front.Length), true
+	}
+	return tdp.FieldOp{}, false
+}
+
+// transcodes returns the ops to write b with, or nil when b is converted as
+// Datums: it is not raw, a column needs a cast, or its header declares other
+// column types than the ones the ops were compiled for.
+func (p *convertPlan) transcodes(b *tdf.Batch) []tdp.FieldOp {
+	if _, raw := b.Raw(); !raw || p.ops == nil || len(b.Cols) != len(p.back) {
+		return nil
+	}
+	for i := range b.Cols {
+		if t, want := &b.Cols[i].Type, &p.back[i].Type; t.Kind != want.Kind || t.Scale != want.Scale {
+			return nil
+		}
+	}
+	return p.ops
 }
 
 // isFront reports whether the cell already is a value of the frontend type.
@@ -76,10 +134,11 @@ func (p *convertPlan) passthrough(rows [][]types.Datum) bool {
 }
 
 // convertBatch returns the batch's rows in the frontend's column types, in
-// order. The result aliases b when nothing needs converting or b is owned —
-// the cells that need a cast are then overwritten in b — and is one fresh slab
-// otherwise.
+// order, decoding a raw batch first. The result aliases b when nothing needs
+// converting or b is owned — the cells that need a cast are then overwritten
+// in b — and is one fresh slab otherwise.
 func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
+	b.DecodeRows()
 	if len(b.Rows) == 0 {
 		return nil, nil
 	}
@@ -124,11 +183,41 @@ func (p *convertPlan) convertBatch(b *tdf.Batch) ([][]types.Datum, error) {
 	return out, nil
 }
 
+// deliverBatch hands one batch to sink, transcoded when the sink can write it
+// that way and converted as Datums otherwise, adds the time that took to
+// convert — the whole transcode, which writes as it converts — and returns
+// the rows delivered. Conversion failures come back as *RequestError.
+func (p *convertPlan) deliverBatch(b *tdf.Batch, sink resultSink, convert *time.Duration) (int, error) {
+	t0 := time.Now()
+	if ops := p.transcodes(b); ops != nil {
+		done, err := sink.transcode(b, ops)
+		if done {
+			*convert += time.Since(t0)
+			if err != nil {
+				return 0, err
+			}
+			return b.Len(), nil
+		}
+	}
+	rows, err := p.convertBatch(b)
+	*convert += time.Since(t0)
+	if err != nil {
+		return 0, failf(tdp.CodeObjectNotFound, "result conversion: %v", err)
+	}
+	if err := sink.rows(rows); err != nil {
+		return 0, err
+	}
+	return len(rows), nil
+}
+
 // resultSink takes one backend request's converted results statement by
 // statement: begin opens a result set, end closes the statement (with or
-// without one).
+// without one). transcode writes a raw batch's rows with the plan's ops if
+// the sink can (the wire can, the collector cannot); when it did not, the
+// batch goes to rows as Datums.
 type resultSink interface {
 	begin(cols []tdp.ColumnDef) error
+	transcode(b *tdf.Batch, ops []tdp.FieldOp) (done bool, err error)
 	rows(rows [][]types.Datum) error
 	end(activity int64, command string) error
 }
@@ -144,6 +233,8 @@ func (c *collector) begin(cols []tdp.ColumnDef) error {
 	c.cur.Cols = cols
 	return nil
 }
+
+func (c *collector) transcode(*tdf.Batch, []tdp.FieldOp) (bool, error) { return false, nil }
 
 func (c *collector) rows(rows [][]types.Datum) error {
 	c.cur.Rows = append(c.cur.Rows, rows...)
@@ -208,15 +299,10 @@ func (s *Session) deliver(ctx context.Context, src eventSource, frontCols []xtra
 					break
 				}
 			}
-			t0 := time.Now()
-			rows, cerr := plan.convertBatch(ev.Batch)
-			convert += time.Since(t0)
-			if cerr != nil {
-				err = failf(tdp.CodeObjectNotFound, "result conversion: %v", cerr)
-			} else if err = sink.rows(rows); err == nil {
-				rowCount += int64(len(rows))
-				s.req.rowsOut += int64(len(rows))
-			}
+			var n int
+			n, err = plan.deliverBatch(ev.Batch, sink, &convert)
+			rowCount += int64(n)
+			s.req.rowsOut += int64(n)
 		case cwp.StreamComplete:
 			activity := ev.Affected
 			if plan != nil {

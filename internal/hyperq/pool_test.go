@@ -67,7 +67,10 @@ func newPooledGateway(t *testing.T, pcfg pool.Config) (*Gateway, *pool.Pool, *fa
 // a 2-connection pool (4x oversubscription). Every session establishes a
 // volatile table with a session-distinct value and reads it back — pinning
 // must keep each session's state on its own backend connection — and the
-// pool wait time is visible in /metrics afterwards.
+// pool wait time is visible in /metrics afterwards. The overlap is made, not
+// hoped for: the first two sessions pin both connections and hold them until
+// the pool reports a queued waiter, and the other six start only once both
+// are pinned.
 func TestPooledGatewayConcurrentWireSessions(t *testing.T) {
 	const poolSize, sessions = 2, 8
 	g, p, _ := newPooledGateway(t, pool.Config{
@@ -82,14 +85,37 @@ func TestPooledGatewayConcurrentWireSessions(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = tdp.Serve(ln, g) }()
 
-	var wg sync.WaitGroup
+	var wg, holding sync.WaitGroup
+	pinnedAll, queued := make(chan struct{}), make(chan struct{})
+	holding.Add(poolSize)
+	go func() {
+		holding.Wait()
+		close(pinnedAll)
+		defer close(queued)
+		for deadline := time.Now().Add(30 * time.Second); p.Stats().Waiters == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("no session queued behind the two pinned connections")
+				return
+			}
+		}
+	}()
 	errs := make(chan error, sessions)
 	for i := 0; i < sessions; i++ {
 		i := i
+		holder := i < poolSize
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pinned := func() {}
+			if holder {
+				// Once, on whichever path the session leaves by.
+				pinned = sync.OnceFunc(holding.Done)
+				defer pinned()
+			}
 			errs <- func() error {
+				if !holder {
+					<-pinnedAll
+				}
 				c, err := tdp.Dial(ln.Addr().String(), fmt.Sprintf("app%d", i), "pw")
 				if err != nil {
 					return fmt.Errorf("session %d: dial: %w", i, err)
@@ -102,6 +128,10 @@ func TestPooledGatewayConcurrentWireSessions(t *testing.T) {
 				// Session-distinct volatile state: requires pinning.
 				if _, err := c.Request("CREATE VOLATILE TABLE VT (X INT) ON COMMIT PRESERVE ROWS"); err != nil {
 					return fmt.Errorf("session %d: create: %w", i, err)
+				}
+				if holder {
+					pinned()
+					<-queued
 				}
 				if _, err := c.Request(fmt.Sprintf("INSERT INTO VT VALUES (%d)", i)); err != nil {
 					return fmt.Errorf("session %d: insert: %w", i, err)

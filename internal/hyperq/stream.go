@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyperq/internal/odbc"
+	"hyperq/internal/tdf"
 	"hyperq/internal/types"
 	"hyperq/internal/wire/cwp"
 	"hyperq/internal/wire/tdp"
@@ -53,6 +54,25 @@ func frontErr(err error) error {
 
 func (fw *frontWriter) begin(cols []tdp.ColumnDef) error {
 	return frontErr(fw.w.BeginResultSet(cols))
+}
+
+// transcoder is a response writer that writes raw batches itself, as the one
+// a tdp server hands its sessions does (tdp.NewResponseWriter).
+type transcoder interface {
+	Transcode(b *tdf.Batch, ops []tdp.FieldOp) error
+}
+
+// transcode writes a raw batch through the response writer, if it is a
+// transcoder.
+func (fw *frontWriter) transcode(b *tdf.Batch, ops []tdp.FieldOp) (bool, error) {
+	bw, ok := fw.w.(transcoder)
+	if !ok {
+		return false, nil
+	}
+	if b.Len() > 0 {
+		fw.rowsSent = true
+	}
+	return true, frontErr(bw.Transcode(b, ops))
 }
 
 func (fw *frontWriter) rows(rows [][]types.Datum) error {

@@ -29,11 +29,13 @@ func drainStream(t *testing.T, st odbc.ResultStream) ([]cwp.StreamEvent, error) 
 	}
 }
 
-// countRows sums the rows across a stream's batch events.
+// countRows sums the rows across a stream's batch events, decoding the raw
+// batches a network stream yields.
 func countRows(evs []cwp.StreamEvent) int {
 	n := 0
 	for _, ev := range evs {
 		if ev.Kind == cwp.StreamBatch {
+			ev.Batch.DecodeRows()
 			n += len(ev.Batch.Rows)
 		}
 	}

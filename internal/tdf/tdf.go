@@ -94,35 +94,64 @@ type ColumnMeta struct {
 //
 // A batch built by hand (a literal, an engine result, a canned reply) is
 // shared: any number of readers may hold it and nobody may write to it. A
-// batch DecodeBytes produced is owned by whoever holds it: its rows sit in
-// recycled memory the holder may overwrite and, once nothing reads the rows
-// any more, hand back with Release.
+// batch DecodeBytes or Adopt produced is owned by whoever holds it: its rows
+// sit in recycled memory the holder may overwrite and, once nothing reads the
+// rows any more, hand back with Release.
+//
+// A batch Adopt produced is raw until DecodeRows: its rows are still the TDF
+// bytes they arrived as, Rows is nil, and Raw locates every cell in them.
 type Batch struct {
 	Cols []ColumnMeta
 	Rows [][]types.Datum
 
-	// mem is the pooled memory Rows is laid out in: set by DecodeBytes,
-	// cleared by Release, nil on every shared batch.
+	// mem is the pooled memory the batch's rows are in: set by DecodeBytes
+	// and Adopt, cleared by Release, nil on every shared batch. raw: the rows
+	// are mem's TDF bytes, not yet decoded into its cells.
 	mem *slab
-	// size is EncodedSize as DecodeBytes counted it; 0 on a shared batch.
+	raw bool
+	// size is EncodedSize as DecodeBytes or Adopt counted it; 0 on a shared
+	// batch.
 	size int
 }
 
-// slab is the memory of one decoded batch: the cells of every row and the
-// row index over them.
+// slab is the memory of one owned batch: the TDF bytes Adopt took over and
+// the cell index over them, the datum cells of every row and the row index
+// over those.
 type slab struct {
+	RawRows
+	nrows int  // in RawRows
+	text  bool // a column of RawRows holds strings
+
 	cells []types.Datum
 	rows  [][]types.Datum
 }
 
-// slabs recycles decode memory between batches. A slab comes back with the
-// previous batch's cells still in it (strings included, which keeps that
-// batch's text alive until the cells are overwritten or the pool is
-// collected): DecodeBytes stores every cell it hands out.
+// RawRows is a raw batch's rows as Adopt's walk over them found them. It
+// reads the batch's own memory: it is valid until Release, and nobody may
+// write to it.
+type RawRows struct {
+	// Bytes is the batch as it arrived; the cells index it.
+	Bytes []byte
+	// Cells is one Cell per cell, row after row, len(Cols) to a row.
+	Cells []Cell
+	// MaxRow is the encoded size of the largest row.
+	MaxRow int
+}
+
+// slabs recycles batch memory. A slab comes back with the previous batch's
+// bytes and cells still in it (strings included, which keeps that batch's
+// text alive until the cells are overwritten or the pool is collected):
+// DecodeBytes stores every cell it hands out, and Adopt hands the buffer back
+// to its caller for the next read.
 var slabs = sync.Pool{New: func() any { return new(slab) }}
 
+// maxPooledRaw bounds the buffer and index a pooled slab keeps: a batch is a
+// few hundred KB, a rare giant message's memory is left to the collector.
+const maxPooledRaw = 1 << 20
+
 // Owned reports whether the holder may write to the batch's rows and release
-// them: true only for a batch DecodeBytes produced that was not released.
+// them: true only for a batch DecodeBytes or Adopt produced that was not
+// released.
 func (b *Batch) Owned() bool { return b.mem != nil }
 
 // Release hands an owned batch's row memory back for the next decode and
@@ -130,12 +159,35 @@ func (b *Batch) Owned() bool { return b.mem != nil }
 // rather than another batch's. Rows must not be referenced by anyone when it
 // is called. It does nothing on a shared batch or a second time.
 func (b *Batch) Release() {
-	if b.mem == nil {
+	m := b.mem
+	if m == nil {
 		return
 	}
-	m := b.mem
-	b.mem, b.Rows = nil, nil
+	b.mem, b.raw, b.Rows = nil, false, nil
+	if cap(m.Bytes) > maxPooledRaw {
+		m.Bytes = nil
+	}
+	if cap(m.Cells) > maxPooledRaw/8 {
+		m.Cells = nil
+	}
 	slabs.Put(m)
+}
+
+// Len returns the number of rows in the batch, decoded or raw.
+func (b *Batch) Len() int {
+	if b.raw {
+		return b.mem.nrows
+	}
+	return len(b.Rows)
+}
+
+// Raw returns the rows of a raw batch; ok is false on a batch that is not
+// raw.
+func (b *Batch) Raw() (rows RawRows, ok bool) {
+	if !b.raw {
+		return RawRows{}, false
+	}
+	return b.mem.RawRows, true
 }
 
 // EncodedSize estimates the wire size of the batch (used for result memory
@@ -268,33 +320,97 @@ func Decode(r io.Reader) (*Batch, error) {
 // that remain (a cell occupies at least its presence byte) before anything
 // is allocated for it.
 func DecodeBytes(p []byte) (*Batch, error) {
+	cols, off, nr, hasText, err := parseHeader(p)
+	if err != nil {
+		return nil, err
+	}
+	m := slabs.Get().(*slab)
+	size, err := m.decodeRows(p, off, cols, nr, hasText)
+	if err != nil {
+		slabs.Put(m)
+		return nil, err
+	}
+	// The batch may be kept, never released: it must not pin a raw batch's
+	// buffer and index with its rows.
+	m.RawRows = RawRows{}
+	return &Batch{Cols: cols, Rows: m.rows, mem: m, size: size}, nil
+}
+
+// Adopt takes over the batch p holds without decoding it: the batch it
+// returns is raw and owned (see Batch), and p is the batch's until Release,
+// so nothing is copied. p is checked as DecodeBytes checks it — header, every
+// presence byte and length, nothing after the end — and refused for whatever
+// DecodeBytes refuses, and EncodedSize counts what DecodeBytes would. spare
+// is a buffer for the caller's next read, recycled from a released batch; it
+// may be nil. On error p is still the caller's and comes back as spare.
+func Adopt(p []byte) (b *Batch, spare []byte, err error) {
+	cols, off, nr, hasText, err := parseHeader(p)
+	if err != nil {
+		return nil, p, err
+	}
+	m := slabs.Get().(*slab)
+	size, err := m.locate(p, off, cols, nr)
+	if err != nil {
+		slabs.Put(m)
+		return nil, p, err
+	}
+	spare = m.Bytes
+	m.Bytes, m.nrows, m.text = p, nr, hasText
+	return &Batch{Cols: cols, mem: m, raw: true, size: size}, spare, nil
+}
+
+// DecodeRows decodes a raw batch's rows into Rows, from the bytes it holds
+// and the cells Adopt located and checked, in the batch's own memory and as
+// DecodeBytes lays them out. It does nothing on a batch that is not raw.
+func (b *Batch) DecodeRows() {
+	if !b.raw {
+		return
+	}
+	m, ncols := b.mem, len(b.Cols)
+	m.grow(m.nrows, ncols)
+	var text string // same offsets as the bytes
+	if m.text {
+		text = string(m.Bytes)
+	}
+	for ri := range m.rows {
+		fillRow(m.row(ri, ncols), b.Cols, m.Cells[ri*ncols:(ri+1)*ncols], m.Bytes, text)
+	}
+	b.Rows, b.raw = m.rows, false
+}
+
+// parseHeader reads the header of the batch p holds: its columns, the offset
+// of its first row, its row count and whether a column holds strings. The row
+// count is bounded by the bytes after the header.
+func parseHeader(p []byte) (cols []ColumnMeta, off, nrows int, hasText bool, err error) {
 	le := binary.LittleEndian
 	if len(p) < 12 {
-		return nil, errTruncated
+		return nil, 0, 0, false, errTruncated
+	}
+	if len(p) > math.MaxInt32 { // a Cell's offsets are 32 bits
+		return nil, 0, 0, false, fmt.Errorf("tdf: a batch of %d bytes is too large", len(p))
 	}
 	if le.Uint32(p) != Magic {
-		return nil, fmt.Errorf("tdf: bad magic")
+		return nil, 0, 0, false, fmt.Errorf("tdf: bad magic")
 	}
 	nc, nr := le.Uint32(p[4:]), le.Uint32(p[8:])
-	off := 12
+	off = 12
 	if uint64(nc) > uint64(len(p)-off)/7 {
-		return nil, fmt.Errorf("tdf: %d columns in %d bytes: %w", nc, len(p), errTruncated)
+		return nil, 0, 0, false, fmt.Errorf("tdf: %d columns in %d bytes: %w", nc, len(p), errTruncated)
 	}
-	cols := make([]ColumnMeta, nc)
-	hasText := false
+	cols = make([]ColumnMeta, nc)
 	for i := range cols {
 		if len(p)-off < 7 {
-			return nil, errTruncated
+			return nil, 0, 0, false, errTruncated
 		}
 		kind, err := tagToKind(p[off])
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, false, err
 		}
 		aux := int32(le.Uint32(p[off+1:]))
 		nameLen := int(le.Uint16(p[off+5:]))
 		off += 7
 		if len(p)-off < nameLen {
-			return nil, errTruncated
+			return nil, 0, 0, false, errTruncated
 		}
 		t := types.T{Kind: kind}
 		switch kind {
@@ -303,7 +419,7 @@ func DecodeBytes(p []byte) (*Batch, error) {
 			t.Precision = 18
 		case types.KindPeriod:
 			if t.Elem, err = tagToKind(uint8(aux)); err != nil {
-				return nil, err
+				return nil, 0, 0, false, err
 			}
 		case types.KindChar, types.KindVarChar, types.KindBytes:
 			hasText = true
@@ -312,28 +428,120 @@ func DecodeBytes(p []byte) (*Batch, error) {
 		off += nameLen
 	}
 	if nc == 0 && nr != 0 || nc != 0 && uint64(nr) > uint64(len(p)-off)/uint64(nc) {
-		return nil, fmt.Errorf("tdf: %d rows of %d columns in %d bytes: %w", nr, nc, len(p)-off, errTruncated)
+		return nil, 0, 0, false, fmt.Errorf("tdf: %d rows of %d columns in %d bytes: %w", nr, nc, len(p)-off, errTruncated)
 	}
-	m := slabs.Get().(*slab)
-	size, err := m.decodeRows(p, off, cols, int(nr), hasText)
-	if err != nil {
-		slabs.Put(m)
-		return nil, err
-	}
-	return &Batch{Cols: cols, Rows: m.rows, mem: m, size: size}, nil
+	return cols, off, int(nr), hasText, nil
 }
 
-// decodeRows decodes the nrows rows that start at p[off:] and must end where
-// p does into the slab, growing it when it is too small, and returns the
-// batch's EncodedSize. The slab's previous contents are arbitrary: every cell
-// and every row header handed out is stored whole.
-func (m *slab) decodeRows(p []byte, off int, cols []ColumnMeta, nrows int, hasText bool) (int, error) {
-	le := binary.LittleEndian
+// rowsSize is EncodedSize of a batch of nrows rows of cols before its string
+// bytes are counted.
+func rowsSize(cols []ColumnMeta, nrows int) int {
+	return headerSize(cols) + nrows*(4+len(cols)+9*len(cols))
+}
+
+// locate is Adopt's walk: it locates every cell of the nrows rows that start
+// at p[off:] and must end where p does, checking them as decodeRows would
+// decode them, and returns the batch's EncodedSize.
+func (m *slab) locate(p []byte, off int, cols []ColumnMeta, nrows int) (int, error) {
 	ncols := len(cols)
-	var text string // same offsets as p
-	if hasText {
-		text = string(p)
+	if cap(m.Cells) < nrows*ncols {
+		m.Cells = make([]Cell, nrows*ncols)
 	}
+	m.Cells, m.MaxRow = m.Cells[:nrows*ncols], 0
+	size := rowsSize(cols, nrows)
+	var stack [32]int8
+	widths := colWidths(&stack, cols)
+	for ri := 0; ri < nrows; ri++ {
+		next, strBytes, err := walkRow(p, off, widths, m.Cells[ri*ncols:(ri+1)*ncols])
+		if err != nil {
+			return 0, err
+		}
+		m.MaxRow = max(m.MaxRow, next-off)
+		off, size = next, size+strBytes
+	}
+	if off != len(p) {
+		return 0, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
+	}
+	return size, nil
+}
+
+// varWidth is cellWidths' answer for a length-prefixed value.
+const varWidth = -1
+
+// cellWidths is the size of a present cell's value by kind: 8 for the
+// integral kinds and FLOAT, 16 for PERIOD (start, end), varWidth for strings,
+// 0 for NULL and for anything that is no kind.
+var cellWidths = func() (w [256]int8) {
+	for _, k := range []types.Kind{types.KindBool, types.KindInt, types.KindBigInt, types.KindDate, types.KindTime,
+		types.KindTimestamp, types.KindDecimal, types.KindInterval, types.KindFloat} {
+		w[k] = 8
+	}
+	w[types.KindPeriod] = 16
+	w[types.KindChar], w[types.KindVarChar], w[types.KindBytes] = varWidth, varWidth, varWidth
+	return w
+}()
+
+// colWidths returns cellWidths of each column: in stack for up to 32
+// columns.
+func colWidths(stack *[32]int8, cols []ColumnMeta) []int8 {
+	widths := stack[:0]
+	if len(cols) > len(stack) {
+		widths = make([]int8, 0, len(cols))
+	}
+	for _, c := range cols {
+		widths = append(widths, cellWidths[c.Type.Kind])
+	}
+	return widths
+}
+
+// A Cell is where one cell's value lies in its batch: Len bytes at Off,
+// after the presence byte and a string's length. Off is -1 for a NULL cell
+// (presence byte 0). A value is the little-endian 64-bit value of the
+// integral kinds and FLOAT, a PERIOD's two of them, a string's bytes, nothing
+// for a NULL-typed column.
+type Cell struct{ Off, Len int32 }
+
+// walkRow locates the cells of the row that starts at p[off:], of columns
+// whose cellWidths are widths, and returns where the next row starts and how
+// many string bytes the row holds. A row that does not fit in what is left of
+// p is an error. It is the one reader of the TDF cell layout: Adopt's index
+// and DecodeBytes walk through it, a call per row; it stores no pointer.
+func walkRow(p []byte, off int, widths []int8, cells []Cell) (next, strBytes int, err error) {
+	cells = cells[:len(widths)]
+	for i, w := range widths {
+		if off >= len(p) {
+			return 0, 0, errTruncated
+		}
+		present := p[off] != 0
+		off++
+		if !present {
+			cells[i] = Cell{Off: -1}
+			continue
+		}
+		n := int(w)
+		if n == varWidth {
+			if len(p)-off < 4 {
+				return 0, 0, errTruncated
+			}
+			n = int(binary.LittleEndian.Uint32(p[off:]))
+			off += 4
+			if uint(n) > uint(len(p)-off) {
+				return 0, 0, fmt.Errorf("tdf: string of %d bytes with %d left: %w", n, len(p)-off, errTruncated)
+			}
+			strBytes += n
+		} else if n > len(p)-off {
+			return 0, 0, errTruncated
+		}
+		cells[i] = Cell{Off: int32(off), Len: int32(n)}
+		off += n
+	}
+	return off, strBytes, nil
+}
+
+// grow sizes the slab for nrows rows of ncols cells. Its previous contents
+// are arbitrary: the caller stores every cell and, with row, every row
+// header it hands out.
+func (m *slab) grow(nrows, ncols int) {
 	if cap(m.cells) < nrows*ncols {
 		m.cells = make([]types.Datum, nrows*ncols)
 	}
@@ -341,61 +549,72 @@ func (m *slab) decodeRows(p []byte, off int, cols []ColumnMeta, nrows int, hasTe
 		m.rows = make([][]types.Datum, nrows)
 	}
 	m.cells, m.rows = m.cells[:nrows*ncols], m.rows[:nrows]
-	size := headerSize(cols) + nrows*(4+ncols+9*ncols)
+}
+
+// row lays out row ri of ncols cells and returns it.
+func (m *slab) row(ri, ncols int) []types.Datum {
+	row := m.cells[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
+	m.rows[ri] = row
+	return row
+}
+
+// decodeRows decodes the nrows rows that start at p[off:] and must end where
+// p does into the slab, growing it when it is too small, and returns the
+// batch's EncodedSize.
+func (m *slab) decodeRows(p []byte, off int, cols []ColumnMeta, nrows int, hasText bool) (int, error) {
+	var text string // same offsets as p
+	if hasText {
+		text = string(p)
+	}
+	m.grow(nrows, len(cols))
+	size := rowsSize(cols, nrows)
+	var wstack [32]int8
+	widths := colWidths(&wstack, cols)
+	var cstack [32]Cell // one row's cells, for up to 32 columns
+	cells := cstack[:0]
+	if len(cols) > len(cstack) {
+		cells = make([]Cell, 0, len(cols))
+	}
+	cells = cells[:len(cols)]
 	for ri := range m.rows {
-		row := m.cells[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
-		m.rows[ri] = row
-		for ci := range row {
-			if off >= len(p) {
-				return 0, errTruncated
-			}
-			t := &cols[ci].Type
-			d := &row[ci]
-			off++
-			if p[off-1] == 0 {
-				*d = types.Datum{K: t.Kind, Null: true}
-				continue
-			}
-			switch t.Kind {
-			case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
-				types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
-				if len(p)-off < 8 {
-					return 0, errTruncated
-				}
-				// Scale is zero except for DECIMAL.
-				*d = types.Datum{K: t.Kind, I: int64(le.Uint64(p[off:])), Scale: int8(t.Scale)}
-				off += 8
-			case types.KindFloat:
-				if len(p)-off < 8 {
-					return 0, errTruncated
-				}
-				*d = types.Datum{K: t.Kind, F: math.Float64frombits(le.Uint64(p[off:]))}
-				off += 8
-			case types.KindChar, types.KindVarChar, types.KindBytes:
-				if len(p)-off < 4 {
-					return 0, errTruncated
-				}
-				n := int(le.Uint32(p[off:]))
-				off += 4
-				if uint64(n) > uint64(len(p)-off) {
-					return 0, fmt.Errorf("tdf: string of %d bytes with %d left: %w", n, len(p)-off, errTruncated)
-				}
-				*d = types.Datum{K: t.Kind, S: text[off : off+n]}
-				off += n
-				size += n
-			case types.KindPeriod:
-				if len(p)-off < 16 {
-					return 0, errTruncated
-				}
-				*d = types.NewPeriod(t.Elem, int64(le.Uint64(p[off:])), int64(le.Uint64(p[off+8:])))
-				off += 16
-			case types.KindNull:
-				*d = types.Datum{K: t.Kind, Null: true}
-			}
+		next, strBytes, err := walkRow(p, off, widths, cells)
+		if err != nil {
+			return 0, err
 		}
+		off, size = next, size+strBytes
+		fillRow(m.row(ri, len(cols)), cols, cells, p, text)
 	}
 	if off != len(p) {
 		return 0, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
 	}
 	return size, nil
+}
+
+// fillRow stores every cell of one row, located in p by cells, in row, its
+// strings cut from text (p's copy).
+func fillRow(row []types.Datum, cols []ColumnMeta, cells []Cell, p []byte, text string) {
+	le := binary.LittleEndian
+	for ci, c := range cells {
+		t := &cols[ci].Type
+		d := &row[ci]
+		if c.Off < 0 {
+			*d = types.Datum{K: t.Kind, Null: true}
+			continue
+		}
+		val := p[c.Off : c.Off+c.Len]
+		switch t.Kind {
+		case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
+			types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
+			// Scale is zero except for DECIMAL.
+			*d = types.Datum{K: t.Kind, I: int64(le.Uint64(val)), Scale: int8(t.Scale)}
+		case types.KindFloat:
+			*d = types.Datum{K: t.Kind, F: math.Float64frombits(le.Uint64(val))}
+		case types.KindChar, types.KindVarChar, types.KindBytes:
+			*d = types.Datum{K: t.Kind, S: text[c.Off : c.Off+c.Len]}
+		case types.KindPeriod:
+			*d = types.NewPeriod(t.Elem, int64(le.Uint64(val)), int64(le.Uint64(val[8:])))
+		case types.KindNull:
+			*d = types.Datum{K: t.Kind, Null: true}
+		}
+	}
 }

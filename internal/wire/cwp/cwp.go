@@ -195,7 +195,8 @@ type Client struct {
 	// and a run of small messages, cost one read syscall instead of two each.
 	in *bufio.Reader
 	// payload is the backing array readEvent reads each message into; nothing
-	// decoded from a message aliases it. See maxRetainedPayload.
+	// decoded from a message aliases it, and a streamed batch that takes it
+	// over leaves a recycled one in its place. See maxRetainedPayload.
 	payload []byte
 	// broken marks the connection protocol-desynchronized: an abandoned
 	// stream or a partially written request left responses in flight that no
@@ -266,10 +267,12 @@ type StatementResult struct {
 	Affected int64
 }
 
-// Rows flattens the batches.
+// Rows flattens the batches, decoding any that are raw (a caller that
+// collected a stream's batches).
 func (r *StatementResult) Rows() [][]types.Datum {
 	var out [][]types.Datum
 	for _, b := range r.Batches {
+		b.DecodeRows()
 		out = append(out, b.Rows...)
 	}
 	return out
@@ -296,7 +299,7 @@ func (c *Client) ExecContext(ctx context.Context, sql string) ([]*StatementResul
 	var out []*StatementResult
 	cur := &StatementResult{}
 	for {
-		ev, err := c.readEvent()
+		ev, err := c.readEvent(false)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return out, nil
@@ -337,12 +340,14 @@ func (c *Client) arm(ctx context.Context) error {
 const maxRetainedPayload = 1 << 20
 
 // readEvent reads and decodes the next message of the in-flight request. It
-// is the one reader of both the buffered and the streaming execute. The
-// terminal outcomes are io.EOF at MsgEnd (the request completed, the
+// is the one reader of both the buffered and the streaming execute: a batch
+// is decoded for the buffered one, and for the streaming one (raw) taken over
+// as it arrived — tdf.Adopt, which checks it as decoding would. The terminal
+// outcomes are io.EOF at MsgEnd (the request completed, the
 // connection is in sync), a *BackendError (the backend failed the request;
 // its trailing MsgEnd is consumed, the connection is in sync) and anything
 // else (transport or protocol failure: the connection is unusable).
-func (c *Client) readEvent() (StreamEvent, error) {
+func (c *Client) readEvent(raw bool) (StreamEvent, error) {
 	kind, payload, err := wire.ReadMessageInto(c.in, c.payload)
 	if err != nil {
 		// A bare EOF here is the backend dying mid-request (the clean end
@@ -362,7 +367,17 @@ func (c *Client) readEvent() (StreamEvent, error) {
 		cols, err := decodeMeta(payload)
 		return StreamEvent{Kind: StreamMeta, Cols: cols}, err
 	case MsgBatch:
-		batch, err := tdf.DecodeBytes(payload)
+		if !raw {
+			batch, err := tdf.DecodeBytes(payload)
+			return StreamEvent{Kind: StreamBatch, Batch: batch}, err
+		}
+		// The batch keeps payload; the next message is read into the buffer
+		// a released batch left behind.
+		batch, spare, err := tdf.Adopt(payload)
+		c.payload = nil
+		if cap(spare) <= maxRetainedPayload {
+			c.payload = spare
+		}
 		return StreamEvent{Kind: StreamBatch, Batch: batch}, err
 	case MsgComplete:
 		r := wire.NewReader(payload)

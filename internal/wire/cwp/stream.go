@@ -18,7 +18,8 @@ type StreamEventKind int
 const (
 	// StreamMeta announces the current statement's result columns.
 	StreamMeta StreamEventKind = iota
-	// StreamBatch carries one decoded TDF batch of result rows.
+	// StreamBatch carries one TDF batch of result rows. A batch read off a
+	// connection is raw (tdf.Batch.Raw) and owned by the receiver.
 	StreamBatch
 	// StreamComplete ends the current statement (command tag + activity).
 	StreamComplete
@@ -92,7 +93,7 @@ func (s *Stream) Next(ctx context.Context) (StreamEvent, error) {
 			return StreamEvent{}, s.abort(err)
 		}
 	}
-	ev, err := s.c.readEvent()
+	ev, err := s.c.readEvent(true)
 	if err == nil {
 		return ev, nil
 	}

@@ -48,7 +48,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	if evs[0].Kind != StreamMeta || len(evs[0].Cols) != 2 || evs[0].Cols[0].Name != "a" {
 		t.Fatalf("meta = %+v", evs[0])
 	}
-	if evs[1].Kind != StreamBatch || len(evs[1].Batch.Rows) != 2 {
+	if evs[1].Kind != StreamBatch || len(decodedRows(evs[1].Batch)) != 2 {
 		t.Fatalf("batch = %+v", evs[1])
 	}
 	if evs[2].Kind != StreamComplete || evs[2].Command != "SELECT" {
@@ -123,7 +123,7 @@ func TestStreamMatchesBufferedExec(t *testing.T) {
 	want := buffered[0].Rows()
 	var got int
 	for _, b := range streamed {
-		got += len(b.Rows)
+		got += len(decodedRows(b))
 	}
 	if got != len(want) {
 		t.Fatalf("rows: streamed %d, buffered %d", got, len(want))
@@ -452,7 +452,7 @@ func TestStreamCancelAfterEOFKeepsClient(t *testing.T) {
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("request after the cancel: terminal error = %v, want io.EOF", err)
 	}
-	if len(evs) != 3 || len(evs[1].Batch.Rows) != 2 {
+	if len(evs) != 3 || len(decodedRows(evs[1].Batch)) != 2 {
 		t.Fatalf("request after the cancel: events %+v", evs)
 	}
 	if c.Broken() {

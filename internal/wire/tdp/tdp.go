@@ -18,6 +18,7 @@ import (
 	"net"
 	"time"
 
+	"hyperq/internal/tdf"
 	"hyperq/internal/types"
 	"hyperq/internal/wire"
 )
@@ -56,17 +57,11 @@ func appendRecord(dst []byte, cols []ColumnDef, row []types.Datum) ([]byte, erro
 	}
 	be := binary.BigEndian
 	start := len(dst)
-	nbitmap := (len(cols) + 7) / 8
-	b := append(dst, MsgRecord, 0, 0, 0, 0) // payload length patched below
-	b = be.AppendUint32(b, uint32(nbitmap))
-	bitmap := len(b)
-	for i := 0; i < nbitmap; i++ {
-		b = append(b, 0)
-	}
+	b := beginRecord(dst, len(cols))
 	for i := range row {
 		d := &row[i]
 		if d.Null {
-			b[bitmap+i/8] |= 1 << (7 - i%8)
+			setNull(b, start, i)
 			continue
 		}
 		switch cols[i].Type.Kind {
@@ -93,12 +88,182 @@ func appendRecord(dst []byte, cols []ColumnDef, row []types.Datum) ([]byte, erro
 			return dst, fmt.Errorf("tdp: cannot encode kind %v", cols[i].Type.Kind)
 		}
 	}
+	return endRecord(dst, b, start)
+}
+
+// The record framer: appendRecord and appendTranscoded lay a MsgRecord
+// parcel out through these three, and nothing else writes one.
+
+// beginRecord appends a MsgRecord frame header for ncols columns to dst, its
+// payload length left to endRecord and its null bitmap all clear.
+func beginRecord(dst []byte, ncols int) []byte {
+	nbitmap := (ncols + 7) / 8
+	b := append(dst, MsgRecord, 0, 0, 0, 0)
+	b = binary.BigEndian.AppendUint32(b, uint32(nbitmap))
+	for i := 0; i < nbitmap; i++ {
+		b = append(b, 0)
+	}
+	return b
+}
+
+// setNull marks column i NULL in the record that starts at b[start].
+func setNull(b []byte, start, i int) {
+	b[start+9+i/8] |= 1 << (7 - i%8)
+}
+
+// endRecord patches the payload length of the record that starts at
+// b[start], refusing one larger than a message may be: then dst, what the
+// record was appended to, comes back as it was.
+func endRecord(dst, b []byte, start int) ([]byte, error) {
 	n := len(b) - start - 5
 	if n > wire.MaxMessageSize {
 		return dst, fmt.Errorf("tdp: record of %d bytes exceeds the message limit", n)
 	}
-	be.PutUint32(b[start+1:], uint32(n))
+	binary.BigEndian.PutUint32(b[start+1:], uint32(n))
 	return b, nil
+}
+
+// --- transcoding ------------------------------------------------------------
+
+// A FieldOp is how a transcoded column's cells become record fields: the
+// value of a present TDF cell (a tdf.Cell of tdf.RawRows) in, the field out,
+// with the bytes appendRecord would have written for the cell after its
+// conversion to the frontend type. The zero FieldOp is no op: Transcode
+// refuses it.
+type FieldOp struct {
+	code fieldCode
+	// n is the CHAR length for fieldPad; factor is the power of ten
+	// fieldScaleUp multiplies by and fieldScaleDown divides by.
+	n      int
+	factor int64
+}
+
+type fieldCode uint8
+
+const (
+	fieldNone      fieldCode = iota
+	fieldInt8                // the 64-bit value
+	fieldInt4                // its low 32 bits
+	fieldInt1                // its low byte
+	fieldDate                // the value as the vendor's DATE integer
+	fieldScaleUp             // the DECIMAL value at a larger scale
+	fieldScaleDown           // the DECIMAL value at a smaller scale
+	fieldString              // length and bytes as they are
+	fieldPad                 // cut and blank-padded to CHAR(n)
+	fieldPeriod              // start and end
+)
+
+// Splice is the op for a cell that arrives in the kind of its field, k: the
+// value re-endianned, in the field's width (or, for DATE, as the vendor's
+// integer), a string's bytes as they are. Because a TDF integer is 64 bits
+// whatever its kind, it is also the op for an INTEGER cell sent as BIGINT and
+// a BIGINT one sent as INTEGER: the field keeps the low 32 bits, as
+// appendRecord does. ok is false for a kind no field holds.
+func Splice(k types.Kind) (op FieldOp, ok bool) {
+	switch k {
+	case types.KindBool:
+		return FieldOp{code: fieldInt1}, true
+	case types.KindInt, types.KindTime:
+		return FieldOp{code: fieldInt4}, true
+	case types.KindBigInt, types.KindTimestamp, types.KindInterval, types.KindFloat, types.KindDecimal:
+		return FieldOp{code: fieldInt8}, true
+	case types.KindDate:
+		return FieldOp{code: fieldDate}, true
+	case types.KindChar, types.KindVarChar, types.KindBytes:
+		return FieldOp{code: fieldString}, true
+	case types.KindPeriod:
+		return FieldOp{code: fieldPeriod}, true
+	}
+	return FieldOp{}, false
+}
+
+// Rescale is the op for a DECIMAL cell of scale from sent as a DECIMAL of
+// scale to: the scaled integer multiplied, or divided with truncation, by the
+// power of ten between them, as types.Datum.DecimalScaled computes it.
+func Rescale(from, to int) FieldOp {
+	op := FieldOp{code: fieldScaleUp, factor: 1}
+	if to < from {
+		op.code = fieldScaleDown
+	}
+	for d := max(to-from, from-to); d > 0; d-- {
+		op.factor *= 10
+	}
+	return op
+}
+
+// Pad is the op for a string cell sent as CHAR(n): cut to n bytes, then
+// padded with blanks to n, as types.Cast does. CHAR with no length (n 0 or
+// less) takes the string as it is.
+func Pad(n int) FieldOp { return FieldOp{code: fieldPad, n: max(n, 0)} }
+
+// reads reports whether op can read the cells of a TDF column of kind k:
+// the 64-bit value of an integral kind or FLOAT, a string's bytes, a PERIOD.
+func (op FieldOp) reads(k types.Kind) bool {
+	switch op.code {
+	case fieldInt8, fieldInt4, fieldInt1, fieldDate, fieldScaleUp, fieldScaleDown:
+		switch k {
+		case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate, types.KindTime,
+			types.KindTimestamp, types.KindDecimal, types.KindInterval, types.KindFloat:
+			return true
+		}
+	case fieldString, fieldPad:
+		return k == types.KindChar || k == types.KindVarChar || k == types.KindBytes
+	case fieldPeriod:
+		return k == types.KindPeriod
+	}
+	return false
+}
+
+// blanks is the run CHAR padding is cut from.
+const blanks = "                                                                "
+
+// appendTranscoded appends to dst the record of a row whose cells are cells,
+// located in p (tdf.RawRows), writing column i's field with ops[i]. On error
+// dst is returned as it came.
+func appendTranscoded(dst, p []byte, cells []tdf.Cell, ops []FieldOp) ([]byte, error) {
+	le, be := binary.LittleEndian, binary.BigEndian
+	start := len(dst)
+	b := beginRecord(dst, len(ops))
+	for i, c := range cells {
+		if c.Off < 0 {
+			setNull(b, start, i)
+			continue
+		}
+		val := p[c.Off : c.Off+c.Len]
+		op := &ops[i]
+		switch op.code {
+		case fieldInt8:
+			b = be.AppendUint64(b, le.Uint64(val))
+		case fieldInt4:
+			b = be.AppendUint32(b, uint32(le.Uint64(val)))
+		case fieldInt1:
+			b = append(b, val[0])
+		case fieldDate:
+			b = be.AppendUint32(b, uint32(int32(int64(le.Uint64(val))-types.TeradataDateOffset)))
+		case fieldScaleUp:
+			b = be.AppendUint64(b, uint64(int64(le.Uint64(val))*op.factor))
+		case fieldScaleDown:
+			b = be.AppendUint64(b, uint64(int64(le.Uint64(val))/op.factor))
+		case fieldString:
+			b = be.AppendUint32(b, uint32(len(val)))
+			b = append(b, val...)
+		case fieldPad:
+			n := op.n
+			if n == 0 {
+				n = len(val)
+			}
+			val = val[:min(n, len(val))]
+			b = be.AppendUint32(b, uint32(n))
+			b = append(b, val...)
+			for pad := n - len(val); pad > 0; pad -= len(blanks) {
+				b = append(b, blanks[:min(pad, len(blanks))]...)
+			}
+		case fieldPeriod:
+			b = be.AppendUint64(b, le.Uint64(val))
+			b = be.AppendUint64(b, le.Uint64(val[8:]))
+		}
+	}
+	return endRecord(dst, b, start)
 }
 
 // DecodeRow parses an IndicData row under the given column metadata.
@@ -198,6 +363,12 @@ type ResponseWriter interface {
 	// Failure reports a request failure (code + message) and ends the request.
 	Failure(code int, msg string) error
 }
+
+// NewResponseWriter returns the writer a served connection hands its
+// SessionHandler, writing to out: for code that frames responses without a
+// connection (tests, benchmarks). Nothing is flushed but what does not fit.
+// Besides ResponseWriter's methods it has Transcode.
+func NewResponseWriter(out *bufio.Writer) ResponseWriter { return &respWriter{out: out} }
 
 // SessionHandler processes requests for one logged-on session.
 type SessionHandler interface {
@@ -381,6 +552,55 @@ func (w *respWriter) Row(row []types.Datum) error {
 	}
 	_, err = w.out.Write(rec)
 	return err
+}
+
+// Transcode sends the rows of the raw batch b (tdf.Batch.Raw) without
+// decoding them, the field of column i made by ops[i]; like Row it is only
+// valid after BeginResultSet, with one op per column. It writes each record
+// straight into the buffered writer's free space, as Row does. A record is never larger than its TDF row plus the
+// frame, the bitmap and the blanks of its CHAR pads (no field outgrows its
+// cell otherwise), so the largest row of the batch bounds what each one
+// needs.
+func (w *respWriter) Transcode(b *tdf.Batch, ops []FieldOp) error {
+	raw, ok := b.Raw()
+	if !ok || len(ops) != len(w.cols) || len(ops) != len(b.Cols) {
+		return fmt.Errorf("tdp: cannot transcode a %d-column batch into %d columns (raw %v)", len(b.Cols), len(w.cols), ok)
+	}
+	need := 9 + (len(ops)+7)/8 + raw.MaxRow
+	for i, op := range ops {
+		if !op.reads(b.Cols[i].Type.Kind) {
+			return fmt.Errorf("tdp: column %d: no field op for a %v cell", i, b.Cols[i].Type.Kind)
+		}
+		if op.code == fieldPad {
+			need += op.n
+		}
+	}
+	// Records go into the buffer's free space as long as the next one is sure
+	// to fit, then the run is written at once; only a record larger than the
+	// whole buffer is built on the heap.
+	cells, n := raw.Cells, len(ops)
+	for len(cells) >= n && n > 0 {
+		if need > w.out.Available() {
+			if err := w.out.Flush(); err != nil {
+				return err
+			}
+		}
+		run := w.out.AvailableBuffer()
+		for len(cells) >= n {
+			var err error
+			if run, err = appendTranscoded(run, raw.Bytes, cells[:n], ops); err != nil {
+				return err
+			}
+			cells = cells[n:]
+			if need > cap(run)-len(run) {
+				break
+			}
+		}
+		if _, err := w.out.Write(run); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EndStatement leaves its parcel in the buffer: serveConn flushes once the

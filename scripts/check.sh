@@ -76,13 +76,15 @@ go test -race -timeout 120s ./...
 go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
 
 # Result path (DESIGN.md §12): tdf decode, cwp stream drain, result
-# conversion and tdp row encoding must each cost a fixed number of
-# allocations per batch, whatever the batch's row count — and, for a consumer
-# that releases what it decodes, no datum slab at all. One one-batch cwp
-# request (send, metadata, batch, completion, io.EOF) has a pinned total. The ownership tests
+# conversion, tdp row encoding and a streamed result transcoded through
+# deliver into the wire sink must each cost a fixed number of allocations per
+# batch, whatever the batch's row count — and, for a consumer that releases
+# what it decodes, no datum slab at all (the transcoded result decodes
+# nothing). One one-batch cwp request (send, metadata, batch, completion,
+# io.EOF) has a pinned total. The ownership tests
 # rerun here too: under the race detector sync.Pool drops Puts at random, so
 # the gates skip themselves there and the recycled-memory tests retry.
-go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestStreamOneBatchRequestAllocs|TestConvertAllocsPerBatch|TestRowAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk|TestConvertOwnedInPlaceMatchesReference' \
+go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestStreamOneBatchRequestAllocs|TestConvertAllocsPerBatch|TestRowAllocsPerBatch|TestTranscodeAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk|TestConvertOwnedInPlaceMatchesReference' \
     ./internal/tdf/ ./internal/wire/cwp/ ./internal/hyperq/ ./internal/wire/tdp/
 
 # Small-request path (DESIGN.md §7, §9): a request that succeeds costs the
@@ -96,6 +98,12 @@ go test -count=1 -run 'TestResilientSuccessAllocsIndependentOfSQL|TestUncontende
 # decoder kept in internal/tdf/reference_test.go — equal batches or both
 # fail, never a panic, forged headers refused.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/tdf/
+
+# Transcoder fuzz leg: a raw batch passes Adopt's validation exactly when
+# DecodeBytes accepts it, and for random frontend types the transcoder
+# handles, its records equal the Datum path's (convertBatch, then the tdp row
+# encoder) byte for byte; never a panic.
+go test -run '^$' -fuzz '^FuzzTranscode$' -fuzztime 10s ./internal/hyperq/
 
 # Connection-pool stress: rerun the 100-goroutine multiplex/pin/unpin storm
 # under the race detector with fresh state (no cached result).
