@@ -2,6 +2,7 @@ package hyperq
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"hyperq/internal/engine"
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/faultdriver"
+	"hyperq/internal/odbc/pool"
 	"hyperq/internal/wire/tdp"
 )
 
@@ -288,5 +290,24 @@ func TestGatewayLogonBackendUnavailable(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "connection refused") {
 		t.Errorf("raw connection error leaked to the frontend: %q", err)
+	}
+}
+
+// Every layer under the session wraps the errors it passes on, so the
+// frontend code of each backend failure must be chosen through the wrap.
+func TestBackendErrorCodesSeeThroughWraps(t *testing.T) {
+	for _, c := range []struct {
+		sentinel error
+		code     int
+	}{
+		{pool.ErrSaturated, tdp.CodeGatewaySaturated},
+		{pool.ErrAcquireTimeout, tdp.CodeGatewaySaturated},
+		{odbc.ErrBreakerOpen, tdp.CodeBackendUnavailable},
+		{odbc.ErrMaybeApplied, tdp.CodeWriteStateUnknown},
+		{odbc.ErrReplicaDivergent, tdp.CodeWriteStateUnknown},
+	} {
+		if re := mapBackendError(fmt.Errorf("layer: %w", c.sentinel)); re.Code != c.code {
+			t.Errorf("wrapped %v: code %d, want %d", c.sentinel, re.Code, c.code)
+		}
 	}
 }

@@ -280,25 +280,6 @@ func HasMethod(t types.Type, name string) bool {
 	return ok && fn != nil
 }
 
-// ReturnsError reports whether the call's result list is non-empty and ends
-// in error.
-func ReturnsError(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		return t.Len() > 0 && isErrorType(t.At(t.Len()-1).Type())
-	default:
-		return isErrorType(t)
-	}
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
 // IsTestFile reports whether the file containing pos is a _test.go file.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")

@@ -19,7 +19,7 @@ package analysis
 //     into it.
 //
 // Analyses that must distinguish "leaks at this return" from "leaks at the
-// end of the function" (spanend, leakpair, errsentinel) rely on that split.
+// end of the function" (spanend) rely on that split.
 
 import (
 	"go/ast"
@@ -72,10 +72,10 @@ type builder struct {
 
 // frame is one enclosing loop/switch/select for break/continue resolution.
 type frame struct {
-	label     string // enclosing label, "" when unlabeled
-	breakTo   *Block
-	contTo    *Block // nil for switch/select (continue skips them)
-	isLoop    bool
+	label      string // enclosing label, "" when unlabeled
+	breakTo    *Block
+	contTo     *Block // nil for switch/select (continue skips them)
+	isLoop     bool
 	nextClause *Block // fallthrough target inside a switch
 }
 
@@ -503,7 +503,3 @@ func (g *CFG) prune() {
 	}
 	g.Blocks = kept
 }
-
-// FallsOff reports whether the synthetic Exit block is reachable (some
-// path falls off the end of the function).
-func (g *CFG) FallsOff() bool { return g.Exit.live }

@@ -64,7 +64,7 @@ func nodeText(src string, fset *token.FileSet, n ast.Node) string {
 
 func TestCFGLinear(t *testing.T) {
 	g, _ := buildCFG(t, `func f() { a(); b(); c() }`)
-	if !g.FallsOff() {
+	if !g.Exit.live {
 		t.Fatal("linear body must fall off the end")
 	}
 	if len(g.Entry.Nodes) != 3 {
@@ -74,7 +74,7 @@ func TestCFGLinear(t *testing.T) {
 
 func TestCFGReturnTerminates(t *testing.T) {
 	g, _ := buildCFG(t, `func f() int { a(); return 1 }`)
-	if g.FallsOff() {
+	if g.Exit.live {
 		t.Fatal("explicit return: exit block must be unreachable")
 	}
 	var retBlocks int

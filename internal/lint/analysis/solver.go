@@ -1,10 +1,9 @@
 package analysis
 
-// Data-flow solving over a CFG: generic forward/backward worklist solvers
-// for set facts (union join for may-analyses, intersection join for
-// must-analyses), and LeakWitnesses, the
-// "must-happen-on-all-paths-to-return" facility the resource-lifetime
-// analyzers (spanend, leakpair, errsentinel) are built on.
+// Data-flow solving over a CFG: a forward worklist solver for set facts with
+// an intersection join (the must-analysis atomicfield's freshness pass needs),
+// and LeakWitnesses, the "must-happen-on-all-paths-to-return" query spanend
+// is built on.
 
 import (
 	"go/ast"
@@ -12,9 +11,8 @@ import (
 	"go/types"
 )
 
-// Fact is a set of type-checker objects — the fact domain shared by the
-// suite's may-analyses (tainted variables, published objects, live
-// resources). The zero value is the empty set.
+// Fact is a set of type-checker objects (atomicfield: the locals still bound
+// to an unpublished allocation). The zero value is the empty set.
 type Fact map[types.Object]struct{}
 
 // Has reports membership.
@@ -32,18 +30,6 @@ func (f Fact) Clone() Fact {
 	return out
 }
 
-// union merges src into f, reporting whether f grew.
-func (f Fact) union(src Fact) bool {
-	grew := false
-	for o := range src {
-		if _, ok := f[o]; !ok {
-			f[o] = struct{}{}
-			grew = true
-		}
-	}
-	return grew
-}
-
 // intersect removes members of f absent from src, reporting whether f shrank.
 func (f Fact) intersect(src Fact) bool {
 	shrank := false
@@ -56,57 +42,9 @@ func (f Fact) intersect(src Fact) bool {
 	return shrank
 }
 
-// Equal reports set equality.
-func (f Fact) Equal(g Fact) bool {
-	if len(f) != len(g) {
-		return false
-	}
-	for o := range f {
-		if !g.Has(o) {
-			return false
-		}
-	}
-	return true
-}
-
 // Transfer maps one node's effect on a fact set. It must not mutate in;
 // return in unchanged when the node has no effect.
 type Transfer func(n ast.Node, in Fact) Fact
-
-// Forward runs a forward may-analysis (union join) to fixpoint and returns
-// each block's IN set. entry seeds the entry block. To recover per-node
-// facts inside a block, re-apply the transfer across the block's Nodes
-// starting from its IN set.
-func (g *CFG) Forward(entry Fact, tr Transfer) map[*Block]Fact {
-	in := make(map[*Block]Fact, len(g.Blocks))
-	for _, b := range g.Blocks {
-		in[b] = Fact{}
-	}
-	in[g.Entry] = entry.Clone()
-	// Worklist seeded in block order (≈ reverse post-order for the
-	// builder's construction sequence), drained to fixpoint.
-	work := append([]*Block(nil), g.Blocks...)
-	queued := make([]bool, len(g.Blocks))
-	for i := range queued {
-		queued[i] = true
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b.Index] = false
-		out := in[b]
-		for _, n := range b.Nodes {
-			out = tr(n, out)
-		}
-		for _, s := range b.Succs {
-			if in[s].union(out) && !queued[s.Index] {
-				queued[s.Index] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return in
-}
 
 // ForwardMust runs a forward must-analysis (intersection join) to fixpoint
 // and returns each block's IN set: a fact holds at a block only when it
@@ -116,8 +54,7 @@ func (g *CFG) Forward(entry Fact, tr Transfer) map[*Block]Fact {
 // unreachable from entry" (the builder prunes those anyway).
 //
 // This is the join freshness-style properties need: "no other goroutine can
-// see this value" must survive every path into a join, whereas the union
-// join of Forward answers "possible on some path".
+// see this value" must survive every path into a join.
 func (g *CFG) ForwardMust(entry Fact, tr Transfer) map[*Block]Fact {
 	in := make(map[*Block]Fact, len(g.Blocks))
 	in[g.Entry] = entry.Clone()
@@ -150,42 +87,6 @@ func (g *CFG) ForwardMust(entry Fact, tr Transfer) map[*Block]Fact {
 	return in
 }
 
-// Backward runs a backward may-analysis (union join) to fixpoint and
-// returns each block's OUT set (facts holding after the block, flowing
-// backward from its successors). exit seeds blocks with no successors.
-func (g *CFG) Backward(exit Fact, tr Transfer) map[*Block]Fact {
-	out := make(map[*Block]Fact, len(g.Blocks))
-	for _, b := range g.Blocks {
-		if len(b.Succs) == 0 {
-			out[b] = exit.Clone()
-		} else {
-			out[b] = Fact{}
-		}
-	}
-	work := append([]*Block(nil), g.Blocks...)
-	queued := make([]bool, len(g.Blocks))
-	for i := range queued {
-		queued[i] = true
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b.Index] = false
-		// Apply the block's nodes in reverse.
-		res := out[b]
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			res = tr(b.Nodes[i], res)
-		}
-		for _, p := range b.Preds {
-			if out[p].union(res) && !queued[p.Index] {
-				queued[p.Index] = true
-				work = append(work, p)
-			}
-		}
-	}
-	return out
-}
-
 // LeakWitnesses explores every path from just after `start` to a function
 // exit and collects the exits reachable without passing a node for which
 // ok returns true: the positions where the obligation incurred at start is
@@ -199,18 +100,10 @@ func (g *CFG) Backward(exit Fact, tr Transfer) map[*Block]Fact {
 // the CFG size; a cycle revisiting a block that was already explored
 // unsatisfied adds nothing new.
 func (g *CFG) LeakWitnesses(start ast.Node, ok func(ast.Node) bool) []token.Pos {
-	if b, i := g.FindNode(start); b != nil {
-		return g.LeakWitnessesFrom(b, i+1, ok)
+	b, i := g.findNode(start)
+	if b == nil {
+		return nil
 	}
-	return nil
-}
-
-// LeakWitnessesFrom is LeakWitnesses anchored explicitly at node index i of
-// block b (i may equal len(b.Nodes) to start at the block's out-edges).
-// Analyzers use it when the obligation begins at a branch target rather
-// than after a statement — e.g. a boolean acquire consumed by an if
-// condition incurs its obligation only on the success branch.
-func (g *CFG) LeakWitnessesFrom(b *Block, i int, ok func(ast.Node) bool) []token.Pos {
 	var witnesses []token.Pos
 	seen := make(map[*Block]bool)
 	reported := make(map[token.Pos]bool)
@@ -253,63 +146,13 @@ func (g *CFG) LeakWitnessesFrom(b *Block, i int, ok func(ast.Node) bool) []token
 			walk(s, 0)
 		}
 	}
-	walk(b, i)
+	walk(b, i+1)
 	return witnesses
 }
 
-// ReachesWithout reports whether some execution path from just after start
-// reaches target without first passing a node for which ok returns true.
-// It answers "can this value arrive here unclassified/unreleased?" — the
-// escape-site dual of LeakWitnesses' exit-site question. When start or
-// target is not in the graph it returns false (no path exists).
-func (g *CFG) ReachesWithout(start, target ast.Node, ok func(ast.Node) bool) bool {
-	sb, si := g.FindNode(start)
-	tb, ti := g.FindNode(target)
-	if sb == nil || tb == nil {
-		return false
-	}
-	seen := make(map[*Block]bool)
-	// scan walks nodes [from, to) of blk; returns (hit target, blocked by ok).
-	scan := func(blk *Block, from, to int) (bool, bool) {
-		for j := from; j < to && j < len(blk.Nodes); j++ {
-			if blk == tb && j == ti {
-				return true, false
-			}
-			if ok(blk.Nodes[j]) {
-				return false, true
-			}
-		}
-		return false, false
-	}
-	var walk func(blk *Block, j int) bool
-	walk = func(blk *Block, j int) bool {
-		hit, blocked := scan(blk, j, len(blk.Nodes))
-		if hit {
-			return true
-		}
-		if blocked {
-			return false
-		}
-		for _, s := range blk.Succs {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			if walk(s, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	// The target node itself may satisfy ok (a classification at the escape
-	// site); check strictly-before positions only, which scan already does by
-	// testing the target index first.
-	return walk(sb, si+1)
-}
-
-// FindNode locates the block and node index holding n — directly or nested
+// findNode locates the block and node index holding n — directly or nested
 // inside a statement node (start anchors are often expressions).
-func (g *CFG) FindNode(n ast.Node) (*Block, int) {
+func (g *CFG) findNode(n ast.Node) (*Block, int) {
 	for _, b := range g.Blocks {
 		for i, node := range b.Nodes {
 			if node == n || containsNode(node, n) {

@@ -9,7 +9,7 @@
 // annotations without a matching diagnostic both fail the test.
 //
 // Fixtures are hermetic: a fixture root is a GOPATH-style source tree, and
-// every import a fixture makes — "context", "sync" and "io" as much as
+// every import a fixture makes — "context", "sync" and "time" as much as
 // "odbc" or "trace" — resolves to the tiny stub package below that root.
 package analysistest
 

@@ -1,10 +1,11 @@
 // Package lint is hyperqlint: the gateway's project-specific static
 // analyzers. Each analyzer machine-checks one invariant that go vet cannot
-// see — invariants that used to live in code review folklore and that, when
-// violated, produce exactly the subtle mechanical regressions a protocol
-// gateway cannot afford (leaked trace spans, network I/O under a shard
-// mutex, drifting frontend failure codes, dropped deadlines, silently
-// desynchronized wire framing).
+// see and that the test suite does not catch when it breaks: a trace span
+// left open on some path, blocking I/O under a mutex, a field read plainly
+// where it is written atomically, a request context dropped on the request
+// path. An analyzer is kept only while a mutation that changes observable
+// behaviour is caught by it and by no test (EXPERIMENTS.md, "Mutation audit
+// of hyperqlint").
 //
 // The suite runs as cmd/hyperqlint under `go vet -vettool`, which
 // scripts/check.sh invokes; DESIGN.md §10 documents the invariant behind
@@ -27,13 +28,8 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		SpanEnd,
 		LockIO,
-		FrontCode,
 		CtxExec,
-		WireErr,
-		LeakPair,
-		ErrSentinel,
 		AtomicField,
-		SQLTaint,
 	}
 }
 

@@ -36,13 +36,6 @@ func runLockIO(pass *analysis.Pass) error {
 	return nil
 }
 
-// heldLock is one currently-held mutex: the receiver expression it was
-// locked through and where.
-type heldLock struct {
-	key string
-	pos token.Pos
-}
-
 func checkLockedRegions(pass *analysis.Pass, body *ast.BlockStmt) {
 	held := make(map[string]token.Pos)
 	inspectSkipFuncLits(body, func(n ast.Node) bool {

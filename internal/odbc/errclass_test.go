@@ -40,6 +40,14 @@ func TestErrorClassification(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, true, true},
 		{"net-closed", net.ErrClosed, true, true},
 		{"wrapped-reset", fmt.Errorf("exec: %w", &net.OpError{Op: "read", Err: syscall.ECONNRESET}), true, true},
+		// The wrapped forms the gateway's own layers produce: cwp's read of
+		// a backend that died mid-request, and a connect whose logon reply
+		// never came.
+		{"mid-request-eof", fmt.Errorf("cwp: connection closed mid-request: %w", io.ErrUnexpectedEOF), true, true},
+		{"connect-eof", fmt.Errorf("odbc: connect 127.0.0.1:7707: %w", io.EOF), true, true},
+		{"read-on-closed", &net.OpError{Op: "read", Err: net.ErrClosed}, true, true},
+		{"wrapped-deadline", fmt.Errorf("exec: %w", context.DeadlineExceeded), true, true},
+		{"wrapped-canceled", fmt.Errorf("exec: %w", context.Canceled), false, false},
 		{"faultdriver-dropped", faultdriver.Dropped(), true, true},
 		{"faultdriver-refused", faultdriver.Refused(), true, true},
 		// The caller gave up: never retried.

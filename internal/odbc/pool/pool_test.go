@@ -14,13 +14,16 @@ import (
 )
 
 // fakeDriver is a minimal in-memory backend for pool tests: it counts dials
-// and closes, can refuse dials with an injected error, and can delay execs.
+// and closes, can refuse dials with an injected error, can delay execs, and
+// can hold a Close (reporting on closeEntered, waiting for closeGate).
 type fakeDriver struct {
-	mu        sync.Mutex
-	dials     int
-	closes    int
-	dialErr   error
-	execDelay time.Duration
+	mu           sync.Mutex
+	dials        int
+	closes       int
+	dialErr      error
+	execDelay    time.Duration
+	closeEntered chan struct{}
+	closeGate    chan struct{}
 }
 
 func (d *fakeDriver) Connect() (odbc.Executor, error) {
@@ -93,7 +96,12 @@ func (e *fakeExec) Close() error {
 	if !wasClosed {
 		e.d.mu.Lock()
 		e.d.closes++
+		entered, gate := e.d.closeEntered, e.d.closeGate
 		e.d.mu.Unlock()
+		if gate != nil {
+			entered <- struct{}{}
+			<-gate
+		}
 	}
 	return nil
 }
@@ -557,6 +565,56 @@ func TestCloseDestroysPinnedConnection(t *testing.T) {
 	if _, err := sc2.ExecContext(context.Background(), "SEL 1"); err != nil {
 		t.Fatalf("exec after dirty close: %v", err)
 	}
+}
+
+// A session closed while its Pin waits for a connection hands the connection
+// the Pin then gets straight back: the pool keeps its capacity.
+func TestCloseDuringPinReturnsConnection(t *testing.T) {
+	p, _ := newTestPool(t, Config{Size: 1, AcquireTimeout: 30 * time.Second})
+	release := holdConn(t, p)
+	sc := p.Session()
+	pinned := make(chan error, 1)
+	go func() { pinned <- sc.Pin(context.Background()) }()
+	waitForWaiters(t, p, 1)
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	release(false)
+	if err := <-pinned; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Pin on a closed session: %v, want ErrClosed", err)
+	}
+	if s := p.Stats(); s.InUse != 0 || s.Pinned != 0 || s.Idle != 1 {
+		t.Errorf("in_use/pinned/idle = %d/%d/%d, want 0/0/1", s.InUse, s.Pinned, s.Idle)
+	}
+}
+
+// A connection's Close can block (a cwp client writes its logoff), so the
+// pool never holds its lock across one: while a discarded connection's Close
+// hangs, the pool still answers.
+func TestDiscardClosesOutsideTheLock(t *testing.T) {
+	p, d := newTestPool(t, Config{Size: 1})
+	entered, gate := make(chan struct{}), make(chan struct{})
+	d.mu.Lock()
+	d.closeEntered, d.closeGate = entered, gate
+	d.mu.Unlock()
+	release := holdConn(t, p)
+	go release(true)
+	<-entered
+	answered := make(chan struct{})
+	go func() {
+		p.Stats()
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Error("Stats blocked while a discarded connection was closing")
+	}
+	close(gate)
+	<-answered
+	d.mu.Lock()
+	d.closeEntered, d.closeGate = nil, nil
+	d.mu.Unlock()
 }
 
 // A broken connection is discarded at release, never handed to a waiter.

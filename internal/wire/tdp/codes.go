@@ -6,10 +6,10 @@ package tdp
 // gateway emits toward clients. Unmodified client tools pattern-match on
 // these numbers — BTEQ decides between "resubmit" and "give up", drivers
 // decide whether a transaction's outcome is knowable — so each value is a
-// wire-compatibility contract, not an implementation detail. The frontcode
-// analyzer (internal/lint) forbids these values as bare literals anywhere
-// else in the tree: new emit sites and new tests must name the constant,
-// and a code can never silently drift at one call site.
+// wire-compatibility contract, not an implementation detail: emit sites name
+// the constant, and tests pin the code each failure path sends (for example
+// TestGatewayWriteNotRetriedAfterDrop and TestPooledAcquireTimeoutFrontendCode
+// in internal/hyperq).
 const (
 	// CodeWriteStateUnknown (2828) aborts a request whose write may or may
 	// not have been applied: the connection died after the statement was

@@ -2,8 +2,10 @@ package tdp
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -194,5 +196,62 @@ func TestWriteDeadlineArmedPerSocketWrite(t *testing.T) {
 	}
 	if conn.writes == 0 || conn.writes > rows/100 {
 		t.Errorf("%d socket writes for %d rows", conn.writes, rows)
+	}
+}
+
+// failingConn is a server connection whose writes fail once broken is set,
+// as a client that has gone away makes them fail.
+type failingConn struct {
+	net.Conn
+	broken atomic.Bool
+}
+
+func (c *failingConn) Write(p []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, syscall.EPIPE
+	}
+	return c.Conn.Write(p)
+}
+
+// A flush that fails ends the connection: the server must not go on to read
+// a next request from a client its reply never reached. Both flushes of the
+// conversation are covered, the logon reply's and the end of a request's.
+func TestFailedFlushClosesConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		afterLogon bool // the writes break after the logon reply instead of before
+	}{
+		{name: "logon reply", afterLogon: false},
+		{name: "end of request", afterLogon: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, client := net.Pipe()
+			defer client.Close()
+			conn := &failingConn{Conn: server}
+			conn.broken.Store(!tc.afterLogon)
+			go serveConn(conn, &echoHandler{}, Options{})
+
+			var b wire.Buffer
+			b.PutString("u")
+			b.PutString("p")
+			if err := wire.WriteMessage(client, MsgLogon, b.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.afterLogon {
+				if kind, _, err := wire.ReadMessage(client); err != nil || kind != MsgLogonOK {
+					t.Fatalf("logon: kind=0x%02x err=%v", kind, err)
+				}
+				conn.broken.Store(true)
+				var req wire.Buffer
+				req.PutString("OK")
+				if err := wire.WriteMessage(client, MsgRunRequest, req.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := wire.ReadMessage(client); !errors.Is(err, io.EOF) {
+				t.Fatalf("read after the failed flush: %v, want io.EOF (connection closed)", err)
+			}
+		})
 	}
 }

@@ -14,12 +14,12 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 go vet ./...
 
-# hyperqlint: the project-specific analyzers (span lifecycle, lock-vs-I/O,
-# frontend code registry, context propagation, wire error handling, plus the
-# data-flow suite: resource leaks, SQL taint, sentinel comparisons, atomics
-# discipline — see DESIGN.md §10 and §15), run by go vet over every package
-# and its tests. Any diagnostic fails the build. go vet keeps the results in
-# the Go build cache, so an unchanged package is not analyzed again.
+# hyperqlint: the project-specific analyzers (spanend: span lifecycle,
+# lockio: blocking calls under a mutex, ctxexec: context propagation,
+# atomicfield: atomics discipline — see DESIGN.md §10 and §15), run by go
+# vet over every package and its tests. Any diagnostic fails the build. go
+# vet keeps the results in the Go build cache, so an unchanged package is
+# not analyzed again.
 go build -o "$tmpdir/hyperqlint" ./cmd/hyperqlint
 go vet -vettool="$tmpdir/hyperqlint" ./...
 
