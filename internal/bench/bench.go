@@ -18,6 +18,7 @@ import (
 	"hyperq/internal/odbc"
 	"hyperq/internal/workload/customer"
 	"hyperq/internal/workload/tpch"
+	"hyperq/internal/wstats"
 
 	"hyperq/internal/hyperq"
 )
@@ -75,15 +76,20 @@ func Fig8(w io.Writer, scale float64) ([]Fig8Result, error) {
 			}
 			spec.Total = spec.Distinct * 10
 		}
-		stats, err := replayWorkload(spec)
+		fv, err := replayWorkload(spec)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		out = append(out, Fig8Result{
+		r := Fig8Result{
 			Name:        spec.Name,
-			PresencePct: stats.ClassPresencePct(),
-			QueryPct:    stats.ClassQueryPct(),
-		})
+			PresencePct: make(map[feature.Class]float64, len(feature.Classes)),
+			QueryPct:    make(map[feature.Class]float64, len(feature.Classes)),
+		}
+		for _, c := range feature.Classes {
+			r.PresencePct[c] = fv.ClassPresencePct[c.String()]
+			r.QueryPct[c] = fv.ClassQueryPct[c.String()]
+		}
+		out = append(out, r)
 	}
 	fmt.Fprintln(w, "Figure 8 (a): Percentage of tracked features contained in each workload")
 	printClassRows(w, out, func(r Fig8Result, c feature.Class) float64 { return r.PresencePct[c] })
@@ -107,7 +113,10 @@ func printClassRows(w io.Writer, rs []Fig8Result, get func(Fig8Result, feature.C
 	}
 }
 
-func replayWorkload(spec customer.Spec) (*feature.Stats, error) {
+// replayWorkload runs one customer workload through a gateway and returns the
+// statistics registry's Figure 8 view of it. Setup statements run before the
+// registry is reset, so they stay out of the measurement.
+func replayWorkload(spec customer.Spec) (*wstats.FeatureView, error) {
 	eng := engine.New(dialect.CloudA())
 	be := eng.NewSession()
 	for _, ddl := range customer.SchemaDDL {
@@ -133,14 +142,17 @@ func replayWorkload(spec customer.Spec) (*feature.Stats, error) {
 			return nil, fmt.Errorf("setup %q: %w", setup, err)
 		}
 	}
-	stats := feature.NewStats()
-	g.SetStats(stats)
+	g.ResetMetrics()
 	for _, q := range customer.Generate(spec) {
 		if _, err := s.Run(q.SQL); err != nil {
 			return nil, fmt.Errorf("query %q: %w", q.SQL, err)
 		}
 	}
-	return stats, nil
+	fv := g.Statements().Features()
+	if fv.Approximate {
+		return nil, fmt.Errorf("statistics registry evicted shapes: Figure 8 would be approximate")
+	}
+	return &fv, nil
 }
 
 // Fig9Result is one overhead measurement.

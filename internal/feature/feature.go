@@ -6,11 +6,7 @@
 // a request.
 package feature
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Class is the rewrite difficulty class from §2.1.
 type Class uint8
@@ -135,9 +131,6 @@ var infos = [Count]Info{
 // Lookup returns the descriptor of a feature.
 func Lookup(id ID) Info { return infos[id] }
 
-// All returns all feature descriptors in declaration order.
-func All() []Info { return append([]Info(nil), infos[:]...) }
-
 // ByClass returns the descriptors of one class.
 func ByClass(c Class) []Info {
 	out := make([]Info, 0, PerClass)
@@ -221,110 +214,6 @@ func (r *Recorder) Reset() {
 	if r != nil {
 		r.set = 0
 	}
-}
-
-// Stats aggregates per-feature and per-class occurrence counts across a
-// workload, reproducing the Figure 8 measurements.
-type Stats struct {
-	mu sync.Mutex
-	// queries is the number of distinct queries observed.
-	queries int
-	// featureQueries counts distinct queries containing each feature.
-	featureQueries [Count]int
-	// classQueries counts distinct queries containing >= 1 feature of the
-	// class (a query is counted at most once per class, §7.1).
-	classQueries [3]int
-	// present marks features seen at least once in the workload.
-	present Set
-}
-
-// NewStats returns an empty aggregator.
-func NewStats() *Stats { return &Stats{} }
-
-// Observe folds one query's feature set into the statistics.
-func (s *Stats) Observe(fs Set) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	s.present.Union(fs)
-	for _, id := range fs.IDs() {
-		s.featureQueries[id]++
-	}
-	for i, c := range Classes {
-		if fs.HasClass(c) {
-			s.classQueries[i]++
-		}
-	}
-}
-
-// Queries returns the number of observed queries.
-func (s *Stats) Queries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
-}
-
-// Present returns the set of features seen at least once.
-func (s *Stats) Present() Set {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.present
-}
-
-// ClassPresencePct returns, per class, the percentage of the 9 tracked
-// features of that class that appear at least once (Figure 8a).
-func (s *Stats) ClassPresencePct() map[Class]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Class]float64, 3)
-	for _, c := range Classes {
-		n := 0
-		for _, f := range ByClass(c) {
-			if s.present.Has(f.ID) {
-				n++
-			}
-		}
-		out[c] = 100 * float64(n) / float64(PerClass)
-	}
-	return out
-}
-
-// ClassQueryPct returns, per class, the percentage of queries containing at
-// least one feature of the class (Figure 8b).
-func (s *Stats) ClassQueryPct() map[Class]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Class]float64, 3)
-	for i, c := range Classes {
-		if s.queries == 0 {
-			out[c] = 0
-			continue
-		}
-		out[c] = 100 * float64(s.classQueries[i]) / float64(s.queries)
-	}
-	return out
-}
-
-// FeatureQueryCounts returns per-feature distinct-query counts, sorted by
-// descending count then ID, for reporting.
-func (s *Stats) FeatureQueryCounts() []struct {
-	Info  Info
-	Count int
-} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]struct {
-		Info  Info
-		Count int
-	}, 0, Count)
-	for id := 0; id < Count; id++ {
-		out = append(out, struct {
-			Info  Info
-			Count int
-		}{infos[id], s.featureQueries[id]})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
 }
 
 func init() {

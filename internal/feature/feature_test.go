@@ -1,9 +1,6 @@
 package feature
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRegistryShape(t *testing.T) {
 	if Count != 27 {
@@ -15,7 +12,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	for _, f := range All() {
+	for _, f := range infos {
 		if f.Name == "" || f.Component == "" || f.Desc == "" {
 			t.Errorf("feature %d has empty metadata", f.ID)
 		}
@@ -72,85 +69,5 @@ func TestRecorder(t *testing.T) {
 	r.Reset()
 	if !r.Set().Empty() {
 		t.Error("Reset failed")
-	}
-}
-
-func TestStatsFigure8Semantics(t *testing.T) {
-	st := NewStats()
-	// Query 1: one translation + one transformation feature.
-	var q1 Set
-	q1.Add(SelAbbrev)
-	q1.Add(Qualify)
-	st.Observe(q1)
-	// Query 2: two transformation features (counted once for the class).
-	var q2 Set
-	q2.Add(Qualify)
-	q2.Add(DateIntCompare)
-	st.Observe(q2)
-	// Query 3: nothing tracked.
-	st.Observe(0)
-	// Query 4: emulation.
-	var q4 Set
-	q4.Add(Macro)
-	st.Observe(q4)
-
-	if st.Queries() != 4 {
-		t.Fatalf("Queries = %d", st.Queries())
-	}
-	qp := st.ClassQueryPct()
-	if qp[ClassTranslation] != 25 {
-		t.Errorf("translation query pct = %v", qp[ClassTranslation])
-	}
-	if qp[ClassTransformation] != 50 {
-		t.Errorf("transformation query pct = %v", qp[ClassTransformation])
-	}
-	if qp[ClassEmulation] != 25 {
-		t.Errorf("emulation query pct = %v", qp[ClassEmulation])
-	}
-	pp := st.ClassPresencePct()
-	// 1/9 translation, 2/9 transformation, 1/9 emulation features present.
-	if pp[ClassTranslation] < 11 || pp[ClassTranslation] > 12 {
-		t.Errorf("translation presence pct = %v", pp[ClassTranslation])
-	}
-	if pp[ClassTransformation] < 22 || pp[ClassTransformation] > 23 {
-		t.Errorf("transformation presence pct = %v", pp[ClassTransformation])
-	}
-	counts := st.FeatureQueryCounts()
-	if counts[0].Info.ID != Qualify || counts[0].Count != 2 {
-		t.Errorf("top feature = %+v", counts[0])
-	}
-}
-
-func TestEmptyStats(t *testing.T) {
-	st := NewStats()
-	for _, v := range st.ClassQueryPct() {
-		if v != 0 {
-			t.Error("non-zero pct on empty stats")
-		}
-	}
-}
-
-// Property: for any random feature subset, a class query percentage is 100%
-// exactly when every observed query had a feature of the class.
-func TestStatsClassConsistency(t *testing.T) {
-	f := func(raw []uint8) bool {
-		st := NewStats()
-		all := true
-		for _, b := range raw {
-			var s Set
-			s.Add(ID(b % uint8(Count)))
-			st.Observe(s)
-			if !s.HasClass(ClassTranslation) {
-				all = false
-			}
-		}
-		if len(raw) == 0 {
-			return true
-		}
-		pct := st.ClassQueryPct()[ClassTranslation]
-		return (pct == 100) == all
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"hyperq/internal/catalog"
 	"hyperq/internal/dialect"
-	"hyperq/internal/feature"
 	"hyperq/internal/fingerprint"
 	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
@@ -55,9 +54,6 @@ type Config struct {
 	// wire session's results are materialized before they are written — the
 	// reference side of the streamed-vs-buffered differential tests.
 	DisableStreaming bool
-	// Stats, when non-nil, accumulates per-request feature statistics (the
-	// §7.1 instrumentation).
-	Stats *feature.Stats
 	// CacheEntries bounds the translation cache entry count. 0 selects 4096.
 	CacheEntries int
 	// DisableTranslationCache turns the translation cache off entirely
@@ -291,15 +287,10 @@ func (g *Gateway) MetricsSnapshot() MetricsSnapshot {
 	return snap
 }
 
-// SetStats attaches (or detaches, with nil) the feature-statistics
-// collector. Workload studies provision their schema first, then attach
-// stats so setup statements stay out of the measurement.
-func (g *Gateway) SetStats(st *feature.Stats) { g.cfg.Stats = st }
-
-// SetQueryLog attaches (or detaches, with nil) the query-log writer. Like
-// SetStats, this lets a capture run provision schema and shared objects
-// first and attach the capture log after, so setup statements stay out of
-// the captured workload. Call only while no requests are in flight.
+// SetQueryLog attaches (or detaches, with nil) the query-log writer. A
+// capture run provisions schema and shared objects first and attaches the
+// capture log after, so setup statements stay out of the captured workload.
+// Call only while no requests are in flight.
 func (g *Gateway) SetQueryLog(w *querylog.Writer) { g.cfg.QueryLog = w }
 
 // ResetMetrics zeroes the counters, the stage histograms, and the trace ring
@@ -527,13 +518,18 @@ type FrontResult struct {
 	Command  string
 }
 
-// RequestError carries the frontend failure code.
+// RequestError carries the frontend failure code. A backend failure keeps
+// its cause, so callers can still match the driver's sentinel errors.
 type RequestError struct {
 	Code    int
 	Message string
+	cause   error
 }
 
 func (e *RequestError) Error() string { return fmt.Sprintf("[%d] %s", e.Code, e.Message) }
+
+// Unwrap returns the backend failure a mapped error was made from, or nil.
+func (e *RequestError) Unwrap() error { return e.cause }
 
 func failf(code int, format string, args ...any) *RequestError {
 	return &RequestError{Code: code, Message: fmt.Sprintf(format, args...)}

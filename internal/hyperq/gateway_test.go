@@ -139,15 +139,13 @@ func TestGatewayDML(t *testing.T) {
 
 func TestGatewayMultiStatementRequest(t *testing.T) {
 	g, _ := newTestGateway(t, dialect.CloudA())
-	stats := feature.NewStats()
-	g.cfg.Stats = stats
 	s := session(t, g)
 	defer s.Close()
 	res := run(t, s, "SEL COUNT(*) FROM SALES; SEL COUNT(*) FROM EMP;")
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
-	if !stats.Present().Has(feature.MultiStatement) {
+	if g.Statements().Features().Features[feature.MultiStatement].Shapes == 0 {
 		t.Error("MultiStatement not recorded")
 	}
 }
@@ -206,8 +204,6 @@ func TestGatewayRecursiveNative(t *testing.T) {
 
 func TestGatewayMacros(t *testing.T) {
 	g, _ := newTestGateway(t, dialect.CloudA())
-	stats := feature.NewStats()
-	g.cfg.Stats = stats
 	s := session(t, g)
 	defer s.Close()
 	run(t, s, "CREATE MACRO topsales (lim INTEGER) AS (SEL STORE, AMOUNT FROM SALES QUALIFY RANK(AMOUNT DESC) <= :lim ORDER BY AMOUNT DESC;)")
@@ -216,7 +212,7 @@ func TestGatewayMacros(t *testing.T) {
 	if len(got) != 2 || !strings.HasSuffix(got[0], "250.00") {
 		t.Fatalf("macro result = %v", got)
 	}
-	if !stats.Present().Has(feature.Macro) {
+	if g.Statements().Features().Features[feature.Macro].Shapes == 0 {
 		t.Error("Macro feature not recorded")
 	}
 	// REPLACE and DROP.
@@ -508,15 +504,13 @@ func TestGatewayLogonValidation(t *testing.T) {
 
 func TestGatewayImplicitJoinThroughGateway(t *testing.T) {
 	g, _ := newTestGateway(t, dialect.CloudB())
-	stats := feature.NewStats()
-	g.cfg.Stats = stats
 	s := session(t, g)
 	defer s.Close()
 	res := run(t, s, "SEL DISTINCT EMP.EMPNO FROM EMP WHERE SALES.STORE = 1 AND EMP.EMPNO < 8 ORDER BY 1")
 	if len(res[0].Rows) != 2 {
 		t.Fatalf("rows = %v", rowStrings(res[0]))
 	}
-	if !stats.Present().Has(feature.ImplicitJoin) {
+	if g.Statements().Features().Features[feature.ImplicitJoin].Shapes == 0 {
 		t.Error("ImplicitJoin not recorded")
 	}
 }

@@ -160,8 +160,6 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			{"hyperq_pool_dials_total", "Backend connections dialed.", ps.Dials},
 			{"hyperq_pool_dial_errors_total", "Backend dial failures.", ps.DialErrors},
 			{"hyperq_pool_discarded_total", "Broken connections discarded.", ps.Discarded},
-			{"hyperq_pool_recycled_total", "Connections recycled past max lifetime.", ps.Recycled},
-			{"hyperq_pool_reaped_total", "Idle connections reaped.", ps.Reaped},
 			{"hyperq_pool_pins_total", "Session pins.", ps.Pins},
 			{"hyperq_pool_unpins_total", "Session unpins.", ps.Unpins},
 		}

@@ -173,9 +173,6 @@ func (s *Session) publish(feats feature.Set, reqErr error) {
 	atomic.StoreInt64(&s.lastActive, r.start.Add(total).UnixNano())
 	s.lastErr.Store(msg)
 
-	if g.cfg.Stats != nil {
-		g.cfg.Stats.Observe(feats)
-	}
 	if g.wstats != nil {
 		o := wstats.Obs{
 			DurNs:    int64(total),

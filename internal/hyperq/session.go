@@ -690,21 +690,23 @@ func (s *Session) collect(sql string, frontCols []xtra.Col, cmd func(string) str
 // gateway refused to retry and replica divergence), CodeObjectNotFound for
 // everything else (the generic request failure the gateway already used).
 func mapBackendError(err error) *RequestError {
+	var re *RequestError
 	switch {
 	case errors.Is(err, pool.ErrSaturated), errors.Is(err, pool.ErrAcquireTimeout):
 		// CodeGatewaySaturated: the gateway could not obtain a backend
 		// connection in time — resubmit later.
-		return failf(tdp.CodeGatewaySaturated, "%v", err)
+		re = failf(tdp.CodeGatewaySaturated, "%v", err)
 	case errors.Is(err, odbc.ErrBreakerOpen):
-		return failf(tdp.CodeBackendUnavailable, "backend temporarily unavailable: %v", err)
-	case errors.Is(err, odbc.ErrMaybeApplied):
-		return failf(tdp.CodeWriteStateUnknown, "%v", err)
-	case errors.Is(err, odbc.ErrReplicaDivergent):
-		return failf(tdp.CodeWriteStateUnknown, "%v", err)
+		re = failf(tdp.CodeBackendUnavailable, "backend temporarily unavailable: %v", err)
+	case errors.Is(err, odbc.ErrMaybeApplied), errors.Is(err, odbc.ErrReplicaDivergent):
+		re = failf(tdp.CodeWriteStateUnknown, "%v", err)
 	case odbc.Transient(err):
-		return failf(tdp.CodeWriteStateUnknown, "backend connection failure: %v", err)
+		re = failf(tdp.CodeWriteStateUnknown, "backend connection failure: %v", err)
+	default:
+		re = failf(tdp.CodeObjectNotFound, "%v", err)
 	}
-	return failf(tdp.CodeObjectNotFound, "%v", err)
+	re.cause = err
+	return re
 }
 
 // commandName maps the backend command tag to the frontend activity name.

@@ -50,9 +50,6 @@ type Config struct {
 	Driver odbc.Driver
 	// Size bounds the number of backend connections. 0 selects 8.
 	Size int
-	// MinIdle is the warm-up target: the maintenance loop pre-dials until
-	// this many connections sit idle (never exceeding Size).
-	MinIdle int
 	// MaxWaiters caps the acquire wait queue; an acquire beyond the cap
 	// fails immediately with ErrSaturated. 0 selects 4×Size; negative
 	// removes the cap.
@@ -62,19 +59,9 @@ type Config struct {
 	// handed out without arming it. 0 selects 5s; negative leaves acquires
 	// unbounded.
 	AcquireTimeout time.Duration
-	// MaxLifetime recycles connections older than this (credential
-	// rotation, backend-side session caps, load rebalancing). 0 disables.
-	MaxLifetime time.Duration
-	// IdleTimeout closes connections idle longer than this, down to
-	// MinIdle. 0 disables reaping.
-	IdleTimeout time.Duration
-	// MaintainEvery is the maintenance loop interval (idle reaping,
-	// lifetime recycling, min-idle pre-dial). 0 selects 1s; negative
-	// disables the loop (tests drive maintain directly).
+	// MaintainEvery is ignored: the pool runs no background goroutine. The
+	// field stays only while perf/ still sets it (ROADMAP item 1(b)).
 	MaintainEvery time.Duration
-
-	// now is injectable for deterministic lifetime/idle tests.
-	now func() time.Time
 }
 
 // Pool is a shared backend connection pool. All methods are safe for
@@ -85,13 +72,12 @@ type Pool struct {
 	maxWaiters int
 
 	mu      sync.Mutex
-	idle    []*conn // LIFO: hot end at the back, coldest connection at the front
+	idle    []odbc.StreamExecutor // LIFO: the hottest connection at the back
 	waiters []*waiter
 	numOpen int // connections open or being dialed (in-use + idle + dialing)
 	inUse   int
 	pinned  int
 	closed  bool
-	stop    chan struct{}
 
 	waitHist *metrics.Histogram
 	// counters (atomic)
@@ -103,17 +89,8 @@ type Pool struct {
 	dials      int64
 	dialErrors int64
 	discarded  int64
-	recycled   int64
-	reaped     int64
 	pins       int64
 	unpins     int64
-}
-
-// conn is one pooled backend connection.
-type conn struct {
-	ex        odbc.StreamExecutor
-	createdAt time.Time
-	idleSince time.Time
 }
 
 // waiter is one queued acquire. The channel is buffered so delivery never
@@ -124,12 +101,12 @@ type waiter struct {
 }
 
 type waitMsg struct {
-	c   *conn
+	c   odbc.StreamExecutor
 	err error
 }
 
-// New creates the pool and starts its maintenance loop (warm-up to MinIdle,
-// idle reaping, lifetime recycling).
+// New creates the pool. It dials nothing and starts no goroutine: backend
+// connections are dialed on demand by acquire.
 func New(cfg Config) (*Pool, error) {
 	if cfg.Driver == nil {
 		return nil, fmt.Errorf("pool: driver required")
@@ -140,14 +117,8 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Size < 0 {
 		return nil, fmt.Errorf("pool: size must be positive")
 	}
-	if cfg.MinIdle > cfg.Size {
-		cfg.MinIdle = cfg.Size
-	}
 	if cfg.AcquireTimeout == 0 {
 		cfg.AcquireTimeout = 5 * time.Second
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
 	}
 	maxWaiters := cfg.MaxWaiters
 	if maxWaiters == 0 {
@@ -157,15 +128,7 @@ func New(cfg Config) (*Pool, error) {
 		cfg:        cfg,
 		size:       cfg.Size,
 		maxWaiters: maxWaiters,
-		stop:       make(chan struct{}),
 		waitHist:   metrics.New(metrics.DurationBuckets()),
-	}
-	if cfg.MaintainEvery >= 0 {
-		every := cfg.MaintainEvery
-		if every == 0 {
-			every = time.Second
-		}
-		go p.maintainLoop(every)
 	}
 	return p, nil
 }
@@ -208,7 +171,7 @@ var (
 // is owned by the caller until release. AcquireTimeout bounds only the paths
 // that wait, dialing and queueing: handing out an idle connection arms no
 // timer.
-func (p *Pool) acquire(ctx context.Context) (*conn, error) {
+func (p *Pool) acquire(ctx context.Context) (odbc.StreamExecutor, error) {
 	atomic.AddInt64(&p.acquires, 1)
 	var cancel context.CancelFunc // non-nil once ctx is bounded for waiting
 	waited := false
@@ -229,31 +192,17 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 			p.mu.Unlock()
 			return nil, ErrClosed
 		}
-		// Reuse the hottest idle connection, dropping any whose lifetime
-		// expired while parked.
-		var expired []*conn
-		var got *conn
-		for got == nil && len(p.idle) > 0 {
-			c := p.idle[len(p.idle)-1]
-			p.idle = p.idle[:len(p.idle)-1]
-			if p.lifetimeExpiredLocked(c) {
-				p.numOpen--
-				atomic.AddInt64(&p.recycled, 1)
-				expired = append(expired, c)
-				continue
-			}
-			got = c
-		}
-		if got != nil {
+		// Reuse the hottest idle connection.
+		if n := len(p.idle); n > 0 {
+			c := p.idle[n-1]
+			p.idle = p.idle[:n-1]
 			p.inUse++
 			p.mu.Unlock()
-			closeAll(expired)
-			return got, nil
+			return c, nil
 		}
 		if p.numOpen < p.size {
 			p.numOpen++ // reserve the slot before dialing
 			p.mu.Unlock()
-			closeAll(expired)
 			if cancel == nil {
 				ctx, cancel = p.waitContext(ctx)
 			}
@@ -269,14 +218,12 @@ func (p *Pool) acquire(ctx context.Context) (*conn, error) {
 		// Pool full: admission control, then join the FIFO wait queue.
 		if p.maxWaiters >= 0 && len(p.waiters) >= p.maxWaiters {
 			p.mu.Unlock()
-			closeAll(expired)
 			atomic.AddInt64(&p.rejected, 1)
 			return nil, fmt.Errorf("%w (%d waiting, cap %d)", ErrSaturated, p.maxWaiters, p.maxWaiters)
 		}
 		w := &waiter{ch: make(chan waitMsg, 1)}
 		p.waiters = append(p.waiters, w)
 		p.mu.Unlock()
-		closeAll(expired)
 		if cancel == nil {
 			ctx, cancel = p.waitContext(ctx)
 		}
@@ -338,7 +285,7 @@ func (p *Pool) waitContext(ctx context.Context) (context.Context, context.Cancel
 // queue: every queued acquire would hit the same fast-failing backend, and
 // holding them until their deadlines only delays the frontend failure the
 // application must see anyway.
-func (p *Pool) dial(ctx context.Context) (*conn, error) {
+func (p *Pool) dial(ctx context.Context) (odbc.StreamExecutor, error) {
 	atomic.AddInt64(&p.dials, 1)
 	ex, err := odbc.ConnectContext(ctx, p.cfg.Driver)
 	if err != nil {
@@ -359,17 +306,16 @@ func (p *Pool) dial(ctx context.Context) (*conn, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	now := p.cfg.now()
-	return &conn{ex: ex, createdAt: now}, nil
+	return ex, nil
 }
 
-// release returns a leased connection. Broken connections (and those past
-// their lifetime) are closed and their slot handed to a waiter to re-dial;
-// healthy connections hand off directly to the first waiter or go idle.
-func (p *Pool) release(c *conn, broken bool) {
+// release returns a leased connection. A broken connection is closed and its
+// slot handed to a waiter to re-dial; a healthy one hands off directly to the
+// first waiter or goes idle.
+func (p *Pool) release(c odbc.StreamExecutor, broken bool) {
 	// The connection is quiesced here: clear any session-pinning reconnect
 	// hook before another session can lease it.
-	if ra, ok := c.ex.(odbc.ReconnectAware); ok {
+	if ra, ok := c.(odbc.ReconnectAware); ok {
 		ra.OnReconnect(nil)
 	}
 	p.mu.Lock()
@@ -377,33 +323,29 @@ func (p *Pool) release(c *conn, broken bool) {
 	if p.closed {
 		p.numOpen--
 		p.mu.Unlock()
-		_ = c.ex.Close()
+		_ = c.Close()
 		return
 	}
-	if broken || p.lifetimeExpiredLocked(c) {
+	if broken {
 		p.numOpen--
-		if broken {
-			atomic.AddInt64(&p.discarded, 1)
-		} else {
-			atomic.AddInt64(&p.recycled, 1)
-		}
+		atomic.AddInt64(&p.discarded, 1)
 		p.wakeOneLocked()
 		p.mu.Unlock()
-		_ = c.ex.Close()
+		_ = c.Close()
 		return
 	}
 	p.handbackLocked(c)
 	p.mu.Unlock()
 }
 
-// handback re-parks a connection that never entered service (timed-out
-// delivery, warm-up dial).
-func (p *Pool) handback(c *conn) {
+// handback re-parks a connection that never entered service (a delivery
+// that raced its waiter's deadline).
+func (p *Pool) handback(c odbc.StreamExecutor) {
 	p.mu.Lock()
 	if p.closed {
 		p.numOpen--
 		p.mu.Unlock()
-		_ = c.ex.Close()
+		_ = c.Close()
 		return
 	}
 	p.handbackLocked(c)
@@ -413,12 +355,11 @@ func (p *Pool) handback(c *conn) {
 // handbackLocked hands a free connection to the first waiter (fair FIFO
 // handoff) or parks it idle. Connections only go idle when nobody waits, so
 // a later acquire can never barge past the queue.
-func (p *Pool) handbackLocked(c *conn) {
+func (p *Pool) handbackLocked(c odbc.StreamExecutor) {
 	if w := p.popWaiterLocked(); w != nil {
 		w.ch <- waitMsg{c: c}
 		return
 	}
-	c.idleSince = p.cfg.now()
 	p.idle = append(p.idle, c)
 }
 
@@ -432,7 +373,7 @@ func (p *Pool) popWaiterLocked() *waiter {
 }
 
 // wakeOneLocked signals the first waiter to retry: a slot was freed without
-// a connection to hand over (broken, recycled, or failed dial).
+// a connection to hand over (broken connection or failed dial).
 func (p *Pool) wakeOneLocked() {
 	if w := p.popWaiterLocked(); w != nil {
 		w.ch <- waitMsg{}
@@ -447,16 +388,6 @@ func (p *Pool) removeWaiterLocked(target *waiter) bool {
 		}
 	}
 	return false
-}
-
-func (p *Pool) lifetimeExpiredLocked(c *conn) bool {
-	return p.cfg.MaxLifetime > 0 && p.cfg.now().Sub(c.createdAt) >= p.cfg.MaxLifetime
-}
-
-func closeAll(conns []*conn) {
-	for _, c := range conns {
-		_ = c.ex.Close()
-	}
 }
 
 // notePin / noteUnpin track the pinned-connection gauge.
@@ -474,96 +405,6 @@ func (p *Pool) noteUnpin() {
 	atomic.AddInt64(&p.unpins, 1)
 }
 
-// maintainDialTimeout bounds each warm-up pre-dial issued by the
-// maintenance loop.
-const maintainDialTimeout = 5 * time.Second
-
-// maintainLoop runs warm-up, idle reaping, and lifetime recycling until the
-// pool closes.
-func (p *Pool) maintainLoop(every time.Duration) {
-	p.maintain()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.maintain()
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-// maintain performs one maintenance pass: recycle idle connections past
-// MaxLifetime, reap connections idle beyond IdleTimeout (down to MinIdle),
-// and pre-dial until MinIdle connections sit warm.
-func (p *Pool) maintain() {
-	now := p.cfg.now()
-	var toClose []*conn
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	kept := p.idle[:0]
-	for _, c := range p.idle {
-		if p.lifetimeExpiredLocked(c) {
-			p.numOpen--
-			atomic.AddInt64(&p.recycled, 1)
-			toClose = append(toClose, c)
-			continue
-		}
-		kept = append(kept, c)
-	}
-	// The front of the idle list is the coldest connection.
-	if p.cfg.IdleTimeout > 0 {
-		for len(kept) > p.cfg.MinIdle && now.Sub(kept[0].idleSince) >= p.cfg.IdleTimeout {
-			p.numOpen--
-			atomic.AddInt64(&p.reaped, 1)
-			toClose = append(toClose, kept[0])
-			kept = kept[1:]
-		}
-	}
-	p.idle = kept
-	need := p.cfg.MinIdle - len(p.idle)
-	if need < 0 {
-		need = 0 // more idle than MinIdle is fine; IdleTimeout shrinks it
-	}
-	if room := p.size - p.numOpen; need > room {
-		need = room
-	}
-	if len(p.waiters) > 0 {
-		need = 0 // waiters dial for themselves; pre-dialing would race them
-	}
-	p.numOpen += need
-	p.mu.Unlock()
-	closeAll(toClose)
-	for i := 0; i < need; i++ {
-		// Bound each pre-dial so a hung backend cannot stall the single
-		// maintenance goroutine (and with it reaping and recycling) when the
-		// wrapped driver itself has no dial timeout.
-		//hyperqlint:ignore ctxexec maintenance warm-up dials run outside any request; there is no caller context to thread
-		ctx, cancel := context.WithTimeout(context.Background(), maintainDialTimeout)
-		c, err := p.dial(ctx)
-		cancel()
-		if err != nil {
-			// dial un-reserved its own slot; give back the reservations for
-			// the dials we are abandoning too, or a backend outage would leak
-			// a slot per pass until the pool wedged at numOpen == size.
-			if rest := need - i - 1; rest > 0 {
-				p.mu.Lock()
-				p.numOpen -= rest
-				for j := 0; j < rest; j++ {
-					p.wakeOneLocked()
-				}
-				p.mu.Unlock()
-			}
-			return
-		}
-		p.handback(c)
-	}
-}
-
 // Close shuts the pool down: queued waiters fail with ErrClosed, idle
 // connections close now, leased connections close on release.
 func (p *Pool) Close() error {
@@ -573,7 +414,6 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	close(p.stop)
 	idle := p.idle
 	p.idle = nil
 	p.numOpen -= len(idle)
@@ -585,7 +425,7 @@ func (p *Pool) Close() error {
 	}
 	var errs []error
 	for _, c := range idle {
-		if err := c.ex.Close(); err != nil {
+		if err := c.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -610,8 +450,6 @@ type Stats struct {
 	Dials      int64 `json:"dials"`
 	DialErrors int64 `json:"dial_errors"`
 	Discarded  int64 `json:"discarded"`
-	Recycled   int64 `json:"recycled"`
-	Reaped     int64 `json:"reaped"`
 	Pins       int64 `json:"pins"`
 	Unpins     int64 `json:"unpins"`
 	// WaitSeconds is the acquire wait-time distribution (only acquires that
@@ -638,8 +476,6 @@ func (p *Pool) Stats() Stats {
 	s.Dials = atomic.LoadInt64(&p.dials)
 	s.DialErrors = atomic.LoadInt64(&p.dialErrors)
 	s.Discarded = atomic.LoadInt64(&p.discarded)
-	s.Recycled = atomic.LoadInt64(&p.recycled)
-	s.Reaped = atomic.LoadInt64(&p.reaped)
 	s.Pins = atomic.LoadInt64(&p.pins)
 	s.Unpins = atomic.LoadInt64(&p.unpins)
 	s.WaitSeconds = p.waitHist.Snapshot()

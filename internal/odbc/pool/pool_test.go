@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,15 +127,32 @@ func newTestPool(t *testing.T, cfg Config) (*Pool, *fakeDriver) {
 	if cfg.Driver == nil {
 		cfg.Driver = d
 	}
-	if cfg.MaintainEvery == 0 {
-		cfg.MaintainEvery = -1 // tests drive maintain() directly
-	}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
 	return p, d
+}
+
+// New dials nothing and starts no goroutine: connections are dialed on
+// demand and closed only when broken, pinned at disconnect, or at Close.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	d := &fakeDriver{}
+	before := runtime.NumGoroutine()
+	p, err := New(Config{Driver: d, Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("goroutines after New = %d, want %d", n, before)
+	}
+	if dials, _ := d.counts(); dials != 0 {
+		t.Errorf("dials after New = %d, want 0", dials)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A statement-level lease dials lazily, executes, and parks the connection
@@ -299,82 +317,11 @@ func TestAcquireTimeout(t *testing.T) {
 	}
 }
 
-// Connections past MaxLifetime are recycled at release and during
-// maintenance rather than reused indefinitely.
-func TestMaxLifetimeRecycle(t *testing.T) {
-	now := time.Now()
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-	p, d := newTestPool(t, Config{Size: 2, MaxLifetime: time.Minute, now: clock})
-	sc := p.Session()
-	defer sc.Close()
-	if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
-		t.Fatal(err)
-	}
-	advance(2 * time.Minute)
-	// The parked connection is past its lifetime: the next lease discards it
-	// and dials fresh.
-	if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
-		t.Fatal(err)
-	}
-	dials, closes := d.counts()
-	if dials != 2 || closes != 1 {
-		t.Errorf("dials/closes = %d/%d, want 2/1 (expired connection recycled)", dials, closes)
-	}
-	if s := p.Stats(); s.Recycled != 1 {
-		t.Errorf("recycled = %d, want 1", s.Recycled)
-	}
-	// Maintenance also recycles an expired idle connection.
-	advance(2 * time.Minute)
-	p.maintain()
-	if s := p.Stats(); s.Recycled != 2 || s.Idle != 0 {
-		t.Errorf("after maintain: recycled=%d idle=%d, want 2/0", s.Recycled, s.Idle)
-	}
-}
-
-// Warm-up pre-dials to MinIdle; idle reaping trims back down to MinIdle.
-func TestWarmupAndIdleReaping(t *testing.T) {
-	now := time.Now()
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	p, d := newTestPool(t, Config{Size: 4, MinIdle: 2, IdleTimeout: time.Minute, now: clock})
-	p.maintain()
-	if dials, _ := d.counts(); dials != 2 {
-		t.Errorf("warm-up dials = %d, want 2", dials)
-	}
-	if s := p.Stats(); s.Idle != 2 {
-		t.Errorf("idle after warm-up = %d, want 2", s.Idle)
-	}
-	// Burst to 4 connections, then go quiet: reaping trims back to MinIdle.
-	var conns []*conn
-	for i := 0; i < 4; i++ {
-		c, err := p.acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
-		p.release(c, false)
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	p.maintain()
-	s := p.Stats()
-	if s.Idle != 2 || s.Reaped != 2 {
-		t.Errorf("after reap: idle=%d reaped=%d, want 2/2", s.Idle, s.Reaped)
-	}
-}
-
-// With MinIdle 0 (the default) a maintenance pass over parked idle
-// connections must not disturb the open-connection accounting: a negative
-// pre-dial "need" once decremented numOpen per pass, silently raising the
-// effective pool capacity above Size.
-func TestMaintainKeepsCapacityWithoutMinIdle(t *testing.T) {
+// Parked idle connections count against Size: a pool that went quiet with
+// every connection idle reuses them, and an acquire beyond Size queues (and
+// times out) instead of dialing another.
+func TestIdleConnectionsKeepCapacity(t *testing.T) {
 	p, d := newTestPool(t, Config{Size: 2})
-	// Park both connections idle, then run several maintenance passes.
 	c1, err := p.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -385,19 +332,13 @@ func TestMaintainKeepsCapacityWithoutMinIdle(t *testing.T) {
 	}
 	p.release(c1, false)
 	p.release(c2, false)
-	for i := 0; i < 5; i++ {
-		p.maintain()
-	}
 	if s := p.Stats(); s.Idle != 2 {
-		t.Fatalf("idle after maintenance = %d, want 2", s.Idle)
+		t.Fatalf("idle = %d, want 2", s.Idle)
 	}
-	// The pool is at capacity: reacquire both, and a third acquire must
-	// queue (and time out) instead of dialing a connection beyond Size.
-	if _, err := p.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := p.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -409,25 +350,25 @@ func TestMaintainKeepsCapacityWithoutMinIdle(t *testing.T) {
 	}
 }
 
-// A failed warm-up pre-dial must give back every reserved slot. With
-// MinIdle >= 2 and the backend down, each maintenance pass reserves MinIdle
-// slots but aborts on the first dial error; the un-dialed reservations once
-// leaked, wedging the pool at numOpen == Size with zero real connections.
-func TestMaintainDialFailureReleasesReservedSlots(t *testing.T) {
-	p, d := newTestPool(t, Config{Size: 4, MinIdle: 2, AcquireTimeout: 200 * time.Millisecond})
+// A failed dial gives back the slot it reserved: acquires against a down
+// backend must not wedge the pool at numOpen == Size with no connections.
+func TestDialFailureReleasesReservedSlot(t *testing.T) {
+	p, d := newTestPool(t, Config{Size: 4, AcquireTimeout: 200 * time.Millisecond})
 	d.setDialErr(errors.New("backend down"))
 	for i := 0; i < 10; i++ {
-		p.maintain()
+		if _, err := p.acquire(context.Background()); err == nil {
+			t.Fatal("acquire succeeded against a down backend")
+		}
 	}
 	p.mu.Lock()
 	open := p.numOpen
 	p.mu.Unlock()
 	if open != 0 {
-		t.Fatalf("numOpen after failed warm-up passes = %d, want 0 (reserved slots leaked)", open)
+		t.Fatalf("numOpen after failed dials = %d, want 0 (reserved slots leaked)", open)
 	}
 	// The backend recovers: the pool must still open all Size connections.
 	d.setDialErr(nil)
-	var conns []*conn
+	var conns []odbc.StreamExecutor
 	for i := 0; i < 4; i++ {
 		c, err := p.acquire(context.Background())
 		if err != nil {
@@ -491,7 +432,7 @@ func TestPinUnpin(t *testing.T) {
 		if _, err := sc.ExecContext(context.Background(), "SEL 1"); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, sc.pinConn.ex.(*fakeExec).id)
+		ids = append(ids, sc.pinConn.(*fakeExec).id)
 	}
 	if ids[0] != ids[1] || ids[1] != ids[2] {
 		t.Errorf("pinned statements used connections %v, want one connection", ids)
@@ -523,7 +464,7 @@ func TestPinInstallsReconnectHook(t *testing.T) {
 	if err := sc.Pin(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ex := sc.pinConn.ex.(*fakeExec)
+	ex := sc.pinConn.(*fakeExec)
 	if ex.restoreHook() == nil {
 		t.Fatal("restore hook not installed on pinned connection")
 	}

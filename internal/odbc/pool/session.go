@@ -24,7 +24,7 @@ type SessionConn struct {
 	p *Pool
 
 	mu      sync.Mutex
-	pinConn *conn                     // non-nil while pinned
+	pinConn odbc.StreamExecutor       // non-nil while pinned
 	restore func(odbc.Executor) error // replay hook to install on the pinned conn
 	closed  bool
 }
@@ -50,14 +50,14 @@ func (sc *SessionConn) ExecContext(ctx context.Context, sql string) ([]*cwp.Stat
 		return nil, err
 	}
 	if pinned {
-		return c.ex.ExecContext(ctx, sql)
+		return c.ExecContext(ctx, sql)
 	}
 	// Pessimistic release: anything that escapes before the clean
 	// classification below (including a panic in the executor) discards the
 	// connection instead of leaking a possibly-wedged backend session.
 	broken := true
 	defer func() { sc.p.release(c, broken) }()
-	results, err := c.ex.ExecContext(ctx, sql)
+	results, err := c.ExecContext(ctx, sql)
 	broken = err != nil && odbc.ConnectionError(err)
 	return results, err
 }
@@ -66,7 +66,7 @@ func (sc *SessionConn) ExecContext(ctx context.Context, sql string) ([]*cwp.Stat
 // when one is held (pinned true: session-owned, the pin/unpin lifecycle
 // decides when it goes back), otherwise a fresh statement-level lease the
 // caller must release.
-func (sc *SessionConn) connection(ctx context.Context) (c *conn, pinned bool, err error) {
+func (sc *SessionConn) connection(ctx context.Context) (c odbc.StreamExecutor, pinned bool, err error) {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
@@ -113,7 +113,7 @@ func (sc *SessionConn) Pin(ctx context.Context) error {
 	sc.pinConn = c
 	restore := sc.restore
 	sc.mu.Unlock()
-	if ra, ok := c.ex.(odbc.ReconnectAware); ok && restore != nil {
+	if ra, ok := c.(odbc.ReconnectAware); ok && restore != nil {
 		ra.OnReconnect(restore)
 	}
 	sc.p.notePin()
@@ -156,7 +156,7 @@ func (sc *SessionConn) OnReconnect(restore func(odbc.Executor) error) {
 	if c == nil {
 		return
 	}
-	if ra, ok := c.ex.(odbc.ReconnectAware); ok {
+	if ra, ok := c.(odbc.ReconnectAware); ok {
 		ra.OnReconnect(restore)
 	}
 }

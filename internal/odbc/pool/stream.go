@@ -25,7 +25,7 @@ func (sc *SessionConn) ExecStream(ctx context.Context, sql string) (odbc.ResultS
 	if err != nil {
 		return nil, err
 	}
-	st, err := c.ex.ExecStream(ctx, sql)
+	st, err := c.ExecStream(ctx, sql)
 	if pinned {
 		return st, err
 	}
@@ -40,7 +40,7 @@ func (sc *SessionConn) ExecStream(ctx context.Context, sql string) (odbc.ResultS
 // and classifies the connection's health exactly once at release.
 type leasedStream struct {
 	p     *Pool
-	c     *conn
+	c     odbc.StreamExecutor
 	inner odbc.ResultStream
 
 	// mu guards only the terminal flags; it is never held around inner

@@ -277,7 +277,7 @@ func TestStreamingKeepsNativeExecutors(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = cwp.Serve(ln, eng) }()
 	local := &odbc.LocalDriver{Engine: eng, User: "u"}
-	p, err := pool.New(pool.Config{Driver: local, Size: 1, MaintainEvery: -1})
+	p, err := pool.New(pool.Config{Driver: local, Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,12 +142,12 @@ func replayRunner(t *testing.T, speedup float64) (*Runner, *engine.Engine, *engi
 	baseAddr, closeBase := serveCWP(t, base)
 	candAddr, closeCand := serveCWP(t, cand)
 	r, err := NewRunner(Config{
-		Target:        target,
-		Baseline:      &odbc.NetworkDriver{Addr: baseAddr, User: "gw", Password: "pw"},
-		Candidate:     &odbc.NetworkDriver{Addr: candAddr, User: "gw", Password: "pw"},
-		BaselineName:  "cloudsrv-a",
-		CandidateName: "cloudsrv-b",
-		Speedup:       speedup,
+		Target:         target,
+		Baseline:       &odbc.NetworkDriver{Addr: baseAddr, User: "gw", Password: "pw"},
+		Candidate:      &odbc.NetworkDriver{Addr: candAddr, User: "gw", Password: "pw"},
+		BaselineName:   "cloudsrv-a",
+		CandidateName:  "cloudsrv-b",
+		Speedup:        speedup,
 		MaxConcurrency: 8,
 		Tolerance: Tolerance{
 			FloatEps:          1e-9,
@@ -289,5 +289,41 @@ func settleGoroutines(t *testing.T, baseline int) {
 			t.Fatalf("goroutines: %d, baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// A write that lands on the baseline but not the candidate poisons the
+// session: the replay stops at that statement instead of replaying the rest
+// against diverged replicas and reporting each as an outcome mismatch.
+func TestReplayStopsAtPoisonedSession(t *testing.T) {
+	target := dialect.CloudA()
+	base, cand := engine.New(target), engine.New(target)
+	if _, err := base.NewSession().ExecSQL("CREATE TABLE only_base (x INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(Config{
+		Target:    target,
+		Baseline:  &odbc.LocalDriver{Engine: base},
+		Candidate: &odbc.LocalDriver{Engine: cand},
+		Catalog:   base.Catalog().Clone(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := querylog.Stream{Session: 1, User: "app", Entries: []querylog.Entry{
+		{Seq: 1, SQL: "INSERT INTO only_base VALUES (1)", Outcome: "ok"},
+		{Seq: 2, SQL: "SELECT COUNT(*) FROM only_base", Outcome: "ok"},
+		{Seq: 3, SQL: "SELECT x FROM only_base", Outcome: "ok"},
+	}}
+	rep := r.Replay([]querylog.Stream{st})
+	sr := rep.PerSession[0]
+	if sr.PoisonedAt != 1 || sr.Replayed != 1 {
+		t.Fatalf("poisoned at %d after %d replayed, want 1 and 1:\n%s", sr.PoisonedAt, sr.Replayed, rep.Summary())
+	}
+	if len(rep.Mismatches) != 0 {
+		t.Errorf("outcome mismatches = %d, want 0:\n%s", len(rep.Mismatches), rep.Summary())
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Divergence.Kind != odbc.DivWritePartial {
+		t.Errorf("findings = %+v, want one %s", rep.Findings, odbc.DivWritePartial)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"hyperq/internal/odbc"
 
 	"hyperq/internal/hyperq"
+	"hyperq/internal/wstats"
 )
 
 func TestSpecShapesMatchTable1(t *testing.T) {
@@ -74,8 +75,9 @@ func TestEveryPresentFeatureAppears(t *testing.T) {
 }
 
 // replay runs a (down-scaled) workload through the gateway and returns the
-// recovered statistics — the §7.1 experiment in miniature.
-func replay(t *testing.T, spec Spec) *feature.Stats {
+// statistics registry's Figure 8 view of it — the §7.1 experiment in
+// miniature.
+func replay(t *testing.T, spec Spec) wstats.FeatureView {
 	t.Helper()
 	eng := engine.New(dialect.CloudA())
 	be := eng.NewSession()
@@ -102,14 +104,17 @@ func replay(t *testing.T, spec Spec) *feature.Stats {
 			t.Fatalf("gateway setup %q: %v", setup, err)
 		}
 	}
-	stats := feature.NewStats()
-	g.SetStats(stats)
+	g.ResetMetrics()
 	for _, q := range Generate(spec) {
 		if _, err := s.Run(q.SQL); err != nil {
 			t.Fatalf("%s: query %q: %v", spec.Name, q.SQL, err)
 		}
 	}
-	return stats
+	fv := g.Statements().Features()
+	if fv.Approximate {
+		t.Fatalf("%s: statistics registry evicted shapes", spec.Name)
+	}
+	return fv
 }
 
 func within(got, want, tol float64) bool { return math.Abs(got-want) <= tol }
@@ -130,18 +135,17 @@ func TestReplayRecoversFigure8(t *testing.T) {
 		{Workload2(), [3]float64{22.2, 66.7, 33.3}, [3]float64{0.2, 4.0, 79.1}},
 	}
 	for _, c := range cases {
-		stats := replay(t, c.spec)
-		if stats.Queries() != c.spec.Distinct {
-			t.Fatalf("%s: observed %d queries, want %d", c.spec.Name, stats.Queries(), c.spec.Distinct)
+		fv := replay(t, c.spec)
+		if fv.Queries != int64(c.spec.Distinct) {
+			t.Fatalf("%s: observed %d queries, want %d", c.spec.Name, fv.Queries, c.spec.Distinct)
 		}
-		pres := stats.ClassPresencePct()
-		qpct := stats.ClassQueryPct()
 		for i, cl := range feature.Classes {
-			if !within(pres[cl], c.presence[i], 0.2) {
-				t.Errorf("%s %s presence = %.1f%%, want %.1f%%", c.spec.Name, cl, pres[cl], c.presence[i])
+			pres, qpct := fv.ClassPresencePct[cl.String()], fv.ClassQueryPct[cl.String()]
+			if !within(pres, c.presence[i], 0.2) {
+				t.Errorf("%s %s presence = %.1f%%, want %.1f%%", c.spec.Name, cl, pres, c.presence[i])
 			}
-			if !within(qpct[cl], c.queries[i], 0.6) {
-				t.Errorf("%s %s query pct = %.1f%%, want %.1f%%", c.spec.Name, cl, qpct[cl], c.queries[i])
+			if !within(qpct, c.queries[i], 0.6) {
+				t.Errorf("%s %s query pct = %.1f%%, want %.1f%%", c.spec.Name, cl, qpct, c.queries[i])
 			}
 		}
 	}
@@ -152,11 +156,11 @@ func TestReplaySmallSmoke(t *testing.T) {
 	spec := Workload1()
 	spec.Distinct = 200
 	spec.Total = 1500
-	stats := replay(t, spec)
-	if stats.Queries() != 200 {
-		t.Fatalf("queries = %d", stats.Queries())
+	fv := replay(t, spec)
+	if fv.Queries != 200 {
+		t.Fatalf("queries = %d", fv.Queries)
 	}
-	if !stats.Present().Has(feature.Qualify) {
+	if fv.Features[feature.Qualify].Shapes == 0 {
 		t.Error("qualify missing from scaled workload")
 	}
 }
