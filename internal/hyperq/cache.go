@@ -14,13 +14,13 @@ import (
 // sharing one budget:
 //
 //   - fingerprint entries ("F|..." keys): keyed by the canonical statement
-//     fingerprint, storing a serialized SQL-B template with literal slots.
-//     A hit skips bind, transform and serialization; the statement's
+//     fingerprint, storing a Plan whose SQL-B is a template with literal
+//     slots. A hit skips bind, transform and serialization; the statement's
 //     literals are spliced into the template.
 //   - request entries ("R|..." keys): keyed by the raw request text, storing
-//     the final instantiated SQL. A hit additionally skips parsing and
-//     fingerprinting for byte-identical repeats — the common case for
-//     tool-generated workloads.
+//     the instantiated Plan of a request that ran as exactly one fingerprint-
+//     tier plan. A hit additionally skips parsing and fingerprinting for
+//     byte-identical repeats — the common case for tool-generated workloads.
 //
 // Entries are immutable after insertion; concurrent readers share them.
 type translationCache struct {
@@ -42,28 +42,42 @@ type cacheShard struct {
 	bytes int
 }
 
-// cacheEntry is one cached translation. Exactly one of tpl/sql is meaningful:
-// fingerprint entries carry the template, request entries the final SQL.
-type cacheEntry struct {
-	key string
-	// tpl is the SQL-B template with literal slots (fingerprint tier).
+// Plan is one statement's translation: what bind, transform and serialize
+// made of it, and everything the gateway needs to run it and deliver its
+// results. Both cache tiers store one; nothing changes a Plan once it is
+// built, so concurrent hits share it.
+type Plan struct {
+	// sql is the SQL-B text, "" when translation eliminated the statement. A
+	// fingerprint-tier entry's plan holds tpl, the text with literal slots,
+	// instead.
+	sql string
 	tpl fingerprint.Template
+	// cols is the frontend column metadata of a result-set statement.
+	cols []xtra.Col
+	// cmd is the frontend activity name; "" answers with the backend's tag.
+	cmd string
+	// feats replays the features recorded during the original translation so
+	// workload statistics are independent of cache hits.
+	feats feature.Set
+	// cacheable marks a plan the fingerprint tier served or stored: it
+	// depends on nothing its cache key does not hold, so the request tier
+	// may store it too.
+	cacheable bool
+	// bound is the transformed XTRA statement sql was serialized from, for
+	// EXPLAIN and the catalog mirror of CREATE TABLE; cached plans drop it.
+	bound xtra.Statement
+}
+
+// cacheEntry is one cached plan under its key.
+type cacheEntry struct {
+	key  string
+	plan Plan
 	// exact marks a fingerprint entry whose translated text depends on the
 	// literal values (a lifted literal did not survive to the output): the
 	// entry only matches requests whose literal signature equals litsig.
 	exact  bool
 	litsig string
-	// sql is the final instantiated SQL (request tier).
-	sql string
-	// cols is the frontend column metadata of the translated statement;
-	// shared read-only by all hits.
-	cols []xtra.Col
-	// cmd is the statement's command name for the response header.
-	cmd string
-	// feats replays the features recorded during the original translation so
-	// workload statistics are independent of cache hits.
-	feats feature.Set
-	size  int
+	size   int
 }
 
 func newTranslationCache(maxEntries, maxBytes int) *translationCache {
@@ -144,10 +158,10 @@ func (c *translationCache) len() int {
 
 // entrySize approximates the retained bytes of an entry.
 func (e *cacheEntry) entrySize() int {
-	n := len(e.key) + len(e.sql) + len(e.litsig) + len(e.cmd) + 96
-	n += e.tpl.Size()
-	n += len(e.cols) * 48
-	for _, c := range e.cols {
+	n := len(e.key) + len(e.plan.sql) + len(e.litsig) + len(e.plan.cmd) + 96
+	n += e.plan.tpl.Size()
+	n += len(e.plan.cols) * 48
+	for _, c := range e.plan.cols {
 		n += len(c.Name)
 	}
 	return n

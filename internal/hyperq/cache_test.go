@@ -7,7 +7,7 @@ import (
 )
 
 func testEntry(key string, size int) *cacheEntry {
-	return &cacheEntry{key: key, sql: "SELECT 1", size: size}
+	return &cacheEntry{key: key, plan: Plan{sql: "SELECT 1"}, size: size}
 }
 
 func TestCacheGetPut(t *testing.T) {
@@ -17,7 +17,7 @@ func TestCacheGetPut(t *testing.T) {
 	}
 	c.put(testEntry("k", 100))
 	e := c.get("k")
-	if e == nil || e.sql != "SELECT 1" {
+	if e == nil || e.plan.sql != "SELECT 1" {
 		t.Fatalf("entry = %+v", e)
 	}
 	// Replacement keeps a single entry.

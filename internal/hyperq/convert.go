@@ -1,6 +1,7 @@
 package hyperq
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -256,13 +257,14 @@ type eventSource interface {
 
 // deliver is the gateway's one result path: it drains one backend request's
 // event stream into sink, compiling each result set's convertPlan from its
-// metadata, converting batch by batch and counting rows; cmd maps the backend
-// command tag to the frontend activity name. A stream may only end after the
-// Complete of every statement it opened — a producer that stops short
-// (deadline, cancel, backend death) is an error here, never a short result.
-// It returns the result sets opened and the time spent converting. Conversion
-// failures come back as *RequestError; sink and producer failures as they are.
-func (s *Session) deliver(ctx context.Context, src eventSource, frontCols []xtra.Col, cmd func(string) string, sink resultSink) (sets int64, convert time.Duration, _ error) {
+// metadata, converting batch by batch and counting rows; cmd is the frontend
+// activity name, "" for the backend's command tag. A stream may only end
+// after the Complete of every statement it opened — a producer that stops
+// short (deadline, cancel, backend death) is an error here, never a short
+// result. It returns the result sets opened and the time spent converting.
+// Conversion failures come back as *RequestError; sink and producer failures
+// as they are.
+func (s *Session) deliver(ctx context.Context, src eventSource, frontCols []xtra.Col, cmd string, sink resultSink) (sets int64, convert time.Duration, _ error) {
 	var plan *convertPlan // non-nil while a result set is open
 	var rowCount int64
 	completed := false
@@ -308,7 +310,7 @@ func (s *Session) deliver(ctx context.Context, src eventSource, frontCols []xtra
 			if plan != nil {
 				activity = rowCount
 			}
-			err = sink.end(activity, cmd(ev.Command))
+			err = sink.end(activity, cmp.Or(cmd, ev.Command))
 			plan, completed = nil, true
 		}
 		if err != nil {

@@ -456,7 +456,7 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 		{name: "ends before any statement", stream: events(), wantErr: io.ErrUnexpectedEOF},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := func(backend string) string { return "FE " + backend }
+			const cmd = "FE"
 			var c collector
 			var w resultRecorder
 			cSets, _, cErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &c)
@@ -495,8 +495,8 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 				t.Fatalf("%d statements delivered, want %d", len(c.out), len(tc.want))
 			}
 			for i, fr := range c.out {
-				if !strings.HasPrefix(fr.Command, "FE ") {
-					t.Errorf("statement %d: command %q did not go through cmd", i, fr.Command)
+				if fr.Command != cmd {
+					t.Errorf("statement %d: command %q, want %q", i, fr.Command, cmd)
 				}
 				if want := tc.want[i]; want < 0 {
 					if fr.Cols != nil || fr.Activity != -want {

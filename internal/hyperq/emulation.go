@@ -23,19 +23,16 @@ const maxRecursionSteps = 10000
 // step evaluates the recursive branch against TempTable, appends results to
 // WorkTable, and stops when a step yields no rows; finally the main query
 // runs with the CTE substituted by WorkTable.
-func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, e env) ([]*FrontResult, Plan, error) {
 	// The emulation span wraps the whole multi-request protocol; the trace's
 	// BackendRequests counter records the resulting fan-out.
 	esp := s.req.tr.Start("emulate")
 	esp.Set("feature", "recursive")
 	defer esp.End()
-	// Registered before the cleanup defer (LIFO) so the work-table teardown
-	// still runs inside the composite.
-	s.enterComposite()
-	defer s.leaveComposite()
+	e.composite = true
 	plan, err := emulate.PlanRecursive(sel.Query)
 	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
+		return nil, Plan{}, failf(tdp.CodeSemanticError, "%v", err)
 	}
 	if plan == nil {
 		// WITH RECURSIVE keyword without an actual self-reference.
@@ -45,18 +42,16 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder
 			w.Recursive = false
 			q.With = &w
 		}
-		return s.translateAndRun(&sqlast.SelectStmt{Query: &q}, rec)
+		return s.translateAndRun(&sqlast.SelectStmt{Query: &q}, e)
 	}
-	rec.Record(feature.RecursiveQuery)
+	e.rec.Record(feature.RecursiveQuery)
 
 	// Derive the CTE row type by binding the seed branch.
 	seedBinder := binder.New(s, parser.Teradata, nil)
-	if s.macroParams != nil {
-		seedBinder.SetParams(s.macroParams)
-	}
+	seedBinder.SetParams(e.params)
 	seedBound, err := seedBinder.Bind(&sqlast.SelectStmt{Query: plan.Seed})
 	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "recursive seed: %v", err)
+		return nil, Plan{}, failf(tdp.CodeSemanticError, "recursive seed: %v", err)
 	}
 	seedCols := seedBound.(*xtra.Query).Root.Columns()
 	names := plan.Columns
@@ -66,7 +61,7 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder
 		}
 	}
 	if len(names) != len(seedCols) {
-		return nil, failf(tdp.CodeSemanticError, "recursive CTE column list mismatch")
+		return nil, Plan{}, failf(tdp.CodeSemanticError, "recursive CTE column list mismatch")
 	}
 
 	work := s.newTempName("work")
@@ -74,21 +69,21 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder
 	next := s.newTempName("next")
 	cleanup := func() {
 		for _, t := range []string{next, temp, work} {
-			_, _ = s.translateAndRun(&sqlast.DropTableStmt{Name: t, IfExists: true}, nil)
+			_, _, _ = s.translateAndRun(&sqlast.DropTableStmt{Name: t, IfExists: true}, env{composite: true})
 			_ = s.sessionCat.DropTable(t)
 			s.forgetSessionDDL(t)
 		}
 	}
 	defer cleanup()
 	for _, t := range []string{work, temp, next} {
-		if err := s.createEmulationTable(t, names, seedCols, rec); err != nil {
-			return nil, err
+		if err := s.createEmulationTable(t, names, seedCols, e); err != nil {
+			return nil, Plan{}, err
 		}
 	}
 	// Step 1: initialize WorkTable and TempTable with the seed results.
 	for _, t := range []string{work, temp} {
-		if _, err := s.translateAndRun(&sqlast.InsertStmt{Table: t, Query: plan.Seed}, rec); err != nil {
-			return nil, err
+		if _, _, err := s.translateAndRun(&sqlast.InsertStmt{Table: t, Query: plan.Seed}, e); err != nil {
+			return nil, Plan{}, err
 		}
 	}
 	// Steps 2..n: evaluate the recursive branch against TempTable until the
@@ -96,31 +91,32 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, rec *feature.Recorder
 	recursiveQuery := emulate.RenameTables(plan.Recursive, plan.CTEName, temp)
 	for step := 0; ; step++ {
 		if step > maxRecursionSteps {
-			return nil, failf(tdp.CodeObjectNotFound, "recursion exceeded %d steps", maxRecursionSteps)
+			return nil, Plan{}, failf(tdp.CodeObjectNotFound, "recursion exceeded %d steps", maxRecursionSteps)
 		}
-		if _, err := s.translateAndRun(&sqlast.DeleteStmt{Table: next, All: true}, rec); err != nil {
-			return nil, err
+		if _, _, err := s.translateAndRun(&sqlast.DeleteStmt{Table: next, All: true}, e); err != nil {
+			return nil, Plan{}, err
 		}
-		ins, err := s.translateAndRun(&sqlast.InsertStmt{Table: next, Query: recursiveQuery}, rec)
+		ins, _, err := s.translateAndRun(&sqlast.InsertStmt{Table: next, Query: recursiveQuery}, e)
 		if err != nil {
-			return nil, err
+			return nil, Plan{}, err
 		}
 		if len(ins) == 0 || ins[0].Activity == 0 {
 			break
 		}
-		if _, err := s.translateAndRun(&sqlast.InsertStmt{Table: work, Query: selectStarFrom(next)}, rec); err != nil {
-			return nil, err
+		if _, _, err := s.translateAndRun(&sqlast.InsertStmt{Table: work, Query: selectStarFrom(next)}, e); err != nil {
+			return nil, Plan{}, err
 		}
-		if _, err := s.translateAndRun(&sqlast.DeleteStmt{Table: temp, All: true}, rec); err != nil {
-			return nil, err
+		if _, _, err := s.translateAndRun(&sqlast.DeleteStmt{Table: temp, All: true}, e); err != nil {
+			return nil, Plan{}, err
 		}
-		if _, err := s.translateAndRun(&sqlast.InsertStmt{Table: temp, Query: selectStarFrom(next)}, rec); err != nil {
-			return nil, err
+		if _, _, err := s.translateAndRun(&sqlast.InsertStmt{Table: temp, Query: selectStarFrom(next)}, e); err != nil {
+			return nil, Plan{}, err
 		}
 	}
 	// Step 5: run the main query with the CTE substituted by WorkTable.
 	mainQuery := emulate.RenameTables(plan.Main, plan.CTEName, work)
-	return s.translateAndRun(&sqlast.SelectStmt{Query: mainQuery}, rec)
+	out, _, err := s.translateAndRun(&sqlast.SelectStmt{Query: mainQuery}, e)
+	return out, Plan{}, err
 }
 
 func (s *Session) newTempName(kind string) string {
@@ -130,14 +126,12 @@ func (s *Session) newTempName(kind string) string {
 
 // createEmulationTable creates a session temporary table on the backend and
 // registers it in the session catalog overlay.
-func (s *Session) createEmulationTable(name string, colNames []string, cols []xtra.Col, rec *feature.Recorder) error {
+func (s *Session) createEmulationTable(name string, colNames []string, cols []xtra.Col, e env) error {
 	// Work tables are backend-session state: pin a pooled backend connection
 	// so every request of the emulation protocol sees them.
 	if err := s.pinBackend(); err != nil {
 		return err
 	}
-	s.enterComposite()
-	defer s.leaveComposite()
 	def := &catalog.Table{Name: name, Kind: catalog.KindVolatile}
 	ast := &sqlast.CreateTableStmt{Name: name, Volatile: true}
 	for i, c := range cols {
@@ -147,23 +141,14 @@ func (s *Session) createEmulationTable(name string, colNames []string, cols []xt
 	if err := s.sessionCat.CreateTable(def); err != nil {
 		return failf(tdp.CodeObjectExists, "%v", err)
 	}
-	// Translate and execute in two steps so the backend DDL is recorded for
-	// post-reconnect session replay (the work table is backend session
-	// state a replacement connection must rebuild).
-	sql, frontCols, err := s.translateStatement(ast, rec)
+	_, p, err := s.translateAndRun(ast, e)
 	if err != nil {
 		_ = s.sessionCat.DropTable(name)
 		return err
 	}
-	if sql != "" {
-		if _, err := s.execTranslated(sql, frontCols, func(backend string) string {
-			return commandName(ast, backend)
-		}); err != nil {
-			_ = s.sessionCat.DropTable(name)
-			return err
-		}
-		s.recordSessionDDL(name, sql)
-	}
+	// The work table is backend session state a replacement connection must
+	// rebuild after a reconnect.
+	s.recordSessionDDL(name, p.sql)
 	return nil
 }
 
@@ -218,20 +203,19 @@ func selectStarFrom(table string) *sqlast.QueryExpr {
 
 // execMerge emulates MERGE by decomposition into UPDATE + INSERT (§6),
 // reporting the combined activity count.
-func (s *Session) execMerge(m *sqlast.MergeStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execMerge(m *sqlast.MergeStmt, e env) ([]*FrontResult, error) {
 	esp := s.req.tr.Start("emulate")
 	esp.Set("feature", "merge")
 	defer esp.End()
-	s.enterComposite()
-	defer s.leaveComposite()
-	rec.Record(feature.Merge)
+	e.composite = true
+	e.rec.Record(feature.Merge)
 	stmts, err := emulate.DecomposeMerge(m)
 	if err != nil {
 		return nil, failf(tdp.CodeSemanticError, "%v", err)
 	}
 	var total int64
 	for _, stmt := range stmts {
-		results, err := s.execStatement(stmt, rec)
+		results, _, err := s.execStatement(stmt, e)
 		if err != nil {
 			return nil, err
 		}
@@ -244,16 +228,15 @@ func (s *Session) execMerge(m *sqlast.MergeStmt, rec *feature.Recorder) ([]*Fron
 
 // execSetTableInsert enforces SET-table duplicate elimination in the mid
 // tier before sending the insert to a target without set semantics.
-func (s *Session) execSetTableInsert(ins *sqlast.InsertStmt, tbl *catalog.Table, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execSetTableInsert(ins *sqlast.InsertStmt, tbl *catalog.Table, e env) ([]*FrontResult, Plan, error) {
 	var allCols []string
 	for _, c := range tbl.Columns {
 		allCols = append(allCols, c.Name)
 	}
 	rewritten, err := emulate.DeduplicateInsert(ins, allCols)
 	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
+		return nil, Plan{}, failf(tdp.CodeSemanticError, "%v", err)
 	}
-	s.enterComposite()
-	defer s.leaveComposite()
-	return s.translateAndRun(rewritten, rec)
+	e.composite = true
+	return s.translateAndRun(rewritten, e)
 }

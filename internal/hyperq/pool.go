@@ -13,7 +13,6 @@ package hyperq
 import (
 	"context"
 
-	"hyperq/internal/feature"
 	"hyperq/internal/sqlast"
 )
 
@@ -60,20 +59,20 @@ func (s *Session) maybeUnpinBackend() {
 // execTxn handles BT/ET/COMMIT/ROLLBACK. Transactions are backend-session
 // state: BEGIN pins the backend connection so every statement inside the
 // transaction — and the eventual COMMIT — reaches the same backend session.
-func (s *Session) execTxn(t *sqlast.TxnStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execTxn(t *sqlast.TxnStmt, e env) ([]*FrontResult, error) {
 	if t.Kind == "BEGIN" {
 		if err := s.pinBackend(); err != nil {
 			return nil, err
 		}
 		s.txnOpen = true
-		results, err := s.translateAndRun(t, rec)
+		results, _, err := s.translateAndRun(t, e)
 		if err != nil {
 			// The transaction never opened on the backend.
 			s.txnOpen = false
 		}
 		return results, err
 	}
-	results, err := s.translateAndRun(t, rec)
+	results, _, err := s.translateAndRun(t, e)
 	if err == nil {
 		s.txnOpen = false
 	}

@@ -29,6 +29,8 @@ type request struct {
 	// tr is the request's span tree; nil outside a request or when tracing
 	// is disabled.
 	tr *trace.Trace
+	// feats collects the rewrite features the request used (Figure 8).
+	feats feature.Recorder
 
 	stageNs [metrics.NumStages]int64
 	// tier is the last statement's translation-cache outcome (the full story
@@ -108,7 +110,7 @@ func (r *request) endCache(l lap, tier wstats.Tier) {
 // exactly once per Session.Run, whatever the request's fate — a request that
 // failed to parse is a request — and it is the only writer of the Figure 9
 // counters, the stage histograms and the statistics registry.
-func (s *Session) publish(feats feature.Set, reqErr error) {
+func (s *Session) publish(reqErr error) {
 	g, r := s.g, &s.req
 	outcome, code, class, msg := "ok", 0, "", ""
 	if reqErr != nil {
@@ -184,7 +186,7 @@ func (s *Session) publish(feats feature.Set, reqErr error) {
 			BytesOut: r.streamedBytes + r.bufferedBytes,
 			BytesIn:  int64(len(r.sql)),
 			Streamed: streamed,
-			Feats:    feats,
+			Feats:    r.feats.Set(),
 			Trace:    tr,
 		}
 		if tr != nil {

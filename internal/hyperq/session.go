@@ -32,7 +32,7 @@ import (
 
 // Session is one frontend session: it pairs the client connection with a
 // backend session and the per-session gateway state (volatile tables,
-// session settings, macro parameters during EXEC).
+// session settings).
 type Session struct {
 	g  *Gateway
 	be odbc.StreamExecutor
@@ -42,9 +42,7 @@ type Session struct {
 	// sessionCat overlays the gateway catalog with session-scoped objects
 	// (volatile tables, global-temporary instances, emulation work tables).
 	sessionCat *catalog.Catalog
-	// macroParams holds bound :name parameter values during EXEC.
-	macroParams map[string]types.Datum
-	nextTemp    int
+	nextTemp   int
 
 	// id is the gateway-unique session identity; sessions with a populated
 	// session catalog stamp translation-cache keys under it so overlay
@@ -55,13 +53,6 @@ type Session struct {
 	// embedded in cache keys so settings-dependent translations cannot be
 	// shared across differently configured sessions.
 	settingsSig string
-
-	// Per-request raw-cache fill state (see runCachedRaw): translateCalls
-	// counts pipeline invocations during the current Run; rawPlan holds the
-	// request-tier entry candidate when exactly one cache-eligible statement
-	// was translated.
-	translateCalls int
-	rawPlan        *cacheEntry
 
 	// reqCtx carries the current request's deadline and trace into backend
 	// execution (sessions process one request at a time); nil outside a
@@ -75,10 +66,6 @@ type Session struct {
 	// parcels as it completes and streamable statements bypass result
 	// materialization entirely.
 	fw *frontWriter
-	// compositeDepth > 0 while inside a multi-statement emulation protocol
-	// (macro, MERGE, recursive query, SET-table insert); streaming is
-	// disabled there to preserve parcel order across sibling statements.
-	compositeDepth int
 	// Observability counters, read by the /sessions endpoint from other
 	// goroutines (hence atomics / atomic.Values). The three request totals,
 	// lastActive and lastErr are written by publish; the rest is live state.
@@ -111,6 +98,20 @@ type Session struct {
 	// request's AST past its Run. Nested parses during a request (macro
 	// bodies, view definitions) deliberately bypass it.
 	psc parser.Scratch
+}
+
+// env is what running a statement depends on besides the statement and the
+// session. It is passed down the exec and emulate calls and never kept: a
+// nested call gets its own copy.
+type env struct {
+	// rec collects the request's rewrite features; nil records nothing.
+	rec *feature.Recorder
+	// params holds the bound :name parameter values inside EXEC.
+	params map[string]types.Datum
+	// composite is set inside a multi-statement emulation protocol (macro,
+	// MERGE, recursive query, SET-table insert): nothing streams there, so
+	// sibling statements' parcels keep their order.
+	composite bool
 }
 
 type replayEntry struct {
@@ -280,13 +281,13 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 	}
 	s.reqCtx = trace.NewContext(ctx, s.req.tr)
-	rec := &feature.Recorder{}
+	rec := &s.req.feats
 	defer func() {
 		s.maybeUnpinBackend()
 		cancel()
 		s.reqCtx = nil
 		atomic.AddInt32(&s.inFlight, -1)
-		s.publish(rec.Set(), err)
+		s.publish(err)
 		s.req.tr = nil
 	}()
 	if cached, done, cerr := s.runCachedRaw(sql, rec); done {
@@ -297,8 +298,6 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		}
 		return cached, cerr
 	}
-	s.translateCalls = 0
-	s.rawPlan = nil
 	t := s.req.begin(metrics.StageParse)
 	// The previous request's AST is dead by now; rewind the arena and parse
 	// into it.
@@ -315,11 +314,13 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 	// into one backend statement; responses are synthesized per original
 	// statement below.
 	units := batchDML(stmts)
+	var last Plan
 	for _, unit := range units {
-		results, err := s.execStatement(unit.stmt, rec)
+		results, p, err := s.execStatement(unit.stmt, env{rec: rec})
 		if err != nil {
 			return nil, err
 		}
+		last = p
 		unitResults := results
 		if unit.perStmtRows != nil {
 			unitResults = make([]*FrontResult, 0, len(unit.perStmtRows))
@@ -338,7 +339,14 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		}
 		s.req.statements++
 	}
-	s.fillRawEntry(sql, units, rec)
+	// A request that ran as exactly one fingerprint-tier plan (no batching,
+	// no DDL, no session-dependent translation) is promoted into the request
+	// tier, with the request's features: they include parse-stage
+	// recordings, so a hit replays what the full pipeline would record.
+	if last.cacheable && len(units) == 1 && units[0].perStmtRows == nil {
+		last.feats = rec.Set()
+		s.cachePut(&cacheEntry{key: s.cacheKey("R", sql), plan: last})
+	}
 	return out, nil
 }
 
@@ -352,15 +360,15 @@ func (s *Session) runCachedRaw(sql string, rec *feature.Recorder) (out []*FrontR
 		return nil, false, nil
 	}
 	t := s.req.begin(metrics.StageCache)
-	e := cache.get(s.cacheKey("R", sql))
-	if e == nil {
+	ce := cache.get(s.cacheKey("R", sql))
+	if ce == nil {
 		s.req.end(t)
 		t.sp.Set("outcome", "raw-miss")
 		return nil, false, nil
 	}
 	s.req.endCache(t, wstats.TierExactHit)
-	rec.Merge(e.feats)
-	out, err = s.execTranslated(e.sql, e.cols, func(string) string { return e.cmd })
+	rec.Merge(ce.plan.feats)
+	out, err = s.execPlan(ce.plan, env{})
 	if err != nil {
 		return nil, true, err
 	}
@@ -368,24 +376,10 @@ func (s *Session) runCachedRaw(sql string, rec *feature.Recorder) (out []*FrontR
 	return out, true, nil
 }
 
-// fillRawEntry promotes the just-translated request into the request tier
-// when it is a single cache-eligible statement (no batching, no DDL, no
-// session-dependent translation: exactly one pipeline invocation that
-// produced a fingerprint-tier plan).
-func (s *Session) fillRawEntry(sql string, units []execUnit, rec *feature.Recorder) {
-	cache := s.g.cache
-	if cache == nil || s.rawPlan == nil || s.translateCalls != 1 ||
-		len(units) != 1 || units[0].perStmtRows != nil {
-		return
-	}
-	e := s.rawPlan
-	s.rawPlan = nil
-	e.key = s.cacheKey("R", sql)
-	// Request-level features include parse-stage recordings, so a raw hit
-	// replays exactly what the full pipeline would have recorded.
-	e.feats = rec.Set()
+// cachePut stores a translation-cache entry, counting what it evicts.
+func (s *Session) cachePut(e *cacheEntry) {
 	e.size = e.entrySize()
-	if evicted := cache.put(e); evicted > 0 {
+	if evicted := s.g.cache.put(e); evicted > 0 {
 		atomic.AddInt64(&s.g.metrics.cacheEvict, int64(evicted))
 	}
 }
@@ -409,75 +403,73 @@ func (s *Session) cacheKey(tier, body string) string {
 }
 
 // execStatement dispatches one parsed statement: features the target lacks
-// go through emulation; everything else runs the translate pipeline.
-func (s *Session) execStatement(stmt sqlast.Statement, rec *feature.Recorder) ([]*FrontResult, error) {
+// go through emulation; everything else runs the translate pipeline. A
+// SELECT, INSERT, UPDATE or DELETE that ran as exactly one plan also returns
+// that plan (the request tier may store it); anything else a zero Plan.
+func (s *Session) execStatement(stmt sqlast.Statement, e env) (out []*FrontResult, _ Plan, err error) {
 	switch t := stmt.(type) {
 	case *sqlast.ExplainStmt:
-		return s.execExplain(t, rec)
+		out, err = s.execExplain(t, e)
 	case *sqlast.HelpStmt:
-		return s.execHelp(t)
+		out, err = s.execHelp(t)
 	case *sqlast.SetSessionStmt:
 		s.settings[strings.ToUpper(t.Option)] = t.Value
 		s.settingsSig = settingsSignature(s.settings)
-		return []*FrontResult{{Command: "SET SESSION"}}, nil
+		out = []*FrontResult{{Command: "SET SESSION"}}
 	case *sqlast.CreateMacroStmt:
-		return s.execCreateMacro(t)
+		out, err = s.execCreateMacro(t)
 	case *sqlast.DropMacroStmt:
 		if err := s.g.cat.DropMacro(t.Name); err != nil {
-			return nil, failf(tdp.CodeMacroNotFound, "%v", err) // macro does not exist
+			return nil, Plan{}, failf(tdp.CodeMacroNotFound, "%v", err) // macro does not exist
 		}
-		return []*FrontResult{{Command: "DROP MACRO"}}, nil
+		out = []*FrontResult{{Command: "DROP MACRO"}}
 	case *sqlast.ExecStmt:
-		return s.execMacro(t, rec)
+		out, err = s.execMacro(t, e)
 	case *sqlast.MergeStmt:
-		return s.execMerge(t, rec)
+		out, err = s.execMerge(t, e)
 	case *sqlast.CreateViewStmt:
-		return s.execCreateView(t, rec)
+		out, err = s.execCreateView(t, e.rec)
 	case *sqlast.DropViewStmt:
 		if err := s.g.cat.DropView(t.Name); err != nil {
-			return nil, failf(tdp.CodeObjectNotFound, "%v", err)
+			return nil, Plan{}, failf(tdp.CodeObjectNotFound, "%v", err)
 		}
-		return []*FrontResult{{Command: "DROP VIEW"}}, nil
+		out = []*FrontResult{{Command: "DROP VIEW"}}
 	case *sqlast.CollectStatsStmt:
 		// Translation class: eliminated entirely on self-tuning targets.
-		return []*FrontResult{{Command: "COLLECT STATISTICS"}}, nil
+		out = []*FrontResult{{Command: "COLLECT STATISTICS"}}
 	case *sqlast.TxnStmt:
-		return s.execTxn(t, rec)
+		out, err = s.execTxn(t, e)
 	case *sqlast.CreateTableStmt:
-		return s.execCreateTable(t, rec)
+		out, err = s.execCreateTable(t, e)
 	case *sqlast.DropTableStmt:
-		return s.execDropTable(t, rec)
+		out, err = s.execDropTable(t, e)
 	case *sqlast.InsertStmt:
 		if tbl, ok := s.Table(t.Table); ok && tbl.Set {
-			rec.Record(feature.SetTable)
-			return s.execSetTableInsert(t, tbl, rec)
+			e.rec.Record(feature.SetTable)
+			return s.execSetTableInsert(t, tbl, e)
 		}
-		return s.translateAndRun(stmt, rec)
+		return s.translateAndRun(stmt, e)
 	case *sqlast.SelectStmt:
 		if t.Query.With != nil && t.Query.With.Recursive && !s.g.cfg.Target.Supports(dialect.CapRecursive) {
-			return s.emulateRecursive(t, rec)
+			return s.emulateRecursive(t, e)
 		}
-		return s.translateAndRun(stmt, rec)
+		return s.translateAndRun(stmt, e)
 	default:
-		return s.translateAndRun(stmt, rec)
+		return s.translateAndRun(stmt, e)
 	}
+	return out, Plan{}, err
 }
 
 // translateAndRun performs the paper's core pipeline for one statement:
 // translate (bind → binding-stage transform → serialize, consulting the
-// translation cache) → execute → convert.
-func (s *Session) translateAndRun(stmt sqlast.Statement, rec *feature.Recorder) ([]*FrontResult, error) {
-	sql, frontCols, err := s.translateStatement(stmt, rec)
+// translation cache) → execute → convert. It returns the plan it ran.
+func (s *Session) translateAndRun(stmt sqlast.Statement, e env) ([]*FrontResult, Plan, error) {
+	p, err := s.translate(stmt, e)
 	if err != nil {
-		return nil, err
+		return nil, Plan{}, err
 	}
-	if sql == "" {
-		// Statement eliminated by translation.
-		return []*FrontResult{{Command: "OK"}}, nil
-	}
-	return s.execTranslated(sql, frontCols, func(backend string) string {
-		return commandName(stmt, backend)
-	})
+	out, err := s.execPlan(p, e)
+	return out, p, err
 }
 
 // cacheableKind reports whether a statement kind is eligible for the
@@ -504,103 +496,87 @@ func (s *Session) refsSessionObject(tables []string) bool {
 	return false
 }
 
-// translateStatement produces the backend SQL text and frontend column
-// metadata for one statement, consulting the translation cache. An empty
-// SQL result means translation eliminated the statement.
-func (s *Session) translateStatement(stmt sqlast.Statement, rec *feature.Recorder) (string, []xtra.Col, error) {
-	s.translateCalls++
+// translate produces one statement's plan, consulting the translation
+// cache. A plan served or stored by the fingerprint tier is marked
+// cacheable.
+func (s *Session) translate(stmt sqlast.Statement, e env) (Plan, error) {
 	cache := s.g.cache
 	if cache == nil || !cacheableKind(stmt) {
-		return s.bindTransformSerialize(stmt, rec, false)
+		return s.bindTransformSerialize(stmt, e, false)
 	}
-	if s.macroParams != nil {
+	if e.params != nil {
 		// Macro scope: statement text contains :params bound per EXEC.
 		s.req.cacheOutcome(wstats.TierBypass)
-		return s.bindTransformSerialize(stmt, rec, false)
+		return s.bindTransformSerialize(stmt, e, false)
 	}
 	t := s.req.begin(metrics.StageCache)
 	fp := fingerprint.Statement(stmt)
 	if !fp.Cacheable || s.refsSessionObject(fp.Tables) {
 		s.req.endCache(t, wstats.TierBypass)
-		return s.bindTransformSerialize(stmt, rec, false)
+		return s.bindTransformSerialize(stmt, e, false)
 	}
 	key := s.cacheKey("F", fp.Key)
-	if e := cache.get(key); e != nil && (!e.exact || fingerprint.LitSigEqual(e.litsig, fp.Literals)) {
-		rec.Merge(e.feats)
-		sql := e.tpl.Instantiate(fp.Literals)
+	if ce := cache.get(key); ce != nil && (!ce.exact || fingerprint.LitSigEqual(ce.litsig, fp.Literals)) {
+		e.rec.Merge(ce.plan.feats)
+		p := ce.plan.instantiate(fp.Literals)
 		s.req.endCache(t, wstats.TierFingerprintHit)
-		s.noteRawCandidate(sql, e.cols, commandName(stmt, ""), e.feats)
-		return sql, e.cols, nil
+		return p, nil
 	}
 	s.req.endCache(t, wstats.TierMiss)
 	// Translate with an inner recorder so the cache entry can replay the
 	// statement's features on later hits.
 	inner := &feature.Recorder{}
-	marked, cols, err := s.bindTransformSerialize(stmt, inner, true)
-	rec.Merge(inner.Set())
-	if err != nil {
-		return "", nil, err
-	}
-	if marked == "" {
-		// Statement eliminated by translation; nothing worth caching.
-		return "", cols, nil
+	p, err := s.bindTransformSerialize(stmt, env{rec: inner}, true)
+	e.rec.Merge(inner.Set())
+	if err != nil || p.sql == "" {
+		// A statement eliminated by translation is not worth caching.
+		return p, err
 	}
 	// Filling the cache is cache time too.
 	t = s.req.begin(metrics.StageCache)
-	tpl, complete := fingerprint.ParseTemplate(marked, len(fp.Literals))
+	tpl, complete := fingerprint.ParseTemplate(p.sql, len(fp.Literals))
 	if !tpl.Valid() {
 		s.req.end(t)
 		// Marker parsing failed (a non-lifted literal contained a NUL
 		// byte): re-serialize without lifting and skip caching.
-		sql, _, err := s.bindTransformSerialize(stmt, &feature.Recorder{}, false)
-		return sql, cols, err
+		return s.bindTransformSerialize(stmt, env{}, false)
 	}
-	e := &cacheEntry{key: key, tpl: tpl, cols: cols, cmd: commandName(stmt, ""), feats: inner.Set()}
+	ce := &cacheEntry{key: key, plan: Plan{tpl: tpl, cols: p.cols, cmd: p.cmd, feats: inner.Set(), cacheable: true}}
 	if !complete {
 		// A lifted literal's value was consumed by translation (folding,
 		// value-dependent binding): the text is only valid for these exact
 		// values.
-		e.exact = true
-		e.litsig = fingerprint.LitSig(fp.Literals)
+		ce.exact = true
+		ce.litsig = fingerprint.LitSig(fp.Literals)
 	}
-	e.size = e.entrySize()
-	if evicted := cache.put(e); evicted > 0 {
-		atomic.AddInt64(&s.g.metrics.cacheEvict, int64(evicted))
-	}
-	sql := tpl.Instantiate(fp.Literals)
+	s.cachePut(ce)
+	p = ce.plan.instantiate(fp.Literals)
 	s.req.end(t)
 	t.sp.Set("outcome", "fill")
-	s.noteRawCandidate(sql, cols, e.cmd, inner.Set())
-	return sql, cols, nil
+	return p, nil
 }
 
-// noteRawCandidate remembers the first fingerprint-tier translation of the
-// current request as a request-tier fill candidate (committed by
-// fillRawEntry once the whole request is known to qualify).
-func (s *Session) noteRawCandidate(sql string, cols []xtra.Col, cmd string, feats feature.Set) {
-	if s.translateCalls == 1 {
-		s.rawPlan = &cacheEntry{sql: sql, cols: cols, cmd: cmd, feats: feats}
-	} else {
-		s.rawPlan = nil
-	}
+// instantiate returns the plan a fingerprint-tier plan gives a statement
+// with these literals.
+func (p Plan) instantiate(literals []types.Datum) Plan {
+	p.sql, p.tpl = p.tpl.Instantiate(literals), fingerprint.Template{}
+	return p
 }
 
 // bindTransformSerialize runs bind → binding-stage transform → serialize.
 // With lift set, serialized output carries literal placeholders
 // (fingerprint markers) instead of the lifted literal values.
-func (s *Session) bindTransformSerialize(stmt sqlast.Statement, rec *feature.Recorder, lift bool) (string, []xtra.Col, error) {
+func (s *Session) bindTransformSerialize(stmt sqlast.Statement, e env, lift bool) (Plan, error) {
 	t := s.req.begin(metrics.StageBind)
-	b := binder.New(s, parser.Teradata, rec)
-	if s.macroParams != nil {
-		b.SetParams(s.macroParams)
-	}
+	b := binder.New(s, parser.Teradata, e.rec)
+	b.SetParams(e.params)
 	bound, err := b.Bind(stmt)
 	s.req.end(t)
 	if err != nil {
-		return "", nil, failf(tdp.CodeSemanticError, "%v", err) // semantic error
+		return Plan{}, failf(tdp.CodeSemanticError, "%v", err) // semantic error
 	}
 	t = s.req.begin(metrics.StageTransform)
-	ctx := transform.NewContext(nil, rec, b.MaxColumnID())
+	ctx := transform.NewContext(nil, e.rec, b.MaxColumnID())
 	mid, err := transform.BindingStage().Statement(bound, ctx)
 	s.req.end(t)
 	if t.sp != nil {
@@ -609,45 +585,48 @@ func (s *Session) bindTransformSerialize(stmt sqlast.Statement, rec *feature.Rec
 		}
 	}
 	if err != nil {
-		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
+		return Plan{}, failf(tdp.CodeSemanticError, "%v", err)
 	}
 	t = s.req.begin(metrics.StageSerialize)
-	ser := serializer.New(s.g.cfg.Target, rec)
+	ser := serializer.New(s.g.cfg.Target, e.rec)
 	if lift {
 		ser.LiftLiterals()
 	}
 	sql, err := ser.Serialize(mid)
 	s.req.end(t)
 	if err != nil {
-		return "", nil, failf(tdp.CodeSemanticError, "%v", err)
+		return Plan{}, failf(tdp.CodeSemanticError, "%v", err)
 	}
-	var frontCols []xtra.Col
+	p := Plan{sql: sql, cmd: commandName(stmt), bound: mid}
 	if q, ok := mid.(*xtra.Query); ok {
-		frontCols = q.Root.Columns()
+		p.cols = q.Root.Columns()
 	}
-	return sql, frontCols, nil
+	return p, nil
 }
 
-// execTranslated executes translated SQL on the backend and delivers its
-// results in the frontend representation. cmd maps the backend command tag
-// to the frontend activity name. There is one result path (deliver) and two
-// sinks: a result-set statement with a frontend attached goes straight to the
-// wire through the fetch stage (bounded memory, backpressure to the backend)
-// and returns no FrontResult; everything else is collected.
-func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, error) {
-	s.req.tr.AddTranslated(sql)
+// execPlan executes a plan on the backend and delivers its results in the
+// frontend representation; a statement translation eliminated answers OK
+// without one. There is one result path (deliver) and two sinks: a
+// result-set statement with a frontend attached goes straight to the wire
+// through the fetch stage (bounded memory, backpressure to the backend) and
+// returns no FrontResult; everything else is collected.
+func (s *Session) execPlan(p Plan, e env) ([]*FrontResult, error) {
+	if p.sql == "" {
+		return []*FrontResult{{Command: "OK"}}, nil
+	}
+	s.req.tr.AddTranslated(p.sql)
 	t := s.req.begin(metrics.StageExecute)
 	var out []*FrontResult
 	var convert time.Duration
 	var err error
-	streamed := s.streamsToWire(frontCols)
+	streamed := s.streamsToWire(p.cols, e)
 	if streamed {
-		convert, err = s.streamToWire(sql, frontCols, cmd)
+		convert, err = s.streamToWire(p)
 	} else {
-		out, convert, err = s.collect(sql, frontCols, cmd)
+		out, convert, err = s.collect(p)
 	}
 	s.req.endSplit(t, metrics.StageConvert, convert)
-	t.sp.Set("sql", sql)
+	t.sp.Set("sql", p.sql)
 	if streamed {
 		t.sp.Set("streamed", "true")
 	}
@@ -658,14 +637,14 @@ func (s *Session) execTranslated(sql string, frontCols []xtra.Col, cmd func(stri
 // results. It executes through ExecContext, not ExecStream: nothing has
 // reached a client, so the resilient layer's whole-request retry matrix keeps
 // applying, whereas a stream is never retried after its first event.
-func (s *Session) collect(sql string, frontCols []xtra.Col, cmd func(string) string) ([]*FrontResult, time.Duration, error) {
+func (s *Session) collect(p Plan) ([]*FrontResult, time.Duration, error) {
 	ctx := s.requestCtx()
-	results, err := s.be.ExecContext(ctx, sql)
+	results, err := s.be.ExecContext(ctx, p.sql)
 	if err != nil {
 		return nil, 0, mapBackendError(err)
 	}
 	var c collector
-	sets, convert, err := s.deliver(ctx, odbc.BufferStream(results), frontCols, cmd, &c)
+	sets, convert, err := s.deliver(ctx, odbc.BufferStream(results), p.cols, p.cmd, &c)
 	if err != nil {
 		var re *RequestError
 		if !errors.As(err, &re) {
@@ -709,8 +688,9 @@ func mapBackendError(err error) *RequestError {
 	return re
 }
 
-// commandName maps the backend command tag to the frontend activity name.
-func commandName(stmt sqlast.Statement, backend string) string {
+// commandName is a statement's frontend activity name; "" answers with the
+// backend's command tag.
+func commandName(stmt sqlast.Statement) string {
 	switch stmt.(type) {
 	case *sqlast.SelectStmt:
 		return "SELECT"
@@ -724,10 +704,8 @@ func commandName(stmt sqlast.Statement, backend string) string {
 		return "CREATE TABLE"
 	case *sqlast.DropTableStmt:
 		return "DROP TABLE"
-	case *sqlast.TxnStmt:
-		return backend
 	}
-	return backend
+	return ""
 }
 
 func (s *Session) execCreateMacro(t *sqlast.CreateMacroStmt) ([]*FrontResult, error) {
@@ -752,7 +730,7 @@ func (s *Session) execCreateMacro(t *sqlast.CreateMacroStmt) ([]*FrontResult, er
 // execMacro emulates EXEC: the macro body is parsed, parameters are bound,
 // and each inner statement runs through the normal pipeline — "macro code
 // execution in the mid-tier" (Table 2).
-func (s *Session) execMacro(t *sqlast.ExecStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execMacro(t *sqlast.ExecStmt, e env) ([]*FrontResult, error) {
 	m, ok := s.g.cat.Macro(t.Macro)
 	if !ok {
 		return nil, failf(tdp.CodeMacroNotFound, "macro %s does not exist", t.Macro)
@@ -772,22 +750,16 @@ func (s *Session) execMacro(t *sqlast.ExecStmt, rec *feature.Recorder) ([]*Front
 		}
 		params[strings.ToUpper(m.Params[i].Name)] = cast
 	}
-	stmts, err := parser.Parse(m.Body, parser.Teradata, rec)
+	stmts, err := parser.Parse(m.Body, parser.Teradata, e.rec)
 	if err != nil {
 		return nil, failf(tdp.CodeSyntaxError, "macro body: %v", err)
 	}
-	// Bind parameters for the nested statements (restored afterwards so
-	// nested EXECs do not leak scopes).
-	saved := s.macroParams
-	s.macroParams = params
-	defer func() { s.macroParams = saved }()
-	// A macro's inner statements answer as one composite response; streaming
-	// an inner result would reorder parcels.
-	s.enterComposite()
-	defer s.leaveComposite()
+	// The inner statements bind the macro's parameters and answer as one
+	// composite response; streaming an inner result would reorder parcels.
+	inner := env{rec: e.rec, params: params, composite: true}
 	var out []*FrontResult
 	for _, stmt := range stmts {
-		results, err := s.execStatement(stmt, rec)
+		results, _, err := s.execStatement(stmt, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -829,12 +801,12 @@ func (s *Session) execCreateView(t *sqlast.CreateViewStmt, rec *feature.Recorder
 	return []*FrontResult{{Command: "CREATE VIEW"}}, nil
 }
 
-func (s *Session) execCreateTable(t *sqlast.CreateTableStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execCreateTable(t *sqlast.CreateTableStmt, e env) ([]*FrontResult, error) {
 	// Global temporary tables on targets without the capability are
 	// emulated with per-session temporary tables: the definition lives in
 	// the gateway session catalog, the contents in a backend TEMP table.
 	if t.GlobalTemporary && !s.g.cfg.Target.Supports(dialect.CapGlobalTempTables) {
-		rec.Record(feature.GlobalTempTable)
+		e.rec.Record(feature.GlobalTempTable)
 		lowered := *t
 		lowered.GlobalTemporary = false
 		lowered.Volatile = true
@@ -848,35 +820,19 @@ func (s *Session) execCreateTable(t *sqlast.CreateTableStmt, rec *feature.Record
 			return nil, err
 		}
 	}
-	// Translate and execute in two steps (rather than translateAndRun) so
-	// the backend DDL text is available for the session replay log below.
-	sql, frontCols, err := s.translateStatement(t, rec)
+	results, p, err := s.translateAndRun(t, e)
 	if err != nil {
-		return nil, err
-	}
-	var results []*FrontResult
-	if sql == "" {
-		// Statement eliminated by translation.
-		results = []*FrontResult{{Command: "OK"}}
-	} else if results, err = s.execTranslated(sql, frontCols, func(backend string) string {
-		return commandName(t, backend)
-	}); err != nil {
 		return nil, err
 	}
 	// Mirror the definition in the gateway catalog so later binds resolve;
 	// session-scoped kinds live in the session overlay.
-	b := binder.New(s, parser.Teradata, nil)
-	bound, err := b.Bind(t)
-	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
-	}
-	def := bound.(*xtra.CreateTable).Def
+	def := p.bound.(*xtra.CreateTable).Def
 	target := s.g.cat
 	if def.Kind != catalog.KindPersistent {
 		target = s.sessionCat
 		// Session-scoped backend objects vanish with the backend session;
 		// record their DDL so a reconnecting driver can rebuild them.
-		s.recordSessionDDL(def.Name, sql)
+		s.recordSessionDDL(def.Name, p.sql)
 	}
 	if err := target.CreateTable(def); err != nil && !t.IfNotExists {
 		return nil, failf(tdp.CodeObjectExists, "%v", err)
@@ -884,8 +840,8 @@ func (s *Session) execCreateTable(t *sqlast.CreateTableStmt, rec *feature.Record
 	return results, nil
 }
 
-func (s *Session) execDropTable(t *sqlast.DropTableStmt, rec *feature.Recorder) ([]*FrontResult, error) {
-	results, err := s.translateAndRun(t, rec)
+func (s *Session) execDropTable(t *sqlast.DropTableStmt, e env) ([]*FrontResult, error) {
+	results, _, err := s.translateAndRun(t, e)
 	if err != nil {
 		return nil, err
 	}
@@ -949,24 +905,11 @@ func (s *Session) execHelp(t *sqlast.HelpStmt) ([]*FrontResult, error) {
 // translation pipeline but returns the generated SQL-B text, the XTRA plan
 // and the rewrite features instead of executing — the diagnostics a
 // replatforming engineer uses to inspect what the virtualization layer does.
-func (s *Session) execExplain(t *sqlast.ExplainStmt, rec *feature.Recorder) ([]*FrontResult, error) {
+func (s *Session) execExplain(t *sqlast.ExplainStmt, e env) ([]*FrontResult, error) {
 	inner := &feature.Recorder{}
-	b := binder.New(s, parser.Teradata, inner)
-	if s.macroParams != nil {
-		b.SetParams(s.macroParams)
-	}
-	bound, err := b.Bind(t.Stmt)
+	p, err := s.bindTransformSerialize(t.Stmt, env{rec: inner, params: e.params}, false)
 	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
-	}
-	ctx := transform.NewContext(nil, inner, b.MaxColumnID())
-	mid, err := transform.BindingStage().Statement(bound, ctx)
-	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
-	}
-	sql, err := serializer.New(s.g.cfg.Target, inner).Serialize(mid)
-	if err != nil {
-		return nil, failf(tdp.CodeSemanticError, "%v", err)
+		return nil, err
 	}
 	res := &FrontResult{
 		Cols:    []tdp.ColumnDef{{Name: "Explanation", Type: types.VarChar(4096)}},
@@ -976,13 +919,13 @@ func (s *Session) execExplain(t *sqlast.ExplainStmt, rec *feature.Recorder) ([]*
 		res.Rows = append(res.Rows, []types.Datum{types.NewString(line)})
 	}
 	addLine("Target system: " + s.g.cfg.Target.Name)
-	if sql == "" {
+	if p.sql == "" {
 		addLine("Request is eliminated by translation; no backend statement is issued.")
 	} else {
 		addLine("Translated request:")
-		addLine("  " + sql)
+		addLine("  " + p.sql)
 	}
-	if q, ok := mid.(*xtra.Query); ok {
+	if q, ok := p.bound.(*xtra.Query); ok {
 		addLine("XTRA plan:")
 		for _, line := range strings.Split(strings.TrimRight(xtra.Format(q.Root), "\n"), "\n") {
 			addLine("  " + line)
@@ -996,6 +939,5 @@ func (s *Session) execExplain(t *sqlast.ExplainStmt, rec *feature.Recorder) ([]*
 		}
 	}
 	res.Activity = int64(len(res.Rows))
-	rec.Set() // EXPLAIN itself records nothing for workload statistics
 	return []*FrontResult{res}, nil
 }

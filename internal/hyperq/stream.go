@@ -112,22 +112,15 @@ func (fw *frontWriter) writeResults(results []*FrontResult) error {
 // gateway-wide in-flight result memory past the hard cap.
 var errResultShed = errors.New("gateway result memory cap exceeded")
 
-// enterComposite/leaveComposite bracket multi-statement emulation protocols
-// (macros, MERGE, recursive queries, SET-table inserts). Inside a composite
-// the per-inner-statement results must accumulate and emit together in
-// statement order, so nothing streams: a streamed inner result would hit the
-// wire before an earlier sibling's collected parcels.
-func (s *Session) enterComposite() { s.compositeDepth++ }
-func (s *Session) leaveComposite() { s.compositeDepth-- }
-
 // streamsToWire selects the sink per statement from its shape alone: straight
 // to the wire only when a frontend is attached, the statement is top-level
-// (not inside an emulation composite), it produces a result set (frontCols
-// non-nil — DML/DDL activity counts are synthesized gateway-side) and
-// streaming is not disabled; everything else is collected. Every backend
-// session streams (odbc.Streaming), so the backend has no say.
-func (s *Session) streamsToWire(frontCols []xtra.Col) bool {
-	return s.fw != nil && s.compositeDepth == 0 && !s.g.cfg.DisableStreaming && frontCols != nil
+// (not inside an emulation composite, whose results must emit together in
+// statement order), it produces a result set (frontCols non-nil — DML/DDL
+// activity counts are synthesized gateway-side) and streaming is not
+// disabled; everything else is collected. Every backend session streams
+// (odbc.Streaming), so the backend has no say.
+func (s *Session) streamsToWire(frontCols []xtra.Col, e env) bool {
+	return s.fw != nil && !e.composite && !s.g.cfg.DisableStreaming && frontCols != nil
 }
 
 // feedDepth is how many events the fetch stage may run ahead of the session
@@ -305,9 +298,9 @@ func (f *resultFeed) close() {
 // stream → fetch stage → deliver on this goroutine, next to the frontend
 // write. It returns the time spent converting and the failure in its frontend
 // form.
-func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string) string) (time.Duration, error) {
+func (s *Session) streamToWire(p Plan) (time.Duration, error) {
 	ctx := s.requestCtx()
-	st, err := s.be.ExecStream(ctx, sql)
+	st, err := s.be.ExecStream(ctx, p.sql)
 	if err != nil {
 		return 0, mapBackendError(err)
 	}
@@ -316,7 +309,7 @@ func (s *Session) streamToWire(sql string, frontCols []xtra.Col, cmd func(string
 	defer atomic.StoreInt32(&s.midStream, 0)
 
 	feed := &resultFeed{g: s.g, st: st}
-	sets, convert, err := s.deliver(ctx, feed, frontCols, cmd, s.fw)
+	sets, convert, err := s.deliver(ctx, feed, p.cols, p.cmd, s.fw)
 	feed.close()
 	s.req.streamedResults += sets
 	s.req.streamedBytes += feed.delivered

@@ -46,7 +46,7 @@ func wireBytes(s *Session, front []xtra.Col, b *tdf.Batch) ([]byte, error) {
 		{Kind: cwp.StreamBatch, Batch: b},
 		{Kind: cwp.StreamComplete, Command: "SELECT"},
 	}
-	_, _, err := s.deliver(context.Background(), &evs, front, func(c string) string { return c }, &frontWriter{w: tdp.NewResponseWriter(out)})
+	_, _, err := s.deliver(context.Background(), &evs, front, "", &frontWriter{w: tdp.NewResponseWriter(out)})
 	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
@@ -240,14 +240,13 @@ func TestTranscodeAllocsPerBatch(t *testing.T) {
 	}
 	s := deliverSession(t)
 	w := &frontWriter{w: tdp.NewResponseWriter(bufio.NewWriterSize(io.Discard, 64<<10))}
-	cmd := func(c string) string { return c }
 	const nbatches = 8
 	perRequest := func(rows int) float64 {
 		front, b := wideFixture(rows, false)
 		src := &rawSource{cols: b.Cols, enc: encoded(t, b)}
 		run := func() {
 			src.n, src.next = nbatches, 0
-			if _, _, err := s.deliver(context.Background(), src, front, cmd, w); err != nil {
+			if _, _, err := s.deliver(context.Background(), src, front, "", w); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -309,7 +309,11 @@ func (p *Parser) parseStatement() (sqlast.Statement, error) {
 			return nil, p.errorf("EXPLAIN is not supported by the target dialect")
 		}
 		p.i++
+		// EXPLAIN runs nothing: the statement it explains records no features.
+		rec := p.rec
+		p.rec = nil
 		inner, err := p.parseStatement()
+		p.rec = rec
 		if err != nil {
 			return nil, err
 		}

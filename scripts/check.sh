@@ -75,6 +75,10 @@ go test -race -timeout 120s ./...
 # both is the proof that steady-state recording allocates nothing.
 go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
 
+# Cache-hit path (DESIGN.md §6): a request-tier hit and a fingerprint-tier hit
+# with a new literal each must stay within the counts pinned in plan_test.go.
+go test -count=1 -v -run 'TestCacheHitAllocs' ./internal/hyperq/
+
 # Result path (DESIGN.md §12): tdf decode, cwp stream drain, result
 # conversion, tdp row encoding and a streamed result transcoded through
 # deliver into the wire sink must each cost a fixed number of allocations per
@@ -112,9 +116,9 @@ go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/p
 # Streaming acceptance: rerun the mid-stream fault suite and the streaming
 # e2e acceptance tests (backpressure bound, slow-client eviction, mid-stream
 # backend death, mid-stream deadline, disconnect teardown, streamed-vs-buffered
-# transcripts, a replicated backend streamed in both modes) under the race
-# detector with fresh state.
-go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure|TestStreamingReplicatedMatchesBuffered' ./internal/odbc/ ./internal/hyperq/
+# transcripts, a replicated backend streamed in both modes, emulation
+# composites that must never stream) under the race detector with fresh state.
+go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure|TestStreamingReplicatedMatchesBuffered|TestCompositesNeverStream' ./internal/odbc/ ./internal/hyperq/
 
 # Batch ownership under concurrency (DESIGN.md §12): four sessions stream
 # multi-batch results that are cast in place and released while a fifth
