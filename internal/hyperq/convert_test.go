@@ -1,15 +1,18 @@
 package hyperq
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
@@ -17,6 +20,7 @@ import (
 	"hyperq/internal/odbc"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
+	"hyperq/internal/wire"
 	"hyperq/internal/wire/cwp"
 	"hyperq/internal/wire/tdp"
 	"hyperq/internal/xtra"
@@ -70,15 +74,6 @@ func btoi(b bool) int {
 	return 0
 }
 
-func testPlan(t testing.TB, front []xtra.Col, back []tdf.ColumnMeta) *convertPlan {
-	t.Helper()
-	plan, err := newConvertPlan(front, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
-}
-
 // convertRowReference is the per-row converter convertPlan replaced, kept as
 // the oracle for the plan's per-cell decisions.
 func convertRowReference(frontCols []xtra.Col, row []types.Datum) ([]types.Datum, error) {
@@ -105,56 +100,6 @@ func convertRowReference(frontCols []xtra.Col, row []types.Datum) ([]types.Datum
 	return out, nil
 }
 
-// The plan's output equals the per-row reference cell for cell: on batches
-// that pass through, on batches that are cast, with cells whose kind is not
-// the one their column declares (an in-process backend's).
-func TestConvertBatchMatchesReference(t *testing.T) {
-	check := func(name string, front []xtra.Col, b *tdf.Batch, wantAlias bool) {
-		t.Helper()
-		got, err := testPlan(t, front, b.Cols).convertBatch(b)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(b.Rows) {
-			t.Fatalf("%s: %d rows, want %d", name, len(got), len(b.Rows))
-		}
-		for ri, row := range b.Rows {
-			want, err := convertRowReference(front, row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[ri], want) {
-				t.Fatalf("%s: row %d = %v, want %v", name, ri, got[ri], want)
-			}
-		}
-		if alias := &got[0][0] == &b.Rows[0][0]; alias != wantAlias {
-			t.Errorf("%s: result aliases the batch = %v, want %v", name, alias, wantAlias)
-		}
-	}
-	front, cast := wideFixture(300, false)
-	check("cast", front, cast, false)
-	front, same := wideFixture(300, true)
-	check("identity", front, same, true)
-	// Declared identical, but one cell is an INTEGER in a BIGINT column.
-	front, stray := wideFixture(300, true)
-	stray.Rows[299][1] = types.NewInt(7)
-	check("stray kind", front, stray, false)
-
-	// Errors name the column.
-	front, bad := wideFixture(300, false)
-	bad.Rows[299][2] = types.NewString("not a number")
-	if _, err := testPlan(t, front, bad.Cols).convertBatch(bad); err == nil || !strings.Contains(err.Error(), "column qty") {
-		t.Errorf("cast failure: %v", err)
-	}
-	bad.Rows[0] = bad.Rows[0][:5]
-	if _, err := testPlan(t, front, bad.Cols).convertBatch(bad); err == nil || !strings.Contains(err.Error(), "arity") {
-		t.Errorf("short row: %v", err)
-	}
-	if _, err := newConvertPlan(front[:3], bad.Cols); err == nil {
-		t.Error("column count mismatch accepted")
-	}
-}
-
 func encoded(t testing.TB, b *tdf.Batch) []byte {
 	t.Helper()
 	var enc bytes.Buffer
@@ -162,66 +107,6 @@ func encoded(t testing.TB, b *tdf.Batch) []byte {
 		t.Fatal(err)
 	}
 	return enc.Bytes()
-}
-
-// decoded returns b as the cwp client would have produced it: encoded, then
-// decoded off the wire, so the copy is owned by the caller.
-func decoded(t testing.TB, b *tdf.Batch) *tdf.Batch {
-	t.Helper()
-	owned, err := tdf.DecodeBytes(encoded(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !owned.Owned() || b.Owned() {
-		t.Fatalf("owned: decoded %v, hand-built %v", owned.Owned(), b.Owned())
-	}
-	return owned
-}
-
-// An owned batch is converted where it lies: the same rows the reference
-// produces from the hand-built original, in the batch's own memory, with no
-// slab allocated — and the size the accountant books for it stays the wire
-// size, whatever the padded CHAR cells now hold.
-func TestConvertOwnedInPlaceMatchesReference(t *testing.T) {
-	front, orig := wideFixture(1024, false)
-	b := decoded(t, orig)
-	plan := testPlan(t, front, b.Cols)
-	size, first := b.EncodedSize(), &b.Rows[0][0]
-	if size != orig.EncodedSize() {
-		t.Fatalf("decoded batch reports %d bytes, the batch it was encoded from %d", size, orig.EncodedSize())
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	got, err := plan.convertBatch(b)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The padded CHAR values are all that may be allocated: 1,024 strings of
-	// 20 bytes, a small fraction of the 850 KB a slab of this batch takes.
-	if grew, slab := m1.TotalAlloc-m0.TotalAlloc, uint64(len(b.Rows)*len(front))*uint64(reflect.TypeOf(types.Datum{}).Size()); grew > slab/8 {
-		t.Errorf("converting in place allocated %d bytes; a slab is %d", grew, slab)
-	}
-	if len(got) != len(orig.Rows) || &got[0][0] != first || &b.Rows[0][0] != first {
-		t.Fatalf("%d rows, in the batch's memory: %v", len(got), &got[0][0] == first)
-	}
-	for ri, row := range orig.Rows {
-		want, err := convertRowReference(front, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[ri], want) {
-			t.Fatalf("row %d = %v, want %v", ri, got[ri], want)
-		}
-	}
-	if b.EncodedSize() != size {
-		t.Errorf("EncodedSize %d after converting in place, %d off the wire", b.EncodedSize(), size)
-	}
-	// Converted cells are frontend cells: a second pass finds nothing to do.
-	again, err := plan.convertBatch(b)
-	if err != nil || !reflect.DeepEqual(again, got) {
-		t.Fatalf("second pass changed the rows (err %v)", err)
-	}
 }
 
 // sharedDriver is a backend whose sessions all answer any SELECT from the
@@ -402,7 +287,8 @@ func (e *eventStream) Close() error { return nil }
 
 // The statement-level twin of TestStreamingMatchesBufferedWireTranscripts:
 // deliver hands both sinks the same (columns, rows, activity, command)
-// sequence and fails both with the same error, whatever the backend sent.
+// sequence and fails both with the same error, whatever the backend sent —
+// a shared batch the wire encoding refuses included.
 func TestDeliverSinkEquivalence(t *testing.T) {
 	g, err := New(Config{Target: dialect.CloudA(), Driver: &odbc.LocalDriver{Engine: engine.New(dialect.CloudA())}})
 	if err != nil {
@@ -457,7 +343,7 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const cmd = "FE"
-			var c collector
+			c := collector{recs: new([]byte)}
 			var w resultRecorder
 			cSets, _, cErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &c)
 			wSets, _, wErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &frontWriter{w: &w})
@@ -483,7 +369,18 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 				t.Errorf("errors differ: collector %v, wire %v", cErr, wErr)
 			}
 			// What the wire saw before a failure, the collector holds too (its
-			// caller drops it); compare completed statements and the open one.
+			// caller drops it); compare completed statements and the open one,
+			// their records decoded as for a session without a frontend.
+			if c.cur.Cols != nil {
+				c.cur.recs = (*c.recs)[c.mark:]
+			}
+			for _, fr := range append(c.out, &c.cur) {
+				var err error
+				if fr.Rows, err = tdp.DecodeRecords(fr.Cols, fr.recs); err != nil {
+					t.Fatal(err)
+				}
+				fr.recs = nil
+			}
 			open := &c.cur
 			if reflect.DeepEqual(c.cur, FrontResult{}) {
 				open = nil
@@ -510,95 +407,126 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 	}
 }
 
-var sinkRows [][]types.Datum
-
-// BenchmarkConvertBatch/owned is the streamed path's unit of work: a batch
-// decoded off the wire, its three mismatched columns cast in place, released.
-// The decode is inside the timer (an owned batch converts only once), so
-// compare it with BenchmarkDecode/released, not with the shared shapes.
-func BenchmarkConvertBatch(b *testing.B) {
-	for _, shape := range []struct {
-		name            string
-		identity, owned bool
-	}{{"cast3of13", false, false}, {"identity", true, false}, {"owned", false, true}} {
-		b.Run(shape.name, func(b *testing.B) {
-			front, batch := wideFixture(1024, shape.identity)
-			plan := testPlan(b, front, batch.Cols)
-			enc := encoded(b, batch)
-			b.SetBytes(int64(batch.EncodedSize()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if shape.owned {
-					if batch, err = tdf.DecodeBytes(enc); err != nil {
-						b.Fatal(err)
+// serveCannedCWP serves the cwp protocol on loopback, answering every query
+// with nbatches copies of the encoded batch b.
+func serveCannedCWP(t testing.TB, b *tdf.Batch, nbatches int) string {
+	t.Helper()
+	var reply bytes.Buffer
+	var meta wire.Buffer
+	meta.PutU32(uint32(len(b.Cols)))
+	for _, c := range b.Cols {
+		meta.PutString(c.Name)
+		meta.PutU8(uint8(c.Type.Kind))
+		meta.PutU32(uint32(c.Type.Scale))
+		meta.PutU8(uint8(c.Type.Elem))
+	}
+	var done wire.Buffer
+	done.PutString("SELECT")
+	done.PutI64(int64(nbatches * len(b.Rows)))
+	msgs := [][2]any{{cwp.MsgMeta, meta.Bytes()}}
+	for i := 0; i < nbatches; i++ {
+		msgs = append(msgs, [2]any{cwp.MsgBatch, encoded(t, b)})
+	}
+	msgs = append(msgs, [2]any{cwp.MsgComplete, done.Bytes()}, [2]any{cwp.MsgEnd, []byte(nil)})
+	for _, m := range msgs {
+		if err := wire.WriteMessage(&reply, m[0].(byte), m[1].([]byte)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				in := bufio.NewReader(conn)
+				if _, _, err := wire.ReadMessage(in); err != nil {
+					return
+				}
+				if err := wire.WriteMessage(conn, cwp.MsgLogonOK, nil); err != nil {
+					return
+				}
+				for {
+					if kind, _, err := wire.ReadMessage(in); err != nil || kind != cwp.MsgQuery {
+						return
+					}
+					if _, err := conn.Write(reply.Bytes()); err != nil {
+						return
 					}
 				}
-				if sinkRows, err = plan.convertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				batch.Release()
-			}
-		})
-	}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
-// Converting a shared batch costs two allocations (the datum slab and the row
-// index) plus whatever types.Cast allocates for the cells it rewrites — here
-// the padded string of each short non-NULL CHAR cell — and none at all when
-// the batch passes through; converting an owned batch costs the padded
-// strings and nothing else. The converter itself allocates nothing per row.
-func TestConvertAllocsPerBatch(t *testing.T) {
-	perBatch := func(rows int, identity bool) (allocs float64, padded int) {
-		front, batch := wideFixture(rows, identity)
-		plan := testPlan(t, front, batch.Cols)
-		for _, row := range batch.Rows {
-			if !row[7].Null && len(row[7].S) < 20 {
-				padded++
-			}
+// A macro's multi-batch SELECT is collected — transcoded into records at
+// collect time, each batch released as its records are made — and the
+// records go to the tdp writer as they are. Over a cwp backend that costs a
+// fixed number of allocations per batch, the same for 64-row batches as for
+// 1,024-row ones: no datum slab, no string copied, and the records fit the
+// buffer the session keeps.
+func TestCollectedAllocsPerBatch(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	eng := engine.New(dialect.CloudA())
+	if _, err := eng.NewSession().ExecSQL(`CREATE TABLE wide (
+		id INTEGER, big BIGINT, qty INTEGER, score FLOAT, price DECIMAL(12,2), d DATE, ts TIMESTAMP,
+		code CHAR(20), n1 VARCHAR(50), n2 VARCHAR(50), n3 VARCHAR(50), n4 VARCHAR(50), n5 VARCHAR(50))`); err != nil {
+		t.Fatal(err)
+	}
+	const nbatches = 3
+	perRequest := func(rows int) (allocs, heap float64) {
+		_, b := wideFixture(rows, false)
+		g, err := New(Config{
+			Target:  dialect.CloudA(),
+			Driver:  &odbc.NetworkDriver{Addr: serveCannedCWP(t, b, nbatches)},
+			Catalog: eng.Catalog().Clone(),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() {
-			if _, err := plan.convertBatch(batch); err != nil {
+		sess, err := g.Logon("app", "pw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var rec recordingWriter
+		if err := sess.Request("CREATE MACRO WIDE_M AS (SEL * FROM wide;)", &rec); err != nil || rec.failure != "" {
+			t.Fatalf("%v %s", err, rec.failure)
+		}
+		w := tdp.NewResponseWriter(bufio.NewWriterSize(io.Discard, 64<<10))
+		exec := func() {
+			if err := sess.Request("EXEC WIDE_M", w); err != nil {
 				t.Fatal(err)
 			}
-		}), padded
+		}
+		exec() // the session's buffers and the batches' memory are warm from here on
+		if m := g.MetricsSnapshot(); m.StreamedResults != 0 || m.BufferedResults != 1 {
+			t.Fatalf("streamed %d, collected %d results", m.StreamedResults, m.BufferedResults)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs = testing.AllocsPerRun(20, exec)
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / 21
 	}
-	// An owned batch converts once, so each run decodes its own and gives it
-	// back; what the decode costs is measured separately and taken off.
-	ownedPerBatch := func(rows int) float64 {
-		front, batch := wideFixture(rows, false)
-		plan := testPlan(t, front, batch.Cols)
-		enc := encoded(t, batch)
-		run := func(convert bool) float64 {
-			return testing.AllocsPerRun(20, func() {
-				b, err := tdf.DecodeBytes(enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if convert {
-					if _, err := plan.convertBatch(b); err != nil {
-						t.Fatal(err)
-					}
-				}
-				b.Release()
-			})
-		}
-		return run(true) - run(false)
+	small, _ := perRequest(64)
+	large, heap := perRequest(1024)
+	t.Logf("%.0f allocations per request of 64-row batches, %.0f of 1024-row batches (%.0f bytes)", small, large, heap)
+	if small != large {
+		t.Errorf("allocations grow with rows: %.0f per request of 64-row batches, %.0f of 1024-row batches", small, large)
 	}
-	for _, rows := range []int{64, 1024} {
-		if allocs, _ := perBatch(rows, true); allocs != 0 {
-			t.Errorf("%d identity rows: %.0f allocations, want 0", rows, allocs)
-		}
-		allocs, padded := perBatch(rows, false)
-		if allocs > float64(2+padded) {
-			t.Errorf("%d cast rows: %.0f allocations, want <= 2 + one per padded CHAR (%d)", rows, allocs, padded)
-		}
-		if israce.Enabled {
-			continue // sync.Pool drops Puts at random under the race detector
-		}
-		if allocs := ownedPerBatch(rows); allocs != float64(padded) {
-			t.Errorf("%d owned rows: %.0f allocations, want one per padded CHAR (%d) and no slab", rows, allocs, padded)
-		}
+	// A datum slab of one 1,024-row batch alone is 13 × 1,024 cells.
+	if slab := float64(13*1024) * float64(unsafe.Sizeof(types.Datum{})); heap > slab/4 {
+		t.Errorf("%.0f bytes allocated per request; one batch's datum slab is %.0f", heap, slab)
 	}
 }

@@ -29,7 +29,6 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, e env) ([]*FrontResul
 	esp := s.req.tr.Start("emulate")
 	esp.Set("feature", "recursive")
 	defer esp.End()
-	e.composite = true
 	plan, err := emulate.PlanRecursive(sel.Query)
 	if err != nil {
 		return nil, Plan{}, failf(tdp.CodeSemanticError, "%v", err)
@@ -44,6 +43,9 @@ func (s *Session) emulateRecursive(sel *sqlast.SelectStmt, e env) ([]*FrontResul
 		}
 		return s.translateAndRun(&sqlast.SelectStmt{Query: &q}, e)
 	}
+	// Only the protocol is a composite: the query above is one statement and
+	// streams like any other.
+	e.composite = true
 	e.rec.Record(feature.RecursiveQuery)
 
 	// Derive the CTE row type by binding the seed branch.

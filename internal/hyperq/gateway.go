@@ -510,12 +510,17 @@ func (g *Gateway) NewLocalSession(user string) (*Session, error) {
 	return newSession(g, be, user), nil
 }
 
-// FrontResult is one statement's response in frontend terms.
+// FrontResult is one statement's response in frontend terms. A session with
+// a frontend writes a collected result set's records to it as they are; Rows
+// holds the rows of a gateway-made result set (HELP, EXPLAIN), and those of
+// every result set a session without a frontend returns from Run.
 type FrontResult struct {
 	Cols     []tdp.ColumnDef
 	Rows     [][]types.Datum
 	Activity int64
 	Command  string
+	// recs is a collected result set's records, until they are emitted.
+	recs []byte
 }
 
 // RequestError carries the frontend failure code. A backend failure keeps

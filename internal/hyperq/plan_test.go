@@ -71,7 +71,9 @@ func TestRequestTierEligibility(t *testing.T) {
 // Emulation protocols answer as one composite response, so none of their
 // results streams — even with streaming on, each gives the parcels a
 // DisableStreaming stack gives, and the streamed-result count stays put. A
-// top-level SELECT on the same stack does stream.
+// top-level SELECT on the same stack does stream, and so does a WITH
+// RECURSIVE query without a self-reference: it runs as one statement, on its
+// first run as on its request-tier repeats (three runs stream three results).
 func TestCompositesNeverStream(t *testing.T) {
 	target := dialect.CloudA()
 	setup := []string{
@@ -119,7 +121,6 @@ func TestCompositesNeverStream(t *testing.T) {
 	}
 	for _, sql := range []string{
 		selfReferencingRecursion,
-		"WITH RECURSIVE R (S) AS (SEL STORE FROM SALES) SEL S FROM R ORDER BY S",
 		"EXEC SM(2)",
 		"MERGE INTO TGT USING SRC ON TGT.K = SRC.K WHEN MATCHED THEN UPDATE SET V = SRC.V WHEN NOT MATCHED THEN INSERT (K, V) VALUES (SRC.K, SRC.V)",
 		"INSERT INTO ST SEL STORE FROM SALES",
@@ -134,6 +135,13 @@ func TestCompositesNeverStream(t *testing.T) {
 	same("SEL STORE, AMOUNT FROM SALES ORDER BY AMOUNT, STORE")
 	if n := sg.MetricsSnapshot().StreamedResults - before; n != 1 {
 		t.Fatalf("top-level SELECT streamed %d results, want 1", n)
+	}
+	before = sg.MetricsSnapshot().StreamedResults
+	for run := int64(1); run <= 3; run++ {
+		same("WITH RECURSIVE R (S) AS (SEL STORE FROM SALES) SEL S FROM R ORDER BY S")
+		if n := sg.MetricsSnapshot().StreamedResults - before; n != run {
+			t.Fatalf("WITH RECURSIVE without a self-reference, run %d: %d results streamed, want %d", run, n, run)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"hyperq/internal/parser"
 	"hyperq/internal/serializer"
 	"hyperq/internal/sqlast"
+	"hyperq/internal/tdf"
 	"hyperq/internal/trace"
 	"hyperq/internal/transform"
 	"hyperq/internal/types"
@@ -92,6 +93,11 @@ type Session struct {
 	// txnOpen tracks an open explicit transaction (BT without ET): like the
 	// replay log, it pins a pooled backend connection to the session.
 	txnOpen bool
+	// recs holds the current unit's collected records until they are
+	// emitted; encoded is the pooled raw batch a batch that is not raw is
+	// encoded into (deliverBatch).
+	recs    []byte
+	encoded tdf.Batch
 	// psc is the per-session parser arena (token slices, identifier
 	// interner, AST node slabs), reset at each request boundary. Safe
 	// because sessions process one request at a time and nothing retains a
@@ -291,10 +297,8 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		s.req.tr = nil
 	}()
 	if cached, done, cerr := s.runCachedRaw(sql, rec); done {
-		if cerr == nil && s.fw != nil {
-			if werr := s.fw.writeResults(cached); werr != nil {
-				return nil, werr
-			}
+		if cerr == nil {
+			cerr = s.emit(cached)
 		}
 		return cached, cerr
 	}
@@ -332,10 +336,8 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		// With a frontend attached, each unit's parcels go out as the unit
 		// completes — a streamed later unit must not overtake an earlier
 		// unit's buffered response.
-		if s.fw != nil {
-			if werr := s.fw.writeResults(unitResults); werr != nil {
-				return nil, werr
-			}
+		if err := s.emit(unitResults); err != nil {
+			return nil, err
 		}
 		s.req.statements++
 	}
@@ -348,6 +350,32 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		s.cachePut(&cacheEntry{key: s.cacheKey("R", sql), plan: last})
 	}
 	return out, nil
+}
+
+// maxRetainedRecs bounds the record buffer a session keeps between units: a
+// large collected result's is left to the garbage collector.
+const maxRetainedRecs = 1 << 20
+
+// emit hands one unit's collected results on, each result set's records
+// written to the frontend or, for a session without one, decoded into Rows:
+// the one place a collected result becomes Datums. Then the unit's records
+// are dead, and the session's buffer is reused.
+func (s *Session) emit(results []*FrontResult) error {
+	var err error
+	if s.fw != nil {
+		err = s.fw.writeResults(results)
+	}
+	for _, res := range results {
+		if s.fw == nil && res.recs != nil && err == nil {
+			res.Rows, err = tdp.DecodeRecords(res.Cols, res.recs)
+		}
+		res.recs = nil
+	}
+	s.recs = s.recs[:0]
+	if cap(s.recs) > maxRetainedRecs {
+		s.recs = nil
+	}
+	return err
 }
 
 // runCachedRaw is the request-tier cache fast path: a byte-identical repeat
@@ -643,7 +671,7 @@ func (s *Session) collect(p Plan) ([]*FrontResult, time.Duration, error) {
 	if err != nil {
 		return nil, 0, mapBackendError(err)
 	}
-	var c collector
+	c := collector{recs: &s.recs}
 	sets, convert, err := s.deliver(ctx, odbc.BufferStream(results), p.cols, p.cmd, &c)
 	if err != nil {
 		var re *RequestError

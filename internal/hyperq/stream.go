@@ -22,6 +22,10 @@ import (
 // past which backend failures become non-retryable.
 type frontWriter struct {
 	w tdp.ResponseWriter
+	// cols is the open result set's; buf holds a batch's records for a
+	// writer that takes only rows.
+	cols []tdp.ColumnDef
+	buf  []byte
 	// rowsSent: at least one row parcel of the current request was handed to
 	// the frontend writer.
 	rowsSent bool
@@ -53,26 +57,53 @@ func frontErr(err error) error {
 }
 
 func (fw *frontWriter) begin(cols []tdp.ColumnDef) error {
+	fw.cols = cols
 	return frontErr(fw.w.BeginResultSet(cols))
 }
 
-// transcoder is a response writer that writes raw batches itself, as the one
-// a tdp server hands its sessions does (tdp.NewResponseWriter).
-type transcoder interface {
+// recordWriter is a response writer that writes records itself, as the one a
+// tdp server hands its sessions does (tdp.NewResponseWriter). Any other
+// writer is given rows decoded from the records.
+type recordWriter interface {
 	Transcode(b *tdf.Batch, ops []tdp.FieldOp) error
+	Records(p []byte) error
 }
 
-// transcode writes a raw batch through the response writer, if it is a
-// transcoder.
-func (fw *frontWriter) transcode(b *tdf.Batch, ops []tdp.FieldOp) (bool, error) {
-	bw, ok := fw.w.(transcoder)
-	if !ok {
-		return false, nil
+// transcode writes a raw batch's records: straight from the batch through a
+// recordWriter, through a buffer of records to any other writer. A cell that
+// cannot be converted fails the request, not the connection.
+func (fw *frontWriter) transcode(b *tdf.Batch, ops []tdp.FieldOp) error {
+	rw, direct := fw.w.(recordWriter)
+	var err error
+	if direct {
+		fw.rowsSent = fw.rowsSent || b.Len() > 0
+		err = rw.Transcode(b, ops)
+	} else {
+		fw.buf, err = tdp.AppendRecords(fw.buf[:0], fw.cols, b, ops)
 	}
-	if b.Len() > 0 {
-		fw.rowsSent = true
+	if err != nil && errors.As(err, new(*tdp.ConversionError)) {
+		return conversionFailure(err)
 	}
-	return true, frontErr(bw.Transcode(b, ops))
+	if direct || err != nil {
+		return frontErr(err)
+	}
+	return fw.records(fw.buf)
+}
+
+// records writes records made for the open result set.
+func (fw *frontWriter) records(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	fw.rowsSent = true
+	if rw, ok := fw.w.(recordWriter); ok {
+		return frontErr(rw.Records(p))
+	}
+	rows, err := tdp.DecodeRecords(fw.cols, p)
+	if err != nil {
+		return err
+	}
+	return fw.rows(rows)
 }
 
 func (fw *frontWriter) rows(rows [][]types.Datum) error {
@@ -86,15 +117,20 @@ func (fw *frontWriter) rows(rows [][]types.Datum) error {
 }
 
 func (fw *frontWriter) end(activity int64, name string) error {
+	fw.cols = nil
 	return frontErr(fw.w.EndStatement(activity, name))
 }
 
-// writeResults emits materialized results. A statement streamed to the wire
-// returns no FrontResult, so nothing here was sent before.
+// writeResults emits materialized results: a collected result set's records,
+// a gateway-made one's rows. A statement streamed to the wire returns no
+// FrontResult, so nothing here was sent before.
 func (fw *frontWriter) writeResults(results []*FrontResult) error {
 	for _, res := range results {
 		if res.Cols != nil {
 			if err := fw.begin(res.Cols); err != nil {
+				return err
+			}
+			if err := fw.records(res.recs); err != nil {
 				return err
 			}
 			if err := fw.rows(res.Rows); err != nil {
@@ -245,11 +281,11 @@ func (f *resultFeed) admit(ctx context.Context, size int64) error {
 // Next hands the previous batch's bytes back to both budgets and its memory
 // back to the decoder, nudges the fetch stage, and returns the next event:
 // pulled here up to the stream's second batch, which starts the fetch
-// goroutine, and taken from it after that. It is the repository's one Release
-// call: the collector keeps the rows it is handed, and a batch that never got
-// here is left to the garbage collector. Every call passes the same ctx, the
-// streamed statement's: a fetch goroutine that went quiet without a terminal
-// event was stopped by it, and that is the error.
+// goroutine, and taken from it after that. It releases every streamed batch,
+// as the collector releases each batch once its records are made; a batch
+// that never got here is left to the garbage collector. Every call passes
+// the same ctx, the streamed statement's: a fetch goroutine that went quiet
+// without a terminal event was stopped by it, and that is the error.
 func (f *resultFeed) Next(ctx context.Context) (cwp.StreamEvent, error) {
 	if b, n := f.held.ev.Batch, f.held.bytes; b != nil {
 		f.held = fedEvent{}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -53,39 +54,80 @@ func wireBytes(s *Session, front []xtra.Col, b *tdf.Batch) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// frontFor draws, for each backend column, a frontend type the transcoder
-// handles: the same type, INTEGER and BIGINT either way, a DECIMAL at another
-// scale, VARCHAR as CHAR(n) — n from 0, so strings longer than n are cut.
+// frontFor draws, for each backend column, a frontend type: the same type,
+// INTEGER and BIGINT either way, a DECIMAL at another scale, VARCHAR as
+// CHAR(n) — n from 0, so strings longer than n are cut — and the casts
+// INTEGER or BIGINT to VARCHAR, DATE to CHAR(n), DECIMAL to FLOAT, FLOAT to
+// DECIMAL and VARCHAR to INTEGER.
 func frontFor(rng *rand.Rand, back []tdf.ColumnMeta) []xtra.Col {
 	front := make([]xtra.Col, len(back))
 	for i, c := range back {
 		ft := c.Type
 		switch c.Type.Kind {
 		case types.KindInt, types.KindBigInt:
-			ft = []types.T{types.Int, types.BigInt}[rng.Intn(2)]
+			ft = []types.T{types.Int, types.BigInt, types.VarChar(rng.Intn(30))}[rng.Intn(3)]
 		case types.KindDecimal:
-			if s := int(int8(c.Type.Scale)); s >= 0 && s <= 18 {
+			if rng.Intn(3) == 0 {
+				ft = types.Float
+			} else if s := int(int8(c.Type.Scale)); s >= 0 && s <= 18 {
 				ft = types.Decimal(18, rng.Intn(19))
 			} else {
 				ft.Scale = s // what the decoded cells carry: a splice
 			}
-		case types.KindVarChar:
+		case types.KindFloat:
 			if rng.Intn(2) == 0 {
-				ft = types.Char(rng.Intn(41))
+				ft = types.Decimal(18, rng.Intn(19))
 			}
+		case types.KindDate:
+			if rng.Intn(2) == 0 {
+				ft = types.Char(rng.Intn(15))
+			}
+		case types.KindVarChar:
+			ft = []types.T{ft, types.Char(rng.Intn(41)), types.Int}[rng.Intn(3)]
 		}
 		front[i] = xtra.Col{Name: c.Name, Type: ft}
 	}
 	return front
 }
 
+// referenceBytes is what the client reads for the decoded batch b promised
+// as front by the converter the transcoder replaced: every row through
+// convertRowReference, then the tdp row encoder. A row that does not convert
+// fails the result with the error the gateway sends.
+func referenceBytes(front []xtra.Col, b *tdf.Batch) ([]byte, error) {
+	var buf bytes.Buffer
+	out := bufio.NewWriter(&buf)
+	w := tdp.NewResponseWriter(out)
+	cols := make([]tdp.ColumnDef, len(front))
+	for i, c := range front {
+		cols[i] = tdp.ColumnDef{Name: c.Name, Type: c.Type}
+	}
+	if err := w.BeginResultSet(cols); err != nil {
+		return nil, err
+	}
+	for _, row := range b.Rows {
+		conv, err := convertRowReference(front, row)
+		if err != nil {
+			return nil, conversionFailure(err)
+		}
+		if err := w.Row(conv); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.EndStatement(int64(len(b.Rows)), "SELECT"); err != nil {
+		return nil, err
+	}
+	err := out.Flush()
+	return buf.Bytes(), err
+}
+
 // checkTranscode is the transcoder's differential property for one input: a
 // batch passes Adopt's validation exactly when DecodeBytes accepts it, with
 // the same EncodedSize, and for frontend types drawn by choice the records
-// transcoded from the raw batch are byte for byte the ones the Datum path
-// writes: appendRecord over convertBatch over DecodeBytes. It reports whether
-// the transcoder took the batch.
-func checkTranscode(t *testing.T, s *Session, p []byte, choice int64) (transcoded bool) {
+// transcoded from the raw batch are byte for byte the reference's
+// (referenceBytes), or both fail with the same error. It returns the
+// frontend types and the transcoder's error.
+func checkTranscode(t *testing.T, s *Session, p []byte, choice int64) ([]xtra.Col, error) {
 	t.Helper()
 	decoded, derr := tdf.DecodeBytes(p)
 	raw, _, aerr := tdf.Adopt(append([]byte(nil), p...))
@@ -93,23 +135,18 @@ func checkTranscode(t *testing.T, s *Session, p []byte, choice int64) (transcode
 		t.Fatalf("DecodeBytes err %v, Adopt err %v", derr, aerr)
 	}
 	if derr != nil {
-		return false
+		return nil, derr
 	}
 	if raw.EncodedSize() != decoded.EncodedSize() || raw.Len() != len(decoded.Rows) {
 		t.Fatalf("raw batch: %d bytes %d rows, decoded %d bytes %d rows", raw.EncodedSize(), raw.Len(), decoded.EncodedSize(), len(decoded.Rows))
 	}
 	front := frontFor(rand.New(rand.NewSource(choice)), raw.Cols)
-	plan, err := newConvertPlan(front, raw.Cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transcoded = plan.transcodes(raw) != nil
 	got, gerr := wireBytes(s, front, raw)
-	want, werr := wireBytes(s, front, decoded)
-	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
-		t.Fatalf("front %v, transcoded %v:\n got %v %x\nwant %v %x", front, transcoded, gerr, got, werr, want)
+	want, werr := referenceBytes(front, decoded)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || werr == nil && !bytes.Equal(got, want) {
+		t.Fatalf("front %v:\n got %v %x\nwant %v %x", front, gerr, got, werr, want)
 	}
-	return transcoded
+	return front, gerr
 }
 
 // everyKindBatch has a column of each kind the transcoder handles, plus a
@@ -171,20 +208,25 @@ func FuzzTranscode(f *testing.F) {
 }
 
 // The property over the corpus with many draws of frontend types, and proof
-// that the transcoder, not the Datum path, answered: every draw for the wide
-// batch and the every-kind batch minus its NULL-typed column is transcoded.
+// that every draw for the wide batch and the every-kind batch, its NULL-typed
+// column included, transcodes: a cast fails only where the reference fails
+// it, a VARCHAR of words promised as INTEGER.
 func TestTranscodeMatchesDatumPath(t *testing.T) {
 	s := deliverSession(t)
-	every := everyKindBatch()
-	every.Cols = every.Cols[:len(every.Cols)-1]
-	for ri := range every.Rows {
-		every.Rows[ri] = every.Rows[ri][:len(every.Cols)]
-	}
 	_, wide := wideFixture(300, false)
 	for choice := int64(0); choice < 50; choice++ {
-		for name, p := range map[string][]byte{"wide": encoded(t, wide), "every kind": encoded(t, every)} {
-			if !checkTranscode(t, s, p, choice) {
-				t.Fatalf("%s, draw %d: the batch was not transcoded", name, choice)
+		for name, b := range map[string]*tdf.Batch{"wide": wide, "every kind": everyKindBatch()} {
+			front, err := checkTranscode(t, s, encoded(t, b), choice)
+			if err == nil {
+				continue
+			}
+			words := false
+			for i, c := range front {
+				words = words || c.Type.Kind == types.KindInt && b.Cols[i].Type.Kind == types.KindVarChar
+			}
+			var re *RequestError
+			if !errors.As(err, &re) || re.Code != tdp.CodeObjectNotFound || !words {
+				t.Fatalf("%s, draw %d (%v): %v", name, choice, front, err)
 			}
 		}
 	}
@@ -326,5 +368,66 @@ func TestStreamedCastColumnMatchesBuffered(t *testing.T) {
 			t.Fatalf("parcel %d diverged:\nstreamed 0x%02x %x\nbuffered 0x%02x %x",
 				i, streamed[i].kind, streamed[i].payload, buffered[i].kind, buffered[i].payload)
 		}
+	}
+}
+
+// A cast that fails mid-result — the backend stores as VARCHAR what the
+// client was promised as INTEGER, and the 2,001st of 2,500 cells is no
+// number — fails the request with code 3807 and the same message whether the
+// result streams (rows of the first batches already sent) or is collected
+// (nothing sent), and the connection serves the next request.
+func TestCastFailureMidResultFailsRequestNotConnection(t *testing.T) {
+	target := dialect.CloudA()
+	const rows, bad = 2500, 2000
+	backend := engine.New(target)
+	front := engine.New(target)
+	for e, ddl := range map[*engine.Engine]string{
+		backend: "CREATE TABLE CAST_T (ID INTEGER, V VARCHAR(12))",
+		front:   "CREATE TABLE CAST_T (ID INTEGER, V INTEGER)",
+	} {
+		if _, err := e.NewSession().ExecSQL(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO CAST_T VALUES ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			ins.WriteString(", ")
+		}
+		v := fmt.Sprintf("'%d'", i)
+		if i == bad {
+			v = "'forty-two'"
+		}
+		fmt.Fprintf(&ins, "(%d, %s)", i, v)
+	}
+	if _, err := backend.NewSession().ExecSQL(ins.String()); err != nil {
+		t.Fatal(err)
+	}
+	beAddr := serveBackend(t, backend)
+	var msgs [2]string
+	for i, disable := range []bool{false, true} {
+		st := newStreamStackVia(t, target, front, beAddr, Config{DisableStreaming: disable}, tdp.Options{})
+		c, err := tdp.Dial(st.addr, "app", "pw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.Request("SEL ID, V FROM CAST_T ORDER BY ID")
+		var re *tdp.RequestError
+		if !errors.As(err, &re) || re.Code != tdp.CodeObjectNotFound || !strings.Contains(re.Message, "column V") {
+			t.Fatalf("DisableStreaming %v: %v, want a 3807 conversion failure naming column V", disable, err)
+		}
+		msgs[i] = re.Message
+		if streamed := st.g.MetricsSnapshot().StreamedResults; (streamed > 0) == disable {
+			t.Fatalf("DisableStreaming %v: %d results streamed", disable, streamed)
+		}
+		res, err := c.Request("SEL V FROM CAST_T WHERE ID = 7")
+		if err != nil || len(res) != 1 || len(res[0].Rows) != 1 || res[0].Rows[0][0] != types.NewInt(7) {
+			t.Fatalf("DisableStreaming %v: next request: %v %+v", disable, err, res)
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("streamed failure %q, collected %q", msgs[0], msgs[1])
 	}
 }

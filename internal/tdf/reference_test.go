@@ -345,7 +345,7 @@ func TestDecodeIntoRecycledSlabMatchesReference(t *testing.T) {
 // second time and nothing at all to a batch nobody decoded.
 func TestReleaseIsIdempotentAndSharedIsNoOp(t *testing.T) {
 	shared := sampleBatch()
-	if shared.Owned() {
+	if shared.mem != nil {
 		t.Error("a hand-built batch claims to be owned")
 	}
 	shared.Release()
@@ -358,13 +358,13 @@ func TestReleaseIsIdempotentAndSharedIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Owned() {
+	if a.mem == nil {
 		t.Fatal("a decoded batch is not owned")
 	}
 	size := a.EncodedSize()
 	a.Release()
-	if a.Owned() || a.Rows != nil {
-		t.Errorf("after Release: owned %v, %d rows", a.Owned(), len(a.Rows))
+	if a.mem != nil || a.Rows != nil {
+		t.Errorf("after Release: owned %v, %d rows", a.mem != nil, len(a.Rows))
 	}
 	if a.EncodedSize() != size {
 		t.Errorf("EncodedSize %d after Release, %d before", a.EncodedSize(), size)
@@ -424,6 +424,8 @@ func TestDecodeForgedHeaderBoundedAllocation(t *testing.T) {
 		p = binary.LittleEndian.AppendUint32(p, nrows)
 		return append(p, tail...)
 	}
+	tagInt, _ := kindToTag(types.KindInt)
+	tagVarChar, _ := kindToTag(types.KindVarChar)
 	oneIntCol := []byte{tagInt, 0, 0, 0, 0, 1, 0, 'c'}
 	oneStrCol := []byte{tagVarChar, 0, 0, 0, 0, 1, 0, 's'}
 	cases := map[string][]byte{

@@ -19,69 +19,29 @@ import (
 // Magic identifies a TDF batch header.
 const Magic = 0x54444631 // "TDF1"
 
-// Column type tags in the batch header.
-const (
-	tagNull uint8 = iota
-	tagBool
-	tagInt
-	tagBigInt
-	tagFloat
-	tagDecimal
-	tagChar
-	tagVarChar
-	tagDate
-	tagTime
-	tagTimestamp
-	tagPeriod
-	tagBytes
-	tagInterval
-)
+// tagKinds is the column type tag in the batch header of each kind: its
+// index.
+var tagKinds = [...]types.Kind{
+	types.KindNull, types.KindBool, types.KindInt, types.KindBigInt,
+	types.KindFloat, types.KindDecimal, types.KindChar, types.KindVarChar,
+	types.KindDate, types.KindTime, types.KindTimestamp, types.KindPeriod,
+	types.KindBytes, types.KindInterval,
+}
 
 func kindToTag(k types.Kind) (uint8, error) {
-	switch k {
-	case types.KindNull:
-		return tagNull, nil
-	case types.KindBool:
-		return tagBool, nil
-	case types.KindInt:
-		return tagInt, nil
-	case types.KindBigInt:
-		return tagBigInt, nil
-	case types.KindFloat:
-		return tagFloat, nil
-	case types.KindDecimal:
-		return tagDecimal, nil
-	case types.KindChar:
-		return tagChar, nil
-	case types.KindVarChar:
-		return tagVarChar, nil
-	case types.KindDate:
-		return tagDate, nil
-	case types.KindTime:
-		return tagTime, nil
-	case types.KindTimestamp:
-		return tagTimestamp, nil
-	case types.KindPeriod:
-		return tagPeriod, nil
-	case types.KindBytes:
-		return tagBytes, nil
-	case types.KindInterval:
-		return tagInterval, nil
+	for tag, kind := range tagKinds {
+		if kind == k {
+			return uint8(tag), nil
+		}
 	}
 	return 0, fmt.Errorf("tdf: unsupported kind %v", k)
 }
 
 func tagToKind(t uint8) (types.Kind, error) {
-	kinds := []types.Kind{
-		types.KindNull, types.KindBool, types.KindInt, types.KindBigInt,
-		types.KindFloat, types.KindDecimal, types.KindChar, types.KindVarChar,
-		types.KindDate, types.KindTime, types.KindTimestamp, types.KindPeriod,
-		types.KindBytes, types.KindInterval,
-	}
-	if int(t) >= len(kinds) {
+	if int(t) >= len(tagKinds) {
 		return 0, fmt.Errorf("tdf: unknown type tag %d", t)
 	}
-	return kinds[t], nil
+	return tagKinds[t], nil
 }
 
 // ColumnMeta describes one column of a batch.
@@ -94,12 +54,12 @@ type ColumnMeta struct {
 //
 // A batch built by hand (a literal, an engine result, a canned reply) is
 // shared: any number of readers may hold it and nobody may write to it. A
-// batch DecodeBytes or Adopt produced is owned by whoever holds it: its rows
-// sit in recycled memory the holder may overwrite and, once nothing reads the
-// rows any more, hand back with Release.
+// batch DecodeBytes, Adopt or EncodeRaw produced is owned by whoever holds it:
+// its rows sit in recycled memory the holder may overwrite and, once nothing
+// reads the rows any more, hand back with Release.
 //
-// A batch Adopt produced is raw until DecodeRows: its rows are still the TDF
-// bytes they arrived as, Rows is nil, and Raw locates every cell in them.
+// A batch Adopt or EncodeRaw produced is raw until DecodeRows: its rows are
+// still TDF bytes, Rows is nil, and Raw locates every cell in them.
 type Batch struct {
 	Cols []ColumnMeta
 	Rows [][]types.Datum
@@ -148,11 +108,6 @@ var slabs = sync.Pool{New: func() any { return new(slab) }}
 // maxPooledRaw bounds the buffer and index a pooled slab keeps: a batch is a
 // few hundred KB, a rare giant message's memory is left to the collector.
 const maxPooledRaw = 1 << 20
-
-// Owned reports whether the holder may write to the batch's rows and release
-// them: true only for a batch DecodeBytes or Adopt produced that was not
-// released.
-func (b *Batch) Owned() bool { return b.mem != nil }
 
 // Release hands an owned batch's row memory back for the next decode and
 // leaves the batch without rows, so a reader that comes late finds none
@@ -236,7 +191,10 @@ func (b *Batch) Encode(w io.Writer) error {
 
 // appendTo appends the batch's encoding to dst. Rows without columns have no
 // encoding a decoder could bound by its input, so they are refused here as
-// they are in DecodeBytes.
+// they are in DecodeBytes; so is a present cell of another kind than its
+// column's (INTEGER and BIGINT, and CHAR and VARCHAR, stand for each other),
+// or a DECIMAL at another scale, whose value the column's encoding would
+// lose.
 func (b *Batch) appendTo(dst []byte) ([]byte, error) {
 	if len(b.Cols) == 0 && len(b.Rows) > 0 {
 		return nil, fmt.Errorf("tdf: %d rows without columns", len(b.Rows))
@@ -267,13 +225,17 @@ func (b *Batch) appendTo(dst []byte) ([]byte, error) {
 		if len(row) != len(b.Cols) {
 			return nil, fmt.Errorf("tdf: row arity %d != %d", len(row), len(b.Cols))
 		}
-		for i, d := range row {
+		for i := range row {
+			d, t := &row[i], &b.Cols[i].Type
 			if d.Null {
 				dst = append(dst, 0)
 				continue
 			}
+			if !holds(t, d) {
+				return nil, fmt.Errorf("tdf: column %s: a %v cell in a %v column", b.Cols[i].Name, d.Type(), *t)
+			}
 			dst = append(dst, 1)
-			switch b.Cols[i].Type.Kind {
+			switch t.Kind {
 			case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
 				types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
 				dst = le.AppendUint64(dst, uint64(d.I))
@@ -289,6 +251,21 @@ func (b *Batch) appendTo(dst []byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// holds reports whether a column of type t can encode the present cell d:
+// d has t's kind, up to INTEGER/BIGINT and CHAR/VARCHAR, and a DECIMAL has
+// the scale a decoded cell of t carries.
+func holds(t *types.T, d *types.Datum) bool {
+	switch d.K {
+	case t.Kind:
+		return t.Kind != types.KindDecimal || d.Scale == int8(t.Scale)
+	case types.KindInt, types.KindBigInt:
+		return t.Kind == types.KindInt || t.Kind == types.KindBigInt
+	case types.KindChar, types.KindVarChar:
+		return t.Kind == types.KindChar || t.Kind == types.KindVarChar
+	}
+	return false
 }
 
 var errTruncated = fmt.Errorf("tdf: truncated batch: %w", io.ErrUnexpectedEOF)
@@ -320,20 +297,15 @@ func Decode(r io.Reader) (*Batch, error) {
 // that remain (a cell occupies at least its presence byte) before anything
 // is allocated for it.
 func DecodeBytes(p []byte) (*Batch, error) {
-	cols, off, nr, hasText, err := parseHeader(p)
+	b, _, err := Adopt(p)
 	if err != nil {
 		return nil, err
 	}
-	m := slabs.Get().(*slab)
-	size, err := m.decodeRows(p, off, cols, nr, hasText)
-	if err != nil {
-		slabs.Put(m)
-		return nil, err
-	}
-	// The batch may be kept, never released: it must not pin a raw batch's
-	// buffer and index with its rows.
-	m.RawRows = RawRows{}
-	return &Batch{Cols: cols, Rows: m.rows, mem: m, size: size}, nil
+	b.DecodeRows()
+	// The batch may be kept, never released: it must not alias p, nor pin a
+	// buffer of the pool's.
+	b.mem.Bytes = nil
+	return b, nil
 }
 
 // Adopt takes over the batch p holds without decoding it: the batch it
@@ -357,6 +329,32 @@ func Adopt(p []byte) (b *Batch, spare []byte, err error) {
 	spare = m.Bytes
 	m.Bytes, m.nrows, m.text = p, nr, hasText
 	return &Batch{Cols: cols, mem: m, raw: true, size: size}, spare, nil
+}
+
+// EncodeRaw makes dst the raw batch Adopt would make of b's encoding — the
+// bytes Encode writes, checked as Encode checks them — in pooled memory
+// instead of a buffer of the caller's. dst is owned by its holder until
+// Release, and shares b's columns.
+func (b *Batch) EncodeRaw(dst *Batch) error {
+	m := slabs.Get().(*slab)
+	p, err := b.appendTo(m.Bytes[:0])
+	if err != nil {
+		slabs.Put(m)
+		return err
+	}
+	off, text := 12, false
+	for _, c := range b.Cols {
+		off += 7 + len(c.Name)
+		text = text || cellWidths[c.Type.Kind] == varWidth
+	}
+	size, err := m.locate(p, off, b.Cols, len(b.Rows))
+	if err != nil {
+		slabs.Put(m)
+		return err
+	}
+	m.Bytes, m.nrows, m.text = p, len(b.Rows), text
+	*dst = Batch{Cols: b.Cols, mem: m, raw: true, size: size}
+	return nil
 }
 
 // DecodeRows decodes a raw batch's rows into Rows, from the bytes it holds
@@ -558,63 +556,48 @@ func (m *slab) row(ri, ncols int) []types.Datum {
 	return row
 }
 
-// decodeRows decodes the nrows rows that start at p[off:] and must end where
-// p does into the slab, growing it when it is too small, and returns the
-// batch's EncodedSize.
-func (m *slab) decodeRows(p []byte, off int, cols []ColumnMeta, nrows int, hasText bool) (int, error) {
-	var text string // same offsets as p
-	if hasText {
-		text = string(p)
-	}
-	m.grow(nrows, len(cols))
-	size := rowsSize(cols, nrows)
-	var wstack [32]int8
-	widths := colWidths(&wstack, cols)
-	var cstack [32]Cell // one row's cells, for up to 32 columns
-	cells := cstack[:0]
-	if len(cols) > len(cstack) {
-		cells = make([]Cell, 0, len(cols))
-	}
-	cells = cells[:len(cols)]
-	for ri := range m.rows {
-		next, strBytes, err := walkRow(p, off, widths, cells)
-		if err != nil {
-			return 0, err
-		}
-		off, size = next, size+strBytes
-		fillRow(m.row(ri, len(cols)), cols, cells, p, text)
-	}
-	if off != len(p) {
-		return 0, fmt.Errorf("tdf: %d bytes after the batch", len(p)-off)
-	}
-	return size, nil
-}
-
 // fillRow stores every cell of one row, located in p by cells, in row, its
 // strings cut from text (p's copy).
 func fillRow(row []types.Datum, cols []ColumnMeta, cells []Cell, p []byte, text string) {
-	le := binary.LittleEndian
 	for ci, c := range cells {
-		t := &cols[ci].Type
-		d := &row[ci]
-		if c.Off < 0 {
-			*d = types.Datum{K: t.Kind, Null: true}
-			continue
-		}
-		val := p[c.Off : c.Off+c.Len]
-		switch t.Kind {
-		case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
-			types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
-			// Scale is zero except for DECIMAL.
-			*d = types.Datum{K: t.Kind, I: int64(le.Uint64(val)), Scale: int8(t.Scale)}
-		case types.KindFloat:
-			*d = types.Datum{K: t.Kind, F: math.Float64frombits(le.Uint64(val))}
-		case types.KindChar, types.KindVarChar, types.KindBytes:
+		c.store(&row[ci], &cols[ci].Type, p, text)
+	}
+}
+
+// Value returns the cell c locates in p, the bytes of a raw batch
+// (RawRows), as DecodeBytes decodes a cell of a column of type t; a string is
+// a copy.
+func (c Cell) Value(t *types.T, p []byte) types.Datum {
+	var d types.Datum
+	c.store(&d, t, p, "")
+	return d
+}
+
+// store decodes the cell into d, a string cut from text (p's copy), or
+// copied when text is "".
+func (c Cell) store(d *types.Datum, t *types.T, p []byte, text string) {
+	if c.Off < 0 {
+		*d = types.Datum{K: t.Kind, Null: true}
+		return
+	}
+	le := binary.LittleEndian
+	val := p[c.Off : c.Off+c.Len]
+	switch t.Kind {
+	case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate,
+		types.KindTime, types.KindTimestamp, types.KindDecimal, types.KindInterval:
+		// Scale is zero except for DECIMAL.
+		*d = types.Datum{K: t.Kind, I: int64(le.Uint64(val)), Scale: int8(t.Scale)}
+	case types.KindFloat:
+		*d = types.Datum{K: t.Kind, F: math.Float64frombits(le.Uint64(val))}
+	case types.KindChar, types.KindVarChar, types.KindBytes:
+		if text == "" {
+			*d = types.Datum{K: t.Kind, S: string(val)}
+		} else {
 			*d = types.Datum{K: t.Kind, S: text[c.Off : c.Off+c.Len]}
-		case types.KindPeriod:
-			*d = types.NewPeriod(t.Elem, int64(le.Uint64(val)), int64(le.Uint64(val[8:])))
-		case types.KindNull:
-			*d = types.Datum{K: t.Kind, Null: true}
 		}
+	case types.KindPeriod:
+		*d = types.NewPeriod(t.Elem, int64(le.Uint64(val)), int64(le.Uint64(val[8:])))
+	default:
+		*d = types.Datum{K: t.Kind, Null: true}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,42 @@ func TestEncodeRejectsArityMismatch(t *testing.T) {
 	}
 	if err := b.Encode(&bytes.Buffer{}); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+}
+
+// A present cell must have its column's kind — INTEGER and BIGINT, and CHAR
+// and VARCHAR, standing for each other — and a DECIMAL its column's scale:
+// the column's encoding would write anything else as some other value. The
+// error names the column.
+func TestEncodeRejectsKindMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		col  types.T
+		cell types.Datum
+		ok   bool
+	}{
+		{types.Int, types.NewString("7"), false},
+		{types.BigInt, types.NewFloat(7), false},
+		{types.Float, types.NewInt(7), false},
+		{types.VarChar(9), types.NewInt(7), false},
+		{types.Date, types.NewTimestamp(7), false},
+		{types.Decimal(12, 2), types.NewDecimal(7, 4), false},
+		{types.Int, types.NewBigInt(7), true},
+		{types.BigInt, types.NewInt(7), true},
+		{types.Char(3), types.NewString("abc"), true},
+		{types.VarChar(3), types.NewChar("abc"), true},
+		{types.Decimal(12, 2), types.NewDecimal(7, 2), true},
+		{types.Int, types.NewNull(types.KindVarChar), true},
+	} {
+		b := &Batch{
+			Cols: []ColumnMeta{{Name: "k", Type: types.Int}, {Name: "v", Type: tc.col}},
+			Rows: [][]types.Datum{{types.NewInt(1), tc.cell}},
+		}
+		err := b.Encode(&bytes.Buffer{})
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("%v cell in a %v column: err %v, want ok %v", tc.cell.K, tc.col, err, tc.ok)
+		} else if !ok && !strings.Contains(err.Error(), "column v") {
+			t.Errorf("%v cell in a %v column: %v does not name the column", tc.cell.K, tc.col, err)
+		}
 	}
 }
 

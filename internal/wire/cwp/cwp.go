@@ -41,17 +41,6 @@ const (
 // BatchRows is the number of rows per streamed batch.
 const BatchRows = 1024
 
-// Server serves the engine over CWP.
-type Server struct {
-	eng *Engine
-	ln  net.Listener
-}
-
-// Engine is the minimal backend surface the server drives.
-type Engine struct {
-	E *engine.Engine
-}
-
 // Serve accepts connections until the listener closes. Transient Accept
 // failures (aborted handshakes, fd exhaustion) back off briefly and keep
 // the loop alive; only a closed listener or another permanent error exits.
@@ -194,9 +183,9 @@ type Client struct {
 	// in buffers every read of the session: a message's header and payload,
 	// and a run of small messages, cost one read syscall instead of two each.
 	in *bufio.Reader
-	// payload is the backing array readEvent reads each message into; nothing
-	// decoded from a message aliases it, and a streamed batch that takes it
-	// over leaves a recycled one in its place. See maxRetainedPayload.
+	// payload is the backing array readEvent reads each message into; a batch
+	// takes it over and leaves a recycled one in its place. See
+	// maxRetainedPayload.
 	payload []byte
 	// broken marks the connection protocol-desynchronized: an abandoned
 	// stream or a partially written request left responses in flight that no
@@ -267,8 +256,8 @@ type StatementResult struct {
 	Affected int64
 }
 
-// Rows flattens the batches, decoding any that are raw (a caller that
-// collected a stream's batches).
+// Rows flattens the batches, decoding any that are raw: every batch read off
+// a connection is.
 func (r *StatementResult) Rows() [][]types.Datum {
 	var out [][]types.Datum
 	for _, b := range r.Batches {
@@ -299,7 +288,7 @@ func (c *Client) ExecContext(ctx context.Context, sql string) ([]*StatementResul
 	var out []*StatementResult
 	cur := &StatementResult{}
 	for {
-		ev, err := c.readEvent(false)
+		ev, err := c.readEvent()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return out, nil
@@ -340,14 +329,14 @@ func (c *Client) arm(ctx context.Context) error {
 const maxRetainedPayload = 1 << 20
 
 // readEvent reads and decodes the next message of the in-flight request. It
-// is the one reader of both the buffered and the streaming execute: a batch
-// is decoded for the buffered one, and for the streaming one (raw) taken over
-// as it arrived — tdf.Adopt, which checks it as decoding would. The terminal
+// is the one reader of both the buffered and the streaming execute. A batch
+// is taken over as it arrived — tdf.Adopt, which checks it as decoding
+// would — so it is raw and owned by the receiver. The terminal
 // outcomes are io.EOF at MsgEnd (the request completed, the
 // connection is in sync), a *BackendError (the backend failed the request;
 // its trailing MsgEnd is consumed, the connection is in sync) and anything
 // else (transport or protocol failure: the connection is unusable).
-func (c *Client) readEvent(raw bool) (StreamEvent, error) {
+func (c *Client) readEvent() (StreamEvent, error) {
 	kind, payload, err := wire.ReadMessageInto(c.in, c.payload)
 	if err != nil {
 		// A bare EOF here is the backend dying mid-request (the clean end
@@ -367,10 +356,6 @@ func (c *Client) readEvent(raw bool) (StreamEvent, error) {
 		cols, err := decodeMeta(payload)
 		return StreamEvent{Kind: StreamMeta, Cols: cols}, err
 	case MsgBatch:
-		if !raw {
-			batch, err := tdf.DecodeBytes(payload)
-			return StreamEvent{Kind: StreamBatch, Batch: batch}, err
-		}
 		// The batch keeps payload; the next message is read into the buffer
 		// a released batch left behind.
 		batch, spare, err := tdf.Adopt(payload)

@@ -93,7 +93,7 @@ func (s *Stream) Next(ctx context.Context) (StreamEvent, error) {
 			return StreamEvent{}, s.abort(err)
 		}
 	}
-	ev, err := s.c.readEvent(true)
+	ev, err := s.c.readEvent()
 	if err == nil {
 		return ev, nil
 	}

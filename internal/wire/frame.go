@@ -132,6 +132,9 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(p []byte) *Reader { return &Reader{b: p} }
 
+// Len returns the number of bytes not yet read.
+func (r *Reader) Len() int { return len(r.b) - r.off }
+
 // Err returns the first decoding error.
 func (r *Reader) Err() error { return r.err }
 

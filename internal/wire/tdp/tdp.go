@@ -48,47 +48,55 @@ type ColumnDef struct {
 // appendRecord appends one MsgRecord frame to dst: the frame header, then
 // the row laid out in IndicData style — a null-indicator bitmap (u32 length,
 // one bit per column, set = NULL) followed by the field values of the
-// non-null columns. DATE values travel in the vendor's internal integer
-// encoding — bit-identical to the original system. On error dst is returned
-// as it came.
+// non-null columns. On error dst is returned as it came.
 func appendRecord(dst []byte, cols []ColumnDef, row []types.Datum) ([]byte, error) {
 	if len(row) != len(cols) {
 		return dst, fmt.Errorf("tdp: row arity %d != %d", len(row), len(cols))
 	}
-	be := binary.BigEndian
 	start := len(dst)
 	b := beginRecord(dst, len(cols))
 	for i := range row {
-		d := &row[i]
-		if d.Null {
+		if row[i].Null {
 			setNull(b, start, i)
 			continue
 		}
-		switch cols[i].Type.Kind {
-		case types.KindBool:
-			b = append(b, uint8(d.I))
-		case types.KindInt, types.KindTime:
-			b = be.AppendUint32(b, uint32(int32(d.I)))
-		case types.KindBigInt, types.KindTimestamp, types.KindInterval:
-			b = be.AppendUint64(b, uint64(d.I))
-		case types.KindDecimal:
-			b = be.AppendUint64(b, uint64(d.DecimalScaled(cols[i].Type.Scale)))
-		case types.KindFloat:
-			b = be.AppendUint64(b, math.Float64bits(d.F))
-		case types.KindDate:
-			// Teradata internal DATE integer: (y-1900)*10000 + m*100 + d.
-			b = be.AppendUint32(b, uint32(int32(types.TeradataDateInt(*d))))
-		case types.KindChar, types.KindVarChar, types.KindBytes:
-			b = be.AppendUint32(b, uint32(len(d.S)))
-			b = append(b, d.S...)
-		case types.KindPeriod:
-			b = be.AppendUint64(b, uint64(d.PStart))
-			b = be.AppendUint64(b, uint64(d.PEnd))
-		default:
-			return dst, fmt.Errorf("tdp: cannot encode kind %v", cols[i].Type.Kind)
+		var err error
+		if b, err = appendField(b, &cols[i].Type, &row[i]); err != nil {
+			return dst, err
 		}
 	}
 	return endRecord(dst, b, start)
+}
+
+// appendField appends the field of the present cell d in a column of type t.
+// DATE values travel in the vendor's internal integer encoding —
+// bit-identical to the original system.
+func appendField(b []byte, t *types.T, d *types.Datum) ([]byte, error) {
+	be := binary.BigEndian
+	switch t.Kind {
+	case types.KindBool:
+		b = append(b, uint8(d.I))
+	case types.KindInt, types.KindTime:
+		b = be.AppendUint32(b, uint32(int32(d.I)))
+	case types.KindBigInt, types.KindTimestamp, types.KindInterval:
+		b = be.AppendUint64(b, uint64(d.I))
+	case types.KindDecimal:
+		b = be.AppendUint64(b, uint64(d.DecimalScaled(t.Scale)))
+	case types.KindFloat:
+		b = be.AppendUint64(b, math.Float64bits(d.F))
+	case types.KindDate:
+		// Teradata internal DATE integer: (y-1900)*10000 + m*100 + d.
+		b = be.AppendUint32(b, uint32(int32(types.TeradataDateInt(*d))))
+	case types.KindChar, types.KindVarChar, types.KindBytes:
+		b = be.AppendUint32(b, uint32(len(d.S)))
+		b = append(b, d.S...)
+	case types.KindPeriod:
+		b = be.AppendUint64(b, uint64(d.PStart))
+		b = be.AppendUint64(b, uint64(d.PEnd))
+	default:
+		return b, fmt.Errorf("tdp: cannot encode kind %v", t.Kind)
+	}
+	return b, nil
 }
 
 // The record framer: appendRecord and appendTranscoded lay a MsgRecord
@@ -132,10 +140,12 @@ func endRecord(dst, b []byte, start int) ([]byte, error) {
 // refuses it.
 type FieldOp struct {
 	code fieldCode
-	// n is the CHAR length for fieldPad; factor is the power of ten
-	// fieldScaleUp multiplies by and fieldScaleDown divides by.
+	// n is the CHAR length for fieldPad and a bound on the field's size for
+	// fieldCast; factor is the power of ten fieldScaleUp multiplies by and
+	// fieldScaleDown divides by; cast is fieldCast's pair of types.
 	n      int
 	factor int64
+	cast   *[2]types.T
 }
 
 type fieldCode uint8
@@ -151,6 +161,7 @@ const (
 	fieldString              // length and bytes as they are
 	fieldPad                 // cut and blank-padded to CHAR(n)
 	fieldPeriod              // start and end
+	fieldCast                // decoded, converted with types.Cast, encoded
 )
 
 // Splice is the op for a cell that arrives in the kind of its field, k: the
@@ -196,31 +207,61 @@ func Rescale(from, to int) FieldOp {
 // less) takes the string as it is.
 func Pad(n int) FieldOp { return FieldOp{code: fieldPad, n: max(n, 0)} }
 
-// reads reports whether op can read the cells of a TDF column of kind k:
-// the 64-bit value of an integral kind or FLOAT, a string's bytes, a PERIOD.
-func (op FieldOp) reads(k types.Kind) bool {
+// Cast is the op for a cell of a column of type from sent as a field of type
+// to, whatever the two are: the cell is decoded, goes as it is when it
+// already has to's kind (and scale, for DECIMAL) and through types.Cast
+// otherwise, and is written as appendRecord writes a cell of to. A cell Cast
+// cannot convert fails its record with a *ConversionError.
+func Cast(from, to types.T) FieldOp {
+	// A field outgrows its cell by no more than a number, date or time as
+	// text (under 64 bytes) or a CHAR's blanks.
+	n := 64
+	if to.Kind == types.KindChar {
+		n = max(n, to.Length)
+	}
+	return FieldOp{code: fieldCast, n: n, cast: &[2]types.T{from, to}}
+}
+
+// reads reports whether op can read the cells of a TDF column of type t:
+// the 64-bit value of an integral kind or FLOAT, a string's bytes, a PERIOD,
+// or, for a cast, a cell of the very type it decodes.
+func (op FieldOp) reads(t *types.T) bool {
 	switch op.code {
 	case fieldInt8, fieldInt4, fieldInt1, fieldDate, fieldScaleUp, fieldScaleDown:
-		switch k {
+		switch t.Kind {
 		case types.KindBool, types.KindInt, types.KindBigInt, types.KindDate, types.KindTime,
 			types.KindTimestamp, types.KindDecimal, types.KindInterval, types.KindFloat:
 			return true
 		}
 	case fieldString, fieldPad:
-		return k == types.KindChar || k == types.KindVarChar || k == types.KindBytes
+		return t.Kind == types.KindChar || t.Kind == types.KindVarChar || t.Kind == types.KindBytes
 	case fieldPeriod:
-		return k == types.KindPeriod
+		return t.Kind == types.KindPeriod
+	case fieldCast:
+		from := &op.cast[0]
+		return t.Kind == from.Kind && t.Scale == from.Scale && t.Elem == from.Elem
 	}
 	return false
 }
+
+// A ConversionError is a cell a cast op could not convert to its column's
+// frontend type. The records before the one it fails were made; the failing
+// one was not.
+type ConversionError struct {
+	Column string
+	Err    error
+}
+
+func (e *ConversionError) Error() string { return "column " + e.Column + ": " + e.Err.Error() }
 
 // blanks is the run CHAR padding is cut from.
 const blanks = "                                                                "
 
 // appendTranscoded appends to dst the record of a row whose cells are cells,
-// located in p (tdf.RawRows), writing column i's field with ops[i]. On error
-// dst is returned as it came.
-func appendTranscoded(dst, p []byte, cells []tdf.Cell, ops []FieldOp) ([]byte, error) {
+// located in p (tdf.RawRows), writing column i's field with ops[i]; cols
+// name the columns in a *ConversionError. On error dst is returned as it
+// came.
+func appendTranscoded(dst, p []byte, cells []tdf.Cell, ops []FieldOp, cols []ColumnDef) ([]byte, error) {
 	le, be := binary.LittleEndian, binary.BigEndian
 	start := len(dst)
 	b := beginRecord(dst, len(ops))
@@ -261,19 +302,116 @@ func appendTranscoded(dst, p []byte, cells []tdf.Cell, ops []FieldOp) ([]byte, e
 		case fieldPeriod:
 			b = be.AppendUint64(b, le.Uint64(val))
 			b = be.AppendUint64(b, le.Uint64(val[8:]))
+		case fieldCast:
+			from, to := &op.cast[0], &op.cast[1]
+			d := c.Value(from, p)
+			var err error
+			if !d.Null && (d.K != to.Kind || to.Kind == types.KindDecimal && int(d.Scale) != to.Scale) {
+				d, err = types.Cast(d, *to)
+			}
+			if err == nil && d.Null {
+				setNull(b, start, i)
+				continue
+			}
+			if err == nil {
+				b, err = appendField(b, to, &d)
+			}
+			if err != nil {
+				return dst, &ConversionError{Column: cols[i].Name, Err: err}
+			}
 		}
 	}
 	return endRecord(dst, b, start)
 }
 
+// transcoding checks that b is raw and that ops, one per column of cols, can
+// read its columns, and returns its rows and a bound on the size of any one
+// of its records: no field but a cast outgrows its cell except by the blanks
+// of a CHAR pad, so the largest row of the batch bounds them all.
+func transcoding(b *tdf.Batch, cols []ColumnDef, ops []FieldOp) (tdf.RawRows, int, error) {
+	raw, ok := b.Raw()
+	if !ok || len(ops) != len(cols) || len(ops) != len(b.Cols) {
+		return raw, 0, fmt.Errorf("tdp: cannot transcode a %d-column batch into %d columns (raw %v)", len(b.Cols), len(cols), ok)
+	}
+	need := 9 + (len(ops)+7)/8 + raw.MaxRow
+	for i, op := range ops {
+		if !op.reads(&b.Cols[i].Type) {
+			return raw, 0, fmt.Errorf("tdp: column %d: no field op for a %v cell", i, b.Cols[i].Type)
+		}
+		if op.code == fieldPad || op.code == fieldCast {
+			need += op.n
+		}
+	}
+	return raw, need, nil
+}
+
+// AppendRecords appends to dst the records Transcode would send for the raw
+// batch b under the columns cols. On error dst is returned as it came.
+func AppendRecords(dst []byte, cols []ColumnDef, b *tdf.Batch, ops []FieldOp) ([]byte, error) {
+	raw, _, err := transcoding(b, cols, ops)
+	if err != nil {
+		return dst, err
+	}
+	out := dst
+	for cells, n := raw.Cells, len(ops); len(cells) >= n && n > 0; cells = cells[n:] {
+		if out, err = appendTranscoded(out, raw.Bytes, cells[:n], ops, cols); err != nil {
+			return dst, err
+		}
+	}
+	return out, nil
+}
+
 // DecodeRow parses an IndicData row under the given column metadata.
 func DecodeRow(cols []ColumnDef, payload []byte) ([]types.Datum, error) {
+	row := make([]types.Datum, len(cols))
+	if err := decodeRow(row, cols, payload, ""); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// DecodeRecords decodes p, a run of MsgRecord frames of the columns cols
+// (what AppendRecords makes), into rows that are windows of one slab, their
+// strings cut from one copy of p. It returns nil for no records.
+func DecodeRecords(cols []ColumnDef, p []byte) ([][]types.Datum, error) {
+	p = p[:len(p):len(p)] // decodeRow locates a string in text by its cap
+	n := 0
+	for r := wire.NewReader(p); r.Len() > 0; n++ {
+		if kind := r.U8(); r.Bytes() == nil || kind != MsgRecord {
+			return nil, fmt.Errorf("tdp: bad record run")
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	var text string // same offsets as p
+	for _, c := range cols {
+		if k := c.Type.Kind; k == types.KindChar || k == types.KindVarChar || k == types.KindBytes {
+			text = string(p)
+			break
+		}
+	}
+	slab, rows := make([]types.Datum, n*len(cols)), make([][]types.Datum, n)
+	r := wire.NewReader(p)
+	for i := range rows {
+		r.U8()
+		rows[i] = slab[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		if err := decodeRow(rows[i], cols, r.Bytes(), text); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// decodeRow parses an IndicData row under cols into row. A string field is
+// cut from text when text holds the bytes payload is a window of, and copied
+// otherwise.
+func decodeRow(row []types.Datum, cols []ColumnDef, payload []byte, text string) error {
 	r := wire.NewReader(payload)
 	bitmap := r.Bytes()
 	if r.Err() != nil || len(bitmap) < (len(cols)+7)/8 {
-		return nil, fmt.Errorf("tdp: bad row bitmap")
+		return fmt.Errorf("tdp: bad row bitmap")
 	}
-	row := make([]types.Datum, len(cols))
 	for i, c := range cols {
 		if bitmap[i/8]&(1<<(7-i%8)) != 0 {
 			row[i] = types.NewNull(c.Type.Kind)
@@ -299,17 +437,19 @@ func DecodeRow(cols []ColumnDef, payload []byte) ([]types.Datum, error) {
 		case types.KindTime:
 			row[i] = types.NewTime(int64(int32(r.U32())))
 		case types.KindChar, types.KindVarChar, types.KindBytes:
-			row[i] = types.Datum{K: c.Type.Kind, S: r.String()}
+			v := r.Bytes()
+			if text == "" {
+				row[i] = types.Datum{K: c.Type.Kind, S: string(v)}
+			} else { // v ends where text does, less its cap
+				row[i] = types.Datum{K: c.Type.Kind, S: text[len(text)-cap(v):][:len(v)]}
+			}
 		case types.KindPeriod:
 			row[i] = types.NewPeriod(c.Type.Elem, r.I64(), r.I64())
 		default:
-			return nil, fmt.Errorf("tdp: cannot decode kind %v", c.Type.Kind)
+			return fmt.Errorf("tdp: cannot decode kind %v", c.Type.Kind)
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return row, nil
+	return r.Err()
 }
 
 func encodeStmtInfo(cols []ColumnDef) []byte {
@@ -367,7 +507,7 @@ type ResponseWriter interface {
 // NewResponseWriter returns the writer a served connection hands its
 // SessionHandler, writing to out: for code that frames responses without a
 // connection (tests, benchmarks). Nothing is flushed but what does not fit.
-// Besides ResponseWriter's methods it has Transcode.
+// Besides ResponseWriter's methods it has Transcode and Records.
 func NewResponseWriter(out *bufio.Writer) ResponseWriter { return &respWriter{out: out} }
 
 // SessionHandler processes requests for one logged-on session.
@@ -557,23 +697,13 @@ func (w *respWriter) Row(row []types.Datum) error {
 // Transcode sends the rows of the raw batch b (tdf.Batch.Raw) without
 // decoding them, the field of column i made by ops[i]; like Row it is only
 // valid after BeginResultSet, with one op per column. It writes each record
-// straight into the buffered writer's free space, as Row does. A record is never larger than its TDF row plus the
-// frame, the bitmap and the blanks of its CHAR pads (no field outgrows its
-// cell otherwise), so the largest row of the batch bounds what each one
-// needs.
+// straight into the buffered writer's free space, as Row does, bounded as
+// transcoding says. A cell a cast op cannot convert ends it with a
+// *ConversionError: the records before that row may have been sent.
 func (w *respWriter) Transcode(b *tdf.Batch, ops []FieldOp) error {
-	raw, ok := b.Raw()
-	if !ok || len(ops) != len(w.cols) || len(ops) != len(b.Cols) {
-		return fmt.Errorf("tdp: cannot transcode a %d-column batch into %d columns (raw %v)", len(b.Cols), len(w.cols), ok)
-	}
-	need := 9 + (len(ops)+7)/8 + raw.MaxRow
-	for i, op := range ops {
-		if !op.reads(b.Cols[i].Type.Kind) {
-			return fmt.Errorf("tdp: column %d: no field op for a %v cell", i, b.Cols[i].Type.Kind)
-		}
-		if op.code == fieldPad {
-			need += op.n
-		}
+	raw, need, err := transcoding(b, w.cols, ops)
+	if err != nil {
+		return err
 	}
 	// Records go into the buffer's free space as long as the next one is sure
 	// to fit, then the run is written at once; only a record larger than the
@@ -588,7 +718,7 @@ func (w *respWriter) Transcode(b *tdf.Batch, ops []FieldOp) error {
 		run := w.out.AvailableBuffer()
 		for len(cells) >= n {
 			var err error
-			if run, err = appendTranscoded(run, raw.Bytes, cells[:n], ops); err != nil {
+			if run, err = appendTranscoded(run, raw.Bytes, cells[:n], ops, w.cols); err != nil {
 				return err
 			}
 			cells = cells[n:]
@@ -601,6 +731,13 @@ func (w *respWriter) Transcode(b *tdf.Batch, ops []FieldOp) error {
 		}
 	}
 	return nil
+}
+
+// Records sends p, records AppendRecords made for the open result set, as
+// they are.
+func (w *respWriter) Records(p []byte) error {
+	_, err := w.out.Write(p)
+	return err
 }
 
 // EndStatement leaves its parcel in the buffer: serveConn flushes once the

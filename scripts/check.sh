@@ -79,16 +79,16 @@ go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
 # with a new literal each must stay within the counts pinned in plan_test.go.
 go test -count=1 -v -run 'TestCacheHitAllocs' ./internal/hyperq/
 
-# Result path (DESIGN.md §12): tdf decode, cwp stream drain, result
-# conversion, tdp row encoding and a streamed result transcoded through
-# deliver into the wire sink must each cost a fixed number of allocations per
-# batch, whatever the batch's row count — and, for a consumer that releases
-# what it decodes, no datum slab at all (the transcoded result decodes
-# nothing). One one-batch cwp request (send, metadata, batch, completion,
-# io.EOF) has a pinned total. The ownership tests
+# Result path (DESIGN.md §12): tdf decode, cwp stream drain, tdp row
+# encoding, a streamed result transcoded through deliver into the wire sink
+# and a macro's collected result transcoded into records must each cost a
+# fixed number of allocations per batch, whatever the batch's row count — and
+# no datum slab at all on the gateway's two sinks, which decode nothing. One
+# one-batch cwp request (send, metadata, batch, completion, io.EOF) has a
+# pinned total. The ownership tests
 # rerun here too: under the race detector sync.Pool drops Puts at random, so
 # the gates skip themselves there and the recycled-memory tests retry.
-go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestStreamOneBatchRequestAllocs|TestConvertAllocsPerBatch|TestRowAllocsPerBatch|TestTranscodeAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk|TestConvertOwnedInPlaceMatchesReference' \
+go test -count=1 -run 'TestDecodeAllocsPerBatch|TestStreamDrainAllocsPerBatch|TestStreamOneBatchRequestAllocs|TestRowAllocsPerBatch|TestTranscodeAllocsPerBatch|TestCollectedAllocsPerBatch|TestDecodeIntoRecycledSlabMatchesReference|TestReleaseIsIdempotentAndSharedIsNoOp|TestDecodedSizeMatchesWalk' \
     ./internal/tdf/ ./internal/wire/cwp/ ./internal/hyperq/ ./internal/wire/tdp/
 
 # Small-request path (DESIGN.md §7, §9): a request that succeeds costs the
@@ -104,9 +104,9 @@ go test -count=1 -run 'TestResilientSuccessAllocsIndependentOfSQL|TestUncontende
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/tdf/
 
 # Transcoder fuzz leg: a raw batch passes Adopt's validation exactly when
-# DecodeBytes accepts it, and for random frontend types the transcoder
-# handles, its records equal the Datum path's (convertBatch, then the tdp row
-# encoder) byte for byte; never a panic.
+# DecodeBytes accepts it, and for random frontend types (casts included) its
+# records equal the reference's (DecodeBytes, convertRowReference per row,
+# then the tdp row encoder) byte for byte, or both fail alike; never a panic.
 go test -run '^$' -fuzz '^FuzzTranscode$' -fuzztime 10s ./internal/hyperq/
 
 # Connection-pool stress: rerun the 100-goroutine multiplex/pin/unpin storm
@@ -121,7 +121,7 @@ go test -race -count=1 -timeout 120s -run 'TestPoolStressRace' ./internal/odbc/p
 go test -race -count=1 -timeout 300s -run 'TestResilientStream|TestStreamingBackpressureBoundsResultMemory|TestStreamingSlowClientEvicted|TestStreamingMidStreamBackendDeathFailsCleanly|TestStreamingDeadlineMidStreamFailsCleanly|TestStreamingClientDisconnectReleasesEverything|TestStreamingMatchesBufferedWireTranscripts|TestStreamingResultMemoryCapSheds|TestStreamingBackendProcessDeathSurfacesFailure|TestStreamingReplicatedMatchesBuffered|TestCompositesNeverStream' ./internal/odbc/ ./internal/hyperq/
 
 # Batch ownership under concurrency (DESIGN.md §12): four sessions stream
-# multi-batch results that are cast in place and released while a fifth
+# multi-batch results that are transcoded and released while a fifth
 # collects, every response byte-compared with the DisableStreaming reference;
 # and the fetch stage's hand-over from the session goroutine to the fetch
 # goroutine at a stream's second batch, with cancellation at every event;
