@@ -328,9 +328,10 @@ func tracedTranslateFixture(tb testing.TB, disableTracing, disableStats bool) fu
 // within them with the whole observability stack on ("traced": tracing,
 // the statistics registry, SLO tracking) and with the registry off
 // ("nostats"). That the two fit the same budget is the proof that
-// steady-state recording allocates nothing.
+// steady-state recording allocates nothing. The allocation budget is the
+// 270 measured on the reference VM plus 20 %.
 const (
-	translateAllocsBudget = 1000
+	translateAllocsBudget = 324
 	translateBytesBudget  = 128 << 10
 )
 

@@ -2,8 +2,10 @@ package binder
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"hyperq/internal/catalog"
 	"hyperq/internal/feature"
 	"hyperq/internal/parser"
 	"hyperq/internal/sqlast"
@@ -75,12 +77,14 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 	// Register select-list aliases for named-expression references before
 	// binding any clause (Teradata allows WHERE to use them too).
 	if b.dialect == parser.Teradata {
-		sc.aliasExprs = map[string]sqlast.Expr{}
-		sc.aliasBinding = map[string]bool{}
 		for _, item := range core.Items {
-			if item.Alias != "" {
-				sc.aliasExprs[strings.ToUpper(item.Alias)] = item.Expr
+			if item.Alias == "" {
+				continue
 			}
+			if sc.aliasExprs == nil {
+				sc.aliasExprs = map[string]sqlast.Expr{}
+			}
+			sc.aliasExprs[catalog.Key(item.Alias)] = item.Expr
 		}
 	}
 
@@ -150,13 +154,12 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 		ctx.agg = actx
 	}
 
-	// Bind select items (registers aggregates and windows).
-	type boundItem struct {
-		name string
-		expr xtra.Scalar
-	}
-	var bound []boundItem
-	for _, it := range items {
+	// Bind select items (registers aggregates and windows) into the wide
+	// projection built below: visible items, then hidden ORDER BY keys. A
+	// bound item's column gets its ID and type once every clause is bound.
+	proj := &xtra.Project{Exprs: make([]xtra.NamedScalar, len(items), len(items)+len(orderBy))}
+	bound := proj.Exprs
+	for i, it := range items {
 		e, err := b.bindScalarCtx(it.Expr, sc, ctx)
 		if err != nil {
 			return nil, err
@@ -165,7 +168,7 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 		if name == "" {
 			name = exprName(it.Expr)
 		}
-		bound = append(bound, boundItem{name: name, expr: e})
+		bound[i] = xtra.NamedScalar{Col: xtra.Col{Name: name}, Expr: e}
 	}
 
 	// HAVING binds in the aggregate context (no window functions).
@@ -197,7 +200,7 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 		k := orderKey{item: item, outIdx: -1}
 		if id, ok := item.Expr.(*sqlast.Ident); ok && id.Qualifier() == "" {
 			for i, bi := range bound {
-				if strings.EqualFold(bi.name, id.Name()) {
+				if strings.EqualFold(bi.Col.Name, id.Name()) {
 					k.outIdx = i
 					break
 				}
@@ -250,20 +253,16 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 		op = &xtra.Select{Input: op, Pred: qualifyPred}
 	}
 
-	// Wide projection: visible items plus hidden ORDER BY keys.
-	proj := &xtra.Project{Input: op}
-	visible := make([]xtra.Col, len(bound))
-	for i, bi := range bound {
-		col := b.newCol(bi.name, bi.expr.Type())
-		visible[i] = col
-		proj.Exprs = append(proj.Exprs, xtra.NamedScalar{Col: col, Expr: bi.expr})
+	proj.Input = op
+	for i := range bound {
+		bound[i].Col = b.newCol(bound[i].Col.Name, bound[i].Expr.Type())
 	}
 	var sortKeys []xtra.SortKey
 	hidden := 0
 	for _, k := range oKeys {
 		var ref xtra.Scalar
 		if k.outIdx >= 0 {
-			ref = &xtra.ColRef{Col: visible[k.outIdx]}
+			ref = &xtra.ColRef{Col: bound[k.outIdx].Col}
 		} else {
 			if core.Distinct {
 				return nil, fmt.Errorf("binder: ORDER BY expression must appear in the select list with DISTINCT")
@@ -278,9 +277,9 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 	op = proj
 
 	if core.Distinct {
-		groups := make([]xtra.GroupCol, len(visible))
-		for i, c := range visible {
-			groups[i] = xtra.GroupCol{Out: c, Expr: &xtra.ColRef{Col: c}}
+		groups := make([]xtra.GroupCol, len(bound))
+		for i, bi := range bound {
+			groups[i] = xtra.GroupCol{Out: bi.Col, Expr: &xtra.ColRef{Col: bi.Col}}
 		}
 		op = &xtra.Agg{Input: op, Groups: groups}
 	}
@@ -298,8 +297,8 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 	}
 	if hidden > 0 {
 		final := &xtra.Project{Input: op}
-		for _, c := range visible {
-			final.Exprs = append(final.Exprs, xtra.NamedScalar{Col: c, Expr: &xtra.ColRef{Col: c}})
+		for _, bi := range bound {
+			final.Exprs = append(final.Exprs, xtra.NamedScalar{Col: bi.Col, Expr: &xtra.ColRef{Col: bi.Col}})
 		}
 		op = final
 	}
@@ -308,6 +307,9 @@ func (b *Binder) bindSelectCore(core *sqlast.SelectCore, outer *scope, orderBy [
 
 // expandStars replaces * and t.* select items with explicit columns.
 func (b *Binder) expandStars(items []sqlast.SelectItem, sc *scope) ([]sqlast.SelectItem, error) {
+	if !slices.ContainsFunc(items, func(it sqlast.SelectItem) bool { _, ok := it.Expr.(*sqlast.Star); return ok }) {
+		return items, nil
+	}
 	var out []sqlast.SelectItem
 	for _, it := range items {
 		star, ok := it.Expr.(*sqlast.Star)

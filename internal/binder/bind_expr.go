@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hyperq/internal/catalog"
 	"hyperq/internal/feature"
 	"hyperq/internal/parser"
 	"hyperq/internal/sqlast"
@@ -148,13 +149,16 @@ func (b *Binder) bindIdent(x *sqlast.Ident, sc *scope, ctx selCtx) (xtra.Scalar,
 	// Teradata named expression reference (chained projection).
 	if b.dialect == parser.Teradata && qual == "" {
 		for s := sc; s != nil; s = s.parent {
-			if s.aliasExprs == nil {
-				continue
+			if !s.fromActive {
+				continue // not a SELECT block
 			}
-			key := strings.ToUpper(name)
+			key := catalog.Key(name)
 			if def, ok := s.aliasExprs[key]; ok {
 				if s.aliasBinding[key] {
 					return nil, fmt.Errorf("binder: circular reference to named expression %s", name)
+				}
+				if s.aliasBinding == nil {
+					s.aliasBinding = map[string]bool{}
 				}
 				s.aliasBinding[key] = true
 				bound, err := b.bindScalarCtx(def, sc, ctx)
@@ -177,11 +181,11 @@ func (b *Binder) bindIdent(x *sqlast.Ident, sc *scope, ctx selCtx) (xtra.Scalar,
 				target = target.parent
 			}
 			if target != nil {
-				g := &xtra.Get{Table: tbl.Name, Alias: qual}
-				for _, c := range tbl.Columns {
-					nc := b.newCol(c.Name, c.Type)
-					g.Cols = append(g.Cols, nc)
-					target.addCol(qual, c.Name, nc)
+				g := &xtra.Get{Table: tbl.Name, Alias: qual, Cols: make([]xtra.Col, len(tbl.Columns))}
+				qualKey := correlationKey(tbl, qual)
+				for i, c := range tbl.Columns {
+					g.Cols[i] = b.newCol(c.Name, c.Type)
+					target.addCol(qualKey, tbl.ColumnKey(i), g.Cols[i])
 				}
 				target.implicitGets = append(target.implicitGets, g)
 				b.rec.Record(feature.ImplicitJoin)
@@ -539,6 +543,14 @@ func (b *Binder) bindInterval(x *sqlast.IntervalExpr, sc *scope, ctx selCtx) (xt
 func (b *Binder) isCaseInsensitive(s xtra.Scalar) bool {
 	cr, ok := s.(*xtra.ColRef)
 	return ok && b.ciCols[cr.Col.ID]
+}
+
+// markCaseInsensitive records a NOT CASESPECIFIC column.
+func (b *Binder) markCaseInsensitive(id xtra.ColumnID) {
+	if b.ciCols == nil {
+		b.ciCols = map[xtra.ColumnID]bool{}
+	}
+	b.ciCols[id] = true
 }
 
 func stringify(s xtra.Scalar) xtra.Scalar {

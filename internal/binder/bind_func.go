@@ -131,12 +131,23 @@ func (b *Binder) resolveBuiltin(name string, args []xtra.Scalar) (xtra.Scalar, e
 			return nil, err
 		}
 		return &xtra.FuncExpr{Name: "POSITION", Args: args, T: types.Int}, nil
-	case "UPPER", "LOWER", "TRIM", "LTRIM", "RTRIM":
+	case "UPPER", "LOWER":
 		if err := arity(1); err != nil {
 			return nil, err
 		}
 		if _, err := wantString(0); err != nil {
 			return nil, err
+		}
+		return &xtra.FuncExpr{Name: name, Args: args, T: types.VarChar(0)}, nil
+	case "TRIM", "LTRIM", "RTRIM":
+		// The optional second argument is the character to trim.
+		if len(args) != 1 && len(args) != 2 {
+			return nil, fmt.Errorf("binder: %s takes 1 or 2 arguments", name)
+		}
+		for i := range args {
+			if _, err := wantString(i); err != nil {
+				return nil, err
+			}
 		}
 		return &xtra.FuncExpr{Name: name, Args: args, T: types.VarChar(0)}, nil
 	case "COALESCE":
@@ -285,9 +296,27 @@ func (b *Binder) bindAggregate(x *sqlast.FuncCall, sc *scope, ctx selCtx) (xtra.
 			}
 		}
 	}
-	def.Out = b.newCol(strings.ToLower(name), outT)
+	def.Out = b.newCol(lowerName(name), outT)
 	ctx.agg.aggs = append(ctx.agg.aggs, def)
 	return &xtra.ColRef{Col: def.Out}, nil
+}
+
+// lowerNames holds the output column names of the aggregate and window
+// functions.
+var lowerNames = map[string]string{}
+
+func init() {
+	for name := range windowFuncs {
+		lowerNames[name] = strings.ToLower(name)
+	}
+}
+
+// lowerName is strings.ToLower for an aggregate or window function name.
+func lowerName(name string) string {
+	if n, ok := lowerNames[name]; ok {
+		return n
+	}
+	return strings.ToLower(name)
 }
 
 // windowFuncs maps supported window function names to rank-like (true) or
@@ -362,7 +391,7 @@ func (b *Binder) bindWindowFunc(x *sqlast.WindowFunc, sc *scope, ctx selCtx) (xt
 			outT = t
 		}
 	}
-	def.Out = b.newCol(strings.ToLower(name), outT)
+	def.Out = b.newCol(lowerName(name), outT)
 
 	// Attach to an existing group with the same specification.
 	for _, g := range ctx.windows.groups {

@@ -2,6 +2,7 @@ package binder
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hyperq/internal/catalog"
@@ -21,12 +22,8 @@ func (b *Binder) bindQueryExpr(q *sqlast.QueryExpr, outer *scope) (xtra.Op, erro
 	if q.With != nil {
 		for i := range q.With.CTEs {
 			cte := q.With.CTEs[i]
-			def := &cteDef{name: cte.Name, columns: cte.Columns, query: cte.Query}
-			if q.With.Recursive {
-				def.recursive = true
-			}
-			sc.ctes[strings.ToUpper(cte.Name)] = def
-			def.defScope = sc
+			def := &cteDef{name: cte.Name, columns: cte.Columns, query: cte.Query, recursive: q.With.Recursive, defScope: sc}
+			sc.addCTE(def)
 		}
 	}
 	return b.bindQueryBody(q.Body, sc, q.OrderBy, q.Limit)
@@ -212,9 +209,7 @@ func (b *Binder) bindTableExpr(te sqlast.TableExpr, sc *scope) (xtra.Op, error) 
 			}
 			names = t.ColAliases
 		}
-		for i, c := range cols {
-			sc.addCol(t.Alias, names[i], xtra.Col{ID: c.ID, Name: names[i], Type: c.Type})
-		}
+		sc.addCols(t.Alias, names, cols)
 		return op, nil
 	case *sqlast.JoinExpr:
 		l, err := b.bindTableExpr(t.L, sc)
@@ -263,9 +258,7 @@ func (b *Binder) bindTableRef(t *sqlast.TableRef, sc *scope) (xtra.Op, error) {
 			}
 			names = t.ColAliases
 		}
-		for i, c := range cols {
-			sc.addCol(alias, names[i], xtra.Col{ID: c.ID, Name: names[i], Type: c.Type})
-		}
+		sc.addCols(alias, names, cols)
 		return op, nil
 	}
 	// Base table?
@@ -280,26 +273,44 @@ func (b *Binder) bindTableRef(t *sqlast.TableRef, sc *scope) (xtra.Op, error) {
 }
 
 func (b *Binder) makeGet(tbl *catalog.Table, alias string, colAliases []string, sc *scope) (xtra.Op, error) {
-	g := &xtra.Get{Table: tbl.Name, Alias: alias}
-	names := make([]string, len(tbl.Columns))
-	for i, c := range tbl.Columns {
-		names[i] = c.Name
+	if len(colAliases) > 0 && len(colAliases) != len(tbl.Columns) {
+		return nil, fmt.Errorf("binder: alias list for %s has %d names, table has %d columns", tbl.Name, len(colAliases), len(tbl.Columns))
 	}
-	if len(colAliases) > 0 {
-		if len(colAliases) != len(tbl.Columns) {
-			return nil, fmt.Errorf("binder: alias list for %s has %d names, table has %d columns", tbl.Name, len(colAliases), len(tbl.Columns))
+	g := &xtra.Get{Table: tbl.Name, Alias: alias, Cols: make([]xtra.Col, len(tbl.Columns))}
+	aliasKey := correlationKey(tbl, alias)
+	sc.cols = slices.Grow(sc.cols, len(tbl.Columns))
+	for i, c := range tbl.Columns {
+		name, key := c.Name, tbl.ColumnKey(i)
+		if len(colAliases) > 0 {
+			name = colAliases[i]
+			key = catalog.Key(name)
 		}
-		names = colAliases
-	}
-	for i, c := range tbl.Columns {
-		col := b.newCol(names[i], c.Type)
+		col := b.newCol(name, c.Type)
 		if c.CaseInsensitive {
-			b.ciCols[col.ID] = true
+			b.markCaseInsensitive(col.ID)
 		}
-		g.Cols = append(g.Cols, col)
-		sc.addCol(alias, names[i], col)
+		g.Cols[i] = col
+		sc.addCol(aliasKey, key, col)
 	}
 	return g, nil
+}
+
+// correlationKey returns the key of a correlation name of tbl, which is
+// the table's own key when the name is the table's.
+func correlationKey(tbl *catalog.Table, name string) string {
+	if k := tbl.NameKey(); catalog.FoldEqual(k, name) {
+		return k
+	}
+	return catalog.Key(name)
+}
+
+// addCols registers a derived relation's columns under the given names.
+func (s *scope) addCols(alias string, names []string, cols []xtra.Col) {
+	aliasKey := catalog.Key(alias)
+	s.cols = slices.Grow(s.cols, len(cols))
+	for i, c := range cols {
+		s.addCol(aliasKey, catalog.Key(names[i]), xtra.Col{ID: c.ID, Name: names[i], Type: c.Type})
+	}
 }
 
 func (b *Binder) bindViewRef(v *catalog.View, alias string, colAliases []string, sc *scope) (xtra.Op, error) {
@@ -334,9 +345,7 @@ func (b *Binder) bindViewRef(v *catalog.View, alias string, colAliases []string,
 		}
 		names = colAliases
 	}
-	for i, c := range cols {
-		sc.addCol(alias, names[i], xtra.Col{ID: c.ID, Name: names[i], Type: c.Type})
-	}
+	sc.addCols(alias, names, cols)
 	return op, nil
 }
 

@@ -9,6 +9,7 @@ package binder
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"hyperq/internal/catalog"
 	"hyperq/internal/feature"
@@ -41,8 +42,11 @@ type Binder struct {
 	// ciCols marks columns declared NOT CASESPECIFIC: the "unsupported
 	// column properties" emulation of Table 2 — the property lives in the
 	// gateway catalog and is applied when the column is referenced in a
-	// comparison, since the target cannot represent it.
+	// comparison, since the target cannot represent it. Made on the first
+	// such column.
 	ciCols map[xtra.ColumnID]bool
+	// x is the scratch of the statement being bound; nil outside Bind.
+	x *scratch
 }
 
 // New returns a binder over the catalog. The dialect selects source-system
@@ -50,7 +54,7 @@ type Binder struct {
 // joins, named expression references, DATE/INT comparison); the ANSI dialect
 // rejects them, as the cloud targets would.
 func New(cat Resolver, d parser.Dialect, rec *feature.Recorder) *Binder {
-	return &Binder{cat: cat, dialect: d, rec: rec, ciCols: map[xtra.ColumnID]bool{}}
+	return &Binder{cat: cat, dialect: d, rec: rec}
 }
 
 // SetParams supplies values for named parameters (:name), used when binding
@@ -68,6 +72,11 @@ func (b *Binder) newCol(name string, t types.T) xtra.Col {
 
 // Bind binds one parsed statement.
 func (b *Binder) Bind(stmt sqlast.Statement) (xtra.Statement, error) {
+	b.x = scratchPool.Get().(*scratch)
+	defer func() {
+		b.x.release()
+		b.x = nil
+	}()
 	switch s := stmt.(type) {
 	case *sqlast.SelectStmt:
 		op, err := b.bindQueryExpr(s.Query, b.globalScope())
@@ -113,8 +122,8 @@ func (b *Binder) Bind(stmt sqlast.Statement) (xtra.Statement, error) {
 
 // scopeCol is one name-addressable column.
 type scopeCol struct {
-	tbl  string // upper-cased correlation name
-	name string // upper-cased column name
+	tbl  string // correlation name's catalog key
+	name string // column name's catalog key
 	col  xtra.Col
 }
 
@@ -136,7 +145,10 @@ type workTable struct {
 	used bool
 }
 
-// scope resolves identifiers during binding.
+// scope resolves identifiers during binding. Scopes come from the binder's
+// scratch and are recycled when Bind returns: nothing in a bound plan may
+// point into one. Their maps are made on first write and kept, emptied,
+// when the scope is recycled.
 type scope struct {
 	parent *scope
 	cols   []scopeCol
@@ -159,22 +171,87 @@ type scope struct {
 	correlated *bool
 }
 
+// Retention limits of the recycled scratch: a statement with more scopes,
+// or a scope with more columns, than this still binds, but the excess is
+// left to the garbage collector rather than kept for the next statement.
+const (
+	maxRetainedScopes   = 64
+	maxRetainedScopeCol = 256
+)
+
+// scratch is the binder's working memory for one statement: its scopes,
+// with their column lists and maps, handed back and reused by the next
+// statement (DESIGN.md §11). Binders share scratches through a pool, so a
+// Binder built per statement still reuses them.
+type scratch struct {
+	scopes []*scope
+	used   int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// newScope hands out a cleared scope.
+func (x *scratch) newScope(parent *scope, b *Binder) *scope {
+	if x.used == len(x.scopes) {
+		x.scopes = append(x.scopes, &scope{})
+	}
+	s := x.scopes[x.used]
+	x.used++
+	s.parent, s.b = parent, b
+	return s
+}
+
+// release clears every scope the statement used, keeping their backing
+// arrays and maps, and returns the scratch to the pool.
+func (x *scratch) release() {
+	for _, s := range x.scopes[:x.used] {
+		clear(s.cols)
+		cols := s.cols[:0]
+		if cap(cols) > maxRetainedScopeCol {
+			cols = nil
+		}
+		clear(s.ctes)
+		clear(s.aliasExprs)
+		clear(s.aliasBinding)
+		clear(s.implicitGets)
+		*s = scope{cols: cols, ctes: s.ctes, aliasExprs: s.aliasExprs, aliasBinding: s.aliasBinding, implicitGets: s.implicitGets[:0]}
+	}
+	if len(x.scopes) > maxRetainedScopes {
+		clear(x.scopes[maxRetainedScopes:])
+		x.scopes = x.scopes[:maxRetainedScopes]
+	}
+	x.used = 0
+	scratchPool.Put(x)
+}
+
 func (b *Binder) globalScope() *scope {
-	return &scope{ctes: map[string]*cteDef{}, b: b}
+	return b.x.newScope(nil, b)
 }
 
 func (s *scope) child() *scope {
-	return &scope{parent: s, ctes: map[string]*cteDef{}, b: s.b}
+	return s.b.x.newScope(s, s.b)
 }
 
+// addCol registers a column under a correlation name; tbl and name must be
+// catalog keys (catalog.Key).
 func (s *scope) addCol(tbl, name string, col xtra.Col) {
-	s.cols = append(s.cols, scopeCol{tbl: strings.ToUpper(tbl), name: strings.ToUpper(name), col: col})
+	s.cols = append(s.cols, scopeCol{tbl: tbl, name: name, col: col})
+}
+
+// addCTE registers a WITH definition.
+func (s *scope) addCTE(def *cteDef) {
+	if s.ctes == nil {
+		s.ctes = map[string]*cteDef{}
+	}
+	s.ctes[catalog.Key(def.name)] = def
 }
 
 func (s *scope) findCTE(name string) *cteDef {
 	for sc := s; sc != nil; sc = sc.parent {
-		if d, ok := sc.ctes[strings.ToUpper(name)]; ok {
-			return d
+		for k, d := range sc.ctes {
+			if catalog.FoldEqual(k, name) {
+				return d
+			}
 		}
 	}
 	return nil
@@ -183,27 +260,27 @@ func (s *scope) findCTE(name string) *cteDef {
 // resolve looks up a column by optional qualifier, walking outer scopes for
 // correlation. It reports ambiguity errors within one scope level.
 func (s *scope) resolve(qual, name string) (xtra.Col, bool, error) {
-	qual = strings.ToUpper(qual)
-	name = strings.ToUpper(name)
 	outer := false
 	for sc := s; sc != nil; sc = sc.parent {
-		var found []xtra.Col
+		var found xtra.Col
+		n := 0
 		for _, c := range sc.cols {
-			if c.name == name && (qual == "" || c.tbl == qual) {
-				found = append(found, c.col)
+			if catalog.FoldEqual(c.name, name) && (qual == "" || catalog.FoldEqual(c.tbl, qual)) {
+				found = c.col
+				n++
 			}
 		}
-		if len(found) == 1 {
+		if n == 1 {
 			if outer && sc.correlated != nil {
 				*sc.correlated = true
 			}
 			if outer && s.correlatedFlagUpTo(sc) != nil {
 				*s.correlatedFlagUpTo(sc) = true
 			}
-			return found[0], true, nil
+			return found, true, nil
 		}
-		if len(found) > 1 {
-			return xtra.Col{}, false, fmt.Errorf("binder: ambiguous column %s", name)
+		if n > 1 {
+			return xtra.Col{}, false, fmt.Errorf("binder: ambiguous column %s", catalog.Key(name))
 		}
 		outer = true
 	}
@@ -224,10 +301,9 @@ func (s *scope) correlatedFlagUpTo(target *scope) *bool {
 // allCols returns the visible columns of this scope level (not parents),
 // optionally filtered by qualifier — used for star expansion.
 func (s *scope) allCols(qual string) []scopeCol {
-	qual = strings.ToUpper(qual)
 	var out []scopeCol
 	for _, c := range s.cols {
-		if qual == "" || c.tbl == qual {
+		if qual == "" || catalog.FoldEqual(c.tbl, qual) {
 			out = append(out, c)
 		}
 	}
@@ -384,9 +460,10 @@ func (b *Binder) bindUpdate(s *sqlast.UpdateStmt) (xtra.Statement, error) {
 	}
 	sc := b.globalScope()
 	cols := make([]xtra.Col, len(tbl.Columns))
+	tblKey := correlationKey(tbl, alias)
 	for i, c := range tbl.Columns {
 		cols[i] = b.newCol(c.Name, c.Type)
-		sc.addCol(alias, c.Name, cols[i])
+		sc.addCol(tblKey, tbl.ColumnKey(i), cols[i])
 	}
 	// Teradata UPDATE ... FROM: bind the FROM relations in a child scope and
 	// rewrite predicate/assignments into correlated subqueries over them, so
@@ -493,9 +570,10 @@ func (b *Binder) bindDelete(s *sqlast.DeleteStmt) (xtra.Statement, error) {
 	}
 	sc := b.globalScope()
 	cols := make([]xtra.Col, len(tbl.Columns))
+	tblKey := correlationKey(tbl, alias)
 	for i, c := range tbl.Columns {
 		cols[i] = b.newCol(c.Name, c.Type)
-		sc.addCol(alias, c.Name, cols[i])
+		sc.addCol(tblKey, tbl.ColumnKey(i), cols[i])
 	}
 	del := &xtra.Delete{Table: tbl.Name, Cols: cols}
 	if s.Where != nil {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"hyperq/internal/types"
 )
@@ -53,6 +54,27 @@ type Table struct {
 	Set bool
 	// PrimaryIndex lists the column names of the primary index, if any.
 	PrimaryIndex []string
+	// key and keys hold the Key of the table's and each column's name,
+	// computed once when the table is registered; empty for a definition no
+	// catalog has stored.
+	key  string
+	keys []string
+}
+
+// NameKey returns the Key of the table's name.
+func (t *Table) NameKey() string {
+	if t.key != "" {
+		return t.key
+	}
+	return Key(t.Name)
+}
+
+// ColumnKey returns the Key of column i's name.
+func (t *Table) ColumnKey(i int) string {
+	if t.keys != nil {
+		return t.keys[i]
+	}
+	return Key(t.Columns[i].Name)
 }
 
 // ColumnIndex returns the ordinal of the named column, or -1.
@@ -125,31 +147,82 @@ func New() *Catalog {
 	}
 }
 
-func key(name string) string { return strings.ToUpper(name) }
+// Key returns the case-folded form under which names are stored and
+// compared: strings.ToUpper, which returns an already upper-case ASCII name
+// as it is.
+func Key(name string) string { return strings.ToUpper(name) }
+
+// FoldEqual reports whether Key(name) == key without allocating when name is
+// ASCII.
+func FoldEqual(key, name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return Key(name) == key
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		// The ASCII prefix folds byte for byte, so a mismatch in it is final.
+		if i >= len(key) || key[i] != c {
+			return false
+		}
+	}
+	return len(name) == len(key)
+}
+
+// lookup indexes m by Key(name). An ASCII name of up to 64 bytes is folded
+// into a stack buffer: indexing a map by string(b) does not copy b.
+func lookup[V any](m map[string]V, name string) (V, bool) {
+	var buf [64]byte
+	if len(name) <= len(buf) {
+		n := 0
+		for ; n < len(name); n++ {
+			c := name[n]
+			if c >= utf8.RuneSelf {
+				break
+			}
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[n] = c
+		}
+		if n == len(name) {
+			v, ok := m[string(buf[:n])]
+			return v, ok
+		}
+	}
+	v, ok := m[Key(name)]
+	return v, ok
+}
 
 // CreateTable registers a table definition.
 func (c *Catalog) CreateTable(t *Table) error {
 	if len(t.Columns) == 0 {
 		return fmt.Errorf("catalog: table %s has no columns", t.Name)
 	}
+	keys := make([]string, len(t.Columns))
 	seen := make(map[string]bool, len(t.Columns))
-	for _, col := range t.Columns {
-		k := key(col.Name)
+	for i, col := range t.Columns {
+		k := Key(col.Name)
 		if seen[k] {
 			return fmt.Errorf("catalog: duplicate column %s in table %s", col.Name, t.Name)
 		}
 		seen[k] = true
+		keys[i] = k
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(t.Name)
+	k := Key(t.Name)
 	if _, ok := c.tables[k]; ok {
 		return fmt.Errorf("catalog: table %s already exists", t.Name)
 	}
 	if _, ok := c.views[k]; ok {
 		return fmt.Errorf("catalog: %s already exists as a view", t.Name)
 	}
-	c.tables[k] = t.Clone()
+	stored := t.Clone()
+	stored.key, stored.keys = k, keys
+	c.tables[k] = stored
 	c.version++
 	return nil
 }
@@ -158,7 +231,7 @@ func (c *Catalog) CreateTable(t *Table) error {
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
+	k := Key(name)
 	if _, ok := c.tables[k]; !ok {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
@@ -171,8 +244,7 @@ func (c *Catalog) DropTable(name string) error {
 func (c *Catalog) Table(name string) (*Table, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.tables[key(name)]
-	return t, ok
+	return lookup(c.tables, name)
 }
 
 // Tables returns all table names in sorted order.
@@ -191,7 +263,7 @@ func (c *Catalog) Tables() []string {
 func (c *Catalog) CreateView(v *View) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(v.Name)
+	k := Key(v.Name)
 	if _, ok := c.views[k]; ok {
 		return fmt.Errorf("catalog: view %s already exists", v.Name)
 	}
@@ -208,7 +280,7 @@ func (c *Catalog) CreateView(v *View) error {
 func (c *Catalog) DropView(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
+	k := Key(name)
 	if _, ok := c.views[k]; !ok {
 		return fmt.Errorf("catalog: view %s does not exist", name)
 	}
@@ -221,15 +293,14 @@ func (c *Catalog) DropView(name string) error {
 func (c *Catalog) View(name string) (*View, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.views[key(name)]
-	return v, ok
+	return lookup(c.views, name)
 }
 
 // CreateMacro registers a macro (REPLACE semantics when replace is true).
 func (c *Catalog) CreateMacro(m *Macro, replace bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(m.Name)
+	k := Key(m.Name)
 	if _, ok := c.macros[k]; ok && !replace {
 		return fmt.Errorf("catalog: macro %s already exists", m.Name)
 	}
@@ -244,7 +315,7 @@ func (c *Catalog) CreateMacro(m *Macro, replace bool) error {
 func (c *Catalog) DropMacro(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
+	k := Key(name)
 	if _, ok := c.macros[k]; !ok {
 		return fmt.Errorf("catalog: macro %s does not exist", name)
 	}
@@ -257,8 +328,7 @@ func (c *Catalog) DropMacro(name string) error {
 func (c *Catalog) Macro(name string) (*Macro, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m, ok := c.macros[key(name)]
-	return m, ok
+	return lookup(c.macros, name)
 }
 
 // Macros returns all macro names in sorted order.

@@ -418,11 +418,14 @@ func (ex *executor) evalFunc(x *xtra.FuncExpr, e *env) (types.Datum, error) {
 	case "LOWER":
 		return types.NewString(strings.ToLower(args[0].S)), nil
 	case "TRIM":
+		if len(args) == 2 {
+			return types.NewString(strings.Trim(args[0].S, args[1].S)), nil
+		}
 		return types.NewString(strings.TrimSpace(args[0].S)), nil
 	case "LTRIM":
-		return types.NewString(strings.TrimLeft(args[0].S, " ")), nil
+		return types.NewString(strings.TrimLeft(args[0].S, trimChars(args))), nil
 	case "RTRIM":
-		return types.NewString(strings.TrimRight(args[0].S, " ")), nil
+		return types.NewString(strings.TrimRight(args[0].S, trimChars(args))), nil
 	case "ABS":
 		if args[0].K == types.KindFloat {
 			f := args[0].F
@@ -503,4 +506,13 @@ func sign(f float64) float64 {
 		return -1
 	}
 	return 1
+}
+
+// trimChars is the cutset of a trim call: its second argument, a space by
+// default.
+func trimChars(args []types.Datum) string {
+	if len(args) == 2 {
+		return args[1].S
+	}
+	return " "
 }

@@ -10,8 +10,13 @@ import (
 // Marker returns the placeholder the serializer emits, in lift mode, for the
 // literal with the given 0-based vector ordinal. NUL bytes cannot occur in
 // serialized SQL, so the markers never collide with statement text.
-func Marker(idx int) string {
-	return "\x00" + strconv.Itoa(idx) + "\x00"
+func Marker(idx int) string { return string(AppendMarker(nil, idx)) }
+
+// AppendMarker appends Marker(idx) to b.
+func AppendMarker(b []byte, idx int) []byte {
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(idx), 10)
+	return append(b, 0)
 }
 
 // Template is a serialized statement with literal slots: the statement text

@@ -786,9 +786,10 @@ func capture(c *rawConn, sql string) ([]parcel, error) {
 
 // Decode memory is recycled across every session of the process, so the
 // ownership rules are only as good as their behaviour under concurrency: four
-// sessions stream different multi-batch results — each batch cast in place
-// (the backend stores QTY, PRICE and CODE in other types than the client was
-// promised) and released when its rows are written — while a fifth runs a
+// sessions stream different multi-batch results — each batch transcoded,
+// its QTY, PRICE and CODE through tdp.Cast ops (the backend stores them in
+// other types than the client was promised), and released when its records
+// are written — while a fifth runs a
 // macro whose multi-batch SELECT is collected and must keep its rows. Every
 // response is byte-compared with the one a DisableStreaming gateway gave for
 // the same request: a batch released before its rows were written, or handed

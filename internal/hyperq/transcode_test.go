@@ -313,10 +313,10 @@ func TestTranscodeAllocsPerBatch(t *testing.T) {
 }
 
 // A streamed statement with one column only a cast can convert — the backend
-// stores as VARCHAR what the client was promised as INTEGER — takes the Datum
-// path for every batch, beside columns the transcoder could splice. Its wire
-// bytes are the DisableStreaming reference's, over more batches than the
-// first one the session goroutine fetches itself.
+// stores as VARCHAR what the client was promised as INTEGER — transcodes
+// that column through a tdp.Cast op in every batch, beside columns the
+// transcoder splices. Its wire bytes are the DisableStreaming reference's,
+// over more batches than the first one the session goroutine fetches itself.
 func TestStreamedCastColumnMatchesBuffered(t *testing.T) {
 	target := dialect.CloudA()
 	const rows = 2500

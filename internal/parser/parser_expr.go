@@ -681,36 +681,47 @@ func (p *Parser) parseTrim() (sqlast.Expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	// TRIM([LEADING|TRAILING|BOTH] [FROM] x) — only simple TRIM(x) and
-	// TRIM(spec FROM x) forms.
-	name := "TRIM"
+	// TRIM([LEADING|TRAILING|BOTH] [c] FROM x) and TRIM(x): the trim
+	// character, when given, is the call's second argument.
+	name, spec := "TRIM", true
 	switch p.peekKW() {
 	case "LEADING":
 		name = "LTRIM"
-		p.i++
-		if err := p.expectKW("FROM"); err != nil {
-			return nil, err
-		}
 	case "TRAILING":
 		name = "RTRIM"
-		p.i++
-		if err := p.expectKW("FROM"); err != nil {
-			return nil, err
-		}
 	case "BOTH":
+	default:
+		spec = false
+	}
+	if spec {
 		p.i++
+	}
+	var first sqlast.Expr // x in TRIM(x), else the trim character
+	if !spec || p.peekKW() != "FROM" {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		first = e
+	}
+	args := []sqlast.Expr{first}
+	if spec || p.peekKW() == "FROM" {
 		if err := p.expectKW("FROM"); err != nil {
 			return nil, err
 		}
-	}
-	x, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+		x, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		args = []sqlast.Expr{x}
+		if first != nil {
+			args = append(args, first)
+		}
 	}
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	return &sqlast.FuncCall{Name: name, Args: []sqlast.Expr{x}}, nil
+	return &sqlast.FuncCall{Name: name, Args: args}, nil
 }
 
 // aggregateNames are functions eligible for DISTINCT and window use.

@@ -57,18 +57,15 @@ func (s *Serializer) NoPool() *Serializer {
 // Serialize applies the target's serialization-stage transformations and
 // renders the statement as SQL text.
 func (s *Serializer) Serialize(stmt xtra.Statement) (string, error) {
-	rules := transform.SerializationStage(s.profile)
-	if len(rules) > 0 {
-		tr := transform.New(rules...)
-		c := transform.NewContext(s.profile, s.rec, maxColID(stmt))
-		out, err := tr.Statement(stmt, c)
+	if tr := transform.SerializationTransformer(s.profile); tr != nil {
+		out, err := tr.Statement(stmt, transform.NewStatementContext(s.profile, s.rec, stmt))
 		if err != nil {
 			return "", err
 		}
 		stmt = out
 	}
 	if s.noPool {
-		w := &writer{profile: s.profile, names: map[xtra.ColumnID]string{}, workCTE: map[int]workInfo{}, lift: s.lift}
+		w := &writer{profile: s.profile, names: map[xtra.ColumnID]colName{}, workCTE: map[int]workInfo{}, lift: s.lift}
 		return w.statement(stmt)
 	}
 	w := writerPool.Get().(*writer)
@@ -80,15 +77,20 @@ func (s *Serializer) Serialize(stmt xtra.Statement) (string, error) {
 
 // writerPool recycles emission state across Serialize calls. Statements are
 // serialized one at a time per session, but sessions run concurrently, so the
-// pool is the sharing boundary rather than a per-session field.
+// pool is the sharing boundary rather than a per-session field. The SQL text
+// Serialize returns is always a fresh string: nothing a caller keeps points
+// into a pooled writer.
 var writerPool = sync.Pool{New: func() any {
-	return &writer{names: map[xtra.ColumnID]string{}, workCTE: map[int]workInfo{}}
+	return &writer{names: map[xtra.ColumnID]colName{}, workCTE: map[int]workInfo{}}
 }}
 
-// maxRetainedBuf caps the scratch buffer a pooled writer keeps between
-// statements. Larger one-off statements still serialize fine; their oversized
-// buffers are just not pinned in the pool afterwards.
-const maxRetainedBuf = 64 << 10
+// maxRetainedBuf and maxRetainedCols cap the scratch a pooled writer keeps
+// between statements. Larger one-off statements still serialize fine; their
+// oversized buffers are just not pinned in the pool afterwards.
+const (
+	maxRetainedBuf  = 64 << 10
+	maxRetainedCols = 4 << 10
+)
 
 // release clears per-statement state and returns the writer to the pool.
 func (w *writer) release() {
@@ -101,71 +103,13 @@ func (w *writer) release() {
 	} else {
 		w.buf = w.buf[:0]
 	}
+	clear(w.cols)
+	if cap(w.cols) > maxRetainedCols {
+		w.cols = nil
+	} else {
+		w.cols = w.cols[:0]
+	}
 	writerPool.Put(w)
-}
-
-// maxColID finds the highest allocated ColumnID so transformations can mint
-// fresh ones.
-func maxColID(stmt xtra.Statement) xtra.ColumnID {
-	var maxID xtra.ColumnID
-	consider := func(cols []xtra.Col) {
-		for _, c := range cols {
-			if c.ID > maxID {
-				maxID = c.ID
-			}
-		}
-	}
-	scanScalar := func(sc xtra.Scalar) {
-		xtra.WalkScalar(sc, func(x xtra.Scalar) bool {
-			if cr, ok := x.(*xtra.ColRef); ok && cr.Col.ID > maxID {
-				maxID = cr.Col.ID
-			}
-			return true
-		})
-	}
-	var scanOp func(op xtra.Op)
-	scanOp = func(op xtra.Op) {
-		xtra.WalkOps(op, func(o xtra.Op) bool {
-			consider(o.Columns())
-			for _, sc := range o.Scalars() {
-				scanScalar(sc)
-			}
-			return true
-		})
-	}
-	switch t := stmt.(type) {
-	case *xtra.Query:
-		scanOp(t.Root)
-	case *xtra.Insert:
-		scanOp(t.Input)
-	case *xtra.Update:
-		consider(t.Cols)
-		for _, a := range t.Assigns {
-			scanScalar(a.Expr)
-			for _, sub := range xtra.SubOps(a.Expr) {
-				scanOp(sub)
-			}
-		}
-		if t.Pred != nil {
-			scanScalar(t.Pred)
-			for _, sub := range xtra.SubOps(t.Pred) {
-				scanOp(sub)
-			}
-		}
-	case *xtra.Delete:
-		consider(t.Cols)
-		if t.Pred != nil {
-			scanScalar(t.Pred)
-			for _, sub := range xtra.SubOps(t.Pred) {
-				scanOp(sub)
-			}
-		}
-	case *xtra.CreateTable:
-		if t.Input != nil {
-			scanOp(t.Input)
-		}
-	}
-	return maxID + 1000
 }
 
 // workInfo records the CTE name and declared column names of an active
@@ -178,16 +122,82 @@ type workInfo struct {
 // writer holds per-statement emission state. buf is a scratch buffer shared
 // by every emission site in the writer under stack discipline: an emitter
 // records len(buf) on entry, appends freely (including through recursive
-// scalar/render calls, which restore the length before returning), and cuts
-// its own suffix out as the result string.
+// scalar/render calls, which leave what they append in place or cut it back
+// out before returning), and cuts its own suffix out as the result string.
+// After an error the buffer's contents are undefined: the error ends the
+// statement, and release rewinds it.
 type writer struct {
 	profile *dialect.Profile
-	names   map[xtra.ColumnID]string
+	names   map[xtra.ColumnID]colName
 	nextA   int
 	nextCTE int
 	workCTE map[int]workInfo
 	lift    bool
 	buf     []byte
+	// cols is an append-only arena for the output columns of the blocks
+	// under construction; a block's cols slice is a capped window of it.
+	cols []xtra.Col
+}
+
+// colName is how the SQL under construction refers to a column: an optional
+// qualifier and a column name. It is rendered only when the column is
+// emitted, so the columns of a scanned table that nothing references cost
+// no string.
+type colName struct {
+	// qual is the table alias number N of "tN", qualTarget for the DML
+	// target alias, or 0 for none.
+	qual int
+	// name is a table (or work table) column name, quoted as needed; when
+	// it is empty the column goes by its exported cN alias.
+	name string
+	id   xtra.ColumnID
+}
+
+// qualTarget qualifies the columns of an UPDATE or DELETE target, which gets
+// a reserved alias so correlated subqueries can reference its columns
+// unambiguously.
+const (
+	qualTarget  = -1
+	targetAlias = "hq_target"
+)
+
+// appendName appends a column reference.
+func (w *writer) appendName(n colName) {
+	switch {
+	case n.qual > 0:
+		w.buf = appendAlias(w.buf, n.qual)
+		w.buf = append(w.buf, '.')
+	case n.qual == qualTarget:
+		w.buf = append(w.buf, targetAlias+"."...)
+	}
+	if n.name != "" {
+		w.buf = appendIdent(w.buf, n.name)
+	} else {
+		w.buf = appendColAlias(w.buf, n.id)
+	}
+}
+
+// appendColumn appends the reference to column id; an unnamed column appends
+// nothing.
+func (w *writer) appendColumn(id xtra.ColumnID) {
+	if n, ok := w.names[id]; ok {
+		w.appendName(n)
+	}
+}
+
+// appendExported appends "ref AS cN" for column c.
+func (w *writer) appendExported(c xtra.Col) {
+	w.appendColumn(c.ID)
+	w.buf = append(w.buf, " AS "...)
+	w.buf = appendColAlias(w.buf, c.ID)
+}
+
+// columns returns op's output columns as a window of the column arena.
+// Earlier windows stay valid when the arena grows: they keep the old array.
+func (w *writer) columns(op xtra.Op) []xtra.Col {
+	start := len(w.cols)
+	w.cols = xtra.AppendColumns(w.cols, op)
+	return w.cols[start:len(w.cols):len(w.cols)]
 }
 
 // cut copies buf[mark:] out as a string and rewinds the scratch buffer to
@@ -198,33 +208,34 @@ func (w *writer) cut(mark int) string {
 	return s
 }
 
-// appendJoin appends parts separated by sep, the append-style strings.Join.
-func appendJoin(b []byte, parts []string, sep string) []byte {
-	for i, p := range parts {
-		if i > 0 {
-			b = append(b, sep...)
-		}
-		b = append(b, p...)
+// sep appends sep before every element but the first: i is the element's
+// index.
+func (w *writer) sep(i int, sep string) {
+	if i > 0 {
+		w.buf = append(w.buf, sep...)
 	}
-	return b
 }
 
-func (w *writer) alias() string {
+// alias allocates the next table alias number.
+func (w *writer) alias() int {
 	w.nextA++
-	return "t" + strconv.Itoa(w.nextA)
+	return w.nextA
 }
 
-// colAlias is the exported SQL name of a column.
-func colAlias(id xtra.ColumnID) string { return "c" + strconv.Itoa(int(id)) }
+// appendAlias appends table alias "tN".
+func appendAlias(b []byte, n int) []byte {
+	b = append(b, 't')
+	return strconv.AppendInt(b, int64(n), 10)
+}
 
-// appendColAlias is the append-style colAlias.
+// appendColAlias appends the exported SQL name "cN" of a column.
 func appendColAlias(b []byte, id xtra.ColumnID) []byte {
 	b = append(b, 'c')
 	return strconv.AppendInt(b, int64(id), 10)
 }
 
-// quoteIdent renders an identifier, quoting only when necessary.
-func quoteIdent(name string) string {
+// appendIdent appends an identifier, quoting only when necessary.
+func appendIdent(b []byte, name string) []byte {
 	simple := name != ""
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -234,10 +245,37 @@ func quoteIdent(name string) string {
 			break
 		}
 	}
-	if simple && !sqlReserved[strings.ToUpper(name)] {
-		return name
+	if simple && !reserved(name) {
+		return append(b, name...)
 	}
-	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
+	b = append(b, '"')
+	for i := 0; i < len(name); i++ {
+		if name[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, name[i])
+	}
+	return append(b, '"')
+}
+
+// quoteIdent renders an identifier, quoting only when necessary.
+func quoteIdent(name string) string { return string(appendIdent(nil, name)) }
+
+// reserved reports whether an ASCII name is an SQL reserved word, in any
+// case. The name is folded into a stack buffer: no reserved word is longer.
+func reserved(name string) bool {
+	var buf [len("TIMESTAMP")]byte
+	if len(name) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return sqlReserved[string(buf[:len(name)])]
 }
 
 var sqlReserved = map[string]bool{
@@ -251,64 +289,50 @@ var sqlReserved = map[string]bool{
 	"INSERT": true, "CREATE": true, "DROP": true, "VIEW": true, "WITH": true,
 }
 
-// block is one SQL SELECT under construction.
+// block is one SQL SELECT under construction. Its clauses are finished text,
+// each list already joined.
 type block struct {
 	cols     []xtra.Col
-	sel      []string // "expr AS cN"; nil = pass-through of cols
-	fromSQL  string   // empty means no FROM clause
-	where    []string
-	groupBy  []string
-	having   []string
-	orderBy  []string
+	sel      string // "expr AS cN, ..."; empty = pass-through of cols
+	fromSQL  string // empty means no FROM clause
+	where    string // conjuncts joined by " AND "
+	groupBy  string
+	orderBy  string
 	limitSQL string
 	distinct bool
 	windowed bool
 	agg      bool
 }
 
-// render emits the block as a SELECT statement.
-func (w *writer) render(b *block) string {
-	mark := len(w.buf)
+// appendRender appends the block as a SELECT statement.
+func (w *writer) appendRender(b *block) {
 	w.buf = append(w.buf, "SELECT "...)
 	if b.distinct {
 		w.buf = append(w.buf, "DISTINCT "...)
 	}
-	if b.sel != nil {
-		w.buf = appendJoin(w.buf, b.sel, ", ")
+	if b.sel != "" {
+		w.buf = append(w.buf, b.sel...)
 	} else {
 		for i, c := range b.cols {
-			if i > 0 {
-				w.buf = append(w.buf, ", "...)
-			}
-			w.buf = append(w.buf, w.names[c.ID]...)
-			w.buf = append(w.buf, " AS "...)
-			w.buf = appendColAlias(w.buf, c.ID)
+			w.sep(i, ", ")
+			w.appendExported(c)
 		}
 	}
-	if b.fromSQL != "" {
-		w.buf = append(w.buf, " FROM "...)
-		w.buf = append(w.buf, b.fromSQL...)
+	for _, cl := range [...]struct{ kw, text string }{
+		{" FROM ", b.fromSQL}, {" WHERE ", b.where}, {" GROUP BY ", b.groupBy},
+		{" ORDER BY ", b.orderBy}, {" ", b.limitSQL},
+	} {
+		if cl.text != "" {
+			w.buf = append(w.buf, cl.kw...)
+			w.buf = append(w.buf, cl.text...)
+		}
 	}
-	if len(b.where) > 0 {
-		w.buf = append(w.buf, " WHERE "...)
-		w.buf = appendJoin(w.buf, b.where, " AND ")
-	}
-	if len(b.groupBy) > 0 {
-		w.buf = append(w.buf, " GROUP BY "...)
-		w.buf = appendJoin(w.buf, b.groupBy, ", ")
-	}
-	if len(b.having) > 0 {
-		w.buf = append(w.buf, " HAVING "...)
-		w.buf = appendJoin(w.buf, b.having, " AND ")
-	}
-	if len(b.orderBy) > 0 {
-		w.buf = append(w.buf, " ORDER BY "...)
-		w.buf = appendJoin(w.buf, b.orderBy, ", ")
-	}
-	if b.limitSQL != "" {
-		w.buf = append(w.buf, ' ')
-		w.buf = append(w.buf, b.limitSQL...)
-	}
+}
+
+// render emits the block as a SELECT statement.
+func (w *writer) render(b *block) string {
+	mark := len(w.buf)
+	w.appendRender(b)
 	return w.cut(mark)
 }
 
@@ -316,22 +340,26 @@ func (w *writer) render(b *block) string {
 // block over it. Output column references switch to the exported cN names.
 func (w *writer) wrap(b *block) *block {
 	a := w.alias()
-	sql := "(" + w.render(b) + ") AS " + a
+	mark := len(w.buf)
+	w.buf = append(w.buf, '(')
+	w.appendRender(b)
+	w.buf = append(w.buf, ") AS "...)
+	w.buf = appendAlias(w.buf, a)
 	for _, c := range b.cols {
-		w.names[c.ID] = a + "." + colAlias(c.ID)
+		w.names[c.ID] = colName{qual: a, id: c.ID}
 	}
-	return &block{cols: b.cols, fromSQL: sql}
+	return &block{cols: b.cols, fromSQL: w.cut(mark)}
 }
 
 // registerSelectAliases makes a computed block's outputs addressable by
 // their exported cN select alias (valid in ORDER BY position).
 func (w *writer) registerSelectAliases(b *block) {
-	if b.sel == nil {
+	if b.sel == "" {
 		return
 	}
 	for _, c := range b.cols {
 		if _, ok := w.names[c.ID]; !ok {
-			w.names[c.ID] = colAlias(c.ID)
+			w.names[c.ID] = colName{id: c.ID}
 		}
 	}
 }
@@ -339,8 +367,8 @@ func (w *writer) registerSelectAliases(b *block) {
 // computed reports whether the block carries anything beyond FROM+WHERE and
 // therefore cannot absorb new select lists or predicates directly.
 func (b *block) computed() bool {
-	return b.sel != nil || b.agg || b.windowed || b.distinct ||
-		len(b.groupBy) > 0 || len(b.orderBy) > 0 || b.limitSQL != ""
+	return b.sel != "" || b.agg || b.windowed || b.distinct ||
+		b.groupBy != "" || b.orderBy != "" || b.limitSQL != ""
 }
 
 // fold converts an operator into a block.
@@ -349,9 +377,13 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 	case *xtra.Get:
 		a := w.alias()
 		for _, c := range o.Cols {
-			w.names[c.ID] = a + "." + quoteIdent(c.Name)
+			w.names[c.ID] = colName{qual: a, name: c.Name}
 		}
-		return &block{cols: o.Cols, fromSQL: quoteIdent(o.Table) + " AS " + a}, nil
+		mark := len(w.buf)
+		w.buf = appendIdent(w.buf, o.Table)
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendAlias(w.buf, a)
+		return &block{cols: o.Cols, fromSQL: w.cut(mark)}, nil
 	case *xtra.WorkScan:
 		info, ok := w.workCTE[o.WorkID]
 		if !ok {
@@ -359,9 +391,13 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 		}
 		a := w.alias()
 		for i, c := range o.Cols {
-			w.names[c.ID] = a + "." + info.cols[i]
+			w.names[c.ID] = colName{qual: a, name: info.cols[i]}
 		}
-		return &block{cols: o.Cols, fromSQL: info.name + " AS " + a}, nil
+		mark := len(w.buf)
+		w.buf = append(w.buf, info.name...)
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendAlias(w.buf, a)
+		return &block{cols: o.Cols, fromSQL: w.cut(mark)}, nil
 	case *xtra.Select:
 		b, err := w.fold(o.Input)
 		if err != nil {
@@ -374,11 +410,15 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 		if b.computed() {
 			b = w.wrap(b)
 		}
-		pred, err := w.scalar(o.Pred)
-		if err != nil {
+		mark := len(w.buf)
+		if b.where != "" {
+			w.buf = append(w.buf, b.where...)
+			w.buf = append(w.buf, " AND "...)
+		}
+		if err := w.appendScalar(o.Pred); err != nil {
 			return nil, err
 		}
-		b.where = append(b.where, pred)
+		b.where = w.cut(mark)
 		return b, nil
 	case *xtra.Project:
 		b, err := w.fold(o.Input)
@@ -388,16 +428,17 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 		if b.computed() {
 			b = w.wrap(b)
 		}
-		var sel []string
-		for _, ns := range o.Exprs {
-			e, err := w.scalar(ns.Expr)
-			if err != nil {
+		mark := len(w.buf)
+		for i, ns := range o.Exprs {
+			w.sep(i, ", ")
+			if err := w.appendScalar(ns.Expr); err != nil {
 				return nil, err
 			}
-			sel = append(sel, e+" AS "+colAlias(ns.Col.ID))
+			w.buf = append(w.buf, " AS "...)
+			w.buf = appendColAlias(w.buf, ns.Col.ID)
 		}
-		b.sel = sel
-		b.cols = o.Columns()
+		b.sel = w.cut(mark)
+		b.cols = w.columns(o)
 		return b, nil
 	case *xtra.Window:
 		return w.foldWindow(o)
@@ -410,17 +451,17 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(b.orderBy) > 0 || b.limitSQL != "" {
+		if b.orderBy != "" || b.limitSQL != "" {
 			b = w.wrap(b)
 		}
 		// ORDER BY may reference the block's computed outputs by their
 		// exported select alias (ANSI permits output-name sort keys).
 		w.registerSelectAliases(b)
-		keys, err := w.sortKeys(o.Keys)
-		if err != nil {
+		mark := len(w.buf)
+		if err := w.appendSortKeys(o.Keys); err != nil {
 			return nil, err
 		}
-		b.orderBy = keys
+		b.orderBy = w.cut(mark)
 		return b, nil
 	case *xtra.Limit:
 		b, err := w.fold(o.Input)
@@ -430,11 +471,15 @@ func (w *writer) fold(op xtra.Op) (*block, error) {
 		if b.limitSQL != "" {
 			b = w.wrap(b)
 		}
+		mark := len(w.buf)
+		w.buf = append(w.buf, "FETCH FIRST "...)
+		w.buf = strconv.AppendInt(w.buf, o.N, 10)
 		if o.WithTies {
-			b.limitSQL = fmt.Sprintf("FETCH FIRST %d ROWS WITH TIES", o.N)
+			w.buf = append(w.buf, " ROWS WITH TIES"...)
 		} else {
-			b.limitSQL = fmt.Sprintf("FETCH FIRST %d ROWS ONLY", o.N)
+			w.buf = append(w.buf, " ROWS ONLY"...)
 		}
+		b.limitSQL = w.cut(mark)
 		return b, nil
 	case *xtra.SetOp:
 		return w.foldSetOp(o)
@@ -458,83 +503,95 @@ func (w *writer) foldWindow(o *xtra.Window) (*block, error) {
 	if b.computed() {
 		b = w.wrap(b)
 	}
-	// Pass-through select list plus window expressions.
-	var sel []string
-	for _, c := range o.Input.Columns() {
-		sel = append(sel, w.names[c.ID]+" AS "+colAlias(c.ID))
-	}
 	over, err := w.overClause(o)
 	if err != nil {
 		return nil, err
 	}
+	// Pass-through select list plus window expressions.
+	mark := len(w.buf)
+	n := 0
+	for _, c := range w.columns(o.Input) {
+		w.sep(n, ", ")
+		w.appendExported(c)
+		n++
+	}
 	for _, f := range o.Funcs {
-		var fn string
+		w.sep(n, ", ")
+		n++
 		switch {
 		case f.Star:
-			fn = "COUNT(*)"
+			w.buf = append(w.buf, "COUNT(*)"...)
 		case len(f.Args) == 1:
-			arg, err := w.scalar(f.Args[0])
-			if err != nil {
+			w.buf = append(w.buf, f.Name...)
+			w.buf = append(w.buf, '(')
+			if err := w.appendScalar(f.Args[0]); err != nil {
 				return nil, err
 			}
-			fn = f.Name + "(" + arg + ")"
+			w.buf = append(w.buf, ')')
 		default:
-			fn = f.Name + "()"
+			w.buf = append(w.buf, f.Name...)
+			w.buf = append(w.buf, "()"...)
 		}
-		sel = append(sel, fn+" OVER "+over+" AS "+colAlias(f.Out.ID))
+		w.buf = append(w.buf, " OVER "...)
+		w.buf = append(w.buf, over...)
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendColAlias(w.buf, f.Out.ID)
 	}
-	b.sel = sel
-	b.cols = o.Columns()
+	b.sel = w.cut(mark)
+	b.cols = w.columns(o)
 	b.windowed = true
 	return b, nil
 }
 
 func (w *writer) overClause(o *xtra.Window) (string, error) {
-	var parts []string
+	mark := len(w.buf)
+	w.buf = append(w.buf, '(')
 	if len(o.PartitionBy) > 0 {
-		es, err := w.scalars(o.PartitionBy)
-		if err != nil {
+		w.buf = append(w.buf, "PARTITION BY "...)
+		if err := w.appendScalars(o.PartitionBy); err != nil {
 			return "", err
 		}
-		parts = append(parts, "PARTITION BY "+strings.Join(es, ", "))
 	}
 	if len(o.OrderBy) > 0 {
-		keys, err := w.sortKeys(o.OrderBy)
-		if err != nil {
+		if len(o.PartitionBy) > 0 {
+			w.buf = append(w.buf, ' ')
+		}
+		w.buf = append(w.buf, "ORDER BY "...)
+		if err := w.appendSortKeys(o.OrderBy); err != nil {
 			return "", err
 		}
-		parts = append(parts, "ORDER BY "+strings.Join(keys, ", "))
 	}
-	return "(" + strings.Join(parts, " ") + ")", nil
+	w.buf = append(w.buf, ')')
+	return w.cut(mark), nil
 }
 
-func (w *writer) sortKeys(keys []xtra.SortKey) ([]string, error) {
-	var out []string
-	for _, k := range keys {
-		e, err := w.scalar(k.Expr)
-		if err != nil {
-			return nil, err
+// appendSortKeys appends ordering keys joined by ", ".
+func (w *writer) appendSortKeys(keys []xtra.SortKey) error {
+	for i, k := range keys {
+		w.sep(i, ", ")
+		if err := w.appendScalar(k.Expr); err != nil {
+			return err
 		}
-		dir := " ASC"
 		if k.Desc {
-			dir = " DESC"
+			w.buf = append(w.buf, " DESC"...)
+		} else {
+			w.buf = append(w.buf, " ASC"...)
 		}
-		nulls := " NULLS LAST"
 		if k.NullsFirst {
-			nulls = " NULLS FIRST"
+			w.buf = append(w.buf, " NULLS FIRST"...)
+		} else {
+			w.buf = append(w.buf, " NULLS LAST"...)
 		}
-		out = append(out, e+dir+nulls)
 	}
-	return out, nil
+	return nil
 }
 
 // fromItem renders a block as a FROM-clause item.
 func (w *writer) fromItem(b *block) string {
-	if !b.computed() && len(b.where) == 0 && b.fromSQL != "" {
+	if !b.computed() && b.where == "" && b.fromSQL != "" {
 		return b.fromSQL
 	}
-	wrapped := w.wrap(b)
-	return wrapped.fromSQL
+	return w.wrap(b).fromSQL
 }
 
 func (w *writer) foldJoin(o *xtra.Join) (*block, error) {
@@ -548,25 +605,21 @@ func (w *writer) foldJoin(o *xtra.Join) (*block, error) {
 		return nil, err
 	}
 	rf := w.fromItem(rb)
-	var sql string
-	if o.Kind == xtra.JoinCross {
-		sql = lf + " CROSS JOIN " + rf
-	} else {
-		kw := map[xtra.JoinKind]string{
-			xtra.JoinInner: "INNER JOIN", xtra.JoinLeft: "LEFT JOIN",
-			xtra.JoinRight: "RIGHT JOIN", xtra.JoinFull: "FULL JOIN",
-		}[o.Kind]
-		pred := "1 = 1"
-		if o.Pred != nil {
-			p, err := w.scalar(o.Pred)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
+	mark := len(w.buf)
+	w.buf = append(w.buf, lf...)
+	w.buf = append(w.buf, ' ')
+	w.buf = append(w.buf, o.Kind.String()...)
+	w.buf = append(w.buf, " JOIN "...)
+	w.buf = append(w.buf, rf...)
+	if o.Kind != xtra.JoinCross {
+		w.buf = append(w.buf, " ON "...)
+		if o.Pred == nil {
+			w.buf = append(w.buf, "1 = 1"...)
+		} else if err := w.appendScalar(o.Pred); err != nil {
+			return nil, err
 		}
-		sql = lf + " " + kw + " " + rf + " ON " + pred
 	}
-	return &block{cols: o.Columns(), fromSQL: sql}, nil
+	return &block{cols: w.columns(o), fromSQL: w.cut(mark)}, nil
 }
 
 func (w *writer) foldAgg(o *xtra.Agg) (*block, error) {
@@ -577,46 +630,61 @@ func (w *writer) foldAgg(o *xtra.Agg) (*block, error) {
 	if b.computed() {
 		b = w.wrap(b)
 	}
-	var sel []string
-	for _, g := range o.Groups {
-		e, err := w.scalar(g.Expr)
-		if err != nil {
+	// Grouping expressions are written twice (select list and GROUP BY), so
+	// each is rendered once on its own.
+	groups := make([]string, len(o.Groups))
+	for i, g := range o.Groups {
+		if groups[i], err = w.scalar(g.Expr); err != nil {
 			return nil, err
 		}
-		sel = append(sel, e+" AS "+colAlias(g.Out.ID))
-		b.groupBy = append(b.groupBy, e)
 	}
-	for _, a := range o.Aggs {
-		var fn string
-		switch {
-		case a.Star:
-			fn = "COUNT(*)"
-		default:
-			arg, err := w.scalar(a.Arg)
-			if err != nil {
+	mark := len(w.buf)
+	for i, g := range o.Groups {
+		w.sep(i, ", ")
+		w.buf = append(w.buf, groups[i]...)
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendColAlias(w.buf, g.Out.ID)
+	}
+	for i, a := range o.Aggs {
+		w.sep(len(o.Groups)+i, ", ")
+		if a.Star {
+			w.buf = append(w.buf, "COUNT(*)"...)
+		} else {
+			w.buf = append(w.buf, a.Func...)
+			w.buf = append(w.buf, '(')
+			if a.Distinct {
+				w.buf = append(w.buf, "DISTINCT "...)
+			}
+			if err := w.appendScalar(a.Arg); err != nil {
 				return nil, err
 			}
-			if a.Distinct {
-				arg = "DISTINCT " + arg
-			}
-			fn = a.Func + "(" + arg + ")"
+			w.buf = append(w.buf, ')')
 		}
-		sel = append(sel, fn+" AS "+colAlias(a.Out.ID))
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendColAlias(w.buf, a.Out.ID)
 	}
+	b.sel = w.cut(mark)
 	if o.GroupingSets != nil {
 		// Native grouping-set emission uses GROUPING SETS syntax.
-		var sets []string
-		for _, set := range o.GroupingSets {
-			var items []string
-			for _, i := range set {
-				items = append(items, b.groupBy[i])
+		w.buf = append(w.buf, "GROUPING SETS ("...)
+		for i, set := range o.GroupingSets {
+			w.sep(i, ", ")
+			w.buf = append(w.buf, '(')
+			for j, g := range set {
+				w.sep(j, ", ")
+				w.buf = append(w.buf, groups[g]...)
 			}
-			sets = append(sets, "("+strings.Join(items, ", ")+")")
+			w.buf = append(w.buf, ')')
 		}
-		b.groupBy = []string{"GROUPING SETS (" + strings.Join(sets, ", ") + ")"}
+		w.buf = append(w.buf, ')')
+	} else {
+		for i, g := range groups {
+			w.sep(i, ", ")
+			w.buf = append(w.buf, g...)
+		}
 	}
-	b.sel = sel
-	b.cols = o.Columns()
+	b.groupBy = w.cut(mark)
+	b.cols = w.columns(o)
 	b.agg = true
 	return b, nil
 }
@@ -630,27 +698,29 @@ func (w *writer) foldSetOp(o *xtra.SetOp) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	kw := map[xtra.SetOpKind]string{
-		xtra.SetUnion: "UNION", xtra.SetIntersect: "INTERSECT", xtra.SetExcept: "EXCEPT",
-	}[o.Kind]
-	if o.All {
-		kw += " ALL"
-	}
-	union := "(" + w.render(lb) + ") " + kw + " (" + w.render(rb) + ")"
 	a := w.alias()
+	mark := len(w.buf)
+	w.buf = append(w.buf, "(("...)
+	w.appendRender(lb)
+	w.buf = append(w.buf, ") "...)
+	w.buf = append(w.buf, o.Kind.String()...)
+	if o.All {
+		w.buf = append(w.buf, " ALL"...)
+	}
+	w.buf = append(w.buf, " ("...)
+	w.appendRender(rb)
+	w.buf = append(w.buf, ")) AS "...)
+	w.buf = appendAlias(w.buf, a)
+	from := w.cut(mark)
 	// Column names of the union come from the left branch's exports;
 	// re-export them under the set operation's own column identities.
-	lcols := o.L.Columns()
-	var sel []string
+	lcols := w.columns(o.L)
 	for i, c := range o.Cols {
-		w.names[c.ID] = a + "." + colAlias(lcols[i].ID)
-		sel = append(sel, w.names[c.ID]+" AS "+colAlias(c.ID))
+		w.sep(i, ", ")
+		w.names[c.ID] = colName{qual: a, id: lcols[i].ID}
+		w.appendExported(c)
 	}
-	return &block{
-		cols:    o.Cols,
-		sel:     sel,
-		fromSQL: "(" + union + ") AS " + a,
-	}, nil
+	return &block{cols: o.Cols, sel: w.cut(mark), fromSQL: from}, nil
 }
 
 func (w *writer) foldRecursive(o *xtra.RecursiveUnion) (*block, error) {
@@ -672,15 +742,22 @@ func (w *writer) foldRecursive(o *xtra.RecursiveUnion) (*block, error) {
 		return nil, err
 	}
 	recSQL := w.render(recB)
-	var sel []string
-	for i, c := range o.Cols {
-		sel = append(sel, colNames[i]+" AS "+colAlias(c.ID))
-	}
-	full := fmt.Sprintf("WITH RECURSIVE %s (%s) AS ((%s) UNION ALL (%s)) SELECT %s FROM %s",
-		name, strings.Join(colNames, ", "), seedSQL, recSQL, strings.Join(sel, ", "), name)
 	a := w.alias()
-	for _, c := range o.Cols {
-		w.names[c.ID] = a + "." + colAlias(c.ID)
+	mark := len(w.buf)
+	w.buf = fmt.Appendf(w.buf, "(WITH RECURSIVE %s (%s) AS ((%s) UNION ALL (%s)) SELECT ",
+		name, strings.Join(colNames, ", "), seedSQL, recSQL)
+	for i, c := range o.Cols {
+		w.sep(i, ", ")
+		w.buf = append(w.buf, colNames[i]...)
+		w.buf = append(w.buf, " AS "...)
+		w.buf = appendColAlias(w.buf, c.ID)
 	}
-	return &block{cols: o.Cols, fromSQL: "(" + full + ") AS " + a}, nil
+	w.buf = append(w.buf, " FROM "...)
+	w.buf = append(w.buf, name...)
+	w.buf = append(w.buf, ") AS "...)
+	w.buf = appendAlias(w.buf, a)
+	for _, c := range o.Cols {
+		w.names[c.ID] = colName{qual: a, id: c.ID}
+	}
+	return &block{cols: o.Cols, fromSQL: w.cut(mark)}, nil
 }

@@ -55,7 +55,7 @@ func translate(t *testing.T, sess *engine.Session, tdSQL string, target *dialect
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
-	c := transform.NewContext(nil, rec, maxColID(bound))
+	c := transform.NewStatementContext(nil, rec, bound)
 	mid, err := transform.BindingStage().Statement(bound, c)
 	if err != nil {
 		t.Fatalf("binding stage: %v", err)

@@ -49,36 +49,24 @@ func (w *writer) statement(stmt xtra.Statement) (string, error) {
 func (w *writer) insert(t *xtra.Insert) (string, error) {
 	mark := len(w.buf)
 	w.buf = append(w.buf, "INSERT INTO "...)
-	w.buf = append(w.buf, quoteIdent(t.Table)...)
+	w.buf = appendIdent(w.buf, t.Table)
 	// Column list from target ordinals: the engine-side binder resolves
 	// names, so we emit the names of the input columns' targets. Since the
 	// Insert plan carries ordinals only, emission uses the input column
 	// names, which the binder set to the target column names.
 	w.buf = append(w.buf, " ("...)
-	for i, c := range t.Input.Columns() {
-		if i > 0 {
-			w.buf = append(w.buf, ", "...)
-		}
-		w.buf = append(w.buf, quoteIdent(c.Name)...)
+	for i, c := range w.columns(t.Input) {
+		w.sep(i, ", ")
+		w.buf = appendIdent(w.buf, c.Name)
 	}
 	w.buf = append(w.buf, ')')
 	if v, ok := t.Input.(*xtra.Values); ok {
 		w.buf = append(w.buf, " VALUES "...)
 		for ri, row := range v.Rows {
-			if ri > 0 {
-				w.buf = append(w.buf, ", "...)
-			}
+			w.sep(ri, ", ")
 			w.buf = append(w.buf, '(')
-			for i, e := range row {
-				s, err := w.scalar(e)
-				if err != nil {
-					w.buf = w.buf[:mark]
-					return "", err
-				}
-				if i > 0 {
-					w.buf = append(w.buf, ", "...)
-				}
-				w.buf = append(w.buf, s...)
+			if err := w.appendScalars(row); err != nil {
+				return "", err
 			}
 			w.buf = append(w.buf, ')')
 		}
@@ -86,71 +74,51 @@ func (w *writer) insert(t *xtra.Insert) (string, error) {
 	}
 	b, err := w.fold(t.Input)
 	if err != nil {
-		w.buf = w.buf[:mark]
 		return "", err
 	}
-	sql := w.render(b)
 	w.buf = append(w.buf, ' ')
-	w.buf = append(w.buf, sql...)
+	w.appendRender(b)
 	return w.cut(mark), nil
 }
 
-func (w *writer) update(t *xtra.Update) (string, error) {
-	// The target table gets a reserved alias so correlated subqueries can
-	// reference its columns unambiguously.
-	alias := "hq_target"
-	for _, c := range t.Cols {
-		w.names[c.ID] = alias + "." + quoteIdent(c.Name)
+// nameTarget names the columns of an UPDATE or DELETE target.
+func (w *writer) nameTarget(cols []xtra.Col) {
+	for _, c := range cols {
+		w.names[c.ID] = colName{qual: qualTarget, name: c.Name}
 	}
+}
+
+func (w *writer) update(t *xtra.Update) (string, error) {
+	w.nameTarget(t.Cols)
 	mark := len(w.buf)
 	w.buf = append(w.buf, "UPDATE "...)
-	w.buf = append(w.buf, quoteIdent(t.Table)...)
-	w.buf = append(w.buf, " AS "...)
-	w.buf = append(w.buf, alias...)
-	w.buf = append(w.buf, " SET "...)
+	w.buf = appendIdent(w.buf, t.Table)
+	w.buf = append(w.buf, " AS "+targetAlias+" SET "...)
 	for i, a := range t.Assigns {
-		e, err := w.scalar(a.Expr)
-		if err != nil {
-			w.buf = w.buf[:mark]
+		w.sep(i, ", ")
+		w.buf = appendIdent(w.buf, t.Cols[a.Ordinal].Name)
+		if err := w.appendWrapped(" = ", a.Expr, ""); err != nil {
 			return "", err
 		}
-		if i > 0 {
-			w.buf = append(w.buf, ", "...)
-		}
-		w.buf = append(w.buf, quoteIdent(t.Cols[a.Ordinal].Name)...)
-		w.buf = append(w.buf, " = "...)
-		w.buf = append(w.buf, e...)
 	}
 	if t.Pred != nil {
-		p, err := w.scalar(t.Pred)
-		if err != nil {
-			w.buf = w.buf[:mark]
+		if err := w.appendWrapped(" WHERE ", t.Pred, ""); err != nil {
 			return "", err
 		}
-		w.buf = append(w.buf, " WHERE "...)
-		w.buf = append(w.buf, p...)
 	}
 	return w.cut(mark), nil
 }
 
 func (w *writer) delete(t *xtra.Delete) (string, error) {
-	alias := "hq_target"
-	for _, c := range t.Cols {
-		w.names[c.ID] = alias + "." + quoteIdent(c.Name)
-	}
+	w.nameTarget(t.Cols)
 	mark := len(w.buf)
 	w.buf = append(w.buf, "DELETE FROM "...)
-	w.buf = append(w.buf, quoteIdent(t.Table)...)
-	w.buf = append(w.buf, ' ')
-	w.buf = append(w.buf, alias...)
+	w.buf = appendIdent(w.buf, t.Table)
+	w.buf = append(w.buf, " "+targetAlias...)
 	if t.Pred != nil {
-		p, err := w.scalar(t.Pred)
-		if err != nil {
-			w.buf = w.buf[:mark]
+		if err := w.appendWrapped(" WHERE ", t.Pred, ""); err != nil {
 			return "", err
 		}
-		w.buf = append(w.buf, " WHERE "...)
-		w.buf = append(w.buf, p...)
 	}
 	return w.cut(mark), nil
 }
@@ -168,25 +136,21 @@ func (w *writer) createTable(t *xtra.CreateTable) (string, error) {
 	if t.IfNotExists {
 		w.buf = append(w.buf, "IF NOT EXISTS "...)
 	}
-	w.buf = append(w.buf, quoteIdent(t.Def.Name)...)
+	w.buf = appendIdent(w.buf, t.Def.Name)
 	if t.Input != nil {
 		b, err := w.fold(t.Input)
 		if err != nil {
-			w.buf = w.buf[:mark]
 			return "", err
 		}
-		sql := w.render(b)
 		w.buf = append(w.buf, " AS ("...)
-		w.buf = append(w.buf, sql...)
+		w.appendRender(b)
 		w.buf = append(w.buf, ") WITH DATA"...)
 		return w.cut(mark), nil
 	}
 	w.buf = append(w.buf, " ("...)
 	for i, c := range t.Def.Columns {
-		if i > 0 {
-			w.buf = append(w.buf, ", "...)
-		}
-		w.buf = append(w.buf, quoteIdent(c.Name)...)
+		w.sep(i, ", ")
+		w.buf = appendIdent(w.buf, c.Name)
 		w.buf = append(w.buf, ' ')
 		w.buf = append(w.buf, c.Type.String()...)
 		if c.NotNull {

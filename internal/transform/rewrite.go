@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"hyperq/internal/xtra"
 )
@@ -30,14 +31,17 @@ func (t *Transformer) rewriteChildren(op xtra.Op, c *Context) (xtra.Op, bool, er
 		if err != nil {
 			return nil, false, err
 		}
-		exprs := make([]xtra.NamedScalar, len(o.Exprs))
+		exprs := o.Exprs // copied on the first change
 		for i, ns := range o.Exprs {
 			e, f, err := t.scalarOnce(ns.Expr, c)
 			if err != nil {
 				return nil, false, err
 			}
-			exprs[i] = xtra.NamedScalar{Col: ns.Col, Expr: e}
-			fired = fired || f
+			if f {
+				exprs = cloneOnce(exprs, o.Exprs)
+				exprs[i].Expr = e
+				fired = true
+			}
 		}
 		if !fired {
 			return op, false, nil
@@ -58,16 +62,17 @@ func (t *Transformer) rewriteChildren(op xtra.Op, c *Context) (xtra.Op, bool, er
 			return nil, false, err
 		}
 		fired = fired || f2
-		funcs := make([]xtra.WindowDef, len(o.Funcs))
+		funcs := o.Funcs // copied on the first change
 		for i, d := range o.Funcs {
-			nd := d
 			args, f3, err := t.scalarSlice(d.Args, c)
 			if err != nil {
 				return nil, false, err
 			}
-			nd.Args = args
-			funcs[i] = nd
-			fired = fired || f3
+			if f3 {
+				funcs = cloneOnce(funcs, o.Funcs)
+				funcs[i].Args = args
+				fired = true
+			}
 		}
 		if !fired {
 			return op, false, nil
@@ -101,27 +106,32 @@ func (t *Transformer) rewriteChildren(op xtra.Op, c *Context) (xtra.Op, bool, er
 		if err != nil {
 			return nil, false, err
 		}
-		groups := make([]xtra.GroupCol, len(o.Groups))
+		groups := o.Groups // copied on the first change
 		for i, g := range o.Groups {
 			e, f, err := t.scalarOnce(g.Expr, c)
 			if err != nil {
 				return nil, false, err
 			}
-			groups[i] = xtra.GroupCol{Out: g.Out, Expr: e}
-			fired = fired || f
-		}
-		aggs := make([]xtra.AggDef, len(o.Aggs))
-		for i, a := range o.Aggs {
-			na := a
-			if a.Arg != nil {
-				e, f, err := t.scalarOnce(a.Arg, c)
-				if err != nil {
-					return nil, false, err
-				}
-				na.Arg = e
-				fired = fired || f
+			if f {
+				groups = cloneOnce(groups, o.Groups)
+				groups[i].Expr = e
+				fired = true
 			}
-			aggs[i] = na
+		}
+		aggs := o.Aggs // copied on the first change
+		for i, a := range o.Aggs {
+			if a.Arg == nil {
+				continue
+			}
+			e, f, err := t.scalarOnce(a.Arg, c)
+			if err != nil {
+				return nil, false, err
+			}
+			if f {
+				aggs = cloneOnce(aggs, o.Aggs)
+				aggs[i].Arg = e
+				fired = true
+			}
 		}
 		if !fired {
 			return op, false, nil
@@ -168,14 +178,17 @@ func (t *Transformer) rewriteChildren(op xtra.Op, c *Context) (xtra.Op, bool, er
 		return &xtra.SetOp{Kind: o.Kind, All: o.All, L: l, R: r, Cols: o.Cols}, true, nil
 	case *xtra.Values:
 		fired := false
-		rows := make([][]xtra.Scalar, len(o.Rows))
+		rows := o.Rows // copied on the first change
 		for i, row := range o.Rows {
 			nr, f, err := t.scalarSlice(row, c)
 			if err != nil {
 				return nil, false, err
 			}
-			rows[i] = nr
-			fired = fired || f
+			if f {
+				rows = cloneOnce(rows, o.Rows)
+				rows[i] = nr
+				fired = true
+			}
 		}
 		if !fired {
 			return op, false, nil
@@ -198,38 +211,49 @@ func (t *Transformer) rewriteChildren(op xtra.Op, c *Context) (xtra.Op, bool, er
 	return nil, false, fmt.Errorf("transform: unknown operator %T", op)
 }
 
+// cloneOnce is the copy-on-write step for a node's slice: called before
+// writing element i of cur, which starts out as the node's own slice orig,
+// it returns a copy of orig the first time and cur after that. An unchanged
+// node keeps sharing its slices.
+func cloneOnce[T any](cur, orig []T) []T {
+	if &cur[0] == &orig[0] {
+		return slices.Clone(orig)
+	}
+	return cur
+}
+
 func (t *Transformer) scalarSlice(ss []xtra.Scalar, c *Context) ([]xtra.Scalar, bool, error) {
+	out := ss // copied on the first change
 	fired := false
-	out := make([]xtra.Scalar, len(ss))
 	for i, s := range ss {
 		ns, f, err := t.scalarOnce(s, c)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = ns
-		fired = fired || f
+		if f {
+			out = cloneOnce(out, ss)
+			out[i] = ns
+			fired = true
+		}
 	}
-	if !fired {
-		return ss, false, nil
-	}
-	return out, true, nil
+	return out, fired, nil
 }
 
 func (t *Transformer) sortKeys(keys []xtra.SortKey, c *Context) ([]xtra.SortKey, bool, error) {
+	out := keys // copied on the first change
 	fired := false
-	out := make([]xtra.SortKey, len(keys))
 	for i, k := range keys {
 		e, f, err := t.scalarOnce(k.Expr, c)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = xtra.SortKey{Expr: e, Desc: k.Desc, NullsFirst: k.NullsFirst}
-		fired = fired || f
+		if f {
+			out = cloneOnce(out, keys)
+			out[i].Expr = e
+			fired = true
+		}
 	}
-	if !fired {
-		return keys, false, nil
-	}
-	return out, true, nil
+	return out, fired, nil
 }
 
 // rewriteScalarChildren rebuilds s with one pass applied to nested scalars
@@ -337,7 +361,7 @@ func (t *Transformer) rewriteScalarChildren(s xtra.Scalar, c *Context) (xtra.Sca
 		return &xtra.CastExpr{X: e, To: x.To, Implicit: x.Implicit}, true, nil
 	case *xtra.CaseExpr:
 		fired := false
-		whens := make([]xtra.CaseWhen, len(x.Whens))
+		whens := x.Whens // copied on the first change
 		for i, w := range x.Whens {
 			cond, f1, err := t.scalarOnce(w.Cond, c)
 			if err != nil {
@@ -347,8 +371,11 @@ func (t *Transformer) rewriteScalarChildren(s xtra.Scalar, c *Context) (xtra.Sca
 			if err != nil {
 				return nil, false, err
 			}
-			whens[i] = xtra.CaseWhen{Cond: cond, Then: then}
-			fired = fired || f1 || f2
+			if f1 || f2 {
+				whens = cloneOnce(whens, x.Whens)
+				whens[i] = xtra.CaseWhen{Cond: cond, Then: then}
+				fired = true
+			}
 		}
 		els := x.Else
 		if els != nil {

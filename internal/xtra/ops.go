@@ -49,13 +49,7 @@ type Project struct {
 	Exprs []NamedScalar
 }
 
-func (p *Project) Columns() []Col {
-	out := make([]Col, len(p.Exprs))
-	for i, e := range p.Exprs {
-		out[i] = e.Col
-	}
-	return out
-}
+func (p *Project) Columns() []Col { return AppendColumns(make([]Col, 0, len(p.Exprs)), p) }
 func (p *Project) Children() []Op { return []Op{p.Input} }
 func (p *Project) Scalars() []Scalar {
 	out := make([]Scalar, len(p.Exprs))
@@ -92,13 +86,7 @@ type Window struct {
 	Funcs       []WindowDef
 }
 
-func (w *Window) Columns() []Col {
-	out := append([]Col(nil), w.Input.Columns()...)
-	for _, f := range w.Funcs {
-		out = append(out, f.Out)
-	}
-	return out
-}
+func (w *Window) Columns() []Col { return AppendColumns(nil, w) }
 func (w *Window) Children() []Op { return []Op{w.Input} }
 func (w *Window) Scalars() []Scalar {
 	var out []Scalar
@@ -147,9 +135,7 @@ type Join struct {
 	Pred Scalar // nil for cross joins
 }
 
-func (j *Join) Columns() []Col {
-	return append(append([]Col(nil), j.L.Columns()...), j.R.Columns()...)
-}
+func (j *Join) Columns() []Col { return AppendColumns(nil, j) }
 func (j *Join) Children() []Op { return []Op{j.L, j.R} }
 func (j *Join) Scalars() []Scalar {
 	if j.Pred == nil {
@@ -184,16 +170,7 @@ type Agg struct {
 	GroupingSets [][]int
 }
 
-func (a *Agg) Columns() []Col {
-	out := make([]Col, 0, len(a.Groups)+len(a.Aggs))
-	for _, g := range a.Groups {
-		out = append(out, g.Out)
-	}
-	for _, ag := range a.Aggs {
-		out = append(out, ag.Out)
-	}
-	return out
-}
+func (a *Agg) Columns() []Col { return AppendColumns(make([]Col, 0, len(a.Groups)+len(a.Aggs)), a) }
 func (a *Agg) Children() []Op { return []Op{a.Input} }
 func (a *Agg) Scalars() []Scalar {
 	var out []Scalar
@@ -347,6 +324,42 @@ func WalkOps(op Op, fn func(Op) bool) {
 	for _, c := range op.Children() {
 		WalkOps(c, fn)
 	}
+}
+
+// AppendColumns appends op's output columns to dst: the Columns of an
+// operator that computes them, without allocating when dst has room.
+func AppendColumns(dst []Col, op Op) []Col {
+	switch o := op.(type) {
+	case *Select:
+		return AppendColumns(dst, o.Input)
+	case *Sort:
+		return AppendColumns(dst, o.Input)
+	case *Limit:
+		return AppendColumns(dst, o.Input)
+	case *Project:
+		for _, e := range o.Exprs {
+			dst = append(dst, e.Col)
+		}
+		return dst
+	case *Window:
+		dst = AppendColumns(dst, o.Input)
+		for _, f := range o.Funcs {
+			dst = append(dst, f.Out)
+		}
+		return dst
+	case *Join:
+		return AppendColumns(AppendColumns(dst, o.L), o.R)
+	case *Agg:
+		for _, g := range o.Groups {
+			dst = append(dst, g.Out)
+		}
+		for _, ag := range o.Aggs {
+			dst = append(dst, ag.Out)
+		}
+		return dst
+	}
+	// The rest store their columns.
+	return append(dst, op.Columns()...)
 }
 
 // ColumnTypes extracts the types of an operator's output.

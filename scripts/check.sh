@@ -72,8 +72,10 @@ go test -race -timeout 120s ./...
 # allocation counts). Translate path (DESIGN.md §11): one uncached request
 # through the full pipeline must fit the budgets in bench_test.go with the
 # statistics registry on ("traced") and off ("nostats") — the same budget for
-# both is the proof that steady-state recording allocates nothing.
-go test -count=1 -v -run 'TestTracedTranslateAllocBudget' .
+# both is the proof that steady-state recording allocates nothing — and bind,
+# transform and serialize must fit their per-statement budgets over Workload
+# 1 (translate_alloc_test.go).
+go test -count=1 -v -run 'TestTracedTranslateAllocBudget|TestTranslateAllocsPerStatement' .
 
 # Cache-hit path (DESIGN.md §6): a request-tier hit and a fingerprint-tier hit
 # with a new literal each must stay within the counts pinned in plan_test.go.
