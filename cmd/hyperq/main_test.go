@@ -58,18 +58,6 @@ func effective(c *config) {
 	if g.CacheEntries == 0 { // hyperq.New
 		g.CacheEntries = 4096
 	}
-	if g.ResultBudget == 0 {
-		g.ResultBudget = 64 << 20
-	}
-	if g.ResultMemoryCap == 0 {
-		g.ResultMemoryCap = 256 << 20
-	}
-	if g.SlowQuery == 0 { // trace.NewRing
-		g.SlowQuery = 200 * time.Millisecond
-	}
-	if g.SLOObjective == 0 { // wstats.New
-		g.SLOObjective = 0.99
-	}
 }
 
 // TestResolvedDefaultsUnchanged pins what the shipped defaults and the
@@ -100,10 +88,6 @@ func TestResolvedDefaultsUnchanged(t *testing.T) {
 				DisableTranslationCache: cacheEntries < 0,
 				BackendTimeout:          30 * time.Second,
 				Resilience:              resilience,
-				SlowQuery:               200 * time.Millisecond,
-				ResultBudget:            64 << 20,
-				ResultMemoryCap:         256 << 20,
-				SLOObjective:            0.99,
 			},
 			serve: tdp.Options{WriteTimeout: 30 * time.Second},
 		}

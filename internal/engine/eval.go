@@ -418,10 +418,7 @@ func (ex *executor) evalFunc(x *xtra.FuncExpr, e *env) (types.Datum, error) {
 	case "LOWER":
 		return types.NewString(strings.ToLower(args[0].S)), nil
 	case "TRIM":
-		if len(args) == 2 {
-			return types.NewString(strings.Trim(args[0].S, args[1].S)), nil
-		}
-		return types.NewString(strings.TrimSpace(args[0].S)), nil
+		return types.NewString(strings.Trim(args[0].S, trimChars(args))), nil
 	case "LTRIM":
 		return types.NewString(strings.TrimLeft(args[0].S, trimChars(args))), nil
 	case "RTRIM":

@@ -12,7 +12,7 @@ import (
 // (wstats.Registry.Features); these tests check its class semantics.
 
 func TestEmptyStats(t *testing.T) {
-	v := wstats.New(wstats.Config{MaxEntries: 8}).Features()
+	v := wstats.New(wstats.Config{}).Features()
 	if v.Queries != 0 {
 		t.Errorf("Queries = %d on an empty registry", v.Queries)
 	}
@@ -32,7 +32,7 @@ func TestEmptyStats(t *testing.T) {
 // exactly when every observed query had a feature of the class.
 func TestStatsClassConsistency(t *testing.T) {
 	f := func(raw []uint8) bool {
-		r := wstats.New(wstats.Config{MaxEntries: 1 << 12})
+		r := wstats.New(wstats.Config{})
 		all := true
 		for i, b := range raw {
 			var s feature.Set

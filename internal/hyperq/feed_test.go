@@ -47,13 +47,13 @@ func feedGateway(t *testing.T) *Gateway {
 	t.Helper()
 	_, b := wideFixture(64, false)
 	g, err := New(Config{
-		Target:       dialect.CloudA(),
-		Driver:       &odbc.LocalDriver{Engine: engine.New(dialect.CloudA())},
-		ResultBudget: 3 * b.EncodedSize(),
+		Target: dialect.CloudA(),
+		Driver: &odbc.LocalDriver{Engine: engine.New(dialect.CloudA())},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.resultBudget = int64(3 * b.EncodedSize())
 	return g
 }
 

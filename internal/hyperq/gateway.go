@@ -38,18 +38,6 @@ type Config struct {
 	// discovery/transfer (§4); in this reproduction the catalog is either
 	// populated through gateway DDL or imported from the backend at startup.
 	Catalog *catalog.Catalog
-	// ResultBudget is the per-session in-flight byte budget of a streamed
-	// result (the §4.6 memory bound): a session's fetch stage stops pulling
-	// from the backend while more than this many bytes sit between fetch and
-	// frontend delivery. 0 selects 64 MiB.
-	ResultBudget int
-	// ResultMemoryCap is the gateway-wide hard cap on in-flight streamed
-	// result bytes across all sessions. A request is shed with
-	// CodeGatewaySaturated, rather than ballooning gateway memory, when its
-	// next batch would push the gauge past the cap, or when that batch and
-	// its predecessor in the same request — resident at once — together
-	// exceed the cap. 0 selects 256 MiB.
-	ResultMemoryCap int
 	// DisableStreaming sends every result set to the collecting sink, so a
 	// wire session's results are materialized before they are written — the
 	// reference side of the streamed-vs-buffered differential tests.
@@ -67,12 +55,6 @@ type Config struct {
 	// the configured backend driver(s) in MetricsSnapshot. Share the same
 	// struct with the odbc.ResilientDriver / odbc.ReplicatedDriver.
 	Resilience *odbc.ResilienceMetrics
-	// SlowQuery is the slow-query threshold: traces at or above it are
-	// retained in the slow list regardless of recent-trace churn. 0 selects
-	// 200ms; negative disables slow retention.
-	SlowQuery time.Duration
-	// TraceRingSize bounds the recent-trace ring. 0 selects 256.
-	TraceRingSize int
 	// DisableTracing turns per-request span traces off (histograms stay on).
 	// The tracing-overhead benchmark's baseline; also useful when a trace
 	// ring per gateway is unwanted.
@@ -88,27 +70,33 @@ type Config struct {
 	// registry off (/statements then returns 404 and per-request recording
 	// is skipped entirely).
 	DisableStatStatements bool
-	// StatStatementsMax bounds the registry's tracked-shape cardinality;
-	// colder shapes past the bound fold into the exact-total "_other"
-	// bucket. 0 selects 1024.
-	StatStatementsMax int
 	// SLO, when positive, is the per-request latency objective: the registry
 	// counts requests slower than it as SLO breaches, per shape and
-	// gateway-wide, and flags violating fingerprints.
+	// gateway-wide, and flags violating fingerprints against a 0.99
+	// objective.
 	SLO time.Duration
-	// SLOObjective is the target fraction of requests meeting the SLO
-	// (burn rate 1.0 = consuming exactly the 1-objective error budget).
-	// 0 selects 0.99.
-	SLOObjective float64
 }
 
-// Metrics aggregates the three timing components of Figure 9: query
-// translation time, backend execution time, and result transformation time.
+// The result-memory bounds of §4.6.
+const (
+	// resultBudget is the per-session in-flight byte budget of a streamed
+	// result: a session's fetch stage stops pulling from the backend while
+	// more than this many bytes sit between fetch and frontend delivery.
+	resultBudget = 64 << 20
+	// resultMemoryCap is the gateway-wide hard cap on in-flight streamed
+	// result bytes across all sessions. A request is shed with
+	// CodeGatewaySaturated, rather than ballooning gateway memory, when its
+	// next batch would push the gauge past the cap, or when that batch and
+	// its predecessor in the same request — resident at once — together
+	// exceed the cap.
+	resultMemoryCap = 256 << 20
+)
+
+// Metrics holds the gateway's event counters. The three timing components of
+// Figure 9 (translation, backend execution and result transformation) and
+// the request count are not kept here: they are the sums and count of the
+// stage and request histograms.
 type Metrics struct {
-	translateNs int64
-	executeNs   int64
-	convertNs   int64
-	requests    int64
 	statements  int64
 	cacheHits   int64
 	cacheMisses int64
@@ -205,6 +193,10 @@ type Gateway struct {
 	// gauge (the result-memory accountant); resultPeak its high-water mark.
 	resultInflight int64
 	resultPeak     int64
+	// resultBudget and resultCap are the result-memory bounds, set once in
+	// New (tests shrink them before the first request).
+	resultBudget int64
+	resultCap    int64
 }
 
 // New creates a gateway.
@@ -218,32 +210,23 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Catalog == nil {
 		cfg.Catalog = catalog.New()
 	}
-	if cfg.ResultBudget == 0 {
-		cfg.ResultBudget = 64 << 20
-	}
-	if cfg.ResultMemoryCap == 0 {
-		cfg.ResultMemoryCap = 256 << 20
-	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 4096
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		cat:      cfg.Catalog,
-		stages:   metrics.NewStages(),
-		ring:     trace.NewRing(cfg.TraceRingSize, cfg.SlowQuery),
-		sessions: make(map[uint64]*Session),
+		cfg:          cfg,
+		cat:          cfg.Catalog,
+		stages:       metrics.NewStages(),
+		ring:         trace.NewRing(),
+		sessions:     make(map[uint64]*Session),
+		resultBudget: resultBudget,
+		resultCap:    resultMemoryCap,
 	}
 	if !cfg.DisableTranslationCache {
 		g.cache = newTranslationCache(cfg.CacheEntries, cacheBytes)
 	}
 	if !cfg.DisableStatStatements {
-		g.wstats = wstats.New(wstats.Config{
-			MaxEntries: cfg.StatStatementsMax,
-			SLO:        cfg.SLO,
-			Objective:  cfg.SLOObjective,
-			Pinner:     g.ring,
-		})
+		g.wstats = wstats.New(wstats.Config{SLO: cfg.SLO, Pinner: g.ring})
 	}
 	return g, nil
 }
@@ -254,13 +237,19 @@ func (g *Gateway) Catalog() *catalog.Catalog { return g.cat }
 // Target reports the configured target profile.
 func (g *Gateway) Target() *dialect.Profile { return g.cfg.Target }
 
-// MetricsSnapshot returns current cumulative metrics.
+// MetricsSnapshot returns current cumulative metrics. The Figure 9
+// components are read off the stage histograms: translation is the exact
+// time summed over the five translation-side stages (parse through cache).
 func (g *Gateway) MetricsSnapshot() MetricsSnapshot {
+	var translate int64
+	for st := metrics.StageParse; st <= metrics.StageCache; st++ {
+		translate += g.stages.Stage(st).Snapshot().SumNs
+	}
 	snap := MetricsSnapshot{
-		Translate:   time.Duration(atomic.LoadInt64(&g.metrics.translateNs)),
-		Execute:     time.Duration(atomic.LoadInt64(&g.metrics.executeNs)),
-		Convert:     time.Duration(atomic.LoadInt64(&g.metrics.convertNs)),
-		Requests:    atomic.LoadInt64(&g.metrics.requests),
+		Translate:   time.Duration(translate),
+		Execute:     time.Duration(g.stages.Stage(metrics.StageExecute).Snapshot().SumNs),
+		Convert:     time.Duration(g.stages.Stage(metrics.StageConvert).Snapshot().SumNs),
+		Requests:    g.stages.Request.Snapshot().Count,
 		Statements:  atomic.LoadInt64(&g.metrics.statements),
 		CacheHits:   atomic.LoadInt64(&g.metrics.cacheHits),
 		CacheMisses: atomic.LoadInt64(&g.metrics.cacheMisses),
@@ -296,10 +285,6 @@ func (g *Gateway) SetQueryLog(w *querylog.Writer) { g.cfg.QueryLog = w }
 // ResetMetrics zeroes the counters, the stage histograms, and the trace ring
 // (between benchmark phases).
 func (g *Gateway) ResetMetrics() {
-	atomic.StoreInt64(&g.metrics.translateNs, 0)
-	atomic.StoreInt64(&g.metrics.executeNs, 0)
-	atomic.StoreInt64(&g.metrics.convertNs, 0)
-	atomic.StoreInt64(&g.metrics.requests, 0)
 	atomic.StoreInt64(&g.metrics.statements, 0)
 	atomic.StoreInt64(&g.metrics.cacheHits, 0)
 	atomic.StoreInt64(&g.metrics.cacheMisses, 0)
@@ -335,11 +320,10 @@ func (g *Gateway) Statements() *wstats.Registry { return g.wstats }
 // gauge is empty, so one batch larger than the entire cap degrades to
 // sequential admission instead of failing unconditionally.
 func (g *Gateway) acquireResultBytes(n int64) bool {
-	capBytes := int64(g.cfg.ResultMemoryCap)
 	for {
 		cur := atomic.LoadInt64(&g.resultInflight)
 		next := cur + n
-		if capBytes > 0 && next > capBytes && cur > 0 {
+		if next > g.resultCap && cur > 0 {
 			return false
 		}
 		if atomic.CompareAndSwapInt64(&g.resultInflight, cur, next) {

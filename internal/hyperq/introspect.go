@@ -92,9 +92,9 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		if stage == 0 {
 			help = "Gateway pipeline stage latency."
 		}
-		metrics.WriteHistogram(w, "hyperq_stage_duration_seconds", help, "stage", stage.String(), g.stages.Stage(stage).Snapshot())
+		metrics.WriteHistogram(w, "hyperq_stage_duration_seconds", help, "stage", stage.String(), g.stages.Stage(stage).Snapshot().Histogram())
 	}
-	metrics.WriteHistogram(w, "hyperq_request_duration_seconds", "Whole-request latency through the gateway.", "", "", g.stages.Request.Snapshot())
+	metrics.WriteHistogram(w, "hyperq_request_duration_seconds", "Whole-request latency through the gateway.", "", "", g.stages.Request.Snapshot().Histogram())
 	metrics.WriteHistogram(w, "hyperq_gateway_overhead_ratio", "Per-request fraction of time spent in the gateway (1 - backend/total).", "", "", g.stages.Overhead.Snapshot())
 
 	m := g.MetricsSnapshot()

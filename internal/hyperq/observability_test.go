@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,15 +20,18 @@ import (
 	"hyperq/internal/engine"
 	"hyperq/internal/metrics"
 	"hyperq/internal/odbc"
+	"hyperq/internal/odbc/faultdriver"
 	"hyperq/internal/querylog"
 	"hyperq/internal/trace"
 	"hyperq/internal/wire/tdp"
+	"hyperq/internal/workload/customer"
+	"hyperq/internal/workload/tpch"
 )
 
-// newObsGateway builds a gateway over the shared SALES schema with the
-// observability knobs dialed for testing: a 1ns slow-query threshold (every
-// statement lands in /traces/slow) and an optional query log.
-func newObsGateway(t *testing.T, qlog *querylog.Writer) *Gateway {
+// newObsGateway builds a gateway over the shared SALES schema with an
+// optional query log. A positive latency delays every backend request by it:
+// at the slow-query threshold, every statement lands in /traces/slow.
+func newObsGateway(t *testing.T, qlog *querylog.Writer, latency time.Duration) *Gateway {
 	t.Helper()
 	target := dialect.CloudA()
 	eng := engine.New(target)
@@ -42,12 +47,17 @@ func newObsGateway(t *testing.T, qlog *querylog.Writer) *Gateway {
 			t.Fatalf("setup: %v", err)
 		}
 	}
+	var drv odbc.Driver = &odbc.LocalDriver{Engine: eng}
+	if latency > 0 {
+		fd := faultdriver.New(drv)
+		fd.SetLatency(latency)
+		drv = fd
+	}
 	g, err := New(Config{
-		Target:    target,
-		Driver:    &odbc.LocalDriver{Engine: eng},
-		Catalog:   eng.Catalog().Clone(),
-		SlowQuery: 1, // 1ns: everything is "slow"
-		QueryLog:  qlog,
+		Target:   target,
+		Driver:   drv,
+		Catalog:  eng.Catalog().Clone(),
+		QueryLog: qlog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +113,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qlog.Close()
-	g := newObsGateway(t, qlog)
+	g := newObsGateway(t, qlog, trace.NewRing().SlowThreshold())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -171,8 +181,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Error("/debug/pprof/ does not serve the goroutine profile")
 	}
 
-	// /traces/slow: the 1ns threshold retains every statement with its full
-	// span tree and the rewritten SQL-B text.
+	// /traces/slow: backend latency at the threshold makes every statement
+	// slow, so the list holds each with its full span tree and the rewritten
+	// SQL-B text.
 	var slow struct {
 		ThresholdMS int64          `json:"slow_threshold_ms"`
 		Traces      []*trace.Trace `json:"traces"`
@@ -180,8 +191,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/traces/slow")), &slow); err != nil {
 		t.Fatal(err)
 	}
-	if len(slow.Traces) < 2 {
-		t.Fatalf("slow traces = %d, want >= 2", len(slow.Traces))
+	if len(slow.Traces) < 2 || slow.ThresholdMS != 200 {
+		t.Fatalf("slow traces = %d over %d ms, want >= 2 over 200 ms", len(slow.Traces), slow.ThresholdMS)
 	}
 	tr := slow.Traces[0] // slowest-first; both ran the same SQL
 	if tr.SQL != frontSQL {
@@ -264,6 +275,73 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if entries[1].Cache != "raw-hit" {
 		t.Errorf("second entry cache = %q, want raw-hit", entries[1].Cache)
+	}
+}
+
+// TestFigure9ViewsAgree pins the single tally of request time: the Figure 9
+// components MetricsSnapshot reports are the exact sums of the stage
+// histograms /metrics renders — translation over parse through cache — and
+// the request counter is the request histogram's count.
+func TestFigure9ViewsAgree(t *testing.T) {
+	target := dialect.CloudA()
+	eng := engine.New(target)
+	be := eng.NewSession()
+	if err := tpch.SetupEngine(be, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range customer.SchemaDDL {
+		if _, err := be.ExecSQL(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := New(Config{Target: target, Driver: &odbc.LocalDriver{Engine: eng}, Catalog: eng.Catalog().Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := g.NewLocalSession("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	requests := slices.Clone(customer.GatewaySetup)
+	for _, qn := range tpch.QueryNumbers() {
+		requests = append(requests, tpch.Queries[qn])
+	}
+	spec := customer.Workload1()
+	spec.Distinct, spec.Total = 50, 50
+	for _, q := range customer.Generate(spec) {
+		requests = append(requests, q.SQL)
+	}
+	for _, sql := range requests {
+		_, _ = s.Run(sql) // a failed request is still a request
+	}
+
+	srv := httptest.NewServer(g.DebugHandler())
+	defer srv.Close()
+	body := httpGet(t, srv.URL+"/metrics")
+	m := g.MetricsSnapshot()
+	stageNs := func(stages ...string) (ns int64) {
+		for _, st := range stages {
+			ns += int64(math.Round(1e9 * metricValue(t, body, `hyperq_stage_duration_seconds_sum{stage="`+st+`"}`)))
+		}
+		return ns
+	}
+	for _, c := range []struct {
+		name string
+		got  int64
+		want time.Duration
+	}{
+		{"translate", stageNs("parse", "bind", "transform", "serialize", "cache"), m.Translate},
+		{"execute", stageNs("execute"), m.Execute},
+		{"convert", stageNs("convert"), m.Convert},
+	} {
+		if c.want <= 0 || c.got != c.want.Nanoseconds() {
+			t.Errorf("%s: /metrics stage sums %d ns, MetricsSnapshot %d ns", c.name, c.got, c.want.Nanoseconds())
+		}
+	}
+	total := metricValue(t, body, "hyperq_requests_total")
+	if count := metricValue(t, body, "hyperq_request_duration_seconds_count"); total != count || total != float64(len(requests)) {
+		t.Errorf("hyperq_requests_total %v, request histogram count %v, want both %d", total, count, len(requests))
 	}
 }
 
@@ -357,7 +435,7 @@ func TestEmulationFanOutTraced(t *testing.T) {
 
 // TestErrorClassRecorded asserts failed statements are classified in the trace.
 func TestErrorClassRecorded(t *testing.T) {
-	g := newObsGateway(t, nil)
+	g := newObsGateway(t, nil, 0)
 	s, err := g.NewLocalSession("appuser")
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +460,7 @@ func TestErrorClassRecorded(t *testing.T) {
 // still one request in every sink: the requests counter, the request
 // histogram and the session's /sessions row must agree.
 func TestParseFailureCountedEverywhere(t *testing.T) {
-	g := newObsGateway(t, nil)
+	g := newObsGateway(t, nil, 0)
 	s, err := g.NewLocalSession("appuser")
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +485,7 @@ func TestParseFailureCountedEverywhere(t *testing.T) {
 // stage histograms and the trace ring, so a benchmark phase reports only
 // its own requests.
 func TestResetMetricsClearsObservability(t *testing.T) {
-	g := newObsGateway(t, nil)
+	g := newObsGateway(t, nil, 0)
 	s, err := g.NewLocalSession("appuser")
 	if err != nil {
 		t.Fatal(err)
@@ -470,8 +548,8 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// SlowThreshold sanity: a generous threshold keeps fast statements out of the
-// slow list while the recent ring still records them.
+// SlowThreshold sanity: the 200 ms threshold keeps a fast statement out of
+// the slow list while the recent ring still records it.
 func TestSlowThresholdFilters(t *testing.T) {
 	target := dialect.CloudA()
 	eng := engine.New(target)
@@ -480,10 +558,9 @@ func TestSlowThresholdFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := New(Config{
-		Target:    target,
-		Driver:    &odbc.LocalDriver{Engine: eng},
-		Catalog:   eng.Catalog().Clone(),
-		SlowQuery: time.Hour,
+		Target:  target,
+		Driver:  &odbc.LocalDriver{Engine: eng},
+		Catalog: eng.Catalog().Clone(),
 	})
 	if err != nil {
 		t.Fatal(err)

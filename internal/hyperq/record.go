@@ -108,8 +108,8 @@ func (r *request) endCache(l lap, tier wstats.Tier) {
 
 // publish folds the finished request into every observability sink. It runs
 // exactly once per Session.Run, whatever the request's fate — a request that
-// failed to parse is a request — and it is the only writer of the Figure 9
-// counters, the stage histograms and the statistics registry.
+// failed to parse is a request — and it is the only writer of the stage
+// histograms, the request counters and the statistics registry.
 func (s *Session) publish(reqErr error) {
 	g, r := s.g, &s.req
 	outcome, code, class, msg := "ok", 0, "", ""
@@ -140,26 +140,19 @@ func (s *Session) publish(reqErr error) {
 		total = time.Since(r.start)
 	}
 
-	// Each stage's histogram observes the request's total time in it; the
-	// five translation-side stages sum to the Figure 9 translate component.
-	var translate int64
+	// Each stage's histogram observes the request's total time in it. These
+	// and the request histogram are the one tally of request time: the
+	// Figure 9 components and the request count are read off them.
 	for st, ns := range r.stageNs {
 		if ns != 0 {
-			g.stages.Stage(metrics.Stage(st)).ObserveDuration(time.Duration(ns))
-		}
-		if metrics.Stage(st) <= metrics.StageCache {
-			translate += ns
+			g.stages.Stage(metrics.Stage(st)).Observe(time.Duration(ns))
 		}
 	}
-	g.stages.Request.ObserveDuration(total)
+	g.stages.Request.Observe(total)
 
 	cacheHits := r.tiers[wstats.TierExactHit] + r.tiers[wstats.TierFingerprintHit]
 	m := &g.metrics
-	atomic.AddInt64(&m.requests, 1)
 	atomic.AddInt64(&m.statements, r.statements)
-	atomic.AddInt64(&m.translateNs, translate)
-	atomic.AddInt64(&m.executeNs, r.stageNs[metrics.StageExecute])
-	atomic.AddInt64(&m.convertNs, r.stageNs[metrics.StageConvert])
 	atomic.AddInt64(&m.cacheHits, cacheHits)
 	atomic.AddInt64(&m.cacheMisses, r.tiers[wstats.TierMiss])
 	atomic.AddInt64(&m.cacheBypass, r.tiers[wstats.TierBypass])

@@ -261,14 +261,13 @@ func (f *resultFeed) admit(ctx context.Context, size int64) error {
 	// predecessor was being written, so the two were resident together whether
 	// or not the predecessor's reservation happens to have been released by
 	// now: a pair the cap cannot hold sheds on every run, not on a lost race.
-	if capBytes := int64(f.g.cfg.ResultMemoryCap); capBytes > 0 && f.prevSize > 0 && f.prevSize+size > capBytes {
+	if f.prevSize > 0 && f.prevSize+size > f.g.resultCap {
 		return errResultShed
 	}
 	// Per-session budget: wait for in-flight bytes to drain before admitting
 	// the next batch. A single batch larger than the whole budget is admitted
 	// while the pipeline is empty — holding it back forever would deadlock.
-	budget := int64(f.g.cfg.ResultBudget)
-	for f.inflight.Load() > 0 && f.inflight.Load()+size > budget {
+	for f.inflight.Load() > 0 && f.inflight.Load()+size > f.g.resultBudget {
 		select {
 		case <-f.released:
 		case <-ctx.Done():

@@ -61,9 +61,11 @@ type streamStack struct {
 	addr string
 }
 
-func newStreamStack(t *testing.T, target *dialect.Profile, eng *engine.Engine, cfg Config, opts tdp.Options) *streamStack {
+// newStreamStack builds the stack over a fresh backend. tune, when given,
+// adjusts the gateway (its result-memory bounds) before it serves.
+func newStreamStack(t *testing.T, target *dialect.Profile, eng *engine.Engine, cfg Config, opts tdp.Options, tune ...func(*Gateway)) *streamStack {
 	t.Helper()
-	return newStreamStackVia(t, target, eng, serveBackend(t, eng), cfg, opts)
+	return newStreamStackVia(t, target, eng, serveBackend(t, eng), cfg, opts, tune...)
 }
 
 // serveBackend starts a CWP server over eng and returns its address.
@@ -80,7 +82,7 @@ func serveBackend(t *testing.T, eng *engine.Engine) string {
 
 // newStreamStackVia builds the gateway against an explicit backend address
 // (possibly a fault-injecting proxy rather than the backend itself).
-func newStreamStackVia(t *testing.T, target *dialect.Profile, eng *engine.Engine, beAddr string, cfg Config, opts tdp.Options) *streamStack {
+func newStreamStackVia(t *testing.T, target *dialect.Profile, eng *engine.Engine, beAddr string, cfg Config, opts tdp.Options, tune ...func(*Gateway)) *streamStack {
 	t.Helper()
 	fd := faultdriver.New(&odbc.NetworkDriver{Addr: beAddr, User: "gw", Password: "pw"})
 	met := &odbc.ResilienceMetrics{}
@@ -91,6 +93,9 @@ func newStreamStackVia(t *testing.T, target *dialect.Profile, eng *engine.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range tune {
+		f(g)
+	}
 	feLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +104,11 @@ func newStreamStackVia(t *testing.T, target *dialect.Profile, eng *engine.Engine
 	go func() { _ = tdp.ServeOptions(feLn, g, opts) }()
 	return &streamStack{g: g, fd: fd, met: met, addr: feLn.Addr().String()}
 }
+
+// withResultBudget and withResultCap shrink the gateway's result-memory
+// bounds so a test-sized result crosses them.
+func withResultBudget(n int64) func(*Gateway) { return func(g *Gateway) { g.resultBudget = n } }
+func withResultCap(n int64) func(*Gateway)    { return func(g *Gateway) { g.resultCap = n } }
 
 // rawConn is a parcel-level TDP client: the tests drive reads one parcel at
 // a time to model slow, stalled, and vanished clients.
@@ -169,7 +179,7 @@ func TestStreamingBackpressureBoundsResultMemory(t *testing.T) {
 	target := dialect.CloudA()
 	const budget = 768 << 10             // ~2.5 TDF batches of BIG rows
 	eng := bigTableEngine(t, target, 30) // 27000 rows × ~305 B ≈ 8.2 MiB ≥ 10× budget
-	st := newStreamStack(t, target, eng, Config{ResultBudget: budget}, tdp.Options{})
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{}, withResultBudget(budget))
 
 	c := dialRaw(t, st.addr)
 	defer c.close()
@@ -225,8 +235,8 @@ func TestStreamingSlowClientEvicted(t *testing.T) {
 	}
 	target := dialect.CloudA()
 	eng := bigTableEngine(t, target, 40) // 64000 rows ≈ 19.5 MiB: larger than socket+bufio capacity
-	st := newStreamStack(t, target, eng, Config{ResultBudget: 512 << 10},
-		tdp.Options{WriteTimeout: 300 * time.Millisecond})
+	st := newStreamStack(t, target, eng, Config{},
+		tdp.Options{WriteTimeout: 300 * time.Millisecond}, withResultBudget(512<<10))
 
 	c := dialRaw(t, st.addr)
 	defer c.close()
@@ -358,7 +368,7 @@ func TestStreamingDeadlineMidStreamFailsCleanly(t *testing.T) {
 	target := dialect.CloudA()
 	eng := bigTableEngine(t, target, 40) // 64000 rows ≈ 19.5 MiB
 	st := newStreamStack(t, target, eng,
-		Config{BackendTimeout: 500 * time.Millisecond, ResultBudget: 512 << 10}, tdp.Options{})
+		Config{BackendTimeout: 500 * time.Millisecond}, tdp.Options{}, withResultBudget(512<<10))
 
 	c := dialRaw(t, st.addr)
 	defer c.close()
@@ -412,7 +422,7 @@ func TestStreamingDeadlineMidStreamFailsCleanly(t *testing.T) {
 func TestStreamingClientDisconnectReleasesEverything(t *testing.T) {
 	target := dialect.CloudA()
 	eng := bigTableEngine(t, target, 20)
-	st := newStreamStack(t, target, eng, Config{ResultBudget: 256 << 10}, tdp.Options{})
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{}, withResultBudget(256<<10))
 
 	// Warm-up connection proves the stack works, and its teardown settles
 	// the baseline.
@@ -467,7 +477,7 @@ func TestStreamingResultMemoryCapSheds(t *testing.T) {
 	// Cap below a single batch: the first is admitted (an empty gauge always
 	// admits, so one huge batch degrades to sequential admission), the
 	// second sheds.
-	st := newStreamStack(t, target, eng, Config{ResultMemoryCap: 100 << 10}, tdp.Options{})
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{}, withResultCap(100<<10))
 
 	c, err := tdp.Dial(st.addr, "appuser", "secret")
 	if err != nil {
@@ -498,7 +508,7 @@ func TestStreamingResultMemoryCapShedsStalledClient(t *testing.T) {
 	target := dialect.CloudA()
 	eng := bigTableEngine(t, target, 40) // 64000 rows ≈ 19.5 MiB: more than the sockets buffer
 	const capBytes = 1 << 20             // three batches
-	st := newStreamStack(t, target, eng, Config{ResultMemoryCap: capBytes}, tdp.Options{})
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{}, withResultCap(capBytes))
 
 	c := dialRaw(t, st.addr)
 	defer c.close()

@@ -80,8 +80,8 @@ func TestStatementStatisticsEndToEnd(t *testing.T) {
 		t.Skip("replays two customer workloads")
 	}
 	// A 1ns SLO makes every request a breach, so the burn math is checkable
-	// exactly; objective 0.5 gives a budget of one half.
-	st, c, sent := newCustomerStack(t, Config{SLO: 1, SLOObjective: 0.5})
+	// exactly against the 0.99 objective's budget of one hundredth.
+	st, c, sent := newCustomerStack(t, Config{SLO: 1})
 	sent += replayWorkloads(t, c)
 
 	srv := httptest.NewServer(st.g.DebugHandler())
@@ -145,9 +145,9 @@ func TestStatementStatisticsEndToEnd(t *testing.T) {
 	if sum.SLO.Calls != int64(sent) || sum.SLO.Breaches != int64(sent) {
 		t.Errorf("slo calls/breaches = %d/%d, want %d/%d", sum.SLO.Calls, sum.SLO.Breaches, sent, sent)
 	}
-	// Breach ratio 1.0 against a 0.5 budget: burn rate 2.
-	if sum.SLO.BurnRate < 1.99 || sum.SLO.BurnRate > 2.01 {
-		t.Errorf("burn rate = %f, want 2.0", sum.SLO.BurnRate)
+	// Breach ratio 1.0 against a 0.01 budget: burn rate 100.
+	if sum.SLO.Objective != 0.99 || sum.SLO.BurnRate < 99.99 || sum.SLO.BurnRate > 100.01 {
+		t.Errorf("objective %v, burn rate = %f, want 0.99 and 100", sum.SLO.Objective, sum.SLO.BurnRate)
 	}
 	if len(sum.SLO.Violating) != sum.Entries {
 		t.Errorf("violating shapes = %d, want all %d", len(sum.SLO.Violating), sum.Entries)
@@ -223,15 +223,15 @@ func TestStatementStatisticsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStatementCardinalityBoundedEndToEnd replays a workload with far more
-// shapes than the configured bound and asserts the registry never exceeds it
-// while the _other bucket keeps registry-wide totals exact.
+// TestStatementCardinalityBoundedEndToEnd replays a workload with more shapes
+// than the registry's bound and asserts the registry never exceeds it while
+// the _other bucket keeps registry-wide totals exact.
 func TestStatementCardinalityBoundedEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a customer workload")
 	}
-	const maxShapes = 16
-	st, c, sent := newCustomerStack(t, Config{StatStatementsMax: maxShapes})
+	st, c, sent := newCustomerStack(t, Config{})
+	maxShapes := st.g.Statements().MaxEntries()
 	spec := customer.Workload1()
 	spec.Distinct = 60
 	spec.Total = spec.Distinct
@@ -239,13 +239,20 @@ func TestStatementCardinalityBoundedEndToEnd(t *testing.T) {
 		_, _ = c.Request(q.SQL)
 		sent++
 	}
+	// Each alias is a shape of its own: past the bound, shapes must fold.
+	for i := 0; i <= maxShapes; i++ {
+		if _, err := c.Request(fmt.Sprintf("SEL 1 AS C%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+	}
 
 	srv := httptest.NewServer(st.g.DebugHandler())
 	defer srv.Close()
 	var sum wstats.Summary
 	getJSON(t, srv.URL+"/statements", &sum)
-	if sum.MaxEntries != maxShapes {
-		t.Fatalf("maxEntries = %d, want %d", sum.MaxEntries, maxShapes)
+	if sum.MaxEntries != 1024 {
+		t.Fatalf("maxEntries = %d, want 1024", sum.MaxEntries)
 	}
 	if sum.Entries > maxShapes {
 		t.Fatalf("entries = %d, exceeds bound %d", sum.Entries, maxShapes)
@@ -271,15 +278,15 @@ func TestStatementCardinalityBoundedEndToEnd(t *testing.T) {
 
 // TestStatementExemplarSurvivesRingChurn pins the /statements → /traces join:
 // a shape's exemplar trace stays resolvable via /traces?id= even after the
-// recent ring (sized 4 here) has churned many times over, and streamed
-// results are attributed to their shape's statistics.
+// recent ring has churned past it, and streamed results are attributed to
+// their shape's statistics.
 func TestStatementExemplarSurvivesRingChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams a large result")
 	}
 	target := dialect.CloudA()
 	eng := bigTableEngine(t, target, 20) // 8000 rows ≈ 2.4 MiB
-	st := newStreamStack(t, target, eng, Config{TraceRingSize: 4, SlowQuery: -1}, tdp.Options{})
+	st := newStreamStack(t, target, eng, Config{}, tdp.Options{})
 	c, err := tdp.Dial(st.addr, "appuser", "pw")
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +297,8 @@ func TestStatementExemplarSurvivesRingChurn(t *testing.T) {
 	if _, err := c.Request(bigSQL); err != nil {
 		t.Fatal(err)
 	}
-	// 20 distinct shapes churn the 4-slot recent ring several times over.
-	for i := 0; i < 20; i++ {
+	// Distinct shapes churn the BIG request out of the recent ring.
+	for i := 0; inRing(st.g.Traces().Recent(), bigSQL); i++ {
 		if _, err := c.Request(fmt.Sprintf("SEL COUNT(*) AS C%d FROM SEED", i)); err != nil {
 			t.Fatal(err)
 		}
@@ -349,6 +356,16 @@ func TestStatementExemplarSurvivesRingChurn(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Errorf("unknown trace id status = %d, want 404", resp.StatusCode)
 	}
+}
+
+// inRing reports whether a trace of sql is among the traces.
+func inRing(traces []*trace.Trace, sql string) bool {
+	for _, tr := range traces {
+		if tr.SQL == sql {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStreamedStatementStageTimes pins the streamed path's stage accounting:

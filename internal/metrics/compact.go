@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// Compact is a fixed-footprint latency histogram for high-cardinality use:
-// one per tracked statement fingerprint. It shares the exact bucket bounds
-// of DurationBuckets() (16µs doubling 21 times), but stores them nowhere —
-// the bucket index is computed from the duration with a bit-length
-// operation, so a Compact is just 25 atomically updated int64 words with no
-// pointers, embeddable by value in registry entries. Observation is
-// lock-free and allocation-free.
+// Compact is the fixed-footprint duration histogram: one per pipeline stage,
+// for whole requests and pool waits, and one per tracked statement
+// fingerprint. It shares the exact bucket bounds of DurationBuckets() (16µs
+// doubling 21 times), but stores them nowhere — the bucket index is computed
+// from the duration with a bit-length operation, so a Compact is just 25
+// atomically updated int64 words with no pointers, embeddable by value.
+// Observation is lock-free and allocation-free, and the sum is exact
+// nanoseconds.
 type Compact struct {
 	counts [compactBuckets + 1]int64 // last slot is the +Inf bucket
 	count  int64

@@ -47,7 +47,7 @@ func TestCompactMatchesHistogram(t *testing.T) {
 	durs = append(durs, time.Hour) // +Inf bucket
 	for _, d := range durs {
 		c.Observe(d)
-		h.ObserveDuration(d)
+		h.Observe(d.Seconds())
 	}
 
 	cs := c.Snapshot().Histogram()

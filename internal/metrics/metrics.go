@@ -1,18 +1,18 @@
-// Package metrics provides the gateway's lock-cheap latency histograms: a
-// fixed set of log-scaled buckets updated with atomic adds (no locks on the
-// hot path), point-in-time snapshots with quantile estimation, and a
-// Prometheus text-format renderer (no external dependencies). The gateway
-// keeps one histogram per pipeline stage (parse, bind, transform, serialize,
-// cache, execute, convert) plus whole-request latency and the per-request
-// gateway-overhead ratio — the quantity the paper's §6 evaluation reports as
-// "gateway overhead vs. backend time".
+// Package metrics provides the gateway's lock-cheap histograms: fixed
+// log-scaled buckets updated with atomic adds (no locks on the hot path),
+// point-in-time snapshots with quantile estimation, and a Prometheus
+// text-format renderer (no external dependencies). Every duration is
+// observed through Compact: one per pipeline stage (parse, bind, transform,
+// serialize, cache, execute, convert), whole-request latency, pool acquire
+// waits and each tracked statement shape. Histogram, with explicit bounds,
+// keeps the per-request gateway-overhead ratio — the quantity the paper's §6
+// evaluation reports as "gateway overhead vs. backend time".
 package metrics
 
 import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a fixed-bucket histogram safe for concurrent observation.
@@ -69,9 +69,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records one duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Reset zeroes all counters.
 func (h *Histogram) Reset() {
@@ -141,14 +138,6 @@ func (s Snapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Mean returns the average observed value (0 when empty).
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Stage identifies one pipeline stage, in execution order, and indexes every
 // per-stage table in the gateway: the histograms below, the per-request
 // record, the per-fingerprint statistics. StageCache is the translation-cache
@@ -172,12 +161,14 @@ var stageNames = [NumStages]string{"parse", "bind", "transform", "serialize", "c
 
 func (st Stage) String() string { return stageNames[st] }
 
-// Stages bundles the gateway's per-stage histograms plus the whole-request
-// latency and per-request overhead-ratio histograms.
+// Stages bundles the gateway's per-stage duration histograms plus the
+// whole-request latency and per-request overhead-ratio histograms. The
+// duration histograms are the only tally of stage and request time: the
+// Figure 9 totals are their exact sums.
 type Stages struct {
-	byStage [NumStages]*Histogram
-	// Request observes whole-request wall time (seconds).
-	Request *Histogram
+	byStage [NumStages]Compact
+	// Request observes whole-request wall time.
+	Request Compact
 	// Overhead observes the per-request gateway-overhead fraction
 	// (1 - backend-execute-time/total), for requests that reached the
 	// backend — the Figure 9 quantity, now as a distribution.
@@ -186,23 +177,16 @@ type Stages struct {
 
 // NewStages creates the standard stage set.
 func NewStages() *Stages {
-	s := &Stages{
-		Request:  New(DurationBuckets()),
-		Overhead: New(RatioBuckets()),
-	}
-	for i := range s.byStage {
-		s.byStage[i] = New(DurationBuckets())
-	}
-	return s
+	return &Stages{Overhead: New(RatioBuckets())}
 }
 
 // Stage returns the stage's histogram.
-func (s *Stages) Stage(stage Stage) *Histogram { return s.byStage[stage] }
+func (s *Stages) Stage(stage Stage) *Compact { return &s.byStage[stage] }
 
 // Reset zeroes every histogram.
 func (s *Stages) Reset() {
-	for _, h := range s.byStage {
-		h.Reset()
+	for i := range s.byStage {
+		s.byStage[i].Reset()
 	}
 	s.Request.Reset()
 	s.Overhead.Reset()

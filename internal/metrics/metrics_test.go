@@ -42,10 +42,10 @@ func TestHistogramQuantile(t *testing.T) {
 	// 100 observations of ~1ms and 10 of ~1s: p50 must sit near 1ms, p99
 	// near 1s (within the factor-2 bucket resolution).
 	for i := 0; i < 100; i++ {
-		h.ObserveDuration(time.Millisecond)
+		h.Observe(time.Millisecond.Seconds())
 	}
 	for i := 0; i < 10; i++ {
-		h.ObserveDuration(time.Second)
+		h.Observe(time.Second.Seconds())
 	}
 	s := h.Snapshot()
 	if p50 := s.Quantile(0.5); p50 < 0.0004 || p50 > 0.004 {
@@ -100,8 +100,8 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestStagesResetAndObserve(t *testing.T) {
 	st := NewStages()
-	st.Stage(StageParse).ObserveDuration(time.Millisecond)
-	st.Request.ObserveDuration(2 * time.Millisecond)
+	st.Stage(StageParse).Observe(time.Millisecond)
+	st.Request.Observe(2 * time.Millisecond)
 	st.Overhead.Observe(0.25)
 	if st.Stage(StageParse).Snapshot().Count != 1 {
 		t.Fatal("parse observation lost")

@@ -79,7 +79,7 @@ type Pool struct {
 	pinned  int
 	closed  bool
 
-	waitHist *metrics.Histogram
+	waitHist metrics.Compact
 	// counters (atomic)
 	acquires   int64
 	waits      int64
@@ -128,7 +128,6 @@ func New(cfg Config) (*Pool, error) {
 		cfg:        cfg,
 		size:       cfg.Size,
 		maxWaiters: maxWaiters,
-		waitHist:   metrics.New(metrics.DurationBuckets()),
 	}
 	return p, nil
 }
@@ -179,7 +178,7 @@ func (p *Pool) acquire(ctx context.Context) (odbc.StreamExecutor, error) {
 	var wsp *trace.Span
 	defer func() {
 		if waited {
-			p.waitHist.ObserveDuration(time.Since(waitStart))
+			p.waitHist.Observe(time.Since(waitStart))
 			wsp.End()
 		}
 		if cancel != nil {
@@ -478,6 +477,6 @@ func (p *Pool) Stats() Stats {
 	s.Discarded = atomic.LoadInt64(&p.discarded)
 	s.Pins = atomic.LoadInt64(&p.pins)
 	s.Unpins = atomic.LoadInt64(&p.unpins)
-	s.WaitSeconds = p.waitHist.Snapshot()
+	s.WaitSeconds = p.waitHist.Snapshot().Histogram()
 	return s
 }

@@ -6,17 +6,25 @@ import (
 	"time"
 )
 
+// Ring retention bounds.
+const (
+	// ringSize is the number of most recent traces the ring keeps.
+	ringSize = 256
+	// slowCap is the number of slow traces kept apart from the ring.
+	slowCap = ringSize / 4
+	// slowQuery is the slow-query threshold: traces at or above it are
+	// retained in the slow list regardless of recent-trace churn.
+	slowQuery = 200 * time.Millisecond
+)
+
 // Ring is a bounded in-memory store of finished traces: a circular buffer of
-// the most recent traces plus a separate retention list for the slowest
-// traces at or above the slow-query threshold. The slow list always keeps
+// the ringSize most recent traces plus a separate retention list for the
+// slowCap slowest traces at or above slowQuery. The slow list always keeps
 // the worst offenders — a burst of fast queries can evict recent history but
 // never the slowest statements, which are exactly the ones an operator comes
 // looking for after the fact.
 type Ring struct {
 	mu      sync.Mutex
-	cap     int
-	slowCap int
-	slow    time.Duration
 	recent  []*Trace // circular; next is the write position
 	next    int
 	slowest []*Trace // sorted by DurNs descending, len <= slowCap
@@ -27,30 +35,11 @@ type Ring struct {
 	pinned map[string]*Trace
 }
 
-// NewRing creates a ring retaining up to capacity recent traces and the
-// capacity/4 (min 16) slowest traces at or above slowThreshold. capacity 0
-// selects 256. slowThreshold 0 selects 200ms; negative disables slow
-// retention entirely.
-func NewRing(capacity int, slowThreshold time.Duration) *Ring {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	if slowThreshold == 0 {
-		slowThreshold = 200 * time.Millisecond
-	}
-	slowCap := capacity / 4
-	if slowCap < 16 {
-		slowCap = 16
-	}
-	return &Ring{cap: capacity, slowCap: slowCap, slow: slowThreshold}
-}
+// NewRing creates an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 // SlowThreshold reports the slow-query threshold.
-func (r *Ring) SlowThreshold() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slow
-}
+func (r *Ring) SlowThreshold() time.Duration { return slowQuery }
 
 // Add publishes a finished trace.
 func (r *Ring) Add(t *Trace) {
@@ -59,13 +48,13 @@ func (r *Ring) Add(t *Trace) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.recent) < r.cap {
+	if len(r.recent) < ringSize {
 		r.recent = append(r.recent, t)
 	} else {
 		r.recent[r.next] = t
 	}
-	r.next = (r.next + 1) % r.cap
-	if r.slow < 0 || time.Duration(t.DurNs) < r.slow {
+	r.next = (r.next + 1) % ringSize
+	if time.Duration(t.DurNs) < slowQuery {
 		return
 	}
 	// Insert into the slow list, keeping it sorted slowest-first; when full,
@@ -74,8 +63,8 @@ func (r *Ring) Add(t *Trace) {
 	r.slowest = append(r.slowest, nil)
 	copy(r.slowest[i+1:], r.slowest[i:])
 	r.slowest[i] = t
-	if len(r.slowest) > r.slowCap {
-		r.slowest = r.slowest[:r.slowCap]
+	if len(r.slowest) > slowCap {
+		r.slowest = r.slowest[:slowCap]
 	}
 }
 

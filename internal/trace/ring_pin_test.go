@@ -13,11 +13,11 @@ func mkTrace(id string, dur time.Duration) *Trace {
 // TestRingPinSurvivesChurn: a pinned exemplar must stay retrievable no matter
 // how many traces rotate through the recent ring past it.
 func TestRingPinSurvivesChurn(t *testing.T) {
-	r := NewRing(4, -1) // tiny ring, slow retention off
+	r := NewRing()
 	ex := mkTrace("exemplar", 5*time.Millisecond)
 	r.Add(ex)
 	r.Pin(ex)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < ringSize+100; i++ {
 		r.Add(mkTrace(fmt.Sprintf("churn-%d", i), time.Millisecond))
 	}
 	if got := r.Get("exemplar"); got != ex {
@@ -39,7 +39,7 @@ func TestRingPinSurvivesChurn(t *testing.T) {
 // TestRingGetPrecedence: Get consults pins, then the slow list, then the
 // recent ring — the pinned instance wins over a same-id ring entry.
 func TestRingGetPrecedence(t *testing.T) {
-	r := NewRing(8, time.Millisecond)
+	r := NewRing()
 	pinned := mkTrace("dup", 10*time.Millisecond)
 	r.Pin(pinned)
 	other := mkTrace("dup", 2*time.Millisecond)
@@ -48,9 +48,9 @@ func TestRingGetPrecedence(t *testing.T) {
 		t.Fatal("Get preferred a ring entry over the pinned exemplar")
 	}
 	// Slow-retained traces are found even after recent-ring churn.
-	slow := mkTrace("slow", 50*time.Millisecond)
+	slow := mkTrace("slow", slowQuery+50*time.Millisecond)
 	r.Add(slow)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < ringSize+20; i++ {
 		r.Add(mkTrace(fmt.Sprintf("fast-%d", i), time.Microsecond))
 	}
 	if got := r.Get("slow"); got != slow {
@@ -59,7 +59,7 @@ func TestRingGetPrecedence(t *testing.T) {
 }
 
 func TestRingPinIdempotentAndNilSafe(t *testing.T) {
-	r := NewRing(4, -1)
+	r := NewRing()
 	ex := mkTrace("x", time.Millisecond)
 	r.Pin(ex)
 	r.Pin(ex)
@@ -78,7 +78,7 @@ func TestRingPinIdempotentAndNilSafe(t *testing.T) {
 }
 
 func TestRingResetClearsPins(t *testing.T) {
-	r := NewRing(4, -1)
+	r := NewRing()
 	ex := mkTrace("x", time.Millisecond)
 	r.Add(ex)
 	r.Pin(ex)

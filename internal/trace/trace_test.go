@@ -107,33 +107,36 @@ func finished(d time.Duration) *Trace {
 }
 
 func TestRingRecentBounded(t *testing.T) {
-	r := NewRing(4, -1)
+	r := NewRing()
 	var traces []*Trace
-	for i := 0; i < 6; i++ {
-		tr := finished(time.Duration(i) * time.Millisecond)
+	for i := 0; i < ringSize+2; i++ {
+		tr := finished(time.Duration(i) * time.Microsecond)
 		traces = append(traces, tr)
 		r.Add(tr)
 	}
 	recent := r.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("recent = %d, want 4", len(recent))
+	if len(recent) != ringSize {
+		t.Fatalf("recent = %d, want %d", len(recent), ringSize)
 	}
-	if recent[0] != traces[5] || recent[3] != traces[2] {
+	if recent[0] != traces[ringSize+1] || recent[ringSize-1] != traces[2] {
 		t.Fatal("recent order wrong (want newest first)")
+	}
+	if len(r.Slow()) != 0 {
+		t.Fatal("traces under the slow-query threshold retained as slow")
 	}
 }
 
 func TestRingSlowRetainsWorst(t *testing.T) {
-	r := NewRing(64, 10*time.Millisecond)
-	slow := finished(time.Second)
+	r := NewRing()
+	slow := finished(time.Hour)
 	r.Add(slow)
-	r.Add(finished(time.Millisecond)) // below threshold
+	r.Add(finished(slowQuery - 1)) // below threshold
 	for i := 0; i < 100; i++ {
-		r.Add(finished(time.Duration(11+i) * time.Millisecond))
+		r.Add(finished(slowQuery + time.Duration(i)*time.Millisecond))
 	}
 	got := r.Slow()
-	if len(got) != 16 {
-		t.Fatalf("slow list = %d, want 16 (cap)", len(got))
+	if len(got) != slowCap {
+		t.Fatalf("slow list = %d, want %d (cap)", len(got), slowCap)
 	}
 	if got[0] != slow {
 		t.Fatal("worst offender evicted from slow list")
@@ -146,13 +149,5 @@ func TestRingSlowRetainsWorst(t *testing.T) {
 	r.Reset()
 	if len(r.Slow()) != 0 || len(r.Recent()) != 0 {
 		t.Fatal("reset did not clear the ring")
-	}
-}
-
-func TestRingSlowDisabled(t *testing.T) {
-	r := NewRing(4, -1)
-	r.Add(finished(time.Hour))
-	if len(r.Slow()) != 0 {
-		t.Fatal("negative threshold must disable slow retention")
 	}
 }

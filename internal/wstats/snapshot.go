@@ -88,9 +88,9 @@ func (e *entry) stat(sloNs int64, objective float64) Stat {
 	s := Stat{
 		Fingerprint: e.id,
 		Template:    e.template,
-		Calls:       atomic.LoadInt64(&e.calls),
+		Calls:       lat.Count,
 		Errors:      atomic.LoadInt64(&e.errors),
-		TotalNs:     atomic.LoadInt64(&e.totalNs),
+		TotalNs:     lat.SumNs,
 		MeanNs:      int64(lat.Mean()),
 		P50Ns:       int64(lat.Quantile(0.50)),
 		P95Ns:       int64(lat.Quantile(0.95)),
@@ -168,7 +168,7 @@ func (r *Registry) Snapshot(sortBy string, limit int) Summary {
 		sh := &r.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.m {
-			stats = append(stats, e.stat(r.sloNs, r.cfg.Objective))
+			stats = append(stats, e.stat(r.sloNs, r.objective))
 		}
 		sh.mu.RUnlock()
 	}
@@ -197,8 +197,8 @@ func (r *Registry) Snapshot(sortBy string, limit int) Summary {
 		stats = stats[:limit]
 	}
 	sum.Statements = stats
-	if atomic.LoadInt64(&r.other.calls) != 0 {
-		o := r.other.stat(r.sloNs, r.cfg.Objective)
+	if r.other.calls() != 0 {
+		o := r.other.stat(r.sloNs, r.objective)
 		sum.Other = &o
 	}
 	if r.sloNs > 0 {
@@ -210,11 +210,11 @@ func (r *Registry) Snapshot(sortBy string, limit int) Summary {
 func (r *Registry) sloSummary(stats []Stat) *SLOSummary {
 	s := &SLOSummary{
 		SLOMs:     r.sloNs / int64(time.Millisecond),
-		Objective: r.cfg.Objective,
+		Objective: r.objective,
 		Calls:     atomic.LoadInt64(&r.observed),
 		Breaches:  atomic.LoadInt64(&r.sloBreaches),
 	}
-	if budget := 1 - r.cfg.Objective; budget > 0 && s.Calls > 0 {
+	if budget := 1 - r.objective; budget > 0 && s.Calls > 0 {
 		s.BurnRate = (float64(s.Breaches) / float64(s.Calls)) / budget
 	}
 	for i := range stats {
@@ -286,7 +286,7 @@ func (r *Registry) Features() FeatureView {
 	var present feature.Set
 	collect := func(e *entry) {
 		fs := feature.Set(atomic.LoadUint32(&e.feats))
-		n := atomic.LoadInt64(&e.calls)
+		n := e.calls()
 		tracked += n
 		present.Union(fs)
 		for _, id := range fs.IDs() {
@@ -307,7 +307,7 @@ func (r *Registry) Features() FeatureView {
 		}
 		sh.mu.RUnlock()
 	}
-	if atomic.LoadInt64(&r.other.calls) != 0 {
+	if r.other.calls() != 0 {
 		// _other's calls cannot be attributed per feature (the bit-set is the
 		// union over evicted shapes), so only presence folds in.
 		v.Approximate = true

@@ -9,7 +9,7 @@
 // feature bit-set, and an optional latency-SLO breach count — the live
 // version of the paper's Table 1 / Figure 8 workload characterization.
 //
-// Cardinality is bounded: the registry holds at most MaxEntries shapes,
+// Cardinality is bounded: the registry holds at most maxEntries shapes,
 // admitted with a space-saving policy. When a shard is full, the entry with
 // the smallest admission weight is evicted and its counters fold into a
 // distinguished "_other" bucket, so registry-wide totals stay exact no
@@ -131,21 +131,21 @@ type entry struct {
 	evicted int32
 	active  int64
 
-	calls     int64
 	errors    int64
 	errByCode [numErrSlots]int64
-	totalNs   int64
-	lat       metrics.Compact
-	stageNs   [metrics.NumStages]int64
-	tiers     [numTiers]int64
-	rowsOut   int64
-	bytesOut  int64
-	bytesIn   int64
-	streamed  int64
-	retries   int64
-	reconns   int64
-	feats     uint32
-	sloMiss   int64
+	// lat is the shape's latency histogram; its count and exact sum are the
+	// shape's calls and total time.
+	lat      metrics.Compact
+	stageNs  [metrics.NumStages]int64
+	tiers    [numTiers]int64
+	rowsOut  int64
+	bytesOut int64
+	bytesIn  int64
+	streamed int64
+	retries  int64
+	reconns  int64
+	feats    uint32
+	sloMiss  int64
 
 	exMu    sync.Mutex
 	exID    string
@@ -160,8 +160,6 @@ func (e *entry) record(o *Obs, sloNs int64) bool {
 		atomic.AddInt64(&e.active, -1)
 		return false
 	}
-	atomic.AddInt64(&e.calls, 1)
-	atomic.AddInt64(&e.totalNs, o.DurNs)
 	e.lat.Observe(time.Duration(o.DurNs))
 	for i, ns := range o.StageNs {
 		if ns != 0 {
@@ -218,18 +216,25 @@ type Pinner interface {
 	Unpin(id string)
 }
 
+// calls reports the shape's recorded requests.
+func (e *entry) calls() int64 { return e.lat.Snapshot().Count }
+
+// Registry bounds.
+const (
+	// maxEntries bounds the tracked shape count; past it the space-saving
+	// policy folds cold shapes into _other.
+	maxEntries = 1024
+	// sloObjective is the target fraction of requests meeting the SLO (the
+	// error budget is 1-sloObjective); used for burn rates and the violating
+	// flag.
+	sloObjective = 0.99
+)
+
 // Config configures a Registry.
 type Config struct {
-	// MaxEntries bounds the tracked shape count; past it the space-saving
-	// policy folds cold shapes into _other. 0 selects 1024.
-	MaxEntries int
 	// SLO, when positive, is the per-request latency objective: requests
 	// slower than it count as SLO breaches per shape and registry-wide.
 	SLO time.Duration
-	// Objective is the target fraction of requests meeting the SLO (the
-	// error budget is 1-Objective); used for burn rates and the violating
-	// flag. 0 selects 0.99.
-	Objective float64
 	// Pinner retains each shape's slowest trace as an exemplar.
 	Pinner Pinner
 }
@@ -244,6 +249,7 @@ type shard struct {
 type Registry struct {
 	cfg         Config
 	sloNs       int64
+	objective   float64
 	shards      []shard
 	maxPerShard int
 	// other is the fold bucket: evicted shapes' counters accumulate here so
@@ -259,25 +265,23 @@ type Registry struct {
 // as a multiple of the shard's entry bound.
 const decayPeriod = 8
 
-// New creates a registry.
-func New(cfg Config) *Registry {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 1024
-	}
-	if cfg.Objective == 0 {
-		cfg.Objective = 0.99
-	}
-	// Small bounds use a single shard so MaxEntries stays an exact bound;
-	// production-sized bounds spread over 16 shards for lock spreading.
+// New creates a registry of up to maxEntries shapes.
+func New(cfg Config) *Registry { return newRegistry(cfg, maxEntries) }
+
+// newRegistry creates a registry of up to bound shapes. The registry's own
+// bound spreads over 16 shards for lock spreading; the small bounds tests use
+// get a single shard, so the bound stays exact.
+func newRegistry(cfg Config, bound int) *Registry {
 	nShards := 16
-	if cfg.MaxEntries < 64 {
+	if bound < 64 {
 		nShards = 1
 	}
 	r := &Registry{
 		cfg:         cfg,
 		sloNs:       int64(cfg.SLO),
+		objective:   sloObjective,
 		shards:      make([]shard, nShards),
-		maxPerShard: cfg.MaxEntries / nShards,
+		maxPerShard: bound / nShards,
 	}
 	if r.maxPerShard < 1 {
 		r.maxPerShard = 1
@@ -394,14 +398,12 @@ func (r *Registry) fold(victim *entry) {
 		runtime.Gosched()
 	}
 	o := &r.other
-	atomic.AddInt64(&o.calls, atomic.LoadInt64(&victim.calls))
 	atomic.AddInt64(&o.errors, atomic.LoadInt64(&victim.errors))
 	for i := range victim.errByCode {
 		if n := atomic.LoadInt64(&victim.errByCode[i]); n != 0 {
 			atomic.AddInt64(&o.errByCode[i], n)
 		}
 	}
-	atomic.AddInt64(&o.totalNs, atomic.LoadInt64(&victim.totalNs))
 	o.lat.Merge(&victim.lat)
 	for i := range victim.stageNs {
 		if n := atomic.LoadInt64(&victim.stageNs[i]); n != 0 {
@@ -495,12 +497,10 @@ func (r *Registry) Reset() {
 		sh.mu.Unlock()
 	}
 	o := &r.other
-	atomic.StoreInt64(&o.calls, 0)
 	atomic.StoreInt64(&o.errors, 0)
 	for i := range o.errByCode {
 		atomic.StoreInt64(&o.errByCode[i], 0)
 	}
-	atomic.StoreInt64(&o.totalNs, 0)
 	o.lat.Reset()
 	for i := range o.stageNs {
 		atomic.StoreInt64(&o.stageNs[i], 0)

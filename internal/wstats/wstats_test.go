@@ -57,7 +57,7 @@ func (p *recordingPinner) liveSet() map[string]bool {
 }
 
 func TestObserveAccumulatesPerShape(t *testing.T) {
-	r := New(Config{MaxEntries: 8})
+	r := newRegistry(Config{}, 8)
 	sql := "SELECT a FROM t WHERE id = 42"
 	hash := fingerprint.TemplateHash(sql)
 
@@ -143,11 +143,11 @@ func TestObserveAccumulatesPerShape(t *testing.T) {
 }
 
 // TestCardinalityBoundExactTotals is the core exactness guarantee: with far
-// more shapes than MaxEntries, the tracked count stays bounded while
+// more shapes than the bound, the tracked count stays bounded while
 // sum(tracked calls) + _other calls == observed, always.
 func TestCardinalityBoundExactTotals(t *testing.T) {
-	const maxEntries = 4
-	r := New(Config{MaxEntries: maxEntries})
+	const bound = 4
+	r := newRegistry(Config{}, bound)
 	total := int64(0)
 	for i := 0; i < 40; i++ {
 		calls := int64(i%5 + 1)
@@ -156,12 +156,12 @@ func TestCardinalityBoundExactTotals(t *testing.T) {
 		}
 		total += calls
 	}
-	if n := r.Entries(); n > maxEntries {
-		t.Fatalf("entries = %d, exceeds bound %d", n, maxEntries)
+	if n := r.Entries(); n > bound {
+		t.Fatalf("entries = %d, exceeds bound %d", n, bound)
 	}
 	sum := r.Snapshot("calls", 0)
-	if sum.MaxEntries != maxEntries {
-		t.Errorf("maxEntries = %d, want %d", sum.MaxEntries, maxEntries)
+	if sum.MaxEntries != bound {
+		t.Errorf("maxEntries = %d, want %d", sum.MaxEntries, bound)
 	}
 	if sum.Other == nil {
 		t.Fatal("evictions occurred but Other is nil")
@@ -182,7 +182,7 @@ func TestCardinalityBoundExactTotals(t *testing.T) {
 // weight here). With enough churn AND decay the hot shape would eventually
 // age out — that is the intended behavior, not what this test pins.
 func TestSpaceSavingKeepsHotShape(t *testing.T) {
-	r := New(Config{MaxEntries: 4})
+	r := newRegistry(Config{}, 4)
 	const hot = uint64(1)
 	for i := 0; i < 100; i++ {
 		r.Observe(hot, "select hot from t", obsMs(1))
@@ -203,7 +203,7 @@ func TestSpaceSavingKeepsHotShape(t *testing.T) {
 // on one shard, every weight in the shard halves, so stale-hot shapes become
 // evictable.
 func TestDecayHalvesAdmissionWeights(t *testing.T) {
-	r := New(Config{MaxEntries: 2}) // single shard, maxPerShard=2, decay at 16 obs
+	r := newRegistry(Config{}, 2) // single shard, maxPerShard=2, decay at 16 obs
 	const h = uint64(7)
 	threshold := decayPeriod * r.maxPerShard
 	for i := 0; i < threshold; i++ {
@@ -221,7 +221,8 @@ func TestDecayHalvesAdmissionWeights(t *testing.T) {
 func TestSLOBurnAndViolating(t *testing.T) {
 	// Objective 0.75 so the budget (0.25) is exact in floating point: a shape
 	// breaching at exactly the budget must read as burn 1.0, not violating.
-	r := New(Config{MaxEntries: 8, SLO: time.Millisecond, Objective: 0.75})
+	r := newRegistry(Config{SLO: time.Millisecond}, 8)
+	r.objective = 0.75
 	// Shape A: 1 breach in 4 calls — ratio equals the budget, not violating.
 	for i := 0; i < 3; i++ {
 		r.Observe(1, "select fast", &Obs{DurNs: int64(100 * time.Microsecond)})
@@ -276,7 +277,7 @@ func TestSLOBurnAndViolating(t *testing.T) {
 
 func TestExemplarPinsSlowestTrace(t *testing.T) {
 	p := newRecordingPinner()
-	r := New(Config{MaxEntries: 8, Pinner: p})
+	r := newRegistry(Config{Pinner: p}, 8)
 	h := uint64(1)
 	mk := func(id string, ms int64) *Obs {
 		o := obsMs(ms)
@@ -297,7 +298,7 @@ func TestExemplarPinsSlowestTrace(t *testing.T) {
 	}
 
 	// Eviction unpins the victim's exemplar.
-	r2 := New(Config{MaxEntries: 1, Pinner: p})
+	r2 := newRegistry(Config{Pinner: p}, 1)
 	r2.Observe(1, "select a", mk("e-1", 5))
 	r2.Observe(2, "select b", obsMs(1)) // evicts shape 1
 	if p.liveSet()["e-1"] {
@@ -312,7 +313,7 @@ func TestExemplarPinsSlowestTrace(t *testing.T) {
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	r := New(Config{MaxEntries: 2, SLO: time.Millisecond})
+	r := newRegistry(Config{SLO: time.Millisecond}, 2)
 	for i := 0; i < 10; i++ {
 		r.Observe(uint64(i+1), fmt.Sprintf("select c%d", i), obsMs(5))
 	}
@@ -341,7 +342,7 @@ func TestResetClearsEverything(t *testing.T) {
 }
 
 func TestSnapshotSortAndLimit(t *testing.T) {
-	r := New(Config{MaxEntries: 8})
+	r := newRegistry(Config{}, 8)
 	// Shape 1: 3 calls, cheap. Shape 2: 1 call, slow, big. Shape 3: 2 calls.
 	for i := 0; i < 3; i++ {
 		r.Observe(1, "a", obsMs(1))
@@ -378,7 +379,7 @@ func TestSnapshotSortAndLimit(t *testing.T) {
 }
 
 func TestFeaturesView(t *testing.T) {
-	r := New(Config{MaxEntries: 8})
+	r := newRegistry(Config{}, 8)
 	var fsA, fsB feature.Set
 	fsA.Add(feature.SelAbbrev) // translation
 	fsA.Add(feature.Qualify)   // transformation
@@ -419,7 +420,7 @@ func TestFeaturesView(t *testing.T) {
 	}
 
 	// Eviction folds presence into _other and flags the view approximate.
-	r2 := New(Config{MaxEntries: 1})
+	r2 := newRegistry(Config{}, 1)
 	r2.Observe(1, "a", &Obs{DurNs: 1, Feats: fsB})
 	r2.Observe(2, "b", &Obs{DurNs: 1}) // evicts shape 1 into _other
 	v2 := r2.Features()
@@ -458,7 +459,7 @@ func TestConcurrentObserveExactTotals(t *testing.T) {
 		perG       = 2000
 		shapes     = 64
 	)
-	r := New(Config{MaxEntries: 8, SLO: time.Microsecond, Objective: 0.99})
+	r := newRegistry(Config{SLO: time.Microsecond}, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -526,7 +527,7 @@ func TestConcurrentObserveExactTotals(t *testing.T) {
 // TestSteadyStateRecordingAllocationFree: once a shape is admitted, Observe
 // must not allocate — the per-request stats tax is pure atomics.
 func TestSteadyStateRecordingAllocationFree(t *testing.T) {
-	r := New(Config{MaxEntries: 64, SLO: time.Second, Objective: 0.99})
+	r := New(Config{SLO: time.Second})
 	const sql = "SELECT a, b FROM t WHERE id = 7"
 	hash := fingerprint.TemplateHash(sql)
 	var fs feature.Set

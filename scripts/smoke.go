@@ -3,11 +3,12 @@
 // Command smoke is the CI end-to-end smoke check: it boots the built
 // cloudsrv and hyperq binaries on loopback ports, submits three requests
 // through the bteq client, and asserts the gateway's /metrics introspection
-// endpoint reports non-zero pipeline-stage and SLO counters and its replay
-// capture log holds one sequenced line per request. A second phase restarts
-// the gateway with -pool-size 2, drives 8 concurrent bteq clients through
-// volatile-table round trips, and asserts the /pool endpoint and the pool
-// /metrics series report multiplexing and pinning activity.
+// endpoint reports non-zero pipeline-stage and SLO counters, exactly as many
+// requests as were sent, and that its replay capture log holds one sequenced
+// line per request. A second phase restarts the gateway with -pool-size 2,
+// drives 8 concurrent bteq clients through volatile-table round trips, and
+// asserts the request count, the /pool endpoint and the pool /metrics series
+// report multiplexing and pinning activity.
 //
 // Usage (from scripts/check.sh):
 //
@@ -157,10 +158,13 @@ func run(bin string) error {
 			return err
 		}
 	}
-	for _, series := range []string{"hyperq_requests_total", "hyperq_statements_total", "hyperq_slo_calls_total"} {
+	for _, series := range []string{"hyperq_statements_total", "hyperq_slo_calls_total"} {
 		if err := assertNonZero(metrics, series); err != nil {
 			return err
 		}
+	}
+	if err := assertRequests(metrics, len(requests)); err != nil {
+		return err
 	}
 	// The runtime gauges exist (a young process may not have collected yet, so
 	// only the series, not their values), and pprof answers on the same port.
@@ -207,7 +211,8 @@ func runPooled(bin, backendAddr string) error {
 		return fmt.Errorf("pooled hyperq debug endpoint: %w", err)
 	}
 
-	const clients = 8
+	// Each client sends the perClient statements of the script below.
+	const clients, perClient = 8, 4
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for c := 0; c < clients; c++ {
@@ -253,6 +258,9 @@ func runPooled(bin, backendAddr string) error {
 		return fmt.Errorf("pooled /metrics: status %d", resp.StatusCode)
 	}
 	metrics := string(body)
+	if err := assertRequests(metrics, clients*perClient); err != nil {
+		return err
+	}
 	for _, series := range []string{
 		"hyperq_pool_acquires_total",
 		"hyperq_pool_pins_total",
@@ -309,17 +317,34 @@ func checkCaptureLog(path string, requests []string) error {
 	return nil
 }
 
-// assertNonZero finds the series line and rejects a zero or missing value.
-func assertNonZero(metrics, series string) error {
+// seriesValue finds the series line and returns its value ("" when missing).
+func seriesValue(metrics, series string) string {
 	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, series+" ") {
-			continue
+		if val, ok := strings.CutPrefix(line, series+" "); ok {
+			return strings.TrimSpace(val)
 		}
-		val := strings.TrimSpace(strings.TrimPrefix(line, series+" "))
-		if val == "0" || val == "" {
-			return fmt.Errorf("series %s is zero", series)
-		}
-		return nil
 	}
-	return fmt.Errorf("series %s missing from /metrics", series)
+	return ""
+}
+
+// assertNonZero rejects a zero or missing series value.
+func assertNonZero(metrics, series string) error {
+	switch seriesValue(metrics, series) {
+	case "":
+		return fmt.Errorf("series %s missing from /metrics", series)
+	case "0":
+		return fmt.Errorf("series %s is zero", series)
+	}
+	return nil
+}
+
+// assertRequests checks that the gateway counted exactly the requests sent,
+// in its request counter and its request-latency histogram alike.
+func assertRequests(metrics string, sent int) error {
+	for _, series := range []string{"hyperq_requests_total", "hyperq_request_duration_seconds_count"} {
+		if got := seriesValue(metrics, series); got != fmt.Sprint(sent) {
+			return fmt.Errorf("series %s is %q, want %d requests", series, got, sent)
+		}
+	}
+	return nil
 }
