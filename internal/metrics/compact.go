@@ -95,8 +95,9 @@ func (c *Compact) Snapshot() CompactSnapshot {
 }
 
 // Quantile estimates the q-quantile by linear interpolation within the
-// containing bucket, mirroring Snapshot.Quantile. Returns 0 when empty;
-// +Inf-bucket observations clamp to the largest finite bound.
+// containing bucket, the estimator Prometheus' histogram_quantile uses.
+// Returns 0 when empty; +Inf-bucket observations clamp to the largest finite
+// bound.
 func (s CompactSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0

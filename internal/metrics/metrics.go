@@ -101,43 +101,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the containing bucket — the same estimator Prometheus'
-// histogram_quantile uses. Returns 0 for an empty histogram; observations in
-// the +Inf bucket clamp to the largest finite bound.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no upper bound to interpolate towards.
-			return lower
-		}
-		upper := s.Bounds[i]
-		if cum+float64(c) >= rank {
-			if c == 0 {
-				return upper
-			}
-			return lower + (upper-lower)*((rank-cum)/float64(c))
-		}
-		cum += float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Stage identifies one pipeline stage, in execution order, and indexes every
 // per-stage table in the gateway: the histograms below, the per-request
 // record, the per-fingerprint statistics. StageCache is the translation-cache

@@ -37,32 +37,6 @@ func TestHistogramBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := New(DurationBuckets())
-	// 100 observations of ~1ms and 10 of ~1s: p50 must sit near 1ms, p99
-	// near 1s (within the factor-2 bucket resolution).
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond.Seconds())
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Second.Seconds())
-	}
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); p50 < 0.0004 || p50 > 0.004 {
-		t.Fatalf("p50 = %v, want ~1ms", p50)
-	}
-	if p99 := s.Quantile(0.99); p99 < 0.25 || p99 > 4 {
-		t.Fatalf("p99 = %v, want ~1s", p99)
-	}
-	if q := s.Quantile(0); q < 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	var empty Snapshot
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
 // TestHistogramConcurrent asserts no observation is lost under concurrent
 // recording (run with -race to validate the synchronization story).
 func TestHistogramConcurrent(t *testing.T) {
