@@ -21,26 +21,35 @@ const MaxMessageSize = 64 << 20
 // more than the second Write.
 const coalesceLimit = 4 << 10
 
+// frames recycles WriteMessage's frame buffers: a frame handed to Write
+// through the io.Writer interface escapes, and writing a message should cost
+// no allocation.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendMessage appends one framed message — kind, the payload's big-endian
+// length, the payload — to dst: the framing for a caller that writes into a
+// buffer of its own. The payload must not exceed MaxMessageSize.
+func AppendMessage(dst []byte, kind byte, payload []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
 // WriteMessage frames and writes one message.
 func WriteMessage(w io.Writer, kind byte, payload []byte) error {
 	if len(payload) > MaxMessageSize {
 		return fmt.Errorf("wire: message of %d bytes exceeds limit", len(payload))
 	}
-	// One allocation either way: the frame, or a header that escapes through
-	// the interface call.
-	small := len(payload) <= coalesceLimit
-	size := 5
-	if small {
-		size += len(payload)
-	}
-	frame := make([]byte, 5, size)
-	frame[0] = kind
-	binary.BigEndian.PutUint32(frame[1:], uint32(len(payload)))
-	if small {
-		_, err := w.Write(append(frame, payload...))
+	fp := frames.Get().(*[]byte)
+	defer frames.Put(fp)
+	if len(payload) <= coalesceLimit {
+		*fp = AppendMessage((*fp)[:0], kind, payload)
+		_, err := w.Write(*fp)
 		return err
 	}
-	if _, err := w.Write(frame); err != nil {
+	*fp = AppendMessage((*fp)[:0], kind, nil)
+	binary.BigEndian.PutUint32((*fp)[1:], uint32(len(payload)))
+	if _, err := w.Write(*fp); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -88,6 +97,9 @@ type Buffer struct {
 
 // Bytes returns the accumulated payload.
 func (b *Buffer) Bytes() []byte { return b.b }
+
+// Reset empties the buffer, keeping its memory for the next payload.
+func (b *Buffer) Reset() { b.b = b.b[:0] }
 
 // PutU8 appends one byte.
 func (b *Buffer) PutU8(v uint8) { b.b = append(b.b, v) }

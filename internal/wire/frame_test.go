@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"hyperq/internal/israce"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -182,9 +184,12 @@ func TestReadMessageIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// One message through the framing costs two allocations: the frame written
-// and the payload read; the header scratch is recycled.
+// One message through the framing costs one allocation, the payload read:
+// the frame written and the header scratch are recycled.
 func TestFrameAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's runtime changes allocation counts")
+	}
 	payload := bytes.Repeat([]byte{'x'}, 64)
 	var buf bytes.Buffer
 	allocs := testing.AllocsPerRun(100, func() {
@@ -196,7 +201,7 @@ func TestFrameAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("%.0f allocations per message, want <= 2", allocs)
+	if allocs > 1 {
+		t.Errorf("%.0f allocations per message, want <= 1", allocs)
 	}
 }

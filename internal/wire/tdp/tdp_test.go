@@ -90,7 +90,11 @@ func TestStmtInfoRoundTrip(t *testing.T) {
 		{Name: "note", Type: types.VarChar(50)},
 		{Name: "span", Type: types.Period(types.KindTimestamp)},
 	}
-	got, err := decodeStmtInfo(encodeStmtInfo(cols))
+	info := AppendStmtInfo(nil, cols)
+	if len(info) != stmtInfoSize(cols) {
+		t.Fatalf("payload of %d bytes, stmtInfoSize says %d", len(info), stmtInfoSize(cols))
+	}
+	got, err := decodeStmtInfo(info)
 	if err != nil {
 		t.Fatal(err)
 	}
