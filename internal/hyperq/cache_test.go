@@ -7,16 +7,18 @@ import (
 )
 
 func testEntry(key string, size int) *cacheEntry {
-	return &cacheEntry{key: key, plan: Plan{sql: "SELECT 1"}, size: size}
+	return &cacheEntry{key: testKey(key), plan: Plan{sql: "SELECT 1"}, size: size}
 }
+
+func testKey(body string) cacheKey { return cacheKey{tier: "R", body: body} }
 
 func TestCacheGetPut(t *testing.T) {
 	c := newTranslationCache(64, 1<<20)
-	if c.get("k") != nil {
+	if c.get(testKey("k")) != nil {
 		t.Fatal("hit on empty cache")
 	}
 	c.put(testEntry("k", 100))
-	e := c.get("k")
+	e := c.get(testKey("k"))
 	if e == nil || e.plan.sql != "SELECT 1" {
 		t.Fatalf("entry = %+v", e)
 	}
@@ -64,20 +66,21 @@ func TestCacheLRUOrder(t *testing.T) {
 	// then inserting the second evicts the first (it is the LRU victim), and
 	// the second survives.
 	c := newTranslationCache(cacheShards, 1<<20)
-	shard := c.shard("a")
+	a := testKey("a")
+	shard, _ := c.locate(&a)
 	var same []string
 	for i := 0; len(same) < 2; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == shard {
+		if key := testKey(k); shard == func() *cacheShard { s, _ := c.locate(&key); return s }() {
 			same = append(same, k)
 		}
 	}
 	c.put(testEntry(same[0], 10))
 	c.put(testEntry(same[1], 10))
-	if c.get(same[0]) != nil {
+	if c.get(testKey(same[0])) != nil {
 		t.Fatal("LRU victim survived")
 	}
-	if c.get(same[1]) == nil {
+	if c.get(testKey(same[1])) == nil {
 		t.Fatal("fresh entry evicted")
 	}
 }
@@ -91,7 +94,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", (g*31+i)%64)
-				if e := c.get(k); e == nil {
+				if e := c.get(testKey(k)); e == nil {
 					c.put(testEntry(k, 50))
 				}
 			}

@@ -345,8 +345,9 @@ func TestDeliverSinkEquivalence(t *testing.T) {
 			const cmd = "FE"
 			c := collector{recs: new([]byte)}
 			var w resultRecorder
-			cSets, _, cErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &c)
-			wSets, _, wErr := s.deliver(context.Background(), tc.stream(), tc.front, cmd, &frontWriter{w: &w})
+			p := &Plan{cols: tc.front, cmd: cmd}
+			cSets, _, cErr := s.deliver(context.Background(), tc.stream(), p, &c)
+			wSets, _, wErr := s.deliver(context.Background(), tc.stream(), p, &frontWriter{w: &w})
 			if cSets != tc.wantSets || wSets != tc.wantSets {
 				t.Errorf("result sets: collector %d, wire %d, want %d", cSets, wSets, tc.wantSets)
 			}

@@ -441,12 +441,9 @@ func (g *Gateway) Sessions() []SessionInfo {
 		if atomic.LoadInt32(&s.inFlight) > 0 {
 			info.State = "active"
 		}
-		if v, ok := s.lastSQL.Load().(string); ok {
-			info.LastSQL = v
-		}
-		if v, ok := s.lastErr.Load().(string); ok {
-			info.LastError = v
-		}
+		s.lastMu.Lock()
+		info.LastSQL, info.LastError = s.lastSQL, s.lastErr
+		s.lastMu.Unlock()
 		if ns := atomic.LoadInt64(&s.lastActive); ns != 0 {
 			info.LastActive = time.Unix(0, ns)
 		}

@@ -47,7 +47,7 @@ func wireBytes(s *Session, front []xtra.Col, b *tdf.Batch) ([]byte, error) {
 		{Kind: cwp.StreamBatch, Batch: b},
 		{Kind: cwp.StreamComplete, Command: "SELECT"},
 	}
-	_, _, err := s.deliver(context.Background(), &evs, front, "", &frontWriter{w: tdp.NewResponseWriter(out)})
+	_, _, err := s.deliver(context.Background(), &evs, &Plan{cols: front}, &frontWriter{w: tdp.NewResponseWriter(out)})
 	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
@@ -288,7 +288,7 @@ func TestTranscodeAllocsPerBatch(t *testing.T) {
 		src := &rawSource{cols: b.Cols, enc: encoded(t, b)}
 		run := func() {
 			src.n, src.next = nbatches, 0
-			if _, _, err := s.deliver(context.Background(), src, front, "", w); err != nil {
+			if _, _, err := s.deliver(context.Background(), src, &Plan{cols: front}, w); err != nil {
 				t.Fatal(err)
 			}
 		}

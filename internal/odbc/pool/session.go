@@ -27,6 +27,9 @@ type SessionConn struct {
 	pinConn odbc.StreamExecutor       // non-nil while pinned
 	restore func(odbc.Executor) error // replay hook to install on the pinned conn
 	closed  bool
+
+	// stream is the in-flight leased stream's (ExecStream).
+	stream leasedStream
 }
 
 // Session returns a new multiplexing session view of the pool.

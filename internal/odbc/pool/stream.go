@@ -33,11 +33,18 @@ func (sc *SessionConn) ExecStream(ctx context.Context, sql string) (odbc.ResultS
 		sc.p.release(c, odbc.ConnectionError(err))
 		return nil, err
 	}
-	return &leasedStream{p: sc.p, c: c, inner: st}, nil
+	ls := &sc.stream
+	ls.mu.Lock()
+	ls.p, ls.c, ls.inner = sc.p, c, st
+	ls.done, ls.connErr, ls.released = false, false, false
+	ls.mu.Unlock()
+	return ls, nil
 }
 
 // leasedStream holds a pool lease open for the lifetime of a result stream
-// and classifies the connection's health exactly once at release.
+// and classifies the connection's health exactly once at release. A
+// SessionConn keeps one and hands it out for each leased stream, as its
+// session runs one request at a time.
 type leasedStream struct {
 	p     *Pool
 	c     odbc.StreamExecutor

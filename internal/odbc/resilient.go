@@ -316,6 +316,8 @@ type resilientExecutor struct {
 	// everConnected distinguishes the initial connect (no replay, not a
 	// reconnect) from replacements.
 	everConnected bool
+	// stream is the in-flight streaming request's (ExecStream).
+	stream resilientStream
 }
 
 // OnReconnect implements ReconnectAware.

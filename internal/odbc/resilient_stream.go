@@ -23,7 +23,8 @@ func (e *resilientExecutor) ExecStream(ctx context.Context, sql string) (ResultS
 	// The cancel is owned by the returned stream (released in Close); a
 	// deferred cancel here would kill the stream before it is consumed.
 	rctx, cancel := e.d.reqContext(ctx)
-	var rs *resilientStream
+	rs := &e.stream
+	*rs = resilientStream{e: e, cancel: cancel}
 	err := e.retry(rctx, sql, "exec-stream", func() error {
 		st, err := e.inner.ExecStream(rctx, sql)
 		if err != nil {
@@ -35,12 +36,12 @@ func (e *resilientExecutor) ExecStream(ctx context.Context, sql string) (ResultS
 		ev, err := st.Next(rctx)
 		switch {
 		case err == nil:
-			rs = &resilientStream{e: e, inner: st, cancel: cancel, peeked: &ev, real: realStream(st)}
+			rs.inner, rs.peeked, rs.hasPeek, rs.real = st, ev, true, realStream(st)
 			return nil
 		case errors.Is(err, io.EOF):
 			// Empty request (no statements): clean immediate end.
 			_ = st.Close()
-			rs = &resilientStream{e: e, cancel: cancel, done: true, err: io.EOF}
+			rs.done, rs.err = true, io.EOF
 			return nil
 		}
 		_ = st.Close()
@@ -63,21 +64,24 @@ func realStream(st ResultStream) bool {
 // resilientStream forwards an inner stream while keeping the driver's
 // breaker and connection bookkeeping correct at termination. It never
 // retries: by construction it exists only after the first event arrived.
+// The executor keeps one and hands it out for each ExecStream, as its
+// connection serves one request at a time.
 type resilientStream struct {
-	e      *resilientExecutor
-	inner  ResultStream
-	cancel context.CancelFunc
-	peeked *cwp.StreamEvent
-	real   bool
+	e       *resilientExecutor
+	inner   ResultStream
+	cancel  context.CancelFunc
+	peeked  cwp.StreamEvent
+	hasPeek bool
+	real    bool
 
 	done bool
 	err  error
 }
 
 func (s *resilientStream) Next(ctx context.Context) (cwp.StreamEvent, error) {
-	if s.peeked != nil {
-		ev := *s.peeked
-		s.peeked = nil
+	if s.hasPeek {
+		ev := s.peeked
+		s.peeked, s.hasPeek = cwp.StreamEvent{}, false
 		return ev, nil
 	}
 	if s.done {
