@@ -217,6 +217,17 @@ func checkAgainstReference(t *testing.T, data []byte) {
 		t.Fatalf("Decode(io.Reader) disagrees with DecodeBytes: %v", err)
 	}
 	requireSameBatch(t, decodeRecycled(t, data, data), want)
+	// Adopted with the columns its header describes, the batch shares them
+	// and decodes alike.
+	shared, _, err := AdoptAs(append([]byte(nil), data...), want.Cols)
+	if err != nil {
+		t.Fatalf("AdoptAs refused what DecodeBytes accepted: %v", err)
+	}
+	if len(want.Cols) > 0 && &shared.Cols[0] != &want.Cols[0] {
+		t.Fatal("AdoptAs parsed columns equal to the ones it was given")
+	}
+	shared.DecodeRows()
+	requireSameBatch(t, shared, want)
 }
 
 // requireSameBatch fails unless got is want, column for column and cell for
