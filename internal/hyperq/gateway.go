@@ -474,21 +474,17 @@ func (g *Gateway) Logon(user, password string) (tdp.SessionHandler, error) {
 	if user == "" {
 		return nil, &LogonError{Code: tdp.CodeLogonInvalid, Message: "logon failed: user required"}
 	}
-	be, err := g.cfg.Driver.Connect()
+	s, err := newSession(g, user)
 	if err != nil {
 		return nil, &LogonError{Code: tdp.CodeLogonDenied, Message: "backend system unavailable, logon denied; retry later"}
 	}
-	return newSession(g, be, user), nil
+	return s, nil
 }
 
 // NewLocalSession opens a gateway session without the frontend protocol —
 // used by in-process examples and the benchmark harness.
 func (g *Gateway) NewLocalSession(user string) (*Session, error) {
-	be, err := g.cfg.Driver.Connect()
-	if err != nil {
-		return nil, err
-	}
-	return newSession(g, be, user), nil
+	return newSession(g, user)
 }
 
 // FrontResult is one statement's response in frontend terms. A session with

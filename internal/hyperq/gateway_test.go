@@ -406,6 +406,35 @@ func TestGatewaySyntaxErrorCode(t *testing.T) {
 	}
 }
 
+// TestWireDeepNestingIsSyntaxError: a 2 MB request nesting a million
+// parentheses once overflowed the parser's stack, a fatal error that took
+// the process and every session down. It now fails as a syntax error, and
+// the connection goes on serving.
+func TestWireDeepNestingIsSyntaxError(t *testing.T) {
+	g, _ := newTestGateway(t, dialect.CloudA())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = tdp.Serve(ln, g) }()
+	client, err := tdp.Dial(ln.Addr().String(), "appuser", "secret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const n = 1000000
+	_, err = client.Request("SEL " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n))
+	re, ok := err.(*tdp.RequestError)
+	if !ok || re.Code != tdp.CodeSyntaxError {
+		t.Fatalf("err = %v, want a %d failure", err, tdp.CodeSyntaxError)
+	}
+	stmts, err := client.Request("SEL 1")
+	if err != nil || len(stmts) != 1 || len(stmts[0].Rows) != 1 {
+		t.Fatalf("SEL 1 after the failure: %+v, %v", stmts, err)
+	}
+}
+
 func TestGatewayMetrics(t *testing.T) {
 	g, _ := newTestGateway(t, dialect.CloudA())
 	s := session(t, g)

@@ -36,7 +36,7 @@ func (s *Session) pinBackend() error {
 	if !ok {
 		return nil
 	}
-	if err := bp.Pin(s.requestCtx()); err != nil {
+	if err := bp.Pin(s.ctx); err != nil {
 		return mapBackendError(err)
 	}
 	return nil

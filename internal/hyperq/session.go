@@ -1,7 +1,6 @@
 package hyperq
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -56,11 +55,10 @@ type Session struct {
 	settingsSig string
 
 	// ctx carries the current request's deadline and trace into backend
-	// execution (sessions process one request at a time), while inRequest;
-	// timer is the one deadline timer its Done arms.
-	ctx       *requestContext
-	inRequest bool
-	timer     requestTimer
+	// execution (sessions process one request at a time); between requests
+	// it has neither. timer is the one deadline timer its Done arms.
+	ctx   *requestContext
+	timer requestTimer
 	// req is the current request's record (see record.go), written only by
 	// the session goroutine and published once when the request ends.
 	req request
@@ -134,23 +132,29 @@ type replayEntry struct {
 	sql  string
 }
 
-func newSession(g *Gateway, be odbc.Executor, user string) *Session {
+// newSession opens the session's backend under the session's own context:
+// outside a request it has no deadline and no trace.
+func newSession(g *Gateway, user string) (*Session, error) {
 	s := &Session{
 		g:          g,
-		be:         odbc.Streaming(be),
 		user:       user,
 		settings:   map[string]string{"CHARSET": "ASCII", "DATEFORM": "integerdate"},
 		sessionCat: catalog.New(),
-		id:         atomic.AddUint64(&g.nextSessionID, 1),
-		logonAt:    time.Now(),
 	}
-	s.settingsSig = settingsSignature(s.settings)
 	s.ctx = &requestContext{timer: &s.timer}
+	be, err := odbc.ConnectContext(s.ctx, g.cfg.Driver)
+	if err != nil {
+		return nil, err
+	}
+	s.be = be
+	s.id = atomic.AddUint64(&g.nextSessionID, 1)
+	s.logonAt = time.Now()
+	s.settingsSig = settingsSignature(s.settings)
 	if ra, ok := s.be.(odbc.ReconnectAware); ok {
 		ra.OnReconnect(s.replaySessionState)
 	}
 	g.registerSession(s)
-	return s
+	return s, nil
 }
 
 // replaySessionState rebuilds backend session state on a replacement
@@ -165,7 +169,7 @@ func (s *Session) replaySessionState(ex odbc.Executor) error {
 	for _, e := range s.replayLog {
 		// Replay runs inside the request that triggered the reconnect, so it
 		// shares that request's deadline and trace.
-		if _, err := ex.ExecContext(s.requestCtx(), e.sql); err != nil {
+		if _, err := ex.ExecContext(s.ctx, e.sql); err != nil {
 			return fmt.Errorf("replay %s: %w", e.name, err)
 		}
 	}
@@ -191,15 +195,6 @@ func (s *Session) forgetSessionDDL(name string) {
 		}
 	}
 	s.replayLog = kept
-}
-
-// requestCtx is the context bounding the current request's backend work.
-func (s *Session) requestCtx() context.Context {
-	if s.inRequest {
-		return s.ctx
-	}
-	//hyperqlint:ignore ctxexec fallback for backend work outside any request (logoff cleanup); Run installs the real request context
-	return context.Background()
 }
 
 // Bounds on what SET SESSION lets a client grow: a session takes any option
@@ -327,11 +322,9 @@ func (s *Session) Run(sql string) (out []*FrontResult, err error) {
 		deadline = s.req.start.Add(t)
 	}
 	s.ctx.begin(deadline, s.req.tr)
-	s.inRequest = true
 	rec := &s.req.feats
 	defer func() {
 		s.maybeUnpinBackend()
-		s.inRequest = false
 		if !s.ctx.end() {
 			s.ctx = &requestContext{timer: &s.timer}
 		}
@@ -729,7 +722,7 @@ func (s *Session) execPlan(p Plan, e env) ([]*FrontResult, error) {
 // reached a client, so the resilient layer's whole-request retry matrix keeps
 // applying, whereas a stream is never retried after its first event.
 func (s *Session) collect(p *Plan) ([]*FrontResult, time.Duration, error) {
-	ctx := s.requestCtx()
+	ctx := s.ctx
 	results, err := s.be.ExecContext(ctx, p.sql)
 	if err != nil {
 		return nil, 0, mapBackendError(err)

@@ -347,7 +347,7 @@ func (f *resultFeed) close() {
 // write. It returns the time spent converting and the failure in its frontend
 // form.
 func (s *Session) streamToWire(p *Plan) (time.Duration, error) {
-	ctx := s.requestCtx()
+	ctx := s.ctx
 	st, err := s.be.ExecStream(ctx, p.sql)
 	if err != nil {
 		return 0, mapBackendError(err)

@@ -16,9 +16,7 @@ import (
 // ConnectContext, and minting a fresh context.Background()/TODO() instead
 // of threading the request context through. Either one makes a query
 // un-cancellable and invisible to its trace the moment it crosses that
-// call. The streaming entry points are patrolled the same way: an
-// ExecStream call where the receiver offers ExecStreamContext drops the
-// context that cancels the whole fetch→convert→write pipeline.
+// call.
 //
 // Exempt by construction: _test.go files, package main (process-lifetime
 // roots are legitimate there), the context-free adapter shims themselves
@@ -79,7 +77,7 @@ func checkCtxIn(pass *analysis.Pass, fn funcBody) {
 				pass.Reportf(call.Pos(),
 					"context.%s() on the request path drops the caller's deadline and trace; thread the request context instead", name)
 			}
-		case analysis.IsMethod(callee) && (name == "Exec" || name == "Connect" || name == "ExecStream"):
+		case analysis.IsMethod(callee) && (name == "Exec" || name == "Connect"):
 			sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if !selOK {
 				return true

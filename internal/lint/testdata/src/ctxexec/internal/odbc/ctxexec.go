@@ -19,19 +19,6 @@ type Plain struct{}
 
 func (p *Plain) Exec(q string) error { return nil }
 
-// Streamer mirrors the streaming entry points: a context-free ExecStream
-// next to the context-carrying spelling.
-type Streamer struct{}
-
-func (s *Streamer) ExecStream(q string) error                             { return nil }
-func (s *Streamer) ExecStreamContext(ctx context.Context, q string) error { return nil }
-
-// CtxStreamer carries the context in ExecStream itself (the odbc
-// StreamExecutor shape); there is no better spelling to demand.
-type CtxStreamer struct{}
-
-func (s *CtxStreamer) ExecStream(ctx context.Context, q string) error { return nil }
-
 // Calling the context-free spelling where a context one exists drops the
 // deadline.
 func dropDeadline(e *Exer) error {
@@ -53,23 +40,9 @@ func dropDialDeadline() error {
 	return cwp.Dial("backend:1025") // want `Dial\(\) used where DialContext exists`
 }
 
-// A context-free stream open where the context spelling exists drops the
-// deadline for the whole result pipeline.
-func dropStreamDeadline(s *Streamer) error {
-	return s.ExecStream("SELECT 1") // want `ExecStream\(\) used where ExecStreamContext exists`
-}
-
 // threadedOK: the caller's context flows through.
 func threadedOK(ctx context.Context, e *Exer) error {
 	return e.ExecContext(ctx, "SELECT 1")
-}
-
-// streamThreadedOK: both streaming spellings with the context threaded.
-func streamThreadedOK(ctx context.Context, s *Streamer, cs *CtxStreamer) error {
-	if err := s.ExecStreamContext(ctx, "SELECT 1"); err != nil {
-		return err
-	}
-	return cs.ExecStream(ctx, "SELECT 1")
 }
 
 // plainOK: no context variant exists, nothing is being dropped.

@@ -153,7 +153,7 @@ func (d *Driver) Connect() (odbc.Executor, error) {
 	return d.ConnectContext(context.Background())
 }
 
-// ConnectContext implements odbc.ContextDriver.
+// ConnectContext opens a session under ctx (see odbc.ConnectContext).
 func (d *Driver) ConnectContext(ctx context.Context) (odbc.Executor, error) {
 	d.mu.Lock()
 	d.connects++
@@ -359,7 +359,6 @@ func (e *Executor) Close() error {
 
 var (
 	_ odbc.Driver         = (*Driver)(nil)
-	_ odbc.ContextDriver  = (*Driver)(nil)
 	_ odbc.Executor       = (*Executor)(nil)
 	_ odbc.StreamExecutor = (*Executor)(nil)
 )

@@ -30,28 +30,29 @@ type Executor interface {
 	Close() error
 }
 
-// Driver creates backend sessions.
+// Driver creates backend sessions. Connect opens one with no deadline; every
+// caller in the gateway connects through ConnectContext below instead. The
+// context-free method stays only because perf/'s canned drivers implement
+// this interface with it (ROADMAP item 7).
 type Driver interface {
 	Connect() (Executor, error)
 }
 
-// ContextDriver is implemented by drivers whose session establishment can
-// be bounded by a context deadline.
-type ContextDriver interface {
-	Driver
-	ConnectContext(ctx context.Context) (Executor, error)
-}
-
-// ConnectContext connects via d, honouring ctx when the driver supports it.
-// The session comes back as a StreamExecutor (see Streaming), so whether it
-// streams natively is settled here, once, and never again per request.
+// ConnectContext is the one way the gateway connects: via d, under ctx. A
+// context that has already ended opens nothing, and each driver in this
+// module that can block on its logon bounds it by ctx, in its own
+// ConnectContext method. The session comes back as a StreamExecutor (see
+// Streaming), so whether it streams natively is settled here, once, and
+// never again per request.
 func ConnectContext(ctx context.Context, d Driver) (StreamExecutor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var ex Executor
 	var err error
-	if cd, ok := d.(ContextDriver); ok {
+	if cd, ok := d.(interface {
+		ConnectContext(context.Context) (Executor, error)
+	}); ok {
 		ex, err = cd.ConnectContext(ctx)
 	} else {
 		ex, err = d.Connect()
@@ -166,7 +167,6 @@ func metaFromCols(cols []xtra.Col) []tdf.ColumnMeta {
 }
 
 var (
-	_ Driver        = (*NetworkDriver)(nil)
-	_ ContextDriver = (*NetworkDriver)(nil)
-	_ Driver        = (*LocalDriver)(nil)
+	_ Driver = (*NetworkDriver)(nil)
+	_ Driver = (*LocalDriver)(nil)
 )

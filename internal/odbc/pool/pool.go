@@ -60,7 +60,7 @@ type Config struct {
 	// unbounded.
 	AcquireTimeout time.Duration
 	// MaintainEvery is ignored: the pool runs no background goroutine. The
-	// field stays only while perf/ still sets it (ROADMAP item 1(b)).
+	// field stays only while perf/ still sets it (ROADMAP item 7).
 	MaintainEvery time.Duration
 }
 
@@ -132,25 +132,18 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Connect implements odbc.Driver: it returns a session-multiplexing view of
-// the pool without dialing the backend — backend capacity is acquired per
-// statement, not per logon.
+// Connect is ConnectContext with no deadline.
 func (p *Pool) Connect() (odbc.Executor, error) {
-	return p.connect()
+	return p.ConnectContext(context.Background())
 }
 
-// ConnectContext implements odbc.ContextDriver.
+// ConnectContext returns a session-multiplexing view of the pool without
+// dialing the backend: backend capacity is acquired per statement, not per
+// logon, so it never blocks.
 func (p *Pool) ConnectContext(ctx context.Context) (odbc.Executor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.connect()
-}
-
-// connect returns a session-multiplexing view of the pool; it never blocks
-// (backend capacity is acquired per statement), so both driver entry points
-// share it.
-func (p *Pool) connect() (odbc.Executor, error) {
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
@@ -160,10 +153,7 @@ func (p *Pool) connect() (odbc.Executor, error) {
 	return p.Session(), nil
 }
 
-var (
-	_ odbc.Driver        = (*Pool)(nil)
-	_ odbc.ContextDriver = (*Pool)(nil)
-)
+var _ odbc.Driver = (*Pool)(nil)
 
 // acquire leases one backend connection, dialing up to Size connections and
 // queueing FIFO behind them when the pool is full. The returned connection

@@ -77,7 +77,6 @@ func (d *ReplicatedDriver) ConnectContext(ctx context.Context) (Executor, error)
 
 var (
 	_ Driver           = (*ReplicatedDriver)(nil)
-	_ ContextDriver    = (*ReplicatedDriver)(nil)
 	_ StreamExecutor   = (*replicatedExecutor)(nil)
 	_ DivergenceSource = (*replicatedExecutor)(nil)
 )

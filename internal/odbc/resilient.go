@@ -304,7 +304,6 @@ func (d *ResilientDriver) ConnectContext(ctx context.Context) (Executor, error) 
 
 var (
 	_ Driver         = (*ResilientDriver)(nil)
-	_ ContextDriver  = (*ResilientDriver)(nil)
 	_ ReconnectAware = (*resilientExecutor)(nil)
 )
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"hyperq/internal/odbc"
@@ -263,20 +264,49 @@ func TestResilientStreamAbandonDiscardsConnection(t *testing.T) {
 	}
 }
 
+// countingDriver counts the sessions its driver opens.
+type countingDriver struct {
+	odbc.Driver
+	n atomic.Int64
+}
+
+func (d *countingDriver) Connect() (odbc.Executor, error) {
+	d.n.Add(1)
+	return d.Driver.Connect()
+}
+
+// countingListener counts the connections a backend accepts.
+type countingListener struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
 // Streaming settles stream capability once, at connect. Every executor type
 // in the repository that streams natively must come back as the same value,
 // so the optional interfaces the gateway asserts on its session executor
 // (reconnect replay, divergence draining, pool pinning) keep holding, and
-// ConnectContext must hand out exactly what Streaming does.
+// ConnectContext must hand out exactly what Streaming does. A connect under
+// a context that has already ended fails with its error and opens no
+// backend session, through ConnectContext and through each driver's own
+// ConnectContext method alike.
 func TestStreamingKeepsNativeExecutors(t *testing.T) {
 	eng := resilienceEngine(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &countingListener{Listener: tcp}
 	defer ln.Close()
 	go func() { _ = cwp.Serve(ln, eng) }()
-	local := &odbc.LocalDriver{Engine: eng, User: "u"}
+	local := &countingDriver{Driver: &odbc.LocalDriver{Engine: eng, User: "u"}}
 	p, err := pool.New(pool.Config{Driver: local, Size: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +330,35 @@ func TestStreamingKeepsNativeExecutors(t *testing.T) {
 		{name: "pool", d: p, native: true, reconnect: true, pin: true},
 		{name: "faultdriver", d: faultdriver.New(local), native: true},
 	}
+
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range cases {
+		if _, err := odbc.ConnectContext(ended, c.d); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: ConnectContext under an ended context: %v", c.name, err)
+		}
+		if cd, ok := c.d.(interface {
+			ConnectContext(context.Context) (odbc.Executor, error)
+		}); ok {
+			if _, err := cd.ConnectContext(ended); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: its ConnectContext under an ended context: %v", c.name, err)
+			}
+		}
+	}
+	if n := local.n.Load(); n != 0 {
+		t.Fatalf("%d in-process sessions opened under an ended context", n)
+	}
+	// The backend accepts connections in order, so once a live connect has
+	// logged on, every earlier dial has been counted.
+	live, err := (&odbc.NetworkDriver{Addr: ln.Addr().String(), User: "u", Password: "p"}).Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Close()
+	if n := ln.n.Load(); n != 1 {
+		t.Fatalf("backend accepted %d connections, want only the live one", n)
+	}
+
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			raw, err := c.d.Connect()

@@ -50,6 +50,7 @@ func lex(src string, sc *Scratch) ([]token, error) {
 		l.tokens = sc.toks[:0]
 		defer func() { sc.toks = l.tokens }()
 	}
+	parens := 0
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -91,6 +92,16 @@ func lex(src string, sc *Scratch) ([]token, error) {
 			op, err := l.lexOp()
 			if err != nil {
 				return nil, err
+			}
+			// Parentheses past the parser's nesting bound fail here, before
+			// the rest of the request is lexed.
+			switch op {
+			case "(":
+				if parens++; parens > maxNestingDepth {
+					return nil, fmt.Errorf("parser: parentheses nest deeper than %d levels at offset %d", maxNestingDepth, start)
+				}
+			case ")":
+				parens--
 			}
 			l.tokens = append(l.tokens, token{kind: tokOp, text: op, pos: start})
 		}

@@ -13,7 +13,13 @@ import (
 //	OR > AND > NOT > comparison/IN/LIKE/BETWEEN/IS > additive(+,-,||)
 //	> multiplicative(*,/,MOD) > unary(-,+) > primary
 
-func (p *Parser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (sqlast.Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	return p.parseOr()
+}
 
 func (p *Parser) parseOr() (sqlast.Expr, error) {
 	l, err := p.parseAnd()
@@ -47,7 +53,11 @@ func (p *Parser) parseAnd() (sqlast.Expr, error) {
 
 func (p *Parser) parseNot() (sqlast.Expr, error) {
 	if p.acceptKW("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
+		p.unnest()
 		if err != nil {
 			return nil, err
 		}
@@ -259,17 +269,22 @@ func (p *Parser) parseMultiplicative() (sqlast.Expr, error) {
 }
 
 func (p *Parser) parseUnary() (sqlast.Expr, error) {
-	if p.acceptOp("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
+	neg := p.acceptOp("-")
+	if !neg && !p.acceptOp("+") {
+		return p.parsePrimary()
+	}
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	p.unnest()
+	if err != nil {
+		return nil, err
+	}
+	if neg {
 		return &sqlast.UnaryExpr{Op: sqlast.UnaryNeg, X: x}, nil
 	}
-	if p.acceptOp("+") {
-		return p.parseUnary()
-	}
-	return p.parsePrimary()
+	return x, nil
 }
 
 func (p *Parser) parsePrimary() (sqlast.Expr, error) {
@@ -391,7 +406,11 @@ func (p *Parser) parseKeywordPrimary() (sqlast.Expr, error) {
 		}
 	case "INTERVAL":
 		p.i++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		val, err := p.parsePrimary()
+		p.unnest()
 		if err != nil {
 			return nil, err
 		}

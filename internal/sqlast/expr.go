@@ -340,17 +340,3 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 		WalkExpr(x.Value, fn)
 	}
 }
-
-// ContainsWindowFunc reports whether the expression tree contains a window
-// function (outside subqueries).
-func ContainsWindowFunc(e Expr) bool {
-	found := false
-	WalkExpr(e, func(x Expr) bool {
-		if _, ok := x.(*WindowFunc); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}

@@ -91,17 +91,3 @@ func TestWalkExprCoversCase(t *testing.T) {
 		t.Errorf("case walk visited %d", n)
 	}
 }
-
-func TestContainsWindowFuncStopsAtSubquery(t *testing.T) {
-	// A window inside a subquery does not make the outer expression windowed.
-	sub := &Subquery{Query: &QueryExpr{Body: &SelectCore{
-		Items: []SelectItem{{Expr: &WindowFunc{Func: FuncCall{Name: "RANK"}}}},
-	}}}
-	if ContainsWindowFunc(sub) {
-		t.Error("window detected through subquery boundary")
-	}
-	wf := &WindowFunc{Func: FuncCall{Name: "RANK"}}
-	if !ContainsWindowFunc(&BinExpr{Op: BinLT, L: wf, R: &Const{}}) {
-		t.Error("direct window not detected")
-	}
-}

@@ -104,11 +104,6 @@ func (b *Buffer) Reset() { b.b = b.b[:0] }
 // PutU8 appends one byte.
 func (b *Buffer) PutU8(v uint8) { b.b = append(b.b, v) }
 
-// PutU16 appends a big-endian uint16.
-func (b *Buffer) PutU16(v uint16) {
-	b.b = binary.BigEndian.AppendUint16(b.b, v)
-}
-
 // PutU32 appends a big-endian uint32.
 func (b *Buffer) PutU32(v uint32) {
 	b.b = binary.BigEndian.AppendUint32(b.b, v)
@@ -168,16 +163,6 @@ func (r *Reader) U8() uint8 {
 	}
 	v := r.b[r.off]
 	r.off++
-	return v
-}
-
-// U16 reads a big-endian uint16.
-func (r *Reader) U16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
 	return v
 }
 

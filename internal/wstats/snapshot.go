@@ -234,9 +234,6 @@ func (r *Registry) SLOBreaches() int64 {
 	return atomic.LoadInt64(&r.sloBreaches)
 }
 
-// SLOConfigured reports whether a latency SLO is active.
-func (r *Registry) SLOConfigured() bool { return r != nil && r.sloNs > 0 }
-
 // FeatureCount is one tracked rewrite feature's workload-wide occurrence.
 type FeatureCount struct {
 	Name  string `json:"name"`

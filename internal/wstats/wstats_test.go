@@ -236,9 +236,6 @@ func TestSLOBurnAndViolating(t *testing.T) {
 	if got := r.SLOBreaches(); got != 5 {
 		t.Fatalf("registry breaches = %d, want 5", got)
 	}
-	if !r.SLOConfigured() {
-		t.Fatal("SLOConfigured = false with SLO set")
-	}
 	sum := r.Snapshot("calls", 0)
 	if sum.SLO == nil {
 		t.Fatal("Summary.SLO nil with SLO configured")
@@ -438,9 +435,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Reset()
 	if r.Entries() != 0 || r.Observed() != 0 || r.MaxEntries() != 0 || r.SLOBreaches() != 0 {
 		t.Error("nil registry accessors not zero")
-	}
-	if r.SLOConfigured() {
-		t.Error("nil registry claims SLO")
 	}
 	if sum := r.Snapshot("calls", 0); sum.Statements != nil {
 		t.Error("nil registry snapshot non-empty")

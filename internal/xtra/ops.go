@@ -1,9 +1,5 @@
 package xtra
 
-import (
-	"hyperq/internal/types"
-)
-
 // Op is a relational operator. Every operator reports its output columns
 // (identity-carrying, so parents reference them by ColumnID), its relational
 // children, and the scalar expressions it owns (for generic traversal by the
@@ -360,24 +356,4 @@ func AppendColumns(dst []Col, op Op) []Col {
 	}
 	// The rest store their columns.
 	return append(dst, op.Columns()...)
-}
-
-// ColumnTypes extracts the types of an operator's output.
-func ColumnTypes(op Op) []types.T {
-	cols := op.Columns()
-	out := make([]types.T, len(cols))
-	for i, c := range cols {
-		out[i] = c.Type
-	}
-	return out
-}
-
-// FindColumn locates an output column by ID.
-func FindColumn(op Op, id ColumnID) (Col, bool) {
-	for _, c := range op.Columns() {
-		if c.ID == id {
-			return c, true
-		}
-	}
-	return Col{}, false
 }

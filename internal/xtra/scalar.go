@@ -110,25 +110,6 @@ func (o CmpOp) SQL() string {
 	return "?"
 }
 
-// Negate returns the complement operator (for NOT pushdown).
-func (o CmpOp) Negate() CmpOp {
-	switch o {
-	case CmpEQ:
-		return CmpNE
-	case CmpNE:
-		return CmpEQ
-	case CmpLT:
-		return CmpGE
-	case CmpLE:
-		return CmpGT
-	case CmpGT:
-		return CmpLE
-	case CmpGE:
-		return CmpLT
-	}
-	return o
-}
-
 // CompExpr is a comparison; its result is BOOLEAN.
 type CompExpr struct {
 	Op   CmpOp

@@ -38,17 +38,6 @@ func TestOpColumns(t *testing.T) {
 	}
 }
 
-func TestFindColumn(t *testing.T) {
-	g := sampleGet()
-	c, ok := FindColumn(g, 2)
-	if !ok || c.Name != "SALES_DATE" {
-		t.Errorf("FindColumn = %v %v", c, ok)
-	}
-	if _, ok := FindColumn(g, 99); ok {
-		t.Error("found missing column")
-	}
-}
-
 func TestMakeAndOrFlattening(t *testing.T) {
 	a := &CompExpr{Op: CmpEQ, L: NewConst(types.NewInt(1)), R: NewConst(types.NewInt(1))}
 	b := &CompExpr{Op: CmpEQ, L: NewConst(types.NewInt(2)), R: NewConst(types.NewInt(2))}
@@ -71,20 +60,6 @@ func TestMakeAndOrFlattening(t *testing.T) {
 	}
 	if MakeAnd(nil, a, nil) != Scalar(a) {
 		t.Error("nil predicates should be dropped")
-	}
-}
-
-func TestCmpOpNegate(t *testing.T) {
-	pairs := map[CmpOp]CmpOp{
-		CmpEQ: CmpNE, CmpNE: CmpEQ, CmpLT: CmpGE, CmpGE: CmpLT, CmpGT: CmpLE, CmpLE: CmpGT,
-	}
-	for op, want := range pairs {
-		if got := op.Negate(); got != want {
-			t.Errorf("%v.Negate() = %v, want %v", op, got, want)
-		}
-		if op.Negate().Negate() != op {
-			t.Errorf("negate not involutive for %v", op)
-		}
 	}
 }
 
@@ -213,13 +188,5 @@ func TestFormatScalar(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-func TestColumnTypes(t *testing.T) {
-	g := sampleGet()
-	ts := ColumnTypes(g)
-	if len(ts) != 2 || ts[1].Kind != types.KindDate {
-		t.Errorf("ColumnTypes = %v", ts)
 	}
 }
