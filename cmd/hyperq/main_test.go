@@ -42,12 +42,6 @@ func TestFlagSurface(t *testing.T) {
 // default with that default, so two command lines compare by what the
 // gateway runs with rather than by what main spelled out.
 func effective(c *config) {
-	if c.driver.MaxRetries == 0 { // odbc.ResilientDriver
-		c.driver.MaxRetries = 3
-	}
-	if c.driver.BreakerThreshold == 0 {
-		c.driver.BreakerThreshold = 5
-	}
 	if c.pool.MaxWaiters == 0 { // pool.New
 		c.pool.MaxWaiters = 4 * c.pool.Size
 	}
@@ -67,11 +61,9 @@ func TestResolvedDefaultsUnchanged(t *testing.T) {
 	want := func(backend string, poolSize, cacheEntries int) *config {
 		resilience := &odbc.ResilienceMetrics{}
 		driver := &odbc.ResilientDriver{
-			Inner:            &odbc.NetworkDriver{Addr: backend, User: "hyperq", Password: "hyperq"},
-			Timeout:          30 * time.Second,
-			MaxRetries:       3,
-			BreakerThreshold: 5,
-			Metrics:          resilience,
+			Inner:   &odbc.NetworkDriver{Addr: backend, User: "hyperq", Password: "hyperq"},
+			Timeout: 30 * time.Second,
+			Metrics: resilience,
 		}
 		return &config{
 			backend: backend,
@@ -91,6 +83,10 @@ func TestResolvedDefaultsUnchanged(t *testing.T) {
 			},
 			serve: tdp.Options{WriteTimeout: 30 * time.Second},
 		}
+	}
+	// The resilient driver's retry and breaker policy is odbc's constants.
+	if odbc.MaxRetries != 3 || odbc.BreakerThreshold != 5 {
+		t.Errorf("odbc.MaxRetries, odbc.BreakerThreshold = %d, %d, want 3, 5", odbc.MaxRetries, odbc.BreakerThreshold)
 	}
 	defaults := want("localhost:7707", 0, 4096)
 	defaults.listen = ":7706"

@@ -279,7 +279,9 @@ func (g *Gateway) MetricsSnapshot() MetricsSnapshot {
 // SetQueryLog attaches (or detaches, with nil) the query-log writer. A
 // capture run provisions schema and shared objects first and attaches the
 // capture log after, so setup statements stay out of the captured workload.
-// Call only while no requests are in flight.
+// Each session numbers the requests it logs, so a writer attached
+// mid-session continues that session's numbering. Call only while no
+// requests are in flight.
 func (g *Gateway) SetQueryLog(w *querylog.Writer) { g.cfg.QueryLog = w }
 
 // ResetMetrics zeroes the counters, the stage histograms, and the trace ring

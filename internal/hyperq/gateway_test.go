@@ -435,6 +435,22 @@ func TestWireDeepNestingIsSyntaxError(t *testing.T) {
 	}
 }
 
+// A chain of NOTs nests no deeper in SQL-B than in the request, so a request
+// inside the gateway's nesting bound is not refused by a backend that parses
+// with the same bound.
+func TestNotChainStaysInsideNestingBound(t *testing.T) {
+	g, _ := newTestGateway(t, dialect.CloudA())
+	s := session(t, g)
+	defer s.Close()
+	out, err := s.Run("SEL 1 WHERE " + strings.Repeat("NOT ", 990) + "1 = 1")
+	if err != nil {
+		t.Fatalf("SEL 1 WHERE 990 NOTs 1 = 1: %v", err)
+	}
+	if len(out) != 1 || len(out[0].Rows) != 1 {
+		t.Fatalf("an even chain of NOTs over a true predicate: %+v, want one row", out)
+	}
+}
+
 func TestGatewayMetrics(t *testing.T) {
 	g, _ := newTestGateway(t, dialect.CloudA())
 	s := session(t, g)

@@ -588,3 +588,46 @@ func TestSlowThresholdFilters(t *testing.T) {
 		t.Errorf("recent ring size = %d, want 1", n)
 	}
 }
+
+// Each session numbers the requests it writes to a capture log: interleaved
+// sessions keep separate sequences from 1, the first entry carries no delta,
+// and a writer attached mid-session continues the session's numbering.
+func TestQueryLogCaptureNumbersPerSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capture.log")
+	w, err := querylog.Open(path, querylog.Options{Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	g, _ := newTestGateway(t, dialect.CloudA())
+	a, b := session(t, g), session(t, g)
+	defer a.Close()
+	defer b.Close()
+	run(t, a, "SEL 1") // before any writer: neither logged nor numbered
+	g.SetQueryLog(w)
+	for _, s := range []*Session{a, b, a} {
+		run(t, s, "SEL 1")
+	}
+	g.SetQueryLog(nil)
+	run(t, a, "SEL 1")
+	g.SetQueryLog(w)
+	run(t, a, "SEL 1")
+	run(t, b, "SEL 1")
+
+	entries, err := querylog.ReadFiles(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ session, seq uint64 }{{a.id, 1}, {b.id, 1}, {a.id, 2}, {a.id, 3}, {b.id, 2}}
+	if len(entries) != len(want) {
+		t.Fatalf("%d entries, want %d", len(entries), len(want))
+	}
+	for i, e := range entries {
+		if e.Session != want[i].session || e.Seq != want[i].seq {
+			t.Errorf("entry %d: session %d seq %d, want session %d seq %d", i, e.Session, e.Seq, want[i].session, want[i].seq)
+		}
+		if e.Seq == 1 && e.DeltaNs != 0 {
+			t.Errorf("entry %d: first of its session carries delta_ns %d", i, e.DeltaNs)
+		}
+	}
+}

@@ -202,6 +202,10 @@ func (s *Session) publish(reqErr error) {
 		g.stages.Overhead.Observe(max(1-float64(exec)/float64(total), 0))
 	}
 	g.ring.Add(tr)
-	// Query-log write failures must not fail the data path.
-	_ = g.cfg.QueryLog.LogTrace(tr)
+	if w := g.cfg.QueryLog; w != nil {
+		s.logSeq++
+		// Query-log write failures must not fail the data path.
+		_ = w.LogTrace(tr, s.logSeq, s.logPrev)
+		s.logPrev = tr.StartedAt
+	}
 }

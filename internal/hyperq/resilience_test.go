@@ -173,9 +173,9 @@ func TestGatewayWriteNotRetriedAfterDrop(t *testing.T) {
 // failure code instead of hanging.
 func TestGatewayBreakerFailsFast(t *testing.T) {
 	g, _, fd := newFaultGateway(t, func(rd *odbc.ResilientDriver) {
-		rd.BreakerThreshold = 2
-		rd.BreakerCooldown = time.Hour
-		rd.MaxRetries = 2
+		// A stopped clock: the breaker's cooldown never elapses.
+		now := time.Unix(1000, 0)
+		rd.Now = func() time.Time { return now }
 	})
 	s, err := g.NewLocalSession("appuser")
 	if err != nil {
@@ -262,9 +262,7 @@ func TestGatewayBackendTimeout(t *testing.T) {
 // An unreachable backend at logon yields a clean logon-failure record: the
 // bteq-visible error is one actionable line, not a wrapped Go error chain.
 func TestGatewayLogonBackendUnavailable(t *testing.T) {
-	g, _, fd := newFaultGateway(t, func(rd *odbc.ResilientDriver) {
-		rd.MaxRetries = -1
-	})
+	g, _, fd := newFaultGateway(t, nil)
 	fd.RefuseConnects(-1)
 
 	// Direct handler check: typed LogonError with the logons-denied code.

@@ -87,6 +87,11 @@ type Session struct {
 	// /sessions from other goroutines.
 	curFP     uint64
 	midStream int32
+	// logSeq counts the requests this session has written to the query log,
+	// and logPrev is the last one's start: the capture numbering of its next
+	// entry, written by publish.
+	logSeq  uint64
+	logPrev time.Time
 	// replayLog records the backend DDL that established session-scoped
 	// backend state (volatile tables, global-temporary instances, emulation
 	// work tables), in execution order. A reconnecting backend driver

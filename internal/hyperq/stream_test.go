@@ -904,6 +904,30 @@ func TestStreamingConcurrentSessionsMatchBuffered(t *testing.T) {
 	}
 }
 
+// exactCompare is compare mode's comparator for this package's tests: the
+// first cell that differs, by position. (replay.Differ, the one comparator
+// outside tests, imports this package.)
+func exactCompare(sql string, base, obs []*cwp.StatementResult) *odbc.Divergence {
+	if len(base) != len(obs) {
+		return &odbc.Divergence{SQL: sql, Kind: odbc.DivStatementCount, Stmt: -1, Row: -1, Col: -1}
+	}
+	for si := range base {
+		brows, orows := base[si].Rows(), obs[si].Rows()
+		if len(brows) != len(orows) {
+			return &odbc.Divergence{SQL: sql, Kind: odbc.DivRowCount, Stmt: si, Row: -1, Col: -1}
+		}
+		for ri, row := range brows {
+			for ci, v := range row {
+				if v != orows[ri][ci] {
+					return &odbc.Divergence{SQL: sql, Kind: odbc.DivCell, Stmt: si, Row: ri, Col: ci,
+						Baseline: v.SQLLiteral(), Observed: orows[ri][ci].SQLLiteral()}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // A replicated backend streams like any other: its executor is a native
 // StreamExecutor, so a top-level SELECT through a wire gateway over
 // ReplicatedDriver takes the wire sink — load-balancing and compare mode
@@ -924,6 +948,10 @@ func TestStreamingReplicatedMatchesBuffered(t *testing.T) {
 	}
 	for _, compare := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compare=%v", compare), func(t *testing.T) {
+			var cmp odbc.CompareFunc
+			if compare {
+				cmp = exactCompare
+			}
 			addrs := make([]string, 2)
 			var front *engine.Engine
 			for i := range addrs {
@@ -962,7 +990,7 @@ func TestStreamingReplicatedMatchesBuffered(t *testing.T) {
 				}
 				g, err := New(Config{
 					Target:           target,
-					Driver:           &odbc.ReplicatedDriver{Replicas: drivers, CompareReads: compare},
+					Driver:           &odbc.ReplicatedDriver{Replicas: drivers, Compare: cmp},
 					Catalog:          front.Catalog().Clone(),
 					DisableStreaming: disable,
 				})

@@ -2,10 +2,8 @@ package odbc
 
 import (
 	"fmt"
-	"strconv"
 
 	"hyperq/internal/fingerprint"
-	"hyperq/internal/types"
 	"hyperq/internal/wire/cwp"
 )
 
@@ -74,7 +72,7 @@ func (d *Divergence) String() string {
 
 // CompareFunc diffs two replicas' results for one statement, returning the
 // first difference or nil when they are equivalent. The replay harness
-// installs a tolerance-aware comparator here; the default is StrictCompare.
+// installs replay.Differ's tolerance-aware comparator here.
 // Implementations fill SQL/Kind/Stmt/Row/Col/Baseline/Observed; the
 // replicated executor stamps Replica and Fingerprint.
 type CompareFunc func(sql string, baseline, observed []*cwp.StatementResult) *Divergence
@@ -86,88 +84,6 @@ type CompareFunc func(sql string, baseline, observed []*cwp.StatementResult) *Di
 // record to the statement that produced it.
 type DivergenceSource interface {
 	TakeDivergences() []*Divergence
-}
-
-// StrictCompare is the default comparator: exact equality on statement
-// count, command tags, affected counts, column metadata, row order, and cell
-// values. The replay differ relaxes it with type-aware tolerances and
-// unordered-set semantics.
-func StrictCompare(sql string, baseline, observed []*cwp.StatementResult) *Divergence {
-	if len(baseline) != len(observed) {
-		return &Divergence{SQL: sql, Kind: DivStatementCount, Stmt: -1, Row: -1, Col: -1,
-			Baseline: strconv.Itoa(len(baseline)) + " statements", Observed: strconv.Itoa(len(observed)) + " statements"}
-	}
-	for si := range baseline {
-		b, o := baseline[si], observed[si]
-		if d := strictCompareStatement(b, o); d != nil {
-			d.SQL = sql
-			d.Stmt = si
-			return d
-		}
-	}
-	return nil
-}
-
-func strictCompareStatement(b, o *cwp.StatementResult) *Divergence {
-	if b.Command != o.Command {
-		return &Divergence{Kind: DivCommand, Row: -1, Col: -1, Baseline: b.Command, Observed: o.Command}
-	}
-	if b.Cols == nil && o.Cols == nil {
-		if b.Affected != o.Affected {
-			return &Divergence{Kind: DivAffected, Row: -1, Col: -1,
-				Baseline: strconv.FormatInt(b.Affected, 10) + " rows", Observed: strconv.FormatInt(o.Affected, 10) + " rows"}
-		}
-		return nil
-	}
-	if (b.Cols == nil) != (o.Cols == nil) {
-		return &Divergence{Kind: DivColumnCount, Row: -1, Col: -1,
-			Baseline: colCountText(b), Observed: colCountText(o)}
-	}
-	if len(b.Cols) != len(o.Cols) {
-		return &Divergence{Kind: DivColumnCount, Row: -1, Col: -1,
-			Baseline: colCountText(b), Observed: colCountText(o)}
-	}
-	for ci := range b.Cols {
-		if b.Cols[ci] != o.Cols[ci] {
-			return &Divergence{Kind: DivColumnMeta, Row: -1, Col: ci,
-				Baseline: b.Cols[ci].Name + " " + b.Cols[ci].Type.String(),
-				Observed: o.Cols[ci].Name + " " + o.Cols[ci].Type.String()}
-		}
-	}
-	brows, orows := b.Rows(), o.Rows()
-	if len(brows) != len(orows) {
-		return &Divergence{Kind: DivRowCount, Row: -1, Col: -1,
-			Baseline: strconv.Itoa(len(brows)) + " rows", Observed: strconv.Itoa(len(orows)) + " rows"}
-	}
-	for ri := range brows {
-		for ci := range brows[ri] {
-			if ci >= len(orows[ri]) {
-				return &Divergence{Kind: DivColumnCount, Row: ri, Col: ci,
-					Baseline: strconv.Itoa(len(brows[ri])) + " cells", Observed: strconv.Itoa(len(orows[ri])) + " cells"}
-			}
-			if !datumEqual(brows[ri][ci], orows[ri][ci]) {
-				return &Divergence{Kind: DivCell, Row: ri, Col: ci,
-					Baseline: brows[ri][ci].SQLLiteral(), Observed: orows[ri][ci].SQLLiteral()}
-			}
-		}
-	}
-	return nil
-}
-
-func colCountText(r *cwp.StatementResult) string {
-	if r.Cols == nil {
-		return "no result set"
-	}
-	return strconv.Itoa(len(r.Cols)) + " columns"
-}
-
-// datumEqual is exact value equality: same kind, same null-ness, same value.
-// Two NULLs of the same kind are equal regardless of payload residue.
-func datumEqual(a, b types.Datum) bool {
-	if a.Null || b.Null {
-		return a.Null == b.Null && a.K == b.K
-	}
-	return a == b
 }
 
 // stampDivergence fills the fields the comparator leaves to the executor.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,25 +31,17 @@ type ReplicatedDriver struct {
 	Replicas []Driver
 	// Metrics, when non-nil, counts replica quarantines.
 	Metrics *ResilienceMetrics
-	// CompareReads switches reads from round-robin load balancing to
-	// dual-dispatch: every read-only request fans out to all healthy
-	// replicas, the answers are diffed against the lowest-indexed healthy
-	// replica (the baseline), and differences are recorded as Divergence
-	// records instead of poisoning the session — the shadow-migration replay
-	// mode, where replica 0 is the trusted profile and the others are
-	// migration candidates under verification. Successful write fan-outs are
-	// diffed too (command tags and affected counts).
-	CompareReads bool
-	// Compare overrides the result comparator consulted in CompareReads mode
-	// (nil = StrictCompare). The replay harness installs a type-aware differ
-	// with float/timestamp tolerances and unordered-set semantics here.
+	// Compare, when non-nil, switches reads from round-robin load balancing
+	// to dual dispatch: every read-only request fans out to all healthy
+	// replicas, the answers are diffed with Compare against the
+	// lowest-indexed healthy replica (the baseline), and differences are
+	// recorded as Divergence records instead of poisoning the session — the
+	// shadow-migration replay mode, where replica 0 is the trusted profile and
+	// the others are migration candidates under verification. Successful
+	// write fan-outs are diffed too (command tags and affected counts). The
+	// replay harness installs replay.Differ here.
 	Compare CompareFunc
-	// OnDivergence, when non-nil, additionally receives each divergence as it
-	// is detected (the per-executor record drained via DivergenceSource is
-	// always kept). Called from the executing goroutine; must be safe for
-	// concurrent use when sessions share the driver.
-	OnDivergence func(*Divergence)
-	rr           uint64
+	rr      uint64
 }
 
 // Connect opens one session per replica.
@@ -103,9 +96,6 @@ func (e *replicatedExecutor) recordDivergence(d *Divergence, sql string, replica
 	e.mu.Lock()
 	e.divs = append(e.divs, d)
 	e.mu.Unlock()
-	if e.d.OnDivergence != nil {
-		e.d.OnDivergence(d)
-	}
 }
 
 // TakeDivergences implements DivergenceSource: it drains the records
@@ -117,15 +107,6 @@ func (e *replicatedExecutor) TakeDivergences() []*Divergence {
 	out := e.divs
 	e.divs = nil
 	return out
-}
-
-// compare diffs two replicas' results with the configured comparator.
-func (e *replicatedExecutor) compare(sql string, base, other []*cwp.StatementResult) *Divergence {
-	cf := e.d.Compare
-	if cf == nil {
-		cf = StrictCompare
-	}
-	return cf(sql, base, other)
 }
 
 // isReadOnly reports whether every statement of the request is a query.
@@ -152,7 +133,7 @@ func (e *replicatedExecutor) ExecContext(ctx context.Context, sql string) ([]*cw
 		return nil, div
 	}
 	if isReadOnly(sql) {
-		if e.d.CompareReads {
+		if e.d.Compare != nil {
 			return e.execReadCompare(ctx, sql)
 		}
 		return e.execRead(ctx, sql)
@@ -215,152 +196,137 @@ func (e *replicatedExecutor) execRead(ctx context.Context, sql string) ([]*cwp.S
 	return nil, fmt.Errorf("odbc: all replicas unavailable: %w", lastErr)
 }
 
-// execReadCompare fans a read out to every healthy replica concurrently and
-// diffs each answer against the baseline (the lowest-indexed healthy
-// replica). Divergences are recorded, not fatal: the shadow migration must
-// keep scanning the workload after finding a behavioural gap. A replica
-// whose connection dies is quarantined exactly as in load-balancing mode; a
-// dead baseline promotes the next healthy replica and retries the fan-out.
-// The baseline's answer is always the one returned to the caller.
-func (e *replicatedExecutor) execReadCompare(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	type outcome struct {
-		res []*cwp.StatementResult
-		err error
-	}
-	for attempt := 0; attempt < len(e.sessions); attempt++ {
-		var idxs []int
-		for i := range e.sessions {
-			if !e.isDown(i) {
-				idxs = append(idxs, i)
-			}
-		}
-		if len(idxs) == 0 {
-			return nil, fmt.Errorf("odbc: all replicas unavailable: %w", fmt.Errorf("odbc: no healthy replica"))
-		}
-		outcomes := make([]outcome, len(e.sessions))
-		var wg sync.WaitGroup
-		for _, i := range idxs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := e.sessions[i].ExecContext(ctx, sql)
-				outcomes[i] = outcome{res: res, err: err}
-			}(i)
-		}
-		wg.Wait()
-		base := idxs[0]
-		if err := outcomes[base].err; err != nil && ConnectionError(err) {
-			// The baseline died mid-request; its answer is unusable as truth.
-			// Quarantine it and re-dispatch against the survivors.
-			e.quarantine(base)
-			continue
-		}
-		for _, i := range idxs[1:] {
-			o := outcomes[i]
-			if o.err != nil && ConnectionError(o.err) {
-				// Infrastructure loss, not behaviour: quarantine, don't report.
-				e.quarantine(i)
-				continue
-			}
-			if d := e.diffOutcomes(sql, outcomes[base].res, outcomes[base].err, o.res, o.err); d != nil {
-				e.recordDivergence(d, sql, i)
-			}
-		}
-		return outcomes[base].res, outcomes[base].err
-	}
-	return nil, fmt.Errorf("odbc: all replicas unavailable: %w", fmt.Errorf("odbc: no healthy replica"))
+// outcome is one replica's answer to a fanned-out request; ran is false for
+// a replica that was quarantined before the request.
+type outcome struct {
+	res []*cwp.StatementResult
+	err error
+	ran bool
 }
 
-// diffOutcomes compares one replica's outcome against the baseline's,
-// covering the error cross-product before delegating equal-success pairs to
-// the result comparator.
-func (e *replicatedExecutor) diffOutcomes(sql string, baseRes []*cwp.StatementResult, baseErr error, res []*cwp.StatementResult, err error) *Divergence {
-	switch {
-	case baseErr == nil && err == nil:
-		return e.compare(sql, baseRes, res)
-	case baseErr != nil && err != nil:
-		if baseErr.Error() != err.Error() {
-			return &Divergence{Kind: DivError, Stmt: -1, Row: -1, Col: -1,
-				Baseline: "error: " + baseErr.Error(), Observed: "error: " + err.Error()}
-		}
-		return nil
-	case baseErr != nil:
-		return &Divergence{Kind: DivError, Stmt: -1, Row: -1, Col: -1,
-			Baseline: "error: " + baseErr.Error(), Observed: "ok"}
-	default:
-		return &Divergence{Kind: DivError, Stmt: -1, Row: -1, Col: -1,
-			Baseline: "ok", Observed: "error: " + err.Error()}
-	}
-}
-
-// execWrite fans the request out to every healthy replica. All replicas
-// must succeed; a partial failure leaves the contents diverged and poisons
-// the executor.
-func (e *replicatedExecutor) execWrite(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	type outcome struct {
-		res []*cwp.StatementResult
-		err error
-	}
-	outcomes := make([]*outcome, len(e.sessions))
+// fanOut runs the request on every healthy replica concurrently and returns
+// the outcomes indexed by replica.
+func (e *replicatedExecutor) fanOut(ctx context.Context, sql string) []outcome {
+	outs := make([]outcome, len(e.sessions))
 	var wg sync.WaitGroup
 	for i, s := range e.sessions {
 		if e.isDown(i) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, s Executor) {
+		go func() {
 			defer wg.Done()
 			res, err := s.ExecContext(ctx, sql)
-			outcomes[i] = &outcome{res: res, err: err}
-		}(i, s)
+			outs[i] = outcome{res: res, err: err, ran: true}
+		}()
 	}
 	wg.Wait()
-	var firstOK []*cwp.StatementResult
-	firstOKIdx := -1
-	succeeded, failed := 0, 0
-	var firstErr error
-	firstErrIdx := -1
-	for i, o := range outcomes {
-		if o == nil {
-			continue // quarantined before the write
+	return outs
+}
+
+// execReadCompare fans a read out to every healthy replica and diffs each
+// answer against the baseline (the lowest-indexed healthy replica).
+// Divergences are recorded, not fatal: the shadow migration must keep
+// scanning the workload after finding a behavioural gap. A replica whose
+// connection dies is quarantined exactly as in load-balancing mode; a dead
+// baseline promotes the next healthy replica and retries the fan-out. The
+// baseline's answer is always the one returned to the caller.
+func (e *replicatedExecutor) execReadCompare(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
+	for range e.sessions {
+		outs := e.fanOut(ctx, sql)
+		base := slices.IndexFunc(outs, func(o outcome) bool { return o.ran })
+		if base < 0 {
+			break
 		}
-		if o.err == nil {
-			succeeded++
-			if firstOK == nil {
-				firstOK = o.res
-				firstOKIdx = i
-			}
+		if err := outs[base].err; err != nil && ConnectionError(err) {
+			// The baseline died mid-request; its answer is unusable as truth.
+			// Quarantine it and re-dispatch against the survivors.
+			e.quarantine(base)
 			continue
 		}
-		failed++
-		if firstErr == nil {
-			firstErr = fmt.Errorf("odbc: replica %d: %w", i, o.err)
-			firstErrIdx = i
+		for i := base + 1; i < len(outs); i++ {
+			o := outs[i]
+			if !o.ran {
+				continue
+			}
+			if o.err != nil && ConnectionError(o.err) {
+				// Infrastructure loss, not behaviour: quarantine, don't report.
+				e.quarantine(i)
+				continue
+			}
+			if d := e.diffOutcomes(sql, outs[base], o); d != nil {
+				e.recordDivergence(d, sql, i)
+			}
 		}
-		if ConnectionError(o.err) {
-			e.quarantine(i)
+		return outs[base].res, outs[base].err
+	}
+	return nil, fmt.Errorf("odbc: all replicas unavailable: %w", fmt.Errorf("odbc: no healthy replica"))
+}
+
+// diffOutcomes compares one replica's outcome against the baseline's: two
+// successes go to the result comparator, any other pair differs when its
+// outcome texts do.
+func (e *replicatedExecutor) diffOutcomes(sql string, base, o outcome) *Divergence {
+	if base.err == nil && o.err == nil {
+		return e.d.Compare(sql, base.res, o.res)
+	}
+	b, x := outcomeText(base.err), outcomeText(o.err)
+	if b == x {
+		return nil
+	}
+	return &Divergence{Kind: DivError, Stmt: -1, Row: -1, Col: -1, Baseline: b, Observed: x}
+}
+
+func outcomeText(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return "error: " + err.Error()
+}
+
+// execWrite fans the request out to every healthy replica. All replicas
+// must succeed; a partial failure leaves the contents diverged and poisons
+// the executor.
+func (e *replicatedExecutor) execWrite(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
+	outs := e.fanOut(ctx, sql)
+	firstOK, firstErrIdx := -1, -1
+	var firstErr error
+	for i, o := range outs {
+		switch {
+		case !o.ran: // quarantined before the write
+		case o.err == nil:
+			if firstOK < 0 {
+				firstOK = i
+			}
+		default:
+			if firstErr == nil {
+				firstErr = fmt.Errorf("odbc: replica %d: %w", i, o.err)
+				firstErrIdx = i
+			}
+			if ConnectionError(o.err) {
+				e.quarantine(i)
+			}
 		}
 	}
-	if failed == 0 {
-		if succeeded == 0 {
-			return nil, fmt.Errorf("odbc: no healthy replica")
-		}
-		if e.d.CompareReads {
+	switch {
+	case firstErr == nil && firstOK < 0:
+		return nil, fmt.Errorf("odbc: no healthy replica")
+	case firstErr == nil:
+		if e.d.Compare != nil {
 			// Dual-replay mode diffs successful write outcomes too: an UPDATE
 			// touching different row counts on the two profiles is exactly the
 			// behavioural gap a shadow migration must surface.
-			for i, o := range outcomes {
-				if o == nil || i == firstOKIdx || o.err != nil {
+			for i := firstOK + 1; i < len(outs); i++ {
+				if !outs[i].ran {
 					continue
 				}
-				if d := e.compare(sql, firstOK, o.res); d != nil {
+				if d := e.d.Compare(sql, outs[firstOK].res, outs[i].res); d != nil {
 					e.recordDivergence(d, sql, i)
 				}
 			}
 		}
-		return firstOK, nil
-	}
-	if succeeded > 0 {
+		return outs[firstOK].res, nil
+	case firstOK >= 0:
 		// The write landed on some replicas only: their contents now
 		// differ, and no replica can be trusted to answer reads for this
 		// session. Record the detail — which replica, which error — then

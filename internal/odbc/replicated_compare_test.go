@@ -10,11 +10,12 @@ import (
 	"hyperq/internal/engine"
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/faultdriver"
+	"hyperq/internal/replay"
 )
 
 // compareReplicas builds n same-schema replicas (empty table r) behind a
-// ReplicatedDriver with CompareReads on and returns the engines for
-// per-replica perturbation.
+// ReplicatedDriver in compare mode, comparing with replay.Differ, and
+// returns the engines for per-replica perturbation.
 func compareReplicas(t *testing.T, n int) ([]*engine.Engine, *odbc.ReplicatedDriver) {
 	t.Helper()
 	engines := make([]*engine.Engine, n)
@@ -26,9 +27,7 @@ func compareReplicas(t *testing.T, n int) ([]*engine.Engine, *odbc.ReplicatedDri
 		}
 		drivers[i] = &odbc.LocalDriver{Engine: engines[i]}
 	}
-	d := &odbc.ReplicatedDriver{Replicas: drivers}
-	d.CompareReads = true
-	return engines, d
+	return engines, &odbc.ReplicatedDriver{Replicas: drivers, Compare: (&replay.Differ{}).Compare}
 }
 
 func takeDivs(t *testing.T, ex odbc.Executor) []*odbc.Divergence {
@@ -89,8 +88,8 @@ func TestCompareReadsPinpointsDifferingCell(t *testing.T) {
 	if dv.Kind != odbc.DivCell || dv.Replica != 1 || dv.Stmt != 0 || dv.Col != 0 {
 		t.Fatalf("wrong location: %+v", dv)
 	}
-	// ORDER BY x sorts 99 last on replica 1, so the first differing row under
-	// strict ordered comparison is row 1 (2 vs 3).
+	// ORDER BY x sorts 99 last on replica 1, and the differ compares an
+	// ordered result by position, so the first differing row is row 1 (2 vs 3).
 	if dv.Row != 1 || dv.Baseline != "2" || dv.Observed != "3" {
 		t.Fatalf("wrong cell detail: %+v", dv)
 	}
@@ -105,8 +104,6 @@ func TestCompareReadsPinpointsDifferingCell(t *testing.T) {
 
 func TestCompareReadsRowCountAndErrorDivergences(t *testing.T) {
 	engines, d := compareReplicas(t, 2)
-	var seen []*odbc.Divergence
-	d.OnDivergence = func(dv *odbc.Divergence) { seen = append(seen, dv) }
 	ex, err := d.Connect()
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +121,6 @@ func TestCompareReadsRowCountAndErrorDivergences(t *testing.T) {
 	divs := takeDivs(t, ex)
 	if len(divs) != 1 || divs[0].Kind != odbc.DivRowCount {
 		t.Fatalf("want row-count divergence, got %v", divs)
-	}
-	if len(seen) != 1 || seen[0] != divs[0] {
-		t.Fatalf("OnDivergence not invoked with the record: %v", seen)
 	}
 	// A table present on the baseline only: replica 1 errors, baseline
 	// succeeds -> error divergence, baseline result still served.
@@ -203,8 +197,8 @@ func TestCompareReadsBaselineDeathPromotesNextReplica(t *testing.T) {
 	d := &odbc.ReplicatedDriver{
 		Replicas: []odbc.Driver{fd0, &odbc.LocalDriver{Engine: engines[1]}, &odbc.LocalDriver{Engine: engines[2]}},
 		Metrics:  &odbc.ResilienceMetrics{},
+		Compare:  (&replay.Differ{}).Compare,
 	}
-	d.CompareReads = true
 	ex, err := d.Connect()
 	if err != nil {
 		t.Fatal(err)

@@ -92,16 +92,33 @@ const (
 	breakerHalfOpen
 )
 
+// The retry and circuit-breaker policy (DESIGN.md §7).
+const (
+	// MaxRetries is the number of transparent re-attempts after a request's
+	// first failure.
+	MaxRetries = 3
+	// BreakerThreshold is the consecutive connection-failure count that
+	// opens the circuit.
+	BreakerThreshold = 5
+	// BreakerCooldown is the open-state duration before a half-open probe
+	// is admitted.
+	BreakerCooldown = time.Second
+	// baseBackoff is the first retry delay, doubled per attempt up to
+	// maxBackoff, with ±50% jitter drawn from a sequence seeded with
+	// jitterSeed.
+	baseBackoff = 5 * time.Millisecond
+	maxBackoff  = 500 * time.Millisecond
+	jitterSeed  = 1
+)
+
 // breaker is a per-backend circuit breaker over connection-level failures.
 // Closed: requests flow, consecutive failures are counted. Open: requests
 // fail fast with ErrBreakerOpen until the cooldown elapses. Half-open: one
 // probe is admitted; success closes the breaker, failure reopens it.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	metrics   *ResilienceMetrics
+	mu      sync.Mutex
+	now     func() time.Time
+	metrics *ResilienceMetrics
 
 	state    breakerState
 	failures int
@@ -117,7 +134,7 @@ func (b *breaker) Allow() error {
 	case breakerClosed:
 		return nil
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.now().Sub(b.openedAt) < BreakerCooldown {
 			return ErrBreakerOpen
 		}
 		b.state = breakerHalfOpen
@@ -151,7 +168,7 @@ func (b *breaker) Failure() {
 		return
 	}
 	b.failures++
-	if b.state == breakerClosed && b.failures >= b.threshold {
+	if b.state == breakerClosed && b.failures >= BreakerThreshold {
 		b.trip()
 	}
 }
@@ -179,26 +196,11 @@ type ResilientDriver struct {
 	// Timeout bounds each request (connect or exec) that arrives without
 	// its own deadline. 0 leaves requests unbounded.
 	Timeout time.Duration
-	// MaxRetries is the number of transparent re-attempts after the first
-	// failure. 0 selects 3; negative disables retries.
-	MaxRetries int
-	// BaseBackoff is the first retry delay, doubled per attempt up to
-	// MaxBackoff, with ±50% jitter. Zero values select 5ms / 500ms.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// BreakerThreshold is the consecutive connection-failure count that
-	// opens the circuit. 0 selects 5; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the open-state duration before a half-open probe
-	// is admitted. 0 selects 1s.
-	BreakerCooldown time.Duration
 	// Metrics, when non-nil, accumulates fault-handling counters.
 	Metrics *ResilienceMetrics
 	// Sleep and Now are injectable for deterministic tests.
 	Sleep func(time.Duration)
 	Now   func() time.Time
-	// Seed fixes the jitter sequence (tests); 0 selects a fixed default.
-	Seed int64
 
 	initOnce sync.Once
 	brk      *breaker
@@ -212,51 +214,15 @@ func (d *ResilientDriver) init() {
 		if now == nil {
 			now = time.Now
 		}
-		threshold := d.BreakerThreshold
-		if threshold == 0 {
-			threshold = 5
-		}
-		if threshold < 0 {
-			threshold = 1 << 30 // effectively disabled
-		}
-		cooldown := d.BreakerCooldown
-		if cooldown == 0 {
-			cooldown = time.Second
-		}
-		d.brk = &breaker{threshold: threshold, cooldown: cooldown, now: now, metrics: d.Metrics}
-		seed := d.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		d.rng = rand.New(rand.NewSource(seed))
+		d.brk = &breaker{now: now, metrics: d.Metrics}
+		d.rng = rand.New(rand.NewSource(jitterSeed))
 	})
-}
-
-func (d *ResilientDriver) maxRetries() int {
-	if d.MaxRetries > 0 {
-		return d.MaxRetries
-	}
-	if d.MaxRetries < 0 {
-		return 0
-	}
-	return 3
 }
 
 // backoff sleeps the capped exponential delay for retry attempt n (1-based)
 // with ±50% jitter, returning early if the context expires.
 func (d *ResilientDriver) backoff(ctx context.Context, attempt int) {
-	base := d.BaseBackoff
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	max := d.MaxBackoff
-	if max <= 0 {
-		max = 500 * time.Millisecond
-	}
-	delay := base << (attempt - 1)
-	if delay > max || delay <= 0 {
-		delay = max
-	}
+	delay := min(baseBackoff<<(attempt-1), maxBackoff)
 	d.rngMu.Lock()
 	jitter := 0.5 + d.rng.Float64() // factor in [0.5, 1.5)
 	d.rngMu.Unlock()
@@ -330,7 +296,7 @@ func (e *resilientExecutor) reconnect(ctx context.Context) error {
 	d := e.d
 	tr := trace.FromContext(ctx)
 	var lastErr error
-	for attempt := 0; attempt <= d.maxRetries(); attempt++ {
+	for attempt := 0; attempt <= MaxRetries; attempt++ {
 		if attempt > 0 {
 			d.Metrics.addRetry()
 			tr.Event("retry", "op", "connect", "attempt", strconv.Itoa(attempt))
@@ -428,7 +394,7 @@ func (e *resilientExecutor) retry(ctx context.Context, sql, op string, attempt f
 		if !ConnectionError(err) {
 			// The backend answered: the connection is healthy.
 			d.brk.Success()
-			if !Transient(err) || n >= d.maxRetries() {
+			if !Transient(err) || n >= MaxRetries {
 				return err
 			}
 			// Retryable abort (deadlock class): the backend rolled the
@@ -451,7 +417,7 @@ func (e *resilientExecutor) retry(ctx context.Context, sql, op string, attempt f
 			// the backend may have applied it. Never retry.
 			return fmt.Errorf("%w (%v)", ErrMaybeApplied, err)
 		}
-		if n >= d.maxRetries() || ctx.Err() != nil {
+		if n >= MaxRetries || ctx.Err() != nil {
 			return err
 		}
 		d.Metrics.addRetry()

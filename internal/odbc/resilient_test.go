@@ -207,18 +207,23 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	fd, rd, met := resilientStack(t)
 	now := time.Unix(1000, 0)
 	rd.Now = func() time.Time { return now }
-	rd.MaxRetries = -1 // isolate breaker behavior from retry loops
-	rd.BreakerThreshold = 2
-	rd.BreakerCooldown = time.Minute
 
+	// Each connect makes up to 1+MaxRetries attempts; the breaker opens on
+	// the BreakerThreshold-th consecutive failure, whichever connect makes it.
 	fd.RefuseConnects(-1)
-	for i := 0; i < 2; i++ {
+	for i := 0; met.BreakerOpen() == 0; i++ {
+		if i == odbc.BreakerThreshold {
+			t.Fatalf("breaker still closed after %d connects", i)
+		}
 		if _, err := rd.Connect(); err == nil {
 			t.Fatalf("connect %d to hard-down backend succeeded", i)
 		}
 	}
 	if met.BreakerOpen() != 1 {
 		t.Fatalf("BreakerOpen = %d, want 1", met.BreakerOpen())
+	}
+	if got := fd.Connects(); got != odbc.BreakerThreshold {
+		t.Fatalf("breaker opened after %d failed dials, want %d", got, odbc.BreakerThreshold)
 	}
 	attempts := fd.Connects()
 	_, err := rd.Connect()
@@ -230,10 +235,14 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// Cooldown elapses while the backend is still down: the probe fails and
-	// the breaker reopens immediately (one attempt only).
-	now = now.Add(2 * time.Minute)
-	if _, err := rd.Connect(); errors.Is(err, odbc.ErrBreakerOpen) || err == nil {
-		t.Fatalf("half-open probe: err = %v, want the connect error", err)
+	// the breaker reopens immediately, so the connect's retries fail fast
+	// (one dial only).
+	now = now.Add(odbc.BreakerCooldown)
+	if _, err := rd.Connect(); err == nil {
+		t.Fatal("half-open probe against a down backend succeeded")
+	}
+	if got := fd.Connects() - attempts; got != 1 {
+		t.Errorf("half-open connect dialed %d times, want 1", got)
 	}
 	if met.BreakerOpen() != 2 {
 		t.Errorf("BreakerOpen = %d, want 2 (probe failure reopened)", met.BreakerOpen())
@@ -243,7 +252,7 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// Backend heals; the next probe closes the circuit.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(odbc.BreakerCooldown)
 	fd.RefuseConnects(0)
 	ex, err := rd.Connect()
 	if err != nil {

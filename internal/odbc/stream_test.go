@@ -12,6 +12,7 @@ import (
 	"hyperq/internal/odbc"
 	"hyperq/internal/odbc/faultdriver"
 	"hyperq/internal/odbc/pool"
+	"hyperq/internal/replay"
 	"hyperq/internal/tdf"
 	"hyperq/internal/types"
 	"hyperq/internal/wire/cwp"
@@ -326,7 +327,7 @@ func TestStreamingKeepsNativeExecutors(t *testing.T) {
 		{name: "local", d: local},
 		{name: "resilient", d: &odbc.ResilientDriver{Inner: local}, native: true, reconnect: true},
 		{name: "replicated", d: &odbc.ReplicatedDriver{Replicas: []odbc.Driver{local, local}}, native: true, divergence: true},
-		{name: "replicated-compare", d: &odbc.ReplicatedDriver{Replicas: []odbc.Driver{local, local}, CompareReads: true}, native: true, divergence: true},
+		{name: "replicated-compare", d: &odbc.ReplicatedDriver{Replicas: []odbc.Driver{local, local}, Compare: (&replay.Differ{}).Compare}, native: true, divergence: true},
 		{name: "pool", d: p, native: true, reconnect: true, pin: true},
 		{name: "faultdriver", d: faultdriver.New(local), native: true},
 	}

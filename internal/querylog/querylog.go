@@ -87,17 +87,6 @@ type Writer struct {
 	capture bool
 	f       *os.File
 	fi      os.FileInfo
-
-	// capMu guards the per-session capture state. A session's statements
-	// are logged in order (a session serves one request at a time), so the
-	// sequence numbers and deltas here reconstruct each stream faithfully.
-	capMu    sync.Mutex
-	sessions map[uint64]*captureState
-}
-
-type captureState struct {
-	seq       uint64
-	lastStart time.Time
 }
 
 // Options configures a Writer.
@@ -114,20 +103,11 @@ type Options struct {
 // Open creates (or appends to) the log at path.
 func Open(path string, o Options) (*Writer, error) {
 	w := &Writer{path: path, redact: o.Redact, capture: o.Capture}
-	if o.Capture {
-		w.sessions = make(map[uint64]*captureState)
-	}
 	if err := w.reopen(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
-
-// Redacting reports whether literal redaction is on.
-func (w *Writer) Redacting() bool { return w != nil && w.redact }
-
-// Capturing reports whether replay capture is on.
-func (w *Writer) Capturing() bool { return w != nil && w.capture }
 
 func (w *Writer) reopen() error {
 	if w.f != nil {
@@ -147,10 +127,15 @@ func (w *Writer) reopen() error {
 	return nil
 }
 
-// LogTrace appends the finished trace as one JSON line. Errors are returned
-// for callers that care (the gateway drops them: the data path must not fail
-// because the log disk did). Safe on a nil writer.
-func (w *Writer) LogTrace(t *trace.Trace) error {
+// LogTrace appends the finished trace as one JSON line. seq is the 1-based
+// number of the request among those its session has logged and prevStart
+// the start of the session's previous logged request; a capture writer
+// records them as the entry's Seq and DeltaNs. The session keeps the
+// numbering (it serves one request at a time), so the writer holds no
+// per-session state. Errors are returned for callers that care (the gateway
+// drops them: the data path must not fail because the log disk did). Safe
+// on a nil writer.
+func (w *Writer) LogTrace(t *trace.Trace, seq uint64, prevStart time.Time) error {
 	if w == nil || t == nil {
 		return nil
 	}
@@ -173,22 +158,10 @@ func (w *Writer) LogTrace(t *trace.Trace) error {
 		Streamed:        t.Streamed,
 	}
 	if w.capture {
-		w.capMu.Lock()
-		st := w.sessions[t.Session]
-		if st == nil {
-			st = &captureState{}
-			w.sessions[t.Session] = st
+		e.Seq = seq
+		if seq > 1 {
+			e.DeltaNs = max(t.StartedAt.Sub(prevStart).Nanoseconds(), 0)
 		}
-		st.seq++
-		e.Seq = st.seq
-		if st.seq > 1 {
-			e.DeltaNs = t.StartedAt.Sub(st.lastStart).Nanoseconds()
-			if e.DeltaNs < 0 {
-				e.DeltaNs = 0
-			}
-		}
-		st.lastStart = t.StartedAt
-		w.capMu.Unlock()
 		if w.redact {
 			e.CaptureSQL = t.SQL
 		}

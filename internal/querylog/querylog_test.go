@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hyperq/internal/trace"
 )
@@ -79,10 +80,10 @@ func TestWriterAppendAndRedact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.LogTrace(mkTrace("SELECT * FROM T WHERE A = 5")); err != nil {
+	if err := w.LogTrace(mkTrace("SELECT * FROM T WHERE A = 5"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogTrace(mkTrace("SELECT 'x'")); err != nil {
+	if err := w.LogTrace(mkTrace("SELECT 'x'"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	lines := readLines(t, path)
@@ -136,7 +137,7 @@ func TestWriterRotationSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.LogTrace(mkTrace("SELECT 1")); err != nil {
+	if err := w.LogTrace(mkTrace("SELECT 1"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate logrotate: move the live file aside.
@@ -144,7 +145,7 @@ func TestWriterRotationSafe(t *testing.T) {
 	if err := os.Rename(path, rotated); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogTrace(mkTrace("SELECT 2")); err != nil {
+	if err := w.LogTrace(mkTrace("SELECT 2"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := readLines(t, rotated); len(got) != 1 {
@@ -168,13 +169,10 @@ func TestWriterRotationSafe(t *testing.T) {
 
 func TestNilWriter(t *testing.T) {
 	var w *Writer
-	if err := w.LogTrace(mkTrace("SELECT 1")); err != nil {
+	if err := w.LogTrace(mkTrace("SELECT 1"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if w.Redacting() {
-		t.Fatal("nil writer cannot redact")
 	}
 }

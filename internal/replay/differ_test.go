@@ -250,9 +250,7 @@ func TestDifferAcrossCloudTargets(t *testing.T) {
 				drivers[i] = &odbc.LocalDriver{Engine: engines[i]}
 			}
 			df := &Differ{Tol: Tolerance{FloatEps: 1e-9, TrimCharPad: true}}
-			rd := &odbc.ReplicatedDriver{Replicas: drivers}
-			rd.CompareReads = true
-			rd.Compare = df.Compare
+			rd := &odbc.ReplicatedDriver{Replicas: drivers, Compare: df.Compare}
 			ex, err := rd.Connect()
 			if err != nil {
 				t.Fatal(err)

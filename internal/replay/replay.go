@@ -72,7 +72,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		Replicas: []odbc.Driver{cfg.Baseline, cfg.Candidate},
 		Metrics:  &odbc.ResilienceMetrics{},
 	}
-	rd.CompareReads = true
 	rd.Compare = df.Compare
 	g, err := hyperq.New(hyperq.Config{
 		Target:         cfg.Target,

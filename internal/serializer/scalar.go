@@ -53,7 +53,15 @@ func (w *writer) appendScalar(s xtra.Scalar) error {
 		}
 		w.buf = append(w.buf, ')')
 	case *xtra.NotExpr:
-		return w.appendWrapped("(NOT ", x.X, ")")
+		// A chain of NOTs shares one pair of parentheses, so SQL-B nests no
+		// deeper than the request did.
+		w.buf = append(w.buf, "(NOT"...)
+		inner := x.X
+		for n, ok := inner.(*xtra.NotExpr); ok; n, ok = inner.(*xtra.NotExpr) {
+			w.buf = append(w.buf, " NOT"...)
+			inner = n.X
+		}
+		return w.appendWrapped(" ", inner, ")")
 	case *xtra.IsNullExpr:
 		if x.Not {
 			return w.appendWrapped("(", x.X, " IS NOT NULL)")

@@ -378,3 +378,19 @@ func TestFunctionSpellingPerTarget(t *testing.T) {
 		t.Errorf("CloudC spelling: %s", sql3)
 	}
 }
+
+// A chain of NOTs renders inside one pair of parentheses; a single NOT keeps
+// its own.
+func TestNotChainSharesParentheses(t *testing.T) {
+	target := dialect.CloudA()
+	sess := setupEngine(t, target)
+	for _, c := range []struct{ td, want string }{
+		{"SEL STORE FROM SALES WHERE NOT STORE = 1", "(NOT ("},
+		{"SEL STORE FROM SALES WHERE NOT NOT NOT STORE = 1", "(NOT NOT NOT ("},
+	} {
+		if sql := translate(t, sess, c.td, target); !strings.Contains(sql, c.want) {
+			t.Errorf("%s\nserialized as %s\nwant it to contain %q", c.td, sql, c.want)
+		}
+	}
+	expect(t, roundTrip(t, "SEL DISTINCT STORE FROM SALES WHERE NOT NOT NOT STORE = 1 ORDER BY 1", target), "2", "3")
+}

@@ -160,3 +160,7 @@ HYPERQ_REPLAY_SOAK=150 go test -race -count=1 -timeout 300s -run 'TestShadowRepl
 # with 8 concurrent bteq clients exercising volatile-table pinning.
 go build -o "$tmpdir" ./cmd/...
 go run scripts/smoke.go -bin "$tmpdir"
+
+# ROADMAP item 8's measure, printed only: non-test Go lines outside perf/ and
+# testdata.
+echo "check.sh: non-test Go lines outside perf/ and testdata: $(git ls-files '*.go' ':!perf/**' ':!**/testdata/**' ':!*_test.go' | xargs cat | wc -l)"
