@@ -272,6 +272,15 @@ func TestGatewayLogonBackendUnavailable(t *testing.T) {
 		t.Fatalf("Logon err = %v, want LogonError %d", err, tdp.CodeLogonDenied)
 	}
 
+	// The breaker is one failure short of opening, so the wire logon below
+	// reaches the backend, and the refused connect that opens the breaker is
+	// its answer: the logon makes one dial and no retry.
+	before := g.MetricsSnapshot()
+	if before.BreakerOpen != 0 {
+		t.Fatalf("BreakerOpen = %d before the wire logon, want 0", before.BreakerOpen)
+	}
+	dials := fd.Connects()
+
 	// Over the wire: the client sees the same clean record.
 	ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 	if lerr != nil {
@@ -288,6 +297,12 @@ func TestGatewayLogonBackendUnavailable(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "connection refused") {
 		t.Errorf("raw connection error leaked to the frontend: %q", err)
+	}
+	if got := fd.Connects() - dials; got != 1 {
+		t.Errorf("wire logon dialed %d times, want 1", got)
+	}
+	if after := g.MetricsSnapshot(); after.BreakerOpen != 1 || after.Retries != before.Retries {
+		t.Errorf("wire logon: BreakerOpen = %d, retries +%d, want 1, +0", after.BreakerOpen, after.Retries-before.Retries)
 	}
 }
 

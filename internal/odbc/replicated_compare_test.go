@@ -39,6 +39,53 @@ func takeDivs(t *testing.T, ex odbc.Executor) []*odbc.Divergence {
 	return ds.TakeDivergences()
 }
 
+// Compare is the one mode switch: nil load-balances reads round-robin, and
+// any comparator sends every read to every healthy replica.
+func TestReplicatedReadsRoundRobin(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		compare odbc.CompareFunc
+		reads   int // per replica, of the 9
+	}{
+		{"round-robin", nil, 3},
+		{"compare", (&replay.Differ{}).Compare, 9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, d := compareReplicas(t, 3)
+			d.Compare = c.compare
+			fds := make([]*faultdriver.Driver, len(d.Replicas))
+			for i, r := range d.Replicas {
+				fds[i] = faultdriver.New(r)
+				d.Replicas[i] = fds[i]
+			}
+			ex, err := d.Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close()
+			if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (7)"); err != nil {
+				t.Fatal(err)
+			}
+			// Every read must return the same data regardless of which replica
+			// serves it.
+			for i := 0; i < 9; i++ {
+				results, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM r")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[0].Rows()[0][0].I != 1 {
+					t.Fatalf("read %d inconsistent", i)
+				}
+			}
+			for i, fd := range fds {
+				if got := fd.Execs() - 1; got != c.reads { // less the write
+					t.Errorf("replica %d served %d reads, want %d", i, got, c.reads)
+				}
+			}
+		})
+	}
+}
+
 func TestCompareReadsCleanReplicasReportNothing(t *testing.T) {
 	_, d := compareReplicas(t, 2)
 	ex, err := d.Connect()

@@ -2,12 +2,10 @@ package odbc
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"hyperq/internal/dialect"
 	"hyperq/internal/engine"
-	"hyperq/internal/wire/cwp"
 )
 
 // replicaSetup builds N independent engines with the same schema.
@@ -41,74 +39,6 @@ func TestReplicatedWritesFanOut(t *testing.T) {
 		if err != nil || n != 2 {
 			t.Fatalf("replica %d has %d rows (%v)", i, n, err)
 		}
-	}
-}
-
-// countedDriver counts the requests its sessions receive.
-type countedDriver struct {
-	Driver
-	n *atomic.Int64
-}
-
-func (d countedDriver) Connect() (Executor, error) {
-	ex, err := d.Driver.Connect()
-	return countedExecutor{ex, d.n}, err
-}
-
-type countedExecutor struct {
-	Executor
-	n *atomic.Int64
-}
-
-func (e countedExecutor) ExecContext(ctx context.Context, sql string) ([]*cwp.StatementResult, error) {
-	e.n.Add(1)
-	return e.Executor.ExecContext(ctx, sql)
-}
-
-// Compare is the one mode switch: nil load-balances reads round-robin, and
-// any comparator sends every read to every healthy replica.
-func TestReplicatedReadsRoundRobin(t *testing.T) {
-	noDiff := func(string, []*cwp.StatementResult, []*cwp.StatementResult) *Divergence { return nil }
-	for _, c := range []struct {
-		name    string
-		compare CompareFunc
-		reads   int64 // per replica, of the 9
-	}{
-		{"round-robin", nil, 3},
-		{"compare", noDiff, 9},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, d := replicaSetup(t, 3)
-			d.Compare = c.compare
-			counts := make([]atomic.Int64, len(d.Replicas))
-			for i, r := range d.Replicas {
-				d.Replicas[i] = countedDriver{r, &counts[i]}
-			}
-			ex, err := d.Connect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ex.Close()
-			if _, err := ex.ExecContext(context.Background(), "INSERT INTO r (x) VALUES (7)"); err != nil {
-				t.Fatal(err)
-			}
-			// Every read must return the same data regardless of which replica
-			// serves it.
-			for i := 0; i < 9; i++ {
-				results, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM r")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if results[0].Rows()[0][0].I != 1 {
-					t.Fatalf("read %d inconsistent", i)
-				}
-			}
-			for i := range counts {
-				if got := counts[i].Load() - 1; got != c.reads { // less the write
-					t.Errorf("replica %d served %d reads, want %d", i, got, c.reads)
-				}
-			}
-		})
 	}
 }
 

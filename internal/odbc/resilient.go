@@ -149,6 +149,14 @@ func (b *breaker) Allow() error {
 	}
 }
 
+// Release returns an admitted attempt that never reached the backend, so a
+// half-open breaker admits the next probe.
+func (b *breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+}
+
 // Success records a healthy backend interaction.
 func (b *breaker) Success() {
 	b.mu.Lock()
@@ -297,18 +305,23 @@ func (e *resilientExecutor) reconnect(ctx context.Context) error {
 	tr := trace.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt <= MaxRetries; attempt++ {
+		if err := d.brk.Allow(); err != nil {
+			// Open breaker: fail fast; waiting out the cooldown inside a
+			// request would defeat the point. When this request's own
+			// failure opened it, that failure is the answer.
+			if lastErr != nil {
+				return lastErr
+			}
+			return err
+		}
 		if attempt > 0 {
 			d.Metrics.addRetry()
 			tr.Event("retry", "op", "connect", "attempt", strconv.Itoa(attempt))
 			d.backoff(ctx, attempt)
 			if ctx.Err() != nil {
+				d.brk.Release()
 				return lastErr
 			}
-		}
-		if err := d.brk.Allow(); err != nil {
-			// Open breaker: fail fast; waiting out the cooldown inside a
-			// request would defeat the point.
-			return err
 		}
 		// Within a request (trace present), a replacement connection is a
 		// reconnect span; the initial logon-time connect is untraced.

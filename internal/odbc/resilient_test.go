@@ -215,8 +215,12 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 		if i == odbc.BreakerThreshold {
 			t.Fatalf("breaker still closed after %d connects", i)
 		}
-		if _, err := rd.Connect(); err == nil {
+		_, err := rd.Connect()
+		if err == nil {
 			t.Fatalf("connect %d to hard-down backend succeeded", i)
+		}
+		if errors.Is(err, odbc.ErrBreakerOpen) {
+			t.Fatalf("connect %d: err = %v, want the connect error that opened the breaker", i, err)
 		}
 	}
 	if met.BreakerOpen() != 1 {
@@ -235,14 +239,18 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// Cooldown elapses while the backend is still down: the probe fails and
-	// the breaker reopens immediately, so the connect's retries fail fast
-	// (one dial only).
+	// the breaker reopens immediately, so the connect stops after one dial,
+	// with no retry, and returns the connect error.
 	now = now.Add(odbc.BreakerCooldown)
-	if _, err := rd.Connect(); err == nil {
-		t.Fatal("half-open probe against a down backend succeeded")
+	retries := met.Retries()
+	if _, err := rd.Connect(); errors.Is(err, odbc.ErrBreakerOpen) || err == nil {
+		t.Fatalf("half-open probe: err = %v, want the connect error", err)
 	}
 	if got := fd.Connects() - attempts; got != 1 {
 		t.Errorf("half-open connect dialed %d times, want 1", got)
+	}
+	if got := met.Retries() - retries; got != 0 {
+		t.Errorf("half-open connect counted %d retries, want 0", got)
 	}
 	if met.BreakerOpen() != 2 {
 		t.Errorf("BreakerOpen = %d, want 2 (probe failure reopened)", met.BreakerOpen())
@@ -261,6 +269,50 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	defer ex.Close()
 	if res, err := ex.ExecContext(context.Background(), "SELECT COUNT(*) FROM rt"); err != nil || res[0].Rows()[0][0].I != 3 {
 		t.Fatalf("exec after recovery: res=%v err=%v", res, err)
+	}
+}
+
+// A half-open probe whose request expires during its retry backoff never
+// reaches the backend; the breaker must admit the next probe instead of
+// staying half-open with a probe outstanding.
+func TestResilientAbandonedProbeIsReleased(t *testing.T) {
+	fd, rd, met := resilientStack(t)
+	// Every reading of the clock is a cooldown later than the last, so the
+	// breaker admits a probe as soon as it has opened.
+	now := time.Unix(1000, 0)
+	rd.Now = func() time.Time {
+		now = now.Add(odbc.BreakerCooldown)
+		return now
+	}
+	// One connect's four failed dials leave the breaker one short of
+	// opening.
+	fd.RefuseConnects(-1)
+	if _, err := rd.Connect(); err == nil {
+		t.Fatal("connect to hard-down backend succeeded")
+	}
+	if met.BreakerOpen() != 0 {
+		t.Fatalf("BreakerOpen = %d after %d dials, want 0", met.BreakerOpen(), fd.Connects())
+	}
+	// The next connect's first dial opens it, its retry is admitted as the
+	// probe, and the request expires in that retry's backoff.
+	ctx, cancel := context.WithCancel(context.Background())
+	rd.Sleep = func(time.Duration) { cancel() }
+	if _, err := rd.ConnectContext(ctx); err == nil || errors.Is(err, odbc.ErrBreakerOpen) {
+		t.Fatalf("tripping connect: err = %v, want the connect error", err)
+	}
+	if met.BreakerOpen() != 1 || met.Retries() != 4 {
+		t.Fatalf("BreakerOpen, Retries = %d, %d, want 1, 4", met.BreakerOpen(), met.Retries())
+	}
+	attempts := fd.Connects()
+
+	fd.RefuseConnects(0)
+	ex, err := rd.Connect()
+	if err != nil {
+		t.Fatalf("probe after an abandoned one: %v", err)
+	}
+	defer ex.Close()
+	if fd.Connects() != attempts+1 {
+		t.Errorf("dials = %d, want %d", fd.Connects(), attempts+1)
 	}
 }
 
